@@ -38,7 +38,7 @@ fn main() {
     let mut ratios = Vec::new();
     let mut records = Vec::new();
     for (node, spec) in picks {
-        let (map, _, _) = session.map_for_node(*node).expect("conv map");
+        let map = session.conv_maps(*node).expect("conv map").0;
         let m = map.n_out() as u64;
         let n = spec.c_out as u64;
         let k = (spec.kernel_volume() * spec.c_in) as u64;

@@ -38,7 +38,7 @@ fn main() {
         .enumerate()
         .filter_map(|(i, n)| match n.op {
             ts_core::Op::Conv(c) => {
-                let (map, _, _) = session.map_for_node(i)?;
+                let map = session.conv_maps(i)?.0;
                 Some(map.total_pairs() * (c.c_in * c.c_out) as u64)
             }
             _ => None,

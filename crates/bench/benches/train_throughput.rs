@@ -30,8 +30,8 @@ use ts_autotune::{BindingScheme, TunerOptions};
 use ts_baselines::System;
 use ts_bench::{bench_scale, paper_check, print_table, write_json};
 use ts_dataflow::ExecCtx;
-use ts_kernelmap::DeltaConfig;
 use ts_gpusim::Device;
+use ts_kernelmap::DeltaConfig;
 use ts_tensor::Precision;
 use ts_train::{StepReport, Trainer, TrainerConfig};
 use ts_workloads::{LidarConfig, LidarStream, Workload};
@@ -78,7 +78,7 @@ fn train(net: &ts_core::Network, ctx: &ExecCtx, cfg: TrainerConfig) -> (Vec<Step
     let reports = trainer
         .run_stream(&mut stream, STEPS)
         .expect("training steps run");
-    let patched = trainer.plan_state().map_or(0, |s| s.patched());
+    let patched = trainer.stream_state().map_or(0, |s| s.patched());
     (reports, patched)
 }
 

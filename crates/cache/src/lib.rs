@@ -54,13 +54,14 @@
 
 mod digest;
 mod store;
-mod train_store;
 
 pub use digest::{
     census_distance, drifted_groups, hex64, network_digest, quantize_stat, Digest64, ScheduleKey,
 };
-pub use store::{CacheCounters, CacheEntry, DriftPolicy, Lookup, ScheduleCache};
-pub use train_store::{train_digest, TrainCacheEntry, TrainLookup, TrainScheduleCache};
+pub use store::{
+    CacheCounters, CacheEntry, DriftPolicy, Lookup, ScheduleCache, ScheduleStore, StoreEntry,
+    TrainCacheEntry, TrainScheduleCache,
+};
 
 use std::io;
 
@@ -85,12 +86,13 @@ pub enum TuneOrigin {
     Cold,
 }
 
-/// A [`tune_cached`] outcome: the tuner's result plus the cache's
-/// account of how it was produced.
+/// A [`tune_cached`] (or, with [`TrainTuneResult`],
+/// [`tune_training_cached`]) outcome: the tuner's result plus the
+/// cache's account of how it was produced.
 #[derive(Debug, Clone)]
-pub struct CachedTune {
+pub struct CachedTune<R = TuneResult> {
     /// The (possibly repriced) tuning result.
-    pub result: TuneResult,
+    pub result: R,
     /// How the schedule was obtained.
     pub origin: TuneOrigin,
     /// Content digest of the schedule's cache entry (the hit entry, or
@@ -102,6 +104,59 @@ pub struct CachedTune {
     /// Census distance to the seed entry (0 for hits and exact-digest
     /// repairs; 0 for cold tunes, which have no seed).
     pub distance: f64,
+}
+
+/// A [`tune_training_cached`] outcome.
+pub type TrainCachedTune = CachedTune<TrainTuneResult>;
+
+/// The hit / warm / miss logic both cached tuners share: probes
+/// `cache`, runs `tune` with the warm seed and the groups to re-tune
+/// (`None` for a cold tune), and writes warm and cold results back as
+/// `entry` builds them. A hit reprices the cached schedule with nothing
+/// to re-tune rather than trusting the recorded latency, which was
+/// measured on the *original* sample scenes.
+fn tune_through<E: StoreEntry, R>(
+    cache: &mut ScheduleStore<E>,
+    key: ScheduleKey,
+    scope: E::Scope,
+    policy: &DriftPolicy,
+    tune: impl FnOnce(Option<(E::Configs, Vec<usize>)>) -> R,
+    entry: impl FnOnce(ScheduleKey, &R) -> E,
+) -> io::Result<CachedTune<R>> {
+    let n_groups = key.groups.len();
+    let (result, origin, retuned, distance) = match cache.probe(&key, scope, policy) {
+        Lookup::Hit {
+            digest, configs, ..
+        } => {
+            return Ok(CachedTune {
+                result: tune(Some((configs, Vec::new()))),
+                origin: TuneOrigin::Hit,
+                digest,
+                retuned: Vec::new(),
+                distance: 0.0,
+            })
+        }
+        Lookup::Warm {
+            seed,
+            drifted,
+            distance,
+            ..
+        } => (
+            tune(Some((seed, drifted.clone()))),
+            TuneOrigin::WarmStart,
+            drifted,
+            distance,
+        ),
+        Lookup::Miss => (tune(None), TuneOrigin::Cold, (0..n_groups).collect(), 0.0),
+    };
+    let digest = cache.insert(entry(key, &result))?;
+    Ok(CachedTune {
+        result,
+        origin,
+        digest,
+        retuned,
+        distance,
+    })
 }
 
 /// Tunes `sessions` through the cache: exact hits reprice without
@@ -133,75 +188,27 @@ pub fn tune_cached(
         "tune_cached needs at least one sample scene"
     );
     let key = ScheduleKey::of(&sessions[0], ctx);
-    let n_groups = key.groups.len();
-    match cache.lookup(&key, policy) {
-        Lookup::Hit {
-            digest, configs, ..
-        } => {
-            // Reprice the cached schedule on the actual sessions (one
-            // evaluation) rather than trusting the recorded latency,
-            // which was measured on the *original* sample scenes.
-            let warm = WarmStart {
-                seed: configs,
-                retune: Vec::new(),
-            };
-            let result = tune_inference_warm(sessions, ctx, opts, &warm);
-            Ok(CachedTune {
-                result,
-                origin: TuneOrigin::Hit,
-                digest,
-                retuned: Vec::new(),
-                distance: 0.0,
-            })
-        }
-        Lookup::Warm {
-            seed,
-            drifted,
-            distance,
-            ..
-        } => {
-            let warm = WarmStart {
-                seed,
-                retune: drifted.clone(),
-            };
-            let result = tune_inference_warm(sessions, ctx, opts, &warm);
-            let digest = write_back(cache, key, &result)?;
-            Ok(CachedTune {
-                result,
-                origin: TuneOrigin::WarmStart,
-                digest,
-                retuned: drifted,
-                distance,
-            })
-        }
-        Lookup::Miss => {
-            let result = tune_inference(sessions, ctx, opts);
-            let digest = write_back(cache, key, &result)?;
-            Ok(CachedTune {
-                result,
-                origin: TuneOrigin::Cold,
-                digest,
-                retuned: (0..n_groups).collect(),
-                distance: 0.0,
-            })
-        }
-    }
-}
-
-/// A [`tune_training_cached`] outcome: the training tuner's result plus
-/// the cache's account of how it was produced.
-#[derive(Debug, Clone)]
-pub struct TrainCachedTune {
-    /// The (possibly repriced) training tuning result.
-    pub result: TrainTuneResult,
-    /// How the schedule was obtained.
-    pub origin: TuneOrigin,
-    /// Scheme-qualified content digest of the schedule's cache entry.
-    pub digest: String,
-    /// Groups actually swept (empty for hits, all for cold tunes).
-    pub retuned: Vec<usize>,
-    /// Census distance to the seed entry (0 except warm starts).
-    pub distance: f64,
+    tune_through(
+        cache,
+        key,
+        (),
+        policy,
+        |warm| match warm {
+            Some((seed, retune)) => {
+                tune_inference_warm(sessions, ctx, opts, &WarmStart { seed, retune })
+            }
+            None => tune_inference(sessions, ctx, opts),
+        },
+        |key, result| CacheEntry {
+            key,
+            configs: result
+                .configs
+                .clone()
+                .expect("tuner results carry their schedule"),
+            tuned_latency_us: result.tuned_latency_us,
+            default_latency_us: result.default_latency_us,
+        },
+    )
 }
 
 /// Tunes training schedules for `sessions` under `scheme` through the
@@ -233,87 +240,29 @@ pub fn tune_training_cached(
         "tune_training_cached needs at least one sample scene"
     );
     let key = ScheduleKey::of(&sessions[0], ctx);
-    let n_groups = key.groups.len();
-    match cache.lookup(&key, scheme, policy) {
-        TrainLookup::Hit {
-            digest, configs, ..
-        } => {
-            let warm = TrainWarmStart {
-                seed: configs,
-                retune: Vec::new(),
-            };
-            let result = tune_training_warm(sessions, ctx, opts, scheme, &warm);
-            Ok(TrainCachedTune {
-                result,
-                origin: TuneOrigin::Hit,
-                digest,
-                retuned: Vec::new(),
-                distance: 0.0,
-            })
-        }
-        TrainLookup::Warm {
-            seed,
-            drifted,
-            distance,
-            ..
-        } => {
-            let warm = TrainWarmStart {
-                seed,
-                retune: drifted.clone(),
-            };
-            let result = tune_training_warm(sessions, ctx, opts, scheme, &warm);
-            let digest = write_back_train(cache, key, &result)?;
-            Ok(TrainCachedTune {
-                result,
-                origin: TuneOrigin::WarmStart,
-                digest,
-                retuned: drifted,
-                distance,
-            })
-        }
-        TrainLookup::Miss => {
-            let result = tune_training(sessions, ctx, opts, scheme);
-            let digest = write_back_train(cache, key, &result)?;
-            Ok(TrainCachedTune {
-                result,
-                origin: TuneOrigin::Cold,
-                digest,
-                retuned: (0..n_groups).collect(),
-                distance: 0.0,
-            })
-        }
-    }
-}
-
-fn write_back_train(
-    cache: &mut TrainScheduleCache,
-    key: ScheduleKey,
-    result: &TrainTuneResult,
-) -> io::Result<String> {
-    cache.insert(TrainCacheEntry {
+    tune_through(
+        cache,
         key,
-        scheme: result.scheme,
-        configs: result.configs.clone(),
-        tuned_latency_us: result.tuned_latency_us,
-        default_latency_us: result.default_latency_us,
-    })
-}
-
-fn write_back(
-    cache: &mut ScheduleCache,
-    key: ScheduleKey,
-    result: &TuneResult,
-) -> io::Result<String> {
-    let configs = result
-        .configs
-        .clone()
-        .expect("tuner results carry their schedule");
-    cache.insert(CacheEntry {
-        key,
-        configs,
-        tuned_latency_us: result.tuned_latency_us,
-        default_latency_us: result.default_latency_us,
-    })
+        scheme,
+        policy,
+        |warm| match warm {
+            Some((seed, retune)) => tune_training_warm(
+                sessions,
+                ctx,
+                opts,
+                scheme,
+                &TrainWarmStart { seed, retune },
+            ),
+            None => tune_training(sessions, ctx, opts, scheme),
+        },
+        |key, result| TrainCacheEntry {
+            key,
+            scheme: result.scheme,
+            configs: result.configs.clone(),
+            tuned_latency_us: result.tuned_latency_us,
+            default_latency_us: result.default_latency_us,
+        },
+    )
 }
 
 /// Where a [`warm_boot`] engine's schedule came from.

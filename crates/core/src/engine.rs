@@ -8,7 +8,7 @@
 
 use ts_dataflow::{DataflowConfig, ExecCtx};
 
-use crate::run::run_network_in_session;
+use crate::run::{check_input, run_network_in_session};
 use crate::schedule::{sanitize_configs, Downgrade, ScheduleArtifact, ScheduleError};
 use crate::{
     run_network, CompileError, GroupConfigs, Network, NetworkWeights, RunReport, Session,
@@ -131,35 +131,9 @@ impl Engine {
         if span.active() {
             span.arg("points", input.num_points());
         }
-        if input.channels() != self.network.in_channels() {
-            return Err(CompileError::ChannelMismatch {
-                expected: self.network.in_channels(),
-                got: input.channels(),
-            });
-        }
-        let unique = ts_kernelmap::unique_coords(input.coords()).len();
-        if unique != input.num_points() {
-            return Err(CompileError::DuplicateCoords {
-                points: input.num_points(),
-                unique,
-            });
-        }
+        check_input(&self.network, input)?;
         let session = Session::try_new(&self.network, input.coords())?;
-        // Structural invariants of freshly built kernel maps. Cheap
-        // relative to map construction but quadratic-ish on the dense
-        // views, so debug builds only — release trusts the builders.
-        #[cfg(debug_assertions)]
-        for group in session.groups() {
-            for (label, map) in [("map", &group.map), ("map_t", &group.map_t)] {
-                let violations = ts_kernelmap::check_map(map);
-                debug_assert!(
-                    violations.is_empty(),
-                    "group {:?} {label} violates kernel-map invariants: {:?}",
-                    group.key,
-                    violations
-                );
-            }
-        }
+        session.debug_check_maps();
         Ok(session)
     }
 

@@ -11,8 +11,13 @@
 //!   sharing maps, the unit of dataflow selection in the Sparse
 //!   Autotuner), and prices inference/training on a simulated GPU with
 //!   per-group dataflow configurations;
-//! * [`run_network`] — the functional path computing real features;
-//! * [`train_step`] — functional forward + backward + SGD update.
+//! * [`run_network`] — the functional path computing real features:
+//!   the forward half of the one DAG feature walk;
+//! * [`forward_backward`] — the same forward walk plus the reverse
+//!   sweep (dgrad + wgrad, AMP loss scaling), the engine under
+//!   `ts_train::Trainer`;
+//! * [`compile_stream`] — per-frame compilation with the stride-1 kernel
+//!   map patched incrementally across a coherent stream ([`StreamState`]).
 //!
 //! # Examples
 //!
@@ -46,7 +51,6 @@ mod schedule;
 mod session;
 mod sparse_tensor;
 mod stream;
-mod train;
 mod trainer;
 
 pub use engine::Engine;
@@ -61,9 +65,8 @@ pub use session::{
     SubmanifoldReuse, TrainConfigs,
 };
 pub use sparse_tensor::SparseTensor;
-pub use stream::{permute_to, StreamState};
+pub use stream::{compile_stream, permute_to, StreamState};
+pub use trainer::{forward_backward, BackwardOutput, LossScaler};
 // Streaming callers configure and inspect updates with the kernel-map
 // vocabulary; re-exported so they need not depend on ts-kernelmap.
-pub use train::{train_step, TrainOutput};
-pub use trainer::{forward_backward, BackwardOutput, LossScaler, Trainer};
 pub use ts_kernelmap::{DeltaConfig, MapUpdate, UpdateOutcome};

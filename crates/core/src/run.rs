@@ -1,13 +1,40 @@
-//! Functional network execution: real features through every layer.
+//! Functional network execution: the one DAG feature walk.
+//!
+//! [`forward`] computes every node's activation; [`backward`] runs the
+//! reverse sweep over them. Inference ([`run_network_in_session`]) is the
+//! forward half and training ([`crate::forward_backward`]) runs both, so
+//! the two can never disagree on what a layer computes.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use ts_dataflow::{dgrad, forward_prepared, prepare, wgrad, ConvWeights, ExecCtx};
+use ts_tensor::{batch_norm, relu, relu_backward, Matrix, Precision};
 
-use ts_dataflow::{forward_prepared, prepare, ExecCtx};
-use ts_kernelmap::Coord;
-use ts_tensor::{batch_norm, relu, Matrix};
+use crate::{
+    BackwardOutput, CompileError, GroupConfigs, Network, NetworkWeights, Op, RunReport, Session,
+    SparseTensor, TrainConfigs,
+};
 
-use crate::{GroupConfigs, Network, NetworkWeights, Op, RunReport, Session, SparseTensor};
+/// Checks `input` against `network`: the feature width must match and
+/// the coordinates must be deduplicated.
+///
+/// # Errors
+///
+/// [`CompileError::ChannelMismatch`] or [`CompileError::DuplicateCoords`].
+pub(crate) fn check_input(network: &Network, input: &SparseTensor) -> Result<(), CompileError> {
+    if input.channels() != network.in_channels() {
+        return Err(CompileError::ChannelMismatch {
+            expected: network.in_channels(),
+            got: input.channels(),
+        });
+    }
+    let unique = ts_kernelmap::unique_coords(input.coords()).len();
+    if unique != input.num_points() {
+        return Err(CompileError::DuplicateCoords {
+            points: input.num_points(),
+            unique,
+        });
+    }
+    Ok(())
+}
 
 /// Runs `network` functionally on `input`, returning the output sparse
 /// tensor and the simulated latency report.
@@ -35,17 +62,9 @@ pub fn run_network(
     cfgs: &GroupConfigs,
     ctx: &ExecCtx,
 ) -> (SparseTensor, RunReport) {
-    assert_eq!(
-        input.channels(),
-        network.in_channels(),
-        "input channel mismatch"
-    );
-    assert_eq!(
-        ts_kernelmap::unique_coords(input.coords()).len(),
-        input.num_points(),
-        "input coordinates must be deduplicated"
-    );
-
+    if let Err(e) = check_input(network, input) {
+        panic!("{e}");
+    }
     let session = Session::new(network, input.coords());
     run_network_in_session(&session, weights, input, cfgs, ctx)
 }
@@ -55,7 +74,7 @@ pub fn run_network(
 /// The caller guarantees `session` was compiled for `input.coords()`
 /// (and that the input passed the validation `run_network` performs);
 /// this is the hot path for servers that validate once and reuse the
-/// compiled maps.
+/// compiled maps. The output coordinates are the session's.
 pub fn run_network_in_session(
     session: &Session,
     weights: &NetworkWeights,
@@ -65,6 +84,7 @@ pub fn run_network_in_session(
 ) -> (SparseTensor, RunReport) {
     let network = session.network();
     let report = session.simulate_inference(cfgs, ctx);
+    let out_node = network.output();
 
     // Simulate-only contexts price the run without computing features:
     // the report is the product and the returned tensor is empty. This
@@ -80,72 +100,63 @@ pub fn run_network_in_session(
         );
     }
 
-    // Functional feature walk.
-    let fctx = ExecCtx {
-        functional: true,
-        ..ctx.clone()
-    };
-    let mut feats: Vec<Option<Matrix>> = vec![None; network.nodes().len()];
-    let mut coords: Vec<Option<Arc<Vec<Coord>>>> = vec![None; network.nodes().len()];
-    let mut stride_coords: HashMap<i32, Arc<Vec<Coord>>> = HashMap::new();
-    let input_coords = Arc::new(input.coords().to_vec());
-    feats[0] = Some(input.feats().clone());
-    coords[0] = Some(Arc::clone(&input_coords));
-    stride_coords.insert(1, input_coords);
+    let mut feats = forward(session, weights, input.feats(), cfgs, ctx);
+    let out = SparseTensor::with_stride(
+        session.coords(out_node).to_vec(),
+        feats[out_node].take().expect("output computed"),
+        network.stride(out_node),
+    );
+    (out, report)
+}
 
+/// The forward half of the walk: every node's activation, in node
+/// order, with the per-group dataflows in `cfgs`. Conv outputs are
+/// rounded to the context precision when it asks for storage
+/// quantization. `ctx` must be functional.
+pub(crate) fn forward(
+    session: &Session,
+    weights: &NetworkWeights,
+    input: &Matrix,
+    cfgs: &GroupConfigs,
+    ctx: &ExecCtx,
+) -> Vec<Option<Matrix>> {
+    let network = session.network();
+    let mut feats: Vec<Option<Matrix>> = vec![None; network.nodes().len()];
+    feats[0] = Some(input.clone());
     for (i, node) in network.nodes().iter().enumerate().skip(1) {
         let x = feats[node.input]
             .as_ref()
             .expect("producer already executed")
             .clone();
-        let in_coords = Arc::clone(coords[node.input].as_ref().expect("coords known"));
-        match node.op {
+        let y = match node.op {
             Op::Input => unreachable!(),
-            Op::Conv(spec) => {
-                let (map, group, _) = session
-                    .map_for_node(i)
-                    .expect("conv node has a compiled map");
+            Op::Conv(_) => {
+                let (map, _, group) = session.conv_maps(i).expect("conv node has a compiled map");
                 let w = weights.convs[i].as_ref().expect("conv weights initialised");
                 let cfg = cfgs.for_group(group);
-                let prepared = prepare(&map, &cfg, &fctx);
-                let out = forward_prepared(&x, w, &map, &prepared, &cfg, &fctx);
+                let prepared = prepare(&map, &cfg, ctx);
+                let out = forward_prepared(&x, w, &map, &prepared, &cfg, ctx);
                 let mut y = out.features.expect("functional context computes features");
-                if fctx.quantize_storage {
-                    fctx.precision.quantize_slice(y.as_mut_slice());
+                if ctx.quantize_storage {
+                    ctx.precision.quantize_slice(y.as_mut_slice());
                 }
-                feats[i] = Some(y);
-                let out_coords: Arc<Vec<Coord>> = if spec.transposed {
-                    Arc::clone(
-                        stride_coords
-                            .get(&network.stride(i))
-                            .expect("transposed conv target coords cached"),
-                    )
-                } else if spec.stride > 1 {
-                    Arc::new(ts_kernelmap::downsample_coords(&in_coords, spec.stride))
-                } else {
-                    in_coords
-                };
-                stride_coords.insert(network.stride(i), Arc::clone(&out_coords));
-                coords[i] = Some(out_coords);
+                y
             }
             Op::BatchNorm => {
                 let mut y = x;
                 let params = weights.bns[i].as_ref().expect("bn params initialised");
                 batch_norm(&mut y, params);
-                feats[i] = Some(y);
-                coords[i] = Some(in_coords);
+                y
             }
             Op::ReLU => {
                 let mut y = x;
                 relu(&mut y);
-                feats[i] = Some(y);
-                coords[i] = Some(in_coords);
+                y
             }
             Op::Add { other } => {
                 let mut y = x;
                 y.add_assign(feats[other].as_ref().expect("operand executed"));
-                feats[i] = Some(y);
-                coords[i] = Some(in_coords);
+                y
             }
             Op::Concat { other } => {
                 let o = feats[other].as_ref().expect("operand executed");
@@ -156,30 +167,139 @@ pub fn run_network_in_session(
                     row[..x.cols()].copy_from_slice(x.row(r));
                     row[x.cols()..].copy_from_slice(o.row(r));
                 }
-                feats[i] = Some(y);
-                coords[i] = Some(in_coords);
+                y
+            }
+        };
+        feats[i] = Some(y);
+    }
+    feats
+}
+
+/// The reverse half of the walk over the activations [`forward`]
+/// stored: the loss `0.5 * ||output||^2`, then dgrad through the
+/// transposed maps and wgrad through the forward maps with the per-pass
+/// dataflows in `cfgs`. With `fp16_grads`, the seed gradient is
+/// multiplied by `loss_scale`, every stored gradient is rounded to the
+/// FP16 grid, and weight gradients are overflow-checked *before* being
+/// un-scaled. `ctx` must be functional.
+pub(crate) fn backward(
+    session: &Session,
+    weights: &NetworkWeights,
+    feats: &[Option<Matrix>],
+    cfgs: &TrainConfigs,
+    ctx: &ExecCtx,
+    loss_scale: f32,
+    fp16_grads: bool,
+) -> BackwardOutput {
+    let network = session.network();
+    let out = feats[network.output()].as_ref().expect("output computed");
+    let loss = 0.5 * out.as_slice().iter().map(|v| v * v).sum::<f32>();
+
+    let quantize = |m: &mut Matrix| {
+        if fp16_grads {
+            Precision::Fp16.quantize_slice(m.as_mut_slice());
+        }
+    };
+    let mut grads: Vec<Option<Matrix>> = vec![None; feats.len()];
+    let mut seed = out.clone();
+    if loss_scale != 1.0 {
+        seed.scale(loss_scale);
+    }
+    quantize(&mut seed);
+    grads[network.output()] = Some(seed);
+    let mut overflow = false;
+    let mut conv_grads: Vec<Option<ConvWeights>> = vec![None; feats.len()];
+    for (i, node) in network.nodes().iter().enumerate().skip(1).rev() {
+        let Some(g) = grads[i].take() else { continue };
+        match node.op {
+            Op::Input => unreachable!(),
+            Op::Conv(_) => {
+                let (map, grad_map, group) = session.conv_maps(i).expect("conv map");
+                let w = weights.convs[i].as_ref().expect("weights");
+                let d_cfg = cfgs.dgrad.for_group(group);
+                let w_cfg = cfgs.wgrad.for_group(group);
+                let mut dx = dgrad(&g, w, &grad_map, &d_cfg, ctx)
+                    .features
+                    .expect("functional");
+                quantize(&mut dx);
+                accumulate(&mut grads, node.input, dx);
+                let x_in = feats[node.input].as_ref().expect("activation");
+                let mut dw = wgrad(x_in, &g, &map, &w_cfg, ctx).dw.expect("functional");
+                for k in 0..dw.kernel_volume() {
+                    quantize(dw.offset_mut(k));
+                    // FP16 saturation (|v| at the max finite half) or
+                    // non-finite values mark the step as overflowed.
+                    if dw
+                        .offset(k)
+                        .as_slice()
+                        .iter()
+                        .any(|v| !v.is_finite() || v.abs() >= 65504.0)
+                    {
+                        overflow = true;
+                    }
+                    // Un-scale back to true gradient magnitude.
+                    if loss_scale != 1.0 {
+                        dw.offset_mut(k).scale(1.0 / loss_scale);
+                    }
+                }
+                conv_grads[i] = Some(dw);
+            }
+            Op::BatchNorm => {
+                let params = weights.bns[i].as_ref().expect("bn");
+                let mut dx = g;
+                for r in 0..dx.rows() {
+                    for (c, v) in dx.row_mut(r).iter_mut().enumerate() {
+                        *v *= params.scale[c];
+                    }
+                }
+                accumulate(&mut grads, node.input, dx);
+            }
+            Op::ReLU => {
+                let mut dx = g;
+                relu_backward(&mut dx, feats[node.input].as_ref().expect("activation"));
+                accumulate(&mut grads, node.input, dx);
+            }
+            Op::Add { other } => {
+                accumulate(&mut grads, node.input, g.clone());
+                accumulate(&mut grads, other, g);
+            }
+            Op::Concat { other } => {
+                let c_in = network.out_channels(node.input);
+                let mut g_in = Matrix::zeros(g.rows(), c_in);
+                let mut g_other = Matrix::zeros(g.rows(), g.cols() - c_in);
+                for r in 0..g.rows() {
+                    g_in.row_mut(r).copy_from_slice(&g.row(r)[..c_in]);
+                    g_other.row_mut(r).copy_from_slice(&g.row(r)[c_in..]);
+                }
+                accumulate(&mut grads, node.input, g_in);
+                accumulate(&mut grads, other, g_other);
             }
         }
     }
 
-    let out_node = network.output();
-    let out_feats = feats[out_node].take().expect("output computed");
-    let out_coords = coords[out_node].take().expect("output coords known");
-    let out = SparseTensor::with_stride(
-        out_coords.as_ref().clone(),
-        out_feats,
-        network.stride(out_node),
-    );
-    (out, report)
+    BackwardOutput {
+        loss,
+        grads: conv_grads,
+        input_grad: grads[0].take(),
+        overflow,
+    }
+}
+
+fn accumulate(grads: &mut [Option<Matrix>], node: usize, g: Matrix) {
+    match &mut grads[node] {
+        Some(existing) => existing.add_assign(&g),
+        slot @ None => *slot = Some(g),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NetworkBuilder;
+    use crate::{forward_backward, NetworkBuilder};
     use ts_dataflow::DataflowConfig;
     use ts_gpusim::Device;
-    use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
+    use ts_kernelmap::Coord;
+    use ts_tensor::{rng_from_seed, uniform_matrix};
 
     fn coords(n: i32) -> Vec<Coord> {
         (0..n)
@@ -205,6 +325,19 @@ mod tests {
         (net, w)
     }
 
+    /// One configuration of every dataflow family.
+    fn families() -> [DataflowConfig; 7] {
+        [
+            DataflowConfig::gather_scatter(false),
+            DataflowConfig::gather_scatter(true),
+            DataflowConfig::fetch_on_demand(false),
+            DataflowConfig::fetch_on_demand(true),
+            DataflowConfig::implicit_gemm(0),
+            DataflowConfig::implicit_gemm(1),
+            DataflowConfig::implicit_gemm(3),
+        ]
+    }
+
     #[test]
     fn unet_runs_and_preserves_resolution() {
         let (net, w) = unet();
@@ -228,15 +361,7 @@ mod tests {
         let (net, w) = unet();
         let x = input(7, 4);
         let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp32);
-        let configs = [
-            DataflowConfig::gather_scatter(false),
-            DataflowConfig::gather_scatter(true),
-            DataflowConfig::fetch_on_demand(false),
-            DataflowConfig::fetch_on_demand(true),
-            DataflowConfig::implicit_gemm(0),
-            DataflowConfig::implicit_gemm(1),
-            DataflowConfig::implicit_gemm(3),
-        ];
+        let configs = families();
         let (y0, _) = run_network(&net, &w, &x, &GroupConfigs::uniform(configs[0]), &ctx);
         for cfg in &configs[1..] {
             let (y, _) = run_network(&net, &w, &x, &GroupConfigs::uniform(*cfg), &ctx);
@@ -246,6 +371,74 @@ mod tests {
                 y.feats().max_abs_diff(y0.feats())
             );
         }
+    }
+
+    /// Training's forward pass is the inference walk: the loss equals
+    /// `0.5 * ||y||^2` of the inference output to the bit.
+    #[test]
+    fn training_loss_is_the_inference_output_norm_to_the_bit() {
+        let (net, w) = unet();
+        let x = input(7, 4);
+        let session = Session::new(&net, x.coords());
+        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
+        for cfg in families() {
+            let (y, _) =
+                run_network_in_session(&session, &w, &x, &GroupConfigs::uniform(cfg), &ctx);
+            let want = 0.5 * y.feats().as_slice().iter().map(|v| v * v).sum::<f32>();
+            let cfgs = TrainConfigs::bound(cfg);
+            let bw = forward_backward(&w, &session, &x, &cfgs, &ctx, 1.0, false);
+            assert_eq!(bw.loss.to_bits(), want.to_bits(), "dataflow {cfg}");
+        }
+    }
+
+    #[test]
+    fn gradients_are_dataflow_invariant() {
+        let (net, w) = unet();
+        let x = input(5, 4);
+        let session = Session::new(&net, x.coords());
+        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
+        let run = |cfg| {
+            let cfgs = TrainConfigs::bound(cfg);
+            forward_backward(&w, &session, &x, &cfgs, &ctx, 1.0, false)
+        };
+        let base = run(DataflowConfig::implicit_gemm(0));
+        for cfg in families() {
+            let bw = run(cfg);
+            let rel = (bw.loss - base.loss).abs() / base.loss.max(1e-6);
+            assert!(rel < 1e-3, "loss differs for {cfg}");
+            for (a, b) in bw.grads.iter().zip(&base.grads) {
+                let (Some(a), Some(b)) = (a, b) else {
+                    assert_eq!(a.is_some(), b.is_some());
+                    continue;
+                };
+                for k in 0..a.kernel_volume() {
+                    assert!(a.offset(k).approx_eq(b.offset(k), 1e-3), "dw for {cfg}");
+                }
+            }
+            let (dx, dx0) = (bw.input_grad.unwrap(), base.input_grad.as_ref().unwrap());
+            assert!(dx.approx_eq(dx0, 1e-3), "input gradient differs for {cfg}");
+        }
+    }
+
+    #[test]
+    fn training_report_includes_backward_kernels() {
+        let (net, w) = unet();
+        let x = input(5, 4);
+        let session = Session::new(&net, x.coords());
+        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp16);
+        let cfgs = TrainConfigs::bound(DataflowConfig::implicit_gemm(1));
+        let bw = forward_backward(&w, &session, &x, &cfgs, &ctx, 1.0, false);
+        assert!(
+            bw.grads.iter().flatten().count() > 0,
+            "conv gradients computed"
+        );
+        let report = session.simulate_training(&cfgs, &ctx);
+        let has_wgrad = report
+            .trace()
+            .entries()
+            .iter()
+            .any(|e| e.desc.name.contains("wgrad"));
+        assert!(has_wgrad, "training trace must include wgrad kernels");
     }
 
     #[test]

@@ -275,6 +275,8 @@ impl TrainConfigs {
 #[derive(Debug)]
 pub struct Session {
     network: Network,
+    /// Every node's output coordinates, in node order.
+    coords: Vec<Arc<Vec<Coord>>>,
     groups: Vec<GroupInfo>,
     layers: Vec<LayerPlan>,
     group_used_forward: Vec<bool>,
@@ -288,6 +290,7 @@ impl Clone for Session {
     fn clone(&self) -> Self {
         Session {
             network: self.network.clone(),
+            coords: self.coords.clone(),
             groups: self.groups.clone(),
             layers: self.layers.clone(),
             group_used_forward: self.group_used_forward.clone(),
@@ -368,11 +371,9 @@ impl Session {
         input_coords: &[Coord],
         reuse: Option<&SubmanifoldReuse>,
     ) -> Result<Self, CompileError> {
-        let input = ts_kernelmap::unique_coords(input_coords);
-        let mut coords_at: HashMap<usize, Arc<Vec<Coord>>> = HashMap::new();
+        let input = Arc::new(ts_kernelmap::unique_coords(input_coords));
+        let mut coords = vec![Arc::clone(&input)];
         let mut stride_cache: HashMap<i32, Arc<Vec<Coord>>> = HashMap::new();
-        let input = Arc::new(input);
-        coords_at.insert(0, Arc::clone(&input));
         stride_cache.insert(1, input);
 
         let mut groups: Vec<GroupInfo> = Vec::new();
@@ -380,7 +381,7 @@ impl Session {
         let mut layers = Vec::new();
 
         for (i, node) in network.nodes().iter().enumerate().skip(1) {
-            let in_coords = Arc::clone(&coords_at[&node.input]);
+            let in_coords = Arc::clone(&coords[node.input]);
             match node.op {
                 Op::Input => unreachable!("input node is always index 0"),
                 Op::Conv(spec) => {
@@ -428,7 +429,7 @@ impl Session {
                         Arc::clone(&in_coords)
                     };
                     stride_cache.insert(out_stride, Arc::clone(&out_coords));
-                    coords_at.insert(i, out_coords);
+                    coords.push(out_coords);
 
                     layers.push(LayerPlan::Conv(ConvPlan {
                         node: i,
@@ -445,7 +446,7 @@ impl Session {
                         channels: network.out_channels(i),
                         operands: 1,
                     }));
-                    coords_at.insert(i, in_coords);
+                    coords.push(in_coords);
                 }
                 Op::Add { .. } | Op::Concat { .. } => {
                     layers.push(LayerPlan::Elem(ElemPlan {
@@ -454,7 +455,7 @@ impl Session {
                         channels: network.out_channels(i),
                         operands: 2,
                     }));
-                    coords_at.insert(i, in_coords);
+                    coords.push(in_coords);
                 }
             }
         }
@@ -473,6 +474,7 @@ impl Session {
 
         Ok(Session {
             network: network.clone(),
+            coords,
             groups,
             layers,
             group_used_forward,
@@ -496,19 +498,19 @@ impl Session {
         }
     }
 
-    /// Prepare-cache statistics as `(hits, misses)` since construction.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `prepare_cache_counters()`, which returns a typed struct"
-    )]
-    pub fn prepare_cache_stats(&self) -> (u64, u64) {
-        let c = self.prepare_cache_counters();
-        (c.hits, c.misses)
-    }
-
     /// The compiled network.
     pub fn network(&self) -> &Network {
         &self.network
+    }
+
+    /// Output coordinates of `node`, in the order its feature rows
+    /// take (node 0 is the deduplicated input).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of the compiled network.
+    pub(crate) fn coords(&self, node: usize) -> &[Coord] {
+        &self.coords[node]
     }
 
     /// The layer groups in first-use order.
@@ -556,21 +558,23 @@ impl Session {
             .count()
     }
 
-    /// The kernel map a conv node consumes (in its own orientation) and
-    /// its group index. Used by the functional runner.
-    pub fn map_for_node(&self, node: usize) -> Option<(Arc<KernelMap>, usize, bool)> {
-        self.layers.iter().find_map(|l| match l {
-            LayerPlan::Conv(c) if c.node == node => {
-                let g = &self.groups[c.group];
-                let map = if c.transposed {
-                    Arc::clone(&g.map_t)
-                } else {
-                    Arc::clone(&g.map)
-                };
-                Some((map, c.group, c.transposed))
+    /// Checks every group's kernel maps against their structural
+    /// invariants. Cheap relative to map construction but quadratic-ish
+    /// on the dense views, so debug builds only — release trusts map
+    /// construction.
+    pub(crate) fn debug_check_maps(&self) {
+        #[cfg(debug_assertions)]
+        for group in &self.groups {
+            for (label, map) in [("map", &group.map), ("map_t", &group.map_t)] {
+                let violations = ts_kernelmap::check_map(map);
+                debug_assert!(
+                    violations.is_empty(),
+                    "group {:?} {label} violates kernel-map invariants: {:?}",
+                    group.key,
+                    violations
+                );
             }
-            _ => None,
-        })
+        }
     }
 
     /// Both orientations of a conv node's map: `(layer_map, grad_map,
@@ -1364,18 +1368,6 @@ mod tests {
         assert!(c2.hits > c1.hits);
         assert!(c2.hit_rate() > 0.0 && c2.hit_rate() < 1.0);
         assert_eq!(c2.total(), c2.hits + c2.misses);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_stats_shim_mirrors_the_typed_counters() {
-        let net = unet();
-        let s = Session::new(&net, &grid_coords(8));
-        let c = ctx();
-        let cfg = GroupConfigs::uniform(DataflowConfig::implicit_gemm(1));
-        s.simulate_inference(&cfg, &c);
-        let counters = s.prepare_cache_counters();
-        assert_eq!(s.prepare_cache_stats(), (counters.hits, counters.misses));
     }
 
     /// The per-group decomposition recomposes to the monolithic

@@ -1,32 +1,34 @@
-//! Streaming inference with temporal kernel-map reuse.
+//! Streaming compilation with temporal kernel-map reuse.
 //!
-//! Consecutive frames of a coherent stream (a driving LiDAR sweep)
-//! differ by a small voxel delta, yet [`Engine::try_infer`] rebuilds
-//! every kernel map from scratch per frame. [`Engine::infer_stream`]
-//! instead threads a [`StreamState`] across frames: the stride-1
-//! submanifold map is patched incrementally
-//! ([`ts_kernelmap::IncrementalMap`]) and injected into session
-//! compilation, so the simulated mapping cost shrinks to the delta
-//! while the computed features stay bit-identical per coordinate to the
-//! from-scratch path.
+//! Consecutive frames of a coherent stream (a driving LiDAR sweep, or
+//! the sliding batch window of a training run) differ by a small voxel
+//! delta, yet [`Engine::try_infer`] rebuilds every kernel map from
+//! scratch per frame. [`compile_stream`] instead threads a
+//! [`StreamState`] across frames: the stride-1 submanifold map is
+//! patched incrementally ([`ts_kernelmap::IncrementalMap`]) and injected
+//! into session compilation, so the simulated mapping cost shrinks to
+//! the delta while the computed features stay bit-identical per
+//! coordinate to the from-scratch path. [`Engine::infer_stream`] and
+//! `ts_train::Trainer::step` both compile through it.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use ts_dataflow::DataflowKind;
+use ts_dataflow::{DataflowConfig, DataflowKind};
 use ts_kernelmap::{
     Coord, CoordHashMap, DeltaConfig, IncrementalMap, KernelOffsets, MapStats, MapUpdate,
     UpdateOutcome,
 };
 use ts_tensor::Matrix;
 
-use crate::run::run_network_in_session;
+use crate::run::{check_input, run_network_in_session};
 use crate::session::SubmanifoldReuse;
-use crate::{CompileError, Engine, Op, RunReport, Session, SparseTensor};
+use crate::{CompileError, Engine, Network, Op, RunReport, Session, SparseTensor};
 
 /// Per-stream temporal state: the incrementally maintained stride-1
 /// submanifold map plus reuse accounting.
 ///
-/// Created by the first [`Engine::infer_stream`] call on a stream and
+/// Created by the first [`compile_stream`] call on a stream and
 /// threaded (by the caller) through every subsequent frame. Dropping it
 /// — or passing `None` again — costs nothing but a full rebuild on the
 /// next frame, which is exactly how caches are invalidated.
@@ -115,51 +117,149 @@ pub fn permute_to(input: &SparseTensor, coords: &[Coord]) -> SparseTensor {
     SparseTensor::new(coords.to_vec(), feats)
 }
 
-impl Engine {
-    /// Kernel size of the network's stride-1 submanifold group, if it
-    /// has one eligible for incremental maintenance (odd kernel, larger
-    /// than 1x1x1, consuming the input-resolution coordinates).
-    fn stream_kernel_size(&self) -> Option<u32> {
-        let net = self.network();
-        net.nodes()
-            .iter()
-            .enumerate()
-            .skip(1)
-            .find_map(|(_, node)| match node.op {
-                Op::Conv(s)
-                    if s.stride == 1
-                        && !s.transposed
-                        && s.kernel_size % 2 == 1
-                        && s.kernel_size > 1
-                        && net.stride(node.input) == 1 =>
-                {
-                    Some(s.kernel_size)
-                }
-                _ => None,
-            })
+/// Kernel size of the network's stride-1 submanifold group, if it has
+/// one eligible for incremental maintenance (odd kernel, larger than
+/// 1x1x1, consuming the input-resolution coordinates).
+fn stream_kernel_size(net: &Network) -> Option<u32> {
+    net.nodes().iter().skip(1).find_map(|node| match node.op {
+        Op::Conv(s)
+            if s.stride == 1
+                && !s.transposed
+                && s.kernel_size % 2 == 1
+                && s.kernel_size > 1
+                && net.stride(node.input) == 1 =>
+        {
+            Some(s.kernel_size)
+        }
+        _ => None,
+    })
+}
+
+/// Compiles one frame of a temporally coherent stream, maintaining the
+/// stride-1 submanifold kernel map incrementally across frames instead
+/// of rebuilding it.
+///
+/// Pass `&mut None` for the first frame; the call seeds `state` and
+/// every later call advances it. `default` is the schedule's fallback
+/// dataflow: when it is implicit GEMM, the state's split plan tracks its
+/// split count. Returns the session, the input in the session's
+/// canonical coordinate order (survivors first, entered coordinates
+/// appended; borrowed when no reordering happened), and the
+/// [`UpdateOutcome`]: an in-place patch or a full rebuild (churn above
+/// [`DeltaConfig::churn_threshold`], or a fresh/reset state), the delta
+/// shape, and the hash work spent — the stats the simulated mapping
+/// cost is priced from. A network without an eligible group compiles
+/// from scratch every frame and leaves `state` at `None`.
+///
+/// # Errors
+///
+/// [`CompileError::ChannelMismatch`] / [`CompileError::DuplicateCoords`]
+/// on a malformed frame, which leaves the state unchanged (a malformed
+/// frame does not poison the stream), or any session compilation error.
+pub fn compile_stream<'a>(
+    network: &Network,
+    state: &mut Option<StreamState>,
+    input: &'a SparseTensor,
+    delta: &DeltaConfig,
+    default: &DataflowConfig,
+) -> Result<(Session, Cow<'a, SparseTensor>, UpdateOutcome), CompileError> {
+    check_input(network, input)?;
+    let fresh = || {
+        let session = Session::try_new(network, input.coords())?;
+        session.debug_check_maps();
+        Ok::<_, CompileError>(session)
+    };
+
+    let Some(ks) = stream_kernel_size(network) else {
+        let outcome = full_outcome(input.num_points(), MapStats::default());
+        return Ok((fresh()?, Cow::Borrowed(input), outcome));
+    };
+
+    // A state maintained for a different kernel (engine swap) is stale;
+    // drop it and reseed below.
+    if state.as_ref().is_some_and(|s| s.kernel_size() != ks) {
+        *state = None;
     }
 
-    /// The split count the stream state's [`ts_kernelmap::SplitPlan`]
-    /// should track (the schedule's default dataflow, when it is
-    /// implicit GEMM).
-    fn stream_split_count(&self) -> u32 {
-        match self.configs().default.kind {
+    let Some(st) = state.as_mut() else {
+        // Seeding frame: a full compile prices the full build, and the
+        // state is built from the same canonical order (`unique_coords`
+        // of the frame).
+        let session = fresh()?;
+        let stats = session
+            .groups()
+            .iter()
+            .find(|g| g.key.lo_stride == 1 && g.key.hi_stride == 1 && g.key.kernel_size == ks)
+            .map(|g| g.build_stats)
+            .unwrap_or_default();
+        let split_count = match default.kind {
             DataflowKind::ImplicitGemm { splits } => splits.max(1),
             _ => 1,
+        };
+        *state = Some(StreamState::new(input.coords(), ks, split_count));
+        let outcome = full_outcome(input.num_points(), stats);
+        return Ok((session, Cow::Borrowed(input), outcome));
+    };
+
+    let outcome = {
+        let mut span = ts_trace::span(ts_trace::Subsystem::Core, "engine.stream_update");
+        let outcome = st.inc.update(input.coords(), delta);
+        st.frames += 1;
+        match outcome.kind {
+            MapUpdate::Patched => st.patched += 1,
+            MapUpdate::Rebuilt => st.rebuilt += 1,
         }
+        if span.active() {
+            span.arg(
+                "kind",
+                match outcome.kind {
+                    MapUpdate::Patched => "patched",
+                    MapUpdate::Rebuilt => "rebuilt",
+                },
+            );
+            span.arg("entered", outcome.entered);
+            span.arg("exited", outcome.exited);
+            span.arg("churn", outcome.churn as f64);
+        }
+        outcome
+    };
+
+    // The state's plan is re-derived after every patch; in debug builds
+    // re-check both structures before trusting them for compilation.
+    #[cfg(debug_assertions)]
+    {
+        let violations = ts_kernelmap::check_map(st.inc.map());
+        debug_assert!(
+            violations.is_empty(),
+            "incremental map violates invariants: {violations:?}"
+        );
+        let plan_violations = ts_kernelmap::check_plan(st.inc.map(), st.inc.plan(), 128);
+        debug_assert!(
+            plan_violations.is_empty(),
+            "incremental split plan violates invariants: {plan_violations:?}"
+        );
     }
 
-    /// [`Engine::try_infer`] for temporally coherent streams: maintains
-    /// the stride-1 submanifold kernel map incrementally across frames
+    let reuse = SubmanifoldReuse {
+        kernel_size: ks,
+        map: Arc::new(st.inc.map().clone()),
+        stats: outcome.stats,
+    };
+    let permuted = permute_to(input, st.coords());
+    let session = Session::try_new_with_reuse(network, st.coords(), Some(&reuse))?;
+    Ok((session, Cow::Owned(permuted), outcome))
+}
+
+impl Engine {
+    /// [`Engine::try_infer`] for temporally coherent streams: compiles
+    /// each frame through [`compile_stream`], which maintains the
+    /// stride-1 submanifold kernel map incrementally across frames
     /// instead of rebuilding it per frame.
     ///
     /// Pass `&mut None` for the first frame of a stream; the call seeds
     /// `state` and every later call advances it. The returned
     /// [`UpdateOutcome`] reports whether the frame was serviced by an
-    /// in-place patch or a full rebuild (churn above
-    /// [`DeltaConfig::churn_threshold`], or a fresh/reset state), the
-    /// delta shape, and the hash work spent — the same stats the
-    /// simulated mapping cost is priced from.
+    /// in-place patch or a full rebuild.
     ///
     /// Output features are bit-identical per coordinate to
     /// [`Engine::try_infer`]; only the row order differs (the state's
@@ -176,123 +276,10 @@ impl Engine {
         cfg: &DeltaConfig,
     ) -> Result<(SparseTensor, RunReport, UpdateOutcome), CompileError> {
         let mut span = ts_trace::span(ts_trace::Subsystem::Core, "engine.infer_stream");
-        if input.channels() != self.network().in_channels() {
-            return Err(CompileError::ChannelMismatch {
-                expected: self.network().in_channels(),
-                got: input.channels(),
-            });
-        }
-        let unique = ts_kernelmap::unique_coords(input.coords()).len();
-        if unique != input.num_points() {
-            return Err(CompileError::DuplicateCoords {
-                points: input.num_points(),
-                unique,
-            });
-        }
-
-        let Some(ks) = self.stream_kernel_size() else {
-            // No eligible group: plain per-frame compilation.
-            let (out, report) = self.try_infer(input)?;
-            return Ok((
-                out,
-                report,
-                full_outcome(input.num_points(), MapStats::default()),
-            ));
-        };
-
-        // A state maintained for a different kernel (engine swap) is
-        // stale; drop it and reseed below.
-        if state.as_ref().is_some_and(|s| s.kernel_size() != ks) {
-            *state = None;
-        }
-
-        let (out, report, outcome) = match state.as_mut() {
-            None => {
-                // Seeding frame: a full compile prices the full build,
-                // and the state is built from the same canonical order
-                // (`unique_coords` of the frame).
-                let session = self.compile(input)?;
-                let stats = session
-                    .groups()
-                    .iter()
-                    .find(|g| {
-                        g.key.lo_stride == 1 && g.key.hi_stride == 1 && g.key.kernel_size == ks
-                    })
-                    .map(|g| g.build_stats)
-                    .unwrap_or_default();
-                let (out, report) = run_network_in_session(
-                    &session,
-                    self.weights(),
-                    input,
-                    self.configs(),
-                    self.ctx(),
-                );
-                *state = Some(StreamState::new(
-                    input.coords(),
-                    ks,
-                    self.stream_split_count(),
-                ));
-                (out, report, full_outcome(input.num_points(), stats))
-            }
-            Some(st) => {
-                let mut update_span =
-                    ts_trace::span(ts_trace::Subsystem::Core, "engine.stream_update");
-                let outcome = st.inc.update(input.coords(), cfg);
-                st.frames += 1;
-                match outcome.kind {
-                    MapUpdate::Patched => st.patched += 1,
-                    MapUpdate::Rebuilt => st.rebuilt += 1,
-                }
-                if update_span.active() {
-                    update_span.arg(
-                        "kind",
-                        match outcome.kind {
-                            MapUpdate::Patched => "patched",
-                            MapUpdate::Rebuilt => "rebuilt",
-                        },
-                    );
-                    update_span.arg("entered", outcome.entered);
-                    update_span.arg("exited", outcome.exited);
-                    update_span.arg("churn", outcome.churn as f64);
-                }
-                drop(update_span);
-
-                // The state's plan is re-derived after every patch; in
-                // debug builds re-check both structures before trusting
-                // them for compilation.
-                #[cfg(debug_assertions)]
-                {
-                    let violations = ts_kernelmap::check_map(st.inc.map());
-                    debug_assert!(
-                        violations.is_empty(),
-                        "incremental map violates invariants: {violations:?}"
-                    );
-                    let plan_violations =
-                        ts_kernelmap::check_plan(st.inc.map(), st.inc.plan(), 128);
-                    debug_assert!(
-                        plan_violations.is_empty(),
-                        "incremental split plan violates invariants: {plan_violations:?}"
-                    );
-                }
-
-                let reuse = SubmanifoldReuse {
-                    kernel_size: ks,
-                    map: Arc::new(st.inc.map().clone()),
-                    stats: outcome.stats,
-                };
-                let permuted = permute_to(input, st.coords());
-                let session =
-                    Session::try_new_with_reuse(self.network(), st.coords(), Some(&reuse))?;
-                let (out, report) = run_network_in_session(
-                    &session,
-                    self.weights(),
-                    &permuted,
-                    self.configs(),
-                    self.ctx(),
-                );
-                (out, report, outcome)
-            }
-        };
+        let (session, frame, outcome) =
+            compile_stream(self.network(), state, input, cfg, &self.configs().default)?;
+        let (out, report) =
+            run_network_in_session(&session, self.weights(), &frame, self.configs(), self.ctx());
 
         ts_trace::counter_add("core.stream.frames", 1);
         match outcome.kind {

@@ -1,50 +1,13 @@
-//! A multi-step trainer: momentum SGD over [`train_step`] gradients,
-//! with loss history and simulated per-iteration latency.
+//! The training half of the walk: [`forward_backward`] runs the
+//! forward walk and then the reverse sweep over one compiled session,
+//! and [`LossScaler`] carries the dynamic loss scale across steps.
+//! `ts_train::Trainer` is the trainer built on them.
 
-use ts_dataflow::{dgrad, forward_prepared, prepare, wgrad, ConvWeights, ExecCtx};
-use ts_tensor::{relu_backward, Matrix};
+use ts_dataflow::{ConvWeights, ExecCtx};
+use ts_tensor::Matrix;
 
-use crate::{Network, NetworkWeights, Op, Session, SparseTensor, TrainConfigs};
-
-/// Momentum-SGD trainer state.
-///
-/// # Examples
-///
-/// ```
-/// use ts_core::{NetworkBuilder, TrainConfigs, Trainer};
-/// use ts_dataflow::{DataflowConfig, ExecCtx};
-/// use ts_gpusim::Device;
-/// use ts_kernelmap::Coord;
-/// use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
-///
-/// let mut b = NetworkBuilder::new("t", 4);
-/// let _ = b.conv("c", NetworkBuilder::INPUT, 4, 3, 1);
-/// let net = b.build();
-/// let coords: Vec<Coord> = (0..25).map(|i| Coord::new(0, i % 5, i / 5, 0)).collect();
-/// let n = coords.len();
-/// let input = ts_core::SparseTensor::new(
-///     coords,
-///     uniform_matrix(&mut rng_from_seed(1), n, 4, -1.0, 1.0),
-/// );
-/// let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
-/// let mut trainer = Trainer::new(&net, 5, 1e-2, 0.9);
-/// let history = trainer.fit(
-///     &net,
-///     &input,
-///     &TrainConfigs::bound(DataflowConfig::implicit_gemm(1)),
-///     &ctx,
-///     4,
-/// );
-/// assert_eq!(history.len(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Trainer {
-    weights: NetworkWeights,
-    velocity: Vec<Option<ConvWeights>>,
-    lr: f32,
-    momentum: f32,
-    amp: Option<LossScaler>,
-}
+use crate::run::{backward, forward};
+use crate::{NetworkWeights, Session, SparseTensor, TrainConfigs};
 
 /// Dynamic loss scaling for mixed-precision training: gradients flow in
 /// FP16 (the paper's training setup), so small gradients underflow
@@ -120,25 +83,24 @@ pub struct BackwardOutput {
 }
 
 /// Runs one fused forward + loss + dgrad + wgrad pass over `session`
-/// with explicit weights: the shared engine under [`Trainer`], the
-/// `ts-train` step pipeline and the ts-verify training conformance
-/// harness.
+/// with explicit weights: the engine under `ts_train::Trainer` and the
+/// ts-verify training conformance harness.
 ///
-/// Forward stores every activation; the loss is `0.5 * ||output||^2`;
-/// the backward sweep walks nodes in reverse, routing dgrad through the
-/// transposed maps and wgrad through the forward maps with the per-pass
-/// dataflow configs in `cfgs`. With `fp16_grads`, every stored gradient
-/// is rounded to the FP16 grid, the seed gradient is multiplied by
-/// `loss_scale`, and weight gradients are overflow-checked *before*
-/// being un-scaled — exactly the deferred-update AMP protocol.
+/// The forward pass is the same walk as inference
+/// ([`crate::run_network_in_session`]) and stores every activation; the
+/// loss is `0.5 * ||output||^2`; the backward sweep walks nodes in
+/// reverse, routing dgrad through the transposed maps and wgrad through
+/// the forward maps with the per-pass dataflow configs in `cfgs`. With
+/// `fp16_grads`, every stored gradient is rounded to the FP16 grid, the
+/// seed gradient is multiplied by `loss_scale`, and weight gradients are
+/// overflow-checked *before* being un-scaled — exactly the
+/// deferred-update AMP protocol.
 ///
 /// # Panics
 ///
-/// Panics if `session` was not compiled for `network` over `input`'s
-/// coordinates, or if `weights` is missing a conv slot.
-#[allow(clippy::too_many_arguments)]
+/// Panics if `session` was not compiled over `input`'s coordinates, or
+/// if `weights` is missing a conv slot.
 pub fn forward_backward(
-    network: &Network,
     weights: &NetworkWeights,
     session: &Session,
     input: &SparseTensor,
@@ -151,396 +113,8 @@ pub fn forward_backward(
         functional: true,
         ..ctx.clone()
     };
-    let n_nodes = network.nodes().len();
-
-    // Forward, storing activations.
-    let mut feats: Vec<Option<Matrix>> = vec![None; n_nodes];
-    feats[0] = Some(input.feats().clone());
-    for (i, node) in network.nodes().iter().enumerate().skip(1) {
-        let x = feats[node.input]
-            .as_ref()
-            .expect("producer executed")
-            .clone();
-        feats[i] = Some(match node.op {
-            Op::Input => unreachable!(),
-            Op::Conv(_) => {
-                let (map, _, group) = session.conv_maps(i).expect("conv map");
-                let w = weights.convs[i].as_ref().expect("weights");
-                let cfg = cfgs.fwd.for_group(group);
-                let prepared = prepare(&map, &cfg, &fctx);
-                forward_prepared(&x, w, &map, &prepared, &cfg, &fctx)
-                    .features
-                    .expect("functional")
-            }
-            Op::BatchNorm => {
-                let mut y = x;
-                ts_tensor::batch_norm(&mut y, weights.bns[i].as_ref().expect("bn"));
-                y
-            }
-            Op::ReLU => {
-                let mut y = x;
-                ts_tensor::relu(&mut y);
-                y
-            }
-            Op::Add { other } => {
-                let mut y = x;
-                y.add_assign(feats[other].as_ref().expect("operand"));
-                y
-            }
-            Op::Concat { other } => {
-                let o = feats[other].as_ref().expect("operand");
-                let mut y = Matrix::zeros(x.rows(), x.cols() + o.cols());
-                for r in 0..x.rows() {
-                    y.row_mut(r)[..x.cols()].copy_from_slice(x.row(r));
-                    y.row_mut(r)[x.cols()..].copy_from_slice(o.row(r));
-                }
-                y
-            }
-        });
-    }
-
-    let out = feats[network.output()].as_ref().expect("output");
-    let loss = 0.5 * out.as_slice().iter().map(|v| v * v).sum::<f32>();
-
-    // Backward. Under AMP the output gradient is scaled up, every
-    // stored gradient is rounded to the FP16 grid, and updates are
-    // deferred until the overflow check passes.
-    let quantize = |m: &mut Matrix| {
-        if fp16_grads {
-            ts_tensor::Precision::Fp16.quantize_slice(m.as_mut_slice());
-        }
-    };
-    let mut grads: Vec<Option<Matrix>> = vec![None; n_nodes];
-    let mut seed = out.clone();
-    if loss_scale != 1.0 {
-        seed.scale(loss_scale);
-    }
-    quantize(&mut seed);
-    grads[network.output()] = Some(seed);
-    let mut overflow = false;
-    let mut conv_grads: Vec<Option<ConvWeights>> = vec![None; n_nodes];
-    for (i, node) in network.nodes().iter().enumerate().skip(1).rev() {
-        let Some(g) = grads[i].take() else { continue };
-        match node.op {
-            Op::Input => unreachable!(),
-            Op::Conv(_) => {
-                let (map, grad_map, group) = session.conv_maps(i).expect("conv map");
-                let w = weights.convs[i].as_ref().expect("weights").clone();
-                let d_cfg = cfgs.dgrad.for_group(group);
-                let w_cfg = cfgs.wgrad.for_group(group);
-                let mut dx = dgrad(&g, &w, &grad_map, &d_cfg, &fctx)
-                    .features
-                    .expect("functional");
-                quantize(&mut dx);
-                accumulate(&mut grads, node.input, dx);
-                let x_in = feats[node.input].as_ref().expect("activation");
-                let mut dw = wgrad(x_in, &g, &map, &w_cfg, &fctx).dw.expect("functional");
-                for k in 0..dw.kernel_volume() {
-                    quantize(dw.offset_mut(k));
-                    // FP16 saturation (|v| at the max finite half) or
-                    // non-finite values mark the step as overflowed.
-                    if dw
-                        .offset(k)
-                        .as_slice()
-                        .iter()
-                        .any(|v| !v.is_finite() || v.abs() >= 65504.0)
-                    {
-                        overflow = true;
-                    }
-                    // Un-scale back to true gradient magnitude.
-                    if loss_scale != 1.0 {
-                        dw.offset_mut(k).scale(1.0 / loss_scale);
-                    }
-                }
-                conv_grads[i] = Some(dw);
-            }
-            Op::BatchNorm => {
-                let params = weights.bns[i].as_ref().expect("bn");
-                let mut dx = g;
-                for r in 0..dx.rows() {
-                    for (c, v) in dx.row_mut(r).iter_mut().enumerate() {
-                        *v *= params.scale[c];
-                    }
-                }
-                accumulate(&mut grads, node.input, dx);
-            }
-            Op::ReLU => {
-                let mut dx = g;
-                relu_backward(&mut dx, feats[node.input].as_ref().expect("activation"));
-                accumulate(&mut grads, node.input, dx);
-            }
-            Op::Add { other } => {
-                accumulate(&mut grads, node.input, g.clone());
-                accumulate(&mut grads, other, g);
-            }
-            Op::Concat { other } => {
-                let c_in = network.out_channels(node.input);
-                let mut g_in = Matrix::zeros(g.rows(), c_in);
-                let mut g_other = Matrix::zeros(g.rows(), g.cols() - c_in);
-                for r in 0..g.rows() {
-                    g_in.row_mut(r).copy_from_slice(&g.row(r)[..c_in]);
-                    g_other.row_mut(r).copy_from_slice(&g.row(r)[c_in..]);
-                }
-                accumulate(&mut grads, node.input, g_in);
-                accumulate(&mut grads, other, g_other);
-            }
-        }
-    }
-
-    BackwardOutput {
-        loss,
-        grads: conv_grads,
-        input_grad: grads[0].take(),
-        overflow,
-    }
-}
-
-impl Trainer {
-    /// Initialises weights from `seed` with the given learning rate and
-    /// momentum coefficient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn new(network: &Network, seed: u64, lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        let weights = network.init_weights(seed);
-        let velocity = weights
-            .convs
-            .iter()
-            .map(|w| {
-                w.as_ref()
-                    .map(|w| ConvWeights::zeros(w.kernel_volume(), w.c_in(), w.c_out()))
-            })
-            .collect();
-        Self {
-            weights,
-            velocity,
-            lr,
-            momentum,
-            amp: None,
-        }
-    }
-
-    /// Enables mixed-precision training with dynamic loss scaling:
-    /// gradients are rounded to the FP16 grid and the loss is scaled to
-    /// keep them representable.
-    pub fn with_amp(mut self) -> Self {
-        self.amp = Some(LossScaler::new());
-        self
-    }
-
-    /// The loss-scaler state (when AMP is enabled).
-    pub fn scaler(&self) -> Option<&LossScaler> {
-        self.amp.as_ref()
-    }
-
-    /// Current weights.
-    pub fn weights(&self) -> &NetworkWeights {
-        &self.weights
-    }
-
-    /// Consumes the trainer, returning the trained weights.
-    pub fn into_weights(self) -> NetworkWeights {
-        self.weights
-    }
-
-    /// Runs `steps` training iterations on `input` (loss =
-    /// `0.5 * ||output||^2`), returning the loss after each step.
-    pub fn fit(
-        &mut self,
-        network: &Network,
-        input: &SparseTensor,
-        cfgs: &TrainConfigs,
-        ctx: &ExecCtx,
-        steps: usize,
-    ) -> Vec<f32> {
-        let session = Session::new(network, input.coords());
-        (0..steps)
-            .map(|_| self.step(network, &session, input, cfgs, ctx))
-            .collect()
-    }
-
-    /// One forward + backward + momentum update; returns the loss before
-    /// the update.
-    fn step(
-        &mut self,
-        network: &Network,
-        session: &Session,
-        input: &SparseTensor,
-        cfgs: &TrainConfigs,
-        ctx: &ExecCtx,
-    ) -> f32 {
-        let loss_scale = self.amp.map_or(1.0, |a| a.scale);
-        let bw = forward_backward(
-            network,
-            &self.weights,
-            session,
-            input,
-            cfgs,
-            ctx,
-            loss_scale,
-            self.amp.is_some(),
-        );
-
-        // Apply (or skip) the deferred updates and advance the scaler.
-        if bw.overflow {
-            self.amp
-                .as_mut()
-                .expect("overflow implies AMP")
-                .update(true);
-        } else {
-            for (i, dw) in bw.grads.iter().enumerate() {
-                let Some(dw) = dw else { continue };
-                let v = self.velocity[i].as_mut().expect("velocity slot");
-                for k in 0..v.kernel_volume() {
-                    let vk = v.offset_mut(k);
-                    vk.scale(self.momentum);
-                    vk.add_assign(dw.offset(k));
-                }
-                self.weights.convs[i]
-                    .as_mut()
-                    .expect("weights")
-                    .axpy(-self.lr, self.velocity[i].as_ref().expect("velocity"));
-            }
-            if let Some(scaler) = self.amp.as_mut() {
-                scaler.update(false);
-            }
-        }
-        bw.loss
-    }
-}
-
-fn accumulate(grads: &mut [Option<Matrix>], node: usize, g: Matrix) {
-    match &mut grads[node] {
-        Some(existing) => existing.add_assign(&g),
-        slot @ None => *slot = Some(g),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::NetworkBuilder;
-    use ts_dataflow::DataflowConfig;
-    use ts_gpusim::Device;
-    use ts_kernelmap::Coord;
-    use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
-
-    fn setup() -> (Network, SparseTensor) {
-        let mut b = NetworkBuilder::new("t", 4);
-        let c = b.conv_block("c", NetworkBuilder::INPUT, 8, 3, 1);
-        let _ = b.conv("head", c, 3, 1, 1);
-        let net = b.build();
-        let coords: Vec<Coord> = (0..36).map(|i| Coord::new(0, i % 6, i / 6, 0)).collect();
-        let n = coords.len();
-        let input = SparseTensor::new(
-            coords,
-            uniform_matrix(&mut rng_from_seed(2), n, 4, -1.0, 1.0),
-        );
-        (net, input)
-    }
-
-    #[test]
-    fn momentum_sgd_converges_faster_than_plain_sgd() {
-        let (net, input) = setup();
-        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
-        let cfgs = TrainConfigs::bound(DataflowConfig::implicit_gemm(1));
-
-        let mut plain = Trainer::new(&net, 7, 5e-3, 0.0);
-        let plain_hist = plain.fit(&net, &input, &cfgs, &ctx, 12);
-        let mut momentum = Trainer::new(&net, 7, 5e-3, 0.9);
-        let mom_hist = momentum.fit(&net, &input, &cfgs, &ctx, 12);
-
-        assert!(plain_hist.last().unwrap() < &plain_hist[0]);
-        assert!(mom_hist.last().unwrap() < &mom_hist[0]);
-        assert!(
-            mom_hist.last().unwrap() < plain_hist.last().unwrap(),
-            "momentum {mom_hist:?} vs plain {plain_hist:?}"
-        );
-    }
-
-    #[test]
-    fn trainer_matches_train_step_without_momentum() {
-        let (net, input) = setup();
-        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
-        let cfgs = TrainConfigs::bound(DataflowConfig::gather_scatter(true));
-        let mut trainer = Trainer::new(&net, 3, 1e-3, 0.0);
-        let t_hist = trainer.fit(&net, &input, &cfgs, &ctx, 3);
-
-        let mut w = net.init_weights(3);
-        let mut s_hist = Vec::new();
-        for _ in 0..3 {
-            s_hist.push(crate::train_step(&net, &mut w, &input, &cfgs, &ctx, 1e-3).loss);
-        }
-        for (a, b) in t_hist.iter().zip(&s_hist) {
-            assert!(
-                (a - b).abs() < 1e-4 * b.max(1.0),
-                "{t_hist:?} vs {s_hist:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn amp_training_converges_and_tracks_fp32() {
-        let (net, input) = setup();
-        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp16);
-        let cfgs = TrainConfigs::bound(DataflowConfig::implicit_gemm(1));
-
-        let mut amp = Trainer::new(&net, 7, 5e-3, 0.9).with_amp();
-        let amp_hist = amp.fit(&net, &input, &cfgs, &ctx, 14);
-        assert!(
-            amp_hist.last().unwrap() < &(amp_hist[0] * 0.9),
-            "{amp_hist:?}"
-        );
-        let scaler = amp.scaler().expect("amp enabled");
-        // The conventional 2^16 starting scale overflows on the first
-        // step or two (exactly like real AMP), then settles.
-        assert!(
-            scaler.skipped <= 4,
-            "too many skipped steps: {}",
-            scaler.skipped
-        );
-        assert!(scaler.scale < 65536.0, "scale should have backed off");
-        assert!(scaler.good_steps >= 8);
-
-        // AMP tracks the FP32 trajectory: same convergence, bounded
-        // drift from FP16 gradient rounding and the skipped warmup steps.
-        let mut fp32 = Trainer::new(&net, 7, 5e-3, 0.9);
-        let fp32_hist = fp32.fit(&net, &input, &cfgs, &ctx, 14);
-        assert_eq!(amp_hist[0], fp32_hist[0], "first loss is pre-update");
-        let (a, b) = (amp_hist.last().unwrap(), fp32_hist.last().unwrap());
-        assert!(
-            (a - b).abs() < 0.4 * b.max(1.0),
-            "amp {amp_hist:?} vs fp32 {fp32_hist:?}"
-        );
-    }
-
-    #[test]
-    fn overflowing_gradients_halve_the_scale_and_skip_updates() {
-        let (net, input) = setup();
-        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp16);
-        let cfgs = TrainConfigs::bound(DataflowConfig::implicit_gemm(1));
-        let mut t = Trainer::new(&net, 7, 1e-3, 0.0).with_amp();
-        // Force an overflow: blow up the loss scale far beyond FP16 range.
-        t.amp.as_mut().unwrap().scale = 3.0e38;
-        let w_before = t.weights().clone();
-        let _ = t.fit(&net, &input, &cfgs, &ctx, 1);
-        let scaler = t.scaler().unwrap();
-        assert_eq!(scaler.skipped, 1);
-        assert!(scaler.scale < 3.0e38);
-        assert_eq!(
-            t.weights(),
-            &w_before,
-            "overflowing step must not update weights"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum must be in")]
-    fn rejects_bad_momentum() {
-        let (net, _) = setup();
-        let _ = Trainer::new(&net, 1, 1e-3, 1.0);
-    }
+    let feats = forward(session, weights, input.feats(), &cfgs.fwd, &fctx);
+    backward(
+        session, weights, &feats, cfgs, &fctx, loss_scale, fp16_grads,
+    )
 }

@@ -71,8 +71,9 @@
 //! | `cache.hit` / `.miss` / `.warm_start` | Schedule-cache lookups: exact digest match, nothing compatible, nearest-neighbor transfer |
 //! | `cache.retuned_groups` | Groups scheduled for re-tuning across warm starts (drifted past policy or repaired by the sanitizer) |
 //! | `cache.inserted` / `.evicted` | Schedule-cache entry lifecycle |
-//! | `cache.rejected` | On-disk entries skipped at open (unparsable, or digest mismatched the file name) |
-//! | `cache.train.hit` / `.miss` / `.warm_start` / `.inserted` | Training-schedule cache lookups and write-backs (keyed by content digest + binding scheme) |
+//! | `cache.rejected` | On-disk inference entries skipped at open (unparsable, or digest mismatched the file name) |
+//! | `cache.train.hit` / `.miss` / `.warm_start` / `.retuned_groups` | Training-schedule cache lookups (keyed by content digest + binding scheme) |
+//! | `cache.train.inserted` / `.evicted` / `.rejected` | Training-schedule cache entry lifecycle and `train-*.json` files skipped at open |
 //! | `train.steps.completed` / `.skipped_overflow` | Training steps applied vs skipped by the loss scaler's overflow check |
 //! | `train.microbatches.executed` | Micro-batch forward+backward executions (gradient accumulation) |
 //! | `train.map.patched` / `.rebuilt` | Step-plan kernel-map maintenance across temporally coherent steps |

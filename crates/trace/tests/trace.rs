@@ -415,6 +415,19 @@ const EMITTED_COUNTERS: &[(&str, Subsystem)] = &[
     ("cache.inserted", Subsystem::Cache),
     ("cache.evicted", Subsystem::Cache),
     ("cache.rejected", Subsystem::Cache),
+    ("cache.train.hit", Subsystem::Cache),
+    ("cache.train.miss", Subsystem::Cache),
+    ("cache.train.warm_start", Subsystem::Cache),
+    ("cache.train.retuned_groups", Subsystem::Cache),
+    ("cache.train.inserted", Subsystem::Cache),
+    ("cache.train.evicted", Subsystem::Cache),
+    ("cache.train.rejected", Subsystem::Cache),
+    ("train.map.patched", Subsystem::Train),
+    ("train.map.rebuilt", Subsystem::Train),
+    ("train.microbatches.executed", Subsystem::Train),
+    ("train.plan.compiled", Subsystem::Train),
+    ("train.steps.completed", Subsystem::Train),
+    ("train.steps.skipped_overflow", Subsystem::Train),
 ];
 
 #[test]

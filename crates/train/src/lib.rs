@@ -6,8 +6,9 @@
 //! batched LiDAR scene, with:
 //!
 //! * **incremental kernel maps** patched across temporally coherent
-//!   steps (the streaming machinery of `Engine::infer_stream`, reused
-//!   for the training window);
+//!   steps: each step compiles through `ts_core::compile_stream`, the
+//!   function `Engine::infer_stream` uses, advancing a
+//!   `ts_core::StreamState` over the training window;
 //! * **binding-scheme tuning**: fwd / dgrad / wgrad dataflows tuned
 //!   jointly under a per-device-class binding policy (fwd+dgrad bound
 //!   on low-parallelism devices, dgrad+wgrad on A100-class parts,
@@ -60,5 +61,5 @@
 mod plan;
 mod trainer;
 
-pub use plan::{PlanState, StepSim};
+pub use plan::StepSim;
 pub use trainer::{weights_digest, StepReport, TrainError, TrainRun, Trainer, TrainerConfig};

@@ -1,24 +1,16 @@
-//! The fused step plan: one compiled artifact per training step.
+//! The fused step plan's simulated cost: one priced artifact per
+//! training step.
 //!
-//! A [`StepPlan`] is everything a step needs, resolved once before any
-//! feature math runs: the compiled [`Session`] (kernel maps, layer
-//! groups, prepare cache), the tuned per-family [`TrainConfigs`] pulled
-//! through the training-schedule cache, and the simulated per-phase
-//! cost ([`StepSim`]). Across temporally coherent steps the stride-1
-//! submanifold map is patched incrementally ([`PlanState`], the same
-//! machinery as `Engine::infer_stream`) instead of rebuilt, so the
-//! simulated mapping cost shrinks to the frame delta.
-
-use std::sync::Arc;
+//! Each step resolves, before any feature math runs, the compiled
+//! `Session` (kernel maps patched incrementally across temporally
+//! coherent steps through `ts_core::compile_stream`), the tuned
+//! per-family `TrainConfigs` pulled through the training-schedule
+//! cache, and the simulated per-phase cost ([`StepSim`]).
 
 use serde::{Deserialize, Serialize};
 
-use ts_core::{permute_to, CompileError, Network, Op, Session, SparseTensor, SubmanifoldReuse};
-use ts_dataflow::{DataflowKind, ExecCtx};
+use ts_dataflow::ExecCtx;
 use ts_gpusim::{KernelDesc, KernelTrace};
-use ts_kernelmap::{
-    Coord, DeltaConfig, IncrementalMap, KernelOffsets, MapStats, MapUpdate, UpdateOutcome,
-};
 
 /// Simulated per-phase cost of one training step, bucketed from the
 /// session's training simulation plus a separately priced optimizer
@@ -96,197 +88,4 @@ pub(crate) fn optimizer_us(param_bytes: u64, ctx: &ExecCtx) -> f64 {
     let desc = KernelDesc::memory("optimizer-update", 3 * param_bytes, 2 * param_bytes);
     ctx.cost.record(&mut trace, desc);
     trace.total_us()
-}
-
-/// Per-trainer temporal state: the incrementally maintained stride-1
-/// submanifold map threaded across steps, plus reuse accounting.
-#[derive(Debug, Clone)]
-pub struct PlanState {
-    inc: IncrementalMap,
-    frames: u64,
-    patched: u64,
-    rebuilt: u64,
-}
-
-impl PlanState {
-    fn new(coords: &[Coord], kernel_size: u32, split_count: u32) -> Self {
-        Self {
-            inc: IncrementalMap::new(coords, KernelOffsets::cube(kernel_size), split_count),
-            frames: 1,
-            patched: 0,
-            rebuilt: 1,
-        }
-    }
-
-    /// The current step's coordinates in the state's canonical order.
-    pub fn coords(&self) -> &[Coord] {
-        self.inc.coords()
-    }
-
-    /// Kernel size of the maintained submanifold map.
-    pub fn kernel_size(&self) -> u32 {
-        self.inc.offsets().kernel_size()
-    }
-
-    /// Steps serviced through this state (including the seeding step).
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Steps serviced by an in-place patch.
-    pub fn patched(&self) -> u64 {
-        self.patched
-    }
-
-    /// Steps serviced by a full rebuild (including the seeding step).
-    pub fn rebuilt(&self) -> u64 {
-        self.rebuilt
-    }
-
-    /// Fraction of steps serviced without a full map rebuild.
-    pub fn reuse_rate(&self) -> f64 {
-        if self.frames == 0 {
-            0.0
-        } else {
-            self.patched as f64 / self.frames as f64
-        }
-    }
-}
-
-/// Kernel size of the network's stride-1 submanifold group eligible
-/// for incremental maintenance (odd kernel, larger than 1³, consuming
-/// input-resolution coordinates) — the same rule as
-/// `Engine::infer_stream`.
-pub(crate) fn eligible_kernel_size(net: &Network) -> Option<u32> {
-    net.nodes()
-        .iter()
-        .enumerate()
-        .skip(1)
-        .find_map(|(_, node)| match node.op {
-            Op::Conv(s)
-                if s.stride == 1
-                    && !s.transposed
-                    && s.kernel_size % 2 == 1
-                    && s.kernel_size > 1
-                    && net.stride(node.input) == 1 =>
-            {
-                Some(s.kernel_size)
-            }
-            _ => None,
-        })
-}
-
-/// The split count the state's split plan should track.
-pub(crate) fn split_count_for(default: &ts_dataflow::DataflowConfig) -> u32 {
-    match default.kind {
-        DataflowKind::ImplicitGemm { splits } => splits.max(1),
-        _ => 1,
-    }
-}
-
-/// Outcome of a step serviced without a prior state (or without an
-/// eligible group): everything entered, full-build stats.
-fn full_outcome(points: usize, stats: MapStats) -> UpdateOutcome {
-    UpdateOutcome {
-        kind: MapUpdate::Rebuilt,
-        stats,
-        entered: points,
-        exited: 0,
-        churn: 1.0,
-    }
-}
-
-/// Compiles one step's session against `input`, reusing (and
-/// advancing) the incremental map in `state` when the network has an
-/// eligible submanifold group. Returns the session, the input permuted
-/// to the session's canonical coordinate order, and the map-update
-/// outcome.
-///
-/// # Errors
-///
-/// [`CompileError::ChannelMismatch`] / [`CompileError::DuplicateCoords`]
-/// on malformed input (the state is left unchanged), or any session
-/// compilation error.
-pub(crate) fn compile_step(
-    network: &Network,
-    state: &mut Option<PlanState>,
-    input: &SparseTensor,
-    delta: &DeltaConfig,
-    split_count: u32,
-) -> Result<(Session, SparseTensor, UpdateOutcome), CompileError> {
-    if input.channels() != network.in_channels() {
-        return Err(CompileError::ChannelMismatch {
-            expected: network.in_channels(),
-            got: input.channels(),
-        });
-    }
-    let unique = ts_kernelmap::unique_coords(input.coords()).len();
-    if unique != input.num_points() {
-        return Err(CompileError::DuplicateCoords {
-            points: input.num_points(),
-            unique,
-        });
-    }
-
-    let Some(ks) = eligible_kernel_size(network) else {
-        let session = Session::try_new(network, input.coords())?;
-        let outcome = full_outcome(input.num_points(), MapStats::default());
-        return Ok((session, input.clone(), outcome));
-    };
-
-    // A state maintained for a different kernel is stale.
-    if state.as_ref().is_some_and(|s| s.kernel_size() != ks) {
-        *state = None;
-    }
-
-    match state.as_mut() {
-        None => {
-            // Seeding step: full compile prices the full map build.
-            let session = Session::try_new(network, input.coords())?;
-            let stats = session
-                .groups()
-                .iter()
-                .find(|g| g.key.lo_stride == 1 && g.key.hi_stride == 1 && g.key.kernel_size == ks)
-                .map(|g| g.build_stats)
-                .unwrap_or_default();
-            *state = Some(PlanState::new(input.coords(), ks, split_count));
-            let outcome = full_outcome(input.num_points(), stats);
-            Ok((session, input.clone(), outcome))
-        }
-        Some(st) => {
-            let outcome = st.inc.update(input.coords(), delta);
-            st.frames += 1;
-            match outcome.kind {
-                MapUpdate::Patched => st.patched += 1,
-                MapUpdate::Rebuilt => st.rebuilt += 1,
-            }
-            match outcome.kind {
-                MapUpdate::Patched => ts_trace::counter_add("train.map.patched", 1),
-                MapUpdate::Rebuilt => ts_trace::counter_add("train.map.rebuilt", 1),
-            }
-
-            #[cfg(debug_assertions)]
-            {
-                let violations = ts_kernelmap::check_map(st.inc.map());
-                debug_assert!(
-                    violations.is_empty(),
-                    "incremental map violates invariants: {violations:?}"
-                );
-                let plan_violations = ts_kernelmap::check_plan(st.inc.map(), st.inc.plan(), 128);
-                debug_assert!(
-                    plan_violations.is_empty(),
-                    "incremental split plan violates invariants: {plan_violations:?}"
-                );
-            }
-
-            let reuse = SubmanifoldReuse {
-                kernel_size: ks,
-                map: Arc::new(st.inc.map().clone()),
-                stats: outcome.stats,
-            };
-            let permuted = permute_to(input, st.coords());
-            let session = Session::try_new_with_reuse(network, st.coords(), Some(&reuse))?;
-            Ok((session, permuted, outcome))
-        }
-    }
 }

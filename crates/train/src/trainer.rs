@@ -1,9 +1,9 @@
 //! The end-to-end trainer: fused step pipeline over multi-frame
 //! batched LiDAR scenes.
 //!
-//! Each [`Trainer::step`] compiles one fused [`StepPlan`]-shaped
-//! artifact — session (kernel maps patched incrementally across
-//! temporally coherent steps), tuned per-family dataflow schedule
+//! Each [`Trainer::step`] compiles one fused step plan — session
+//! (kernel maps patched incrementally across temporally coherent steps
+//! through `ts_core::compile_stream`), tuned per-family dataflow schedule
 //! (pulled through the training-schedule cache), and simulated
 //! per-phase cost — then executes the functional pipeline: forward →
 //! loss → dgrad → wgrad per micro-batch, gradient accumulation,
@@ -19,7 +19,8 @@ use serde::{Deserialize, Serialize};
 use ts_autotune::{default_scheme_for, BindingScheme, TunerOptions};
 use ts_cache::{tune_training_cached, DriftPolicy, TrainScheduleCache, TuneOrigin};
 use ts_core::{
-    forward_backward, CompileError, LossScaler, Network, NetworkWeights, SparseTensor, TrainConfigs,
+    compile_stream, forward_backward, CompileError, LossScaler, Network, NetworkWeights,
+    SparseTensor, StreamState, TrainConfigs,
 };
 use ts_dataflow::{ConvWeights, ExecCtx};
 use ts_kernelmap::{Coord, DeltaConfig, MapUpdate};
@@ -28,7 +29,7 @@ use ts_tensor::Matrix;
 use ts_trace::Subsystem;
 use ts_workloads::{LidarScene, LidarStream};
 
-use crate::plan::{compile_step, optimizer_us, split_count_for, PlanState, StepSim};
+use crate::plan::{optimizer_us, StepSim};
 
 /// A step failed: either the scene would not compile, or the
 /// training-schedule cache's write-back hit an I/O error.
@@ -183,8 +184,7 @@ pub struct Trainer {
     scheme: BindingScheme,
     ctx: ExecCtx,
     cache: TrainScheduleCache,
-    state: Option<PlanState>,
-    split_count: u32,
+    state: Option<StreamState>,
     param_bytes: u64,
     steps: u64,
     skipped: u32,
@@ -226,7 +226,6 @@ impl Trainer {
         let scheme = cfg
             .scheme
             .unwrap_or_else(|| default_scheme_for(ctx.device()));
-        let split_count = split_count_for(&cfg.tuner.default);
         let amp = cfg.amp.then(LossScaler::new);
         Self {
             network: network.clone(),
@@ -238,7 +237,6 @@ impl Trainer {
             ctx: ctx.clone(),
             cache: TrainScheduleCache::in_memory(),
             state: None,
-            split_count,
             param_bytes,
             steps: 0,
             skipped: 0,
@@ -288,7 +286,7 @@ impl Trainer {
     }
 
     /// The incremental-map reuse state (after the first step).
-    pub fn plan_state(&self) -> Option<&PlanState> {
+    pub fn stream_state(&self) -> Option<&StreamState> {
         self.state.as_ref()
     }
 
@@ -349,13 +347,22 @@ impl Trainer {
     /// if a directory-backed cache fails to persist the tuned schedule.
     pub fn step(&mut self, input: &SparseTensor) -> Result<StepReport, TrainError> {
         let _span = ts_trace::span!(Subsystem::Train, "train.step", step = self.steps + 1);
-        let (session, canon, outcome) = compile_step(
+        // `train.map.*` counts maintenance of an existing map; the
+        // seeding step builds it.
+        let advanced = self.state.is_some();
+        let (session, canon, outcome) = compile_stream(
             &self.network,
             &mut self.state,
             input,
             &self.cfg.delta,
-            self.split_count,
+            &self.cfg.tuner.default,
         )?;
+        if advanced {
+            match outcome.kind {
+                MapUpdate::Patched => ts_trace::counter_add("train.map.patched", 1),
+                MapUpdate::Rebuilt => ts_trace::counter_add("train.map.rebuilt", 1),
+            }
+        }
         ts_trace::counter_add("train.plan.compiled", 1);
 
         let tune = tune_training_cached(
@@ -390,7 +397,6 @@ impl Trainer {
             let span = &batches[lo..(lo + chunk).min(batches.len())];
             let micro = mask_to_batches(&canon, span);
             let bw = forward_backward(
-                &self.network,
                 &self.weights,
                 &session,
                 &micro,
@@ -556,7 +562,7 @@ mod tests {
     use super::*;
     use ts_core::NetworkBuilder;
     use ts_gpusim::Device;
-    use ts_tensor::Precision;
+    use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
     use ts_workloads::LidarConfig;
 
     fn net() -> Network {
@@ -591,6 +597,114 @@ mod tests {
         merge_window(&window)
     }
 
+    /// Trains on one fixed input for `steps` steps; returns the trainer
+    /// and the per-step losses.
+    fn fit(
+        net: &Network,
+        input: &SparseTensor,
+        cfg: TrainerConfig,
+        steps: usize,
+    ) -> (Trainer, Vec<f32>) {
+        let mut t = Trainer::new(net, 7, &ctx(), cfg);
+        let losses = (0..steps).map(|_| t.step(input).unwrap().loss).collect();
+        (t, losses)
+    }
+
+    /// A conv block + head over one 6x6 grid, whose gradients overflow
+    /// FP16 at the default 2^16 loss scale.
+    fn grid() -> (Network, SparseTensor) {
+        let mut b = NetworkBuilder::new("grid", 4);
+        let c = b.conv_block("c", NetworkBuilder::INPUT, 8, 3, 1);
+        let _ = b.conv("head", c, 3, 1, 1);
+        let coords: Vec<Coord> = (0..36).map(|i| Coord::new(0, i % 6, i / 6, 0)).collect();
+        let feats = uniform_matrix(&mut rng_from_seed(2), 36, 4, -1.0, 1.0);
+        (b.build(), SparseTensor::new(coords, feats))
+    }
+
+    #[test]
+    fn momentum_sgd_reduces_loss_faster_than_plain_sgd() {
+        let sgd = |momentum| TrainerConfig {
+            amp: false,
+            lr: 2e-3,
+            momentum,
+            micro_batches: 1,
+            ..TrainerConfig::default()
+        };
+        let (_, plain) = fit(&net(), &scene(3, 2), sgd(0.0), 6);
+        let (_, momentum) = fit(&net(), &scene(3, 2), sgd(0.9), 6);
+        for losses in [&plain, &momentum] {
+            assert!(losses.iter().all(|l| l.is_finite()));
+            assert!(
+                losses[5] < losses[0],
+                "SGD on 0.5||out||^2 must shrink it: {losses:?}"
+            );
+        }
+        assert!(
+            momentum[5] < plain[5],
+            "momentum {momentum:?} vs plain {plain:?}"
+        );
+    }
+
+    #[test]
+    fn amp_training_converges_and_tracks_fp32() {
+        let cfg = |amp| TrainerConfig {
+            lr: 5e-3,
+            amp,
+            ..TrainerConfig::default()
+        };
+        let (net, input) = grid();
+        let (t, amp) = fit(&net, &input, cfg(true), 14);
+        assert!(amp[13] < amp[0] * 0.9, "{amp:?}");
+        let scaler = t.scaler().expect("amp enabled");
+        // The conventional 2^16 starting scale overflows on the first
+        // step or two (exactly like real AMP), then settles.
+        assert!(
+            scaler.skipped <= 4,
+            "too many skipped steps: {}",
+            scaler.skipped
+        );
+        assert!(scaler.scale < 65536.0, "scale should have backed off");
+        assert!(scaler.good_steps >= 8);
+
+        // AMP tracks the FP32 trajectory: same convergence, bounded
+        // drift from FP16 gradient rounding and the skipped warmup steps.
+        let (_, fp32) = fit(&net, &input, cfg(false), 14);
+        assert_eq!(amp[0], fp32[0], "first loss is pre-update");
+        let (a, b) = (amp[13], fp32[13]);
+        assert!(
+            (a - b).abs() < 0.4 * b.max(1.0),
+            "amp {amp:?} vs fp32 {fp32:?}"
+        );
+    }
+
+    #[test]
+    fn overflowing_gradients_halve_the_scale_and_skip_updates() {
+        let mut t = Trainer::new(&net(), 7, &ctx(), TrainerConfig::default());
+        // Force an overflow: blow up the loss scale far beyond FP16 range.
+        t.amp.as_mut().unwrap().scale = 3.0e38;
+        let w_before = t.weights().clone();
+        let r = t.step(&scene(3, 2)).unwrap();
+        assert!(!r.applied);
+        let scaler = t.scaler().unwrap();
+        assert_eq!(scaler.skipped, 1);
+        assert_eq!(scaler.scale, 1.5e38, "overflow halves the scale");
+        assert_eq!(
+            t.weights(),
+            &w_before,
+            "overflowing step must not update weights"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "momentum must be in")]
+    fn rejects_bad_momentum() {
+        let cfg = TrainerConfig {
+            momentum: 1.0,
+            ..TrainerConfig::default()
+        };
+        let _ = Trainer::new(&net(), 1, &ctx(), cfg);
+    }
+
     #[test]
     fn same_scene_second_step_patches_and_hits_cache() {
         let ctx = ctx();
@@ -605,32 +719,9 @@ mod tests {
         assert_eq!(r1.tune_origin, "cold");
         assert_eq!(r2.tune_origin, "hit", "same key re-served from cache");
         assert!(r2.sim.map_us < r1.sim.map_us, "patched mapping is cheaper");
-        let st = t.plan_state().unwrap();
+        let st = t.stream_state().unwrap();
         assert_eq!(st.frames(), 2);
         assert_eq!(st.patched(), 1);
-    }
-
-    #[test]
-    fn training_reduces_loss_without_amp() {
-        let ctx = ctx();
-        let cfg = TrainerConfig {
-            amp: false,
-            lr: 2e-3,
-            micro_batches: 1,
-            ..TrainerConfig::default()
-        };
-        let mut t = Trainer::new(&net(), 7, &ctx, cfg);
-        let input = scene(3, 2);
-        let first = t.step(&input).unwrap().loss;
-        let mut last = first;
-        for _ in 0..5 {
-            last = t.step(&input).unwrap().loss;
-        }
-        assert!(first.is_finite() && last.is_finite());
-        assert!(
-            last < first,
-            "SGD on 0.5||out||^2 must shrink it: {first} -> {last}"
-        );
     }
 
     #[test]

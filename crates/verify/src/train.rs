@@ -220,9 +220,8 @@ pub fn run_train_scenario(scenario: &TrainScenario) -> Vec<Mismatch> {
                     }
                 }
                 let input = SparseTensor::new(coords.clone(), masked);
-                let bw = ts_core::forward_backward(
-                    &net, &weights, &session, &input, &cfgs, &ctx, 1.0, false,
-                );
+                let bw =
+                    ts_core::forward_backward(&weights, &session, &input, &cfgs, &ctx, 1.0, false);
                 loss += bw.loss;
                 if let Some(g) = bw.grads[conv1].as_ref() {
                     dw1.axpy(1.0, g);

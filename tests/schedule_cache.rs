@@ -1,12 +1,12 @@
 //! Integration tests for the content-addressed schedule cache
 //! (`ts-cache`): warm-start convergence, digest stability across disk
-//! round trips, typed-mismatch fallback to cold tuning, and
-//! poisoned-entry repair.
+//! round trips, typed-mismatch fallback to cold tuning, poisoned-entry
+//! repair, and the training store beside the inference store.
 
-use ts_autotune::{tune_inference, tune_inference_warm, TunerOptions, WarmStart};
+use ts_autotune::{tune_inference, tune_inference_warm, BindingScheme, TunerOptions, WarmStart};
 use ts_cache::{
-    tune_cached, warm_boot, BootOrigin, CacheEntry, DriftPolicy, Lookup, ScheduleCache,
-    ScheduleKey, TuneOrigin,
+    tune_cached, tune_training_cached, warm_boot, BootOrigin, CacheEntry, DriftPolicy, Lookup,
+    ScheduleCache, ScheduleKey, TrainScheduleCache, TuneOrigin,
 };
 use ts_core::{GroupConfigs, Session};
 use ts_dataflow::{DataflowConfig, ExecCtx};
@@ -139,6 +139,82 @@ fn digests_are_stable_across_disk_round_trips() {
     assert_eq!(back.key, entry.key);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both stores may share one directory: each loads only its own files,
+/// so neither reports the other's entries as rejected.
+#[test]
+fn inference_and_training_stores_share_a_directory() {
+    let dir = std::env::temp_dir().join(format!("ts_cache_shared_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ctx = ctx();
+    let opts = TunerOptions::default();
+    let policy = DriftPolicy::default();
+    let s = sessions(1, 0.05);
+    {
+        let mut inference = ScheduleCache::open(&dir).expect("create store");
+        tune_cached(&mut inference, &s, &ctx, &opts, &policy).expect("write-through");
+        let mut training = TrainScheduleCache::open(&dir).expect("open store");
+        let scheme = BindingScheme::DgradWgrad;
+        tune_training_cached(&mut training, &s, &ctx, &opts, scheme, &policy)
+            .expect("write-through");
+    }
+
+    let inference = ScheduleCache::open(&dir).expect("reopen store");
+    let training = TrainScheduleCache::open(&dir).expect("reopen store");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(inference.load_issues(), [] as [String; 0]);
+    assert_eq!(training.load_issues(), [] as [String; 0]);
+    assert_eq!(inference.counters().rejected, 0, "no false cache.rejected");
+    assert_eq!((inference.len(), training.len()), (1, 1));
+}
+
+/// Training schedules are keyed by binding scheme — an entry tuned under
+/// one scheme never serves a lookup under another — and a poisoned
+/// training entry is served as a warm start that re-tunes exactly the
+/// groups the sanitizer repaired, in whichever family.
+#[test]
+fn training_store_is_keyed_by_scheme_and_repairs_poisoned_entries() {
+    let ctx = ctx();
+    let policy = DriftPolicy::default();
+    let mut cache = TrainScheduleCache::in_memory();
+    let s = sessions(1, 0.05);
+    assert!(s[0].groups().len() > 3);
+    let key = ScheduleKey::of(&s[0], &ctx);
+
+    let scheme = BindingScheme::DgradWgrad;
+    let opts = TunerOptions::default();
+    let cold =
+        tune_training_cached(&mut cache, &s, &ctx, &opts, scheme, &policy).expect("in-memory");
+    assert_eq!(cold.origin, TuneOrigin::Cold);
+    assert_eq!(
+        cache.lookup(&key, BindingScheme::ForwardDgrad, &policy),
+        Lookup::Miss
+    );
+
+    let mut entry = cache.get(&cold.digest).expect("entry present").clone();
+    let poison = DataflowConfig::implicit_gemm(999);
+    entry.configs.dgrad.per_group.insert(3, poison);
+    entry.configs.wgrad.per_group.insert(1, poison);
+    cache.insert(entry).expect("in-memory overwrite");
+    match cache.lookup(&key, scheme, &policy) {
+        Lookup::Warm {
+            digest,
+            seed,
+            drifted,
+            distance,
+        } => {
+            assert_eq!(digest, cold.digest);
+            assert_eq!(drifted, vec![1, 3], "only the poisoned slots re-tune");
+            assert_eq!(distance, 0.0);
+            assert_ne!(
+                seed.dgrad.for_group(3),
+                poison,
+                "sanitizer repaired the seed"
+            );
+        }
+        other => panic!("a poisoned exact match must be warm, got {other:?}"),
+    }
 }
 
 /// A typed mismatch — different device or precision — must never

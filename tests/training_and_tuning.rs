@@ -2,10 +2,11 @@
 //! end-to-end.
 
 use torchsparse::autotune::{tune_inference, tune_training, BindingScheme, TunerOptions};
-use torchsparse::core::{train_step, NetworkBuilder, Session, TrainConfigs};
+use torchsparse::core::{NetworkBuilder, Session};
 use torchsparse::dataflow::{DataflowConfig, ExecCtx};
 use torchsparse::gpusim::Device;
 use torchsparse::tensor::Precision;
+use torchsparse::train::{Trainer, TrainerConfig};
 use torchsparse::workloads::Workload;
 
 #[test]
@@ -17,17 +18,22 @@ fn training_a_small_unet_converges() {
     let cat = b.concat("skip", u, c1);
     let _ = b.conv("head", cat, 3, 1, 1);
     let net = b.build();
-    let mut weights = net.init_weights(5);
 
     let scene = Workload::NuScenesMinkUNet1f.scene_scaled(4, 0.02);
     let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
-    let cfgs = TrainConfigs::bound(DataflowConfig::implicit_gemm(1));
+    // Plain SGD in FP32 over the whole scene.
+    let cfg = TrainerConfig {
+        lr: 8e-3,
+        momentum: 0.0,
+        amp: false,
+        micro_batches: 1,
+        ..TrainerConfig::default()
+    };
+    let mut trainer = Trainer::new(&net, 5, &ctx, cfg);
 
-    let mut losses = Vec::new();
-    for _ in 0..10 {
-        let out = train_step(&net, &mut weights, &scene, &cfgs, &ctx, 8e-3);
-        losses.push(out.loss);
-    }
+    let losses: Vec<f32> = (0..10)
+        .map(|_| trainer.step(&scene).expect("scene compiles").loss)
+        .collect();
     assert!(
         losses.last().unwrap() < &(losses[0] * 0.8),
         "loss did not drop: {losses:?}"
