@@ -1,11 +1,11 @@
 //! Group-based greedy exhaustive search for inference (Figure 12).
 
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
 
 use ts_core::{GroupConfigs, GroupKey, Session};
 use ts_dataflow::{DataflowConfig, ExecCtx};
+
+use crate::search::{greedy, TunerStats, WarmStart};
 
 /// How candidate configurations are priced during the greedy search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,81 +95,6 @@ impl TunerOptions {
     }
 }
 
-/// Instrumentation of one tuning run: wall-clock cost and prepare-cache
-/// behaviour (the simulated-latency *result* is in the accompanying
-/// tune result; these numbers describe the tuner itself).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TunerStats {
-    /// End-to-end wall-clock time of the tuning run, microseconds.
-    pub wall_us: f64,
-    /// Wall-clock time spent sweeping each group, microseconds.
-    pub group_wall_us: Vec<f64>,
-    /// Session prepare-cache hits during the run (summed over sessions).
-    pub prepare_cache_hits: u64,
-    /// Session prepare-cache misses during the run.
-    pub prepare_cache_misses: u64,
-    /// Worker threads used for candidate sweeps.
-    pub threads: usize,
-    /// Whether the incremental (decomposed) objective was used.
-    pub incremental: bool,
-}
-
-/// Resolves a requested thread count (0 = one per available CPU).
-pub(crate) fn effective_threads(requested: usize) -> usize {
-    if requested != 0 {
-        return requested;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Evaluates `eval(i, &space[i])` for every candidate using up to
-/// `threads` scoped worker threads, returning results in candidate
-/// order — so the caller's argmin is deterministic and identical to a
-/// serial sweep regardless of parallelism.
-pub(crate) fn sweep<F>(space: &[DataflowConfig], threads: usize, eval: F) -> Vec<f64>
-where
-    F: Fn(usize, &DataflowConfig) -> f64 + Sync,
-{
-    let n = space.len();
-    let workers = effective_threads(threads).min(n).max(1);
-    let mut out = vec![0.0f64; n];
-    if workers == 1 {
-        for (i, cand) in space.iter().enumerate() {
-            out[i] = eval(i, cand);
-        }
-        return out;
-    }
-    let chunk = n.div_ceil(workers);
-    let eval = &eval;
-    // Propagate the caller's tracer (if any) into the scoped workers so
-    // counters recorded during candidate evaluation land in one place.
-    let tracer = ts_trace::current();
-    crossbeam::thread::scope(|scope| {
-        for (ci, (cands, outs)) in space.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate() {
-            let base = ci * chunk;
-            let tracer = tracer.clone();
-            scope.spawn(move |_| {
-                ts_trace::install_opt(tracer.as_ref());
-                for (j, (cand, slot)) in cands.iter().zip(outs.iter_mut()).enumerate() {
-                    *slot = eval(base + j, cand);
-                }
-            });
-        }
-    })
-    .expect("candidate sweep worker panicked");
-    out
-}
-
-/// Sums `(hits, misses)` of every session's prepare cache.
-pub(crate) fn cache_stats(sessions: &[Session]) -> (u64, u64) {
-    sessions.iter().fold((0, 0), |(h, m), s| {
-        let c = s.prepare_cache_counters();
-        (h + c.hits, m + c.misses)
-    })
-}
-
 /// Result of an inference tuning run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TuneResult {
@@ -218,41 +143,6 @@ impl TuneResult {
     pub fn from_json(json: &str) -> Result<TuneResult, serde_json::Error> {
         serde_json::from_str(json)
     }
-}
-
-/// A warm start for [`tune_inference_warm`]: begin the greedy search
-/// from `seed` (typically the nearest cached schedule, via `ts-cache`)
-/// and re-tune only the groups in `retune` — the groups whose map
-/// statistics drifted from the workload the seed was tuned on. Groups
-/// outside `retune` keep their seeded configuration untouched.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmStart {
-    /// Starting per-group configuration table (the transferred schedule).
-    pub seed: GroupConfigs,
-    /// Indices of the groups to re-tune; duplicates and out-of-range
-    /// indices are ignored. An empty list re-tunes nothing and the
-    /// result simply reprices the seeded schedule.
-    pub retune: Vec<usize>,
-}
-
-impl WarmStart {
-    /// A warm start that re-tunes every group of a session with
-    /// `n_groups` groups — equivalent to a cold tune that merely begins
-    /// from `seed` instead of the uniform default.
-    pub fn full(seed: GroupConfigs, n_groups: usize) -> Self {
-        Self {
-            seed,
-            retune: (0..n_groups).collect(),
-        }
-    }
-}
-
-fn mean_latency(sessions: &[Session], cfgs: &GroupConfigs, ctx: &ExecCtx) -> f64 {
-    sessions
-        .iter()
-        .map(|s| s.simulate_inference(cfgs, ctx).total_us())
-        .sum::<f64>()
-        / sessions.len() as f64
 }
 
 /// Runs the group-based greedy exhaustive search over `sessions`
@@ -316,14 +206,6 @@ fn tune_impl(
     opts: &TunerOptions,
     warm: Option<&WarmStart>,
 ) -> TuneResult {
-    assert!(
-        !sessions.is_empty(),
-        "tuner needs at least one sample scene"
-    );
-    assert!(
-        !opts.space.is_empty(),
-        "tuner needs a non-empty design space"
-    );
     let mut span = ts_trace::span!(
         ts_trace::Subsystem::Autotune,
         "tune_inference",
@@ -332,148 +214,21 @@ fn tune_impl(
         incremental = opts.mode == EvalMode::Incremental,
         warm = warm.is_some(),
     );
-    // Candidate pricing floods the simulated-kernel lanes; keep the
-    // trace to the tuner's own decision structure.
-    let _quiet = ts_trace::suppress_sim_kernels();
-    let wall_start = Instant::now();
-    let n_groups = sessions[0].groups().len();
-    let threads = effective_threads(opts.threads);
-    let incremental = opts.mode == EvalMode::Incremental;
-    let (hits0, misses0) = cache_stats(sessions);
-
-    // Which groups the greedy loop sweeps, in group order. A cold tune
-    // sweeps all of them; a warm start only the drifted ones.
-    let sweep_groups: Vec<usize> = match warm {
-        None => (0..n_groups).collect(),
-        Some(w) => {
-            let mut gs: Vec<usize> = w.retune.iter().copied().filter(|&g| g < n_groups).collect();
-            gs.sort_unstable();
-            gs.dedup();
-            gs
-        }
-    };
-
-    let mut configs = match warm {
-        None => GroupConfigs::uniform(opts.default),
-        Some(w) => w.seed.clone(),
-    };
-    let default_latency_us = mean_latency(sessions, &configs, ctx);
-    let mut evaluations = 1;
-
-    // Incremental state: per-session residual plus per-(session, group)
-    // latency contributions under the current `configs`.
-    let residuals: Vec<f64> = if incremental {
-        sessions
-            .iter()
-            .map(|s| s.inference_residual_us(ctx))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut contrib: Vec<Vec<f64>> = if incremental {
-        sessions
-            .iter()
-            .map(|s| {
-                (0..s.groups().len())
-                    .map(|g| s.group_inference_us(g, &configs.for_group(g), ctx))
-                    .collect()
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut group_wall_us = vec![0.0f64; n_groups];
-    for &g in &sweep_groups {
-        let mut gspan = ts_trace::span!(ts_trace::Subsystem::Autotune, "group", g = g);
-        let group_start = Instant::now();
-        let cand_us = if incremental {
-            let (residuals, contrib) = (&residuals, &contrib);
-            sweep(&opts.space, threads, |_, cand| {
-                let mut total = 0.0;
-                for (si, s) in sessions.iter().enumerate() {
-                    let mut t = residuals[si];
-                    for (g2, &clean) in contrib[si].iter().enumerate() {
-                        t += if g2 == g {
-                            s.group_inference_us(g, cand, ctx)
-                        } else {
-                            clean
-                        };
-                    }
-                    total += t;
-                }
-                total / sessions.len() as f64
-            })
-        } else {
-            let configs = &configs;
-            sweep(&opts.space, threads, |_, cand| {
-                let mut trial = configs.clone();
-                trial.set(g, *cand);
-                mean_latency(sessions, &trial, ctx)
-            })
-        };
-        evaluations += opts.space.len();
-
-        // Serial argmin in candidate order with strict `<`: identical
-        // tie-breaking to the naive serial tuner.
-        let mut best = (opts.default, f64::INFINITY);
-        for (i, &t) in cand_us.iter().enumerate() {
-            if t < best.1 {
-                best = (opts.space[i], t);
-            }
-        }
-        configs.set(g, best.0);
-        if incremental {
-            for (si, s) in sessions.iter().enumerate() {
-                if g < contrib[si].len() {
-                    contrib[si][g] = s.group_inference_us(g, &best.0, ctx);
-                }
-            }
-        }
-        group_wall_us[g] = group_start.elapsed().as_secs_f64() * 1e6;
-        if gspan.active() {
-            gspan.arg("candidates", opts.space.len());
-            gspan.arg("best_us", best.1);
-            gspan.arg("choice", format!("{:?}", best.0));
-            ts_trace::counter_add("autotune.candidates.swept", opts.space.len() as i64);
-            ts_trace::counter_add("autotune.groups.tuned", 1);
-        }
-    }
-
-    let tuned_latency_us = mean_latency(sessions, &configs, ctx);
+    let cold = GroupConfigs::uniform(opts.default);
+    let t = greedy(sessions, ctx, opts, &[&[0]], cold, warm, &mut span);
     let per_group_choice = sessions[0]
         .groups()
         .iter()
         .enumerate()
-        .map(|(g, info)| (info.key, configs.for_group(g)))
+        .map(|(g, info)| (info.key, t.configs.for_group(g)))
         .collect();
-    let (hits1, misses1) = cache_stats(sessions);
-
-    if span.active() {
-        span.arg("evaluations", evaluations);
-        span.arg("default_us", default_latency_us);
-        span.arg("tuned_us", tuned_latency_us);
-        if let Some(t) = ts_trace::current() {
-            t.gauge_set(
-                "autotune.inference.speedup",
-                default_latency_us / tuned_latency_us.max(1e-9),
-            );
-        }
-    }
     TuneResult {
-        configs: Some(configs),
-        tuned_latency_us,
-        default_latency_us,
-        evaluations,
+        configs: Some(t.configs),
+        tuned_latency_us: t.tuned_latency_us,
+        default_latency_us: t.default_latency_us,
+        evaluations: t.evaluations,
         per_group_choice,
-        stats: TunerStats {
-            wall_us: wall_start.elapsed().as_secs_f64() * 1e6,
-            group_wall_us,
-            prepare_cache_hits: hits1 - hits0,
-            prepare_cache_misses: misses1 - misses0,
-            threads,
-            incremental,
-        },
+        stats: t.stats,
     }
 }
 

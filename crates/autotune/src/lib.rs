@@ -36,11 +36,11 @@
 #![warn(missing_docs)]
 
 mod inference;
+mod search;
 mod training;
 
-pub use inference::{
-    tune_inference, tune_inference_warm, EvalMode, TuneResult, TunerOptions, TunerStats, WarmStart,
-};
+pub use inference::{tune_inference, tune_inference_warm, EvalMode, TuneResult, TunerOptions};
+pub use search::{TunerStats, WarmStart};
 pub use training::{
     default_scheme_for, tune_training, tune_training_warm, BindingScheme, TrainTuneResult,
     TrainWarmStart,

@@ -1,15 +1,13 @@
 //! Training tuner with parameter-binding schemes (Figure 13 / 22).
 
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
 
-use ts_core::{GroupConfigs, Session, TrainConfigs};
-use ts_dataflow::{DataflowConfig, ExecCtx};
+use ts_core::{Session, TrainConfigs};
+use ts_dataflow::ExecCtx;
 use ts_gpusim::Device;
 
-use crate::inference::{cache_stats, effective_threads, sweep};
-use crate::{EvalMode, TunerOptions, TunerStats};
+use crate::search::{greedy, TunerStats, WarmStart};
+use crate::TunerOptions;
 
 /// How forward / dgrad / wgrad dataflow parameters are coupled during
 /// training tuning.
@@ -40,6 +38,17 @@ impl BindingScheme {
         BindingScheme::DgradWgrad,
         BindingScheme::Decoupled,
     ];
+
+    /// The family sets tuned together, in tuning order (0 = fwd,
+    /// 1 = dgrad, 2 = wgrad).
+    fn family_sets(self) -> &'static [&'static [usize]] {
+        match self {
+            BindingScheme::AllBound => &[&[0, 1, 2]],
+            BindingScheme::ForwardDgrad => &[&[0, 1], &[2]],
+            BindingScheme::DgradWgrad => &[&[1, 2], &[0]],
+            BindingScheme::Decoupled => &[&[0], &[1], &[2]],
+        }
+    }
 
     /// Human-readable name.
     pub fn name(self) -> &'static str {
@@ -87,40 +96,9 @@ impl TrainTuneResult {
     }
 }
 
-/// A warm start for [`tune_training_warm`]: begin the per-family
-/// greedy search from `seed` (typically the nearest cached training
-/// schedule, via `ts-cache`) and re-tune only the groups in `retune`.
-/// Groups outside `retune` keep their seeded per-family configurations
-/// untouched.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainWarmStart {
-    /// Starting fwd/dgrad/wgrad configuration tables (the transferred
-    /// training schedule).
-    pub seed: TrainConfigs,
-    /// Indices of the groups to re-tune; duplicates and out-of-range
-    /// indices are ignored. An empty list re-tunes nothing and the
-    /// result simply reprices the seeded schedule.
-    pub retune: Vec<usize>,
-}
-
-impl TrainWarmStart {
-    /// A warm start that re-tunes every group — a cold tune that merely
-    /// begins from `seed` instead of the all-bound default.
-    pub fn full(seed: TrainConfigs, n_groups: usize) -> Self {
-        Self {
-            seed,
-            retune: (0..n_groups).collect(),
-        }
-    }
-}
-
-fn mean_latency(sessions: &[Session], cfgs: &TrainConfigs, ctx: &ExecCtx) -> f64 {
-    sessions
-        .iter()
-        .map(|s| s.simulate_training(cfgs, ctx).total_us())
-        .sum::<f64>()
-        / sessions.len() as f64
-}
+/// A warm start for [`tune_training_warm`]: the per-family greedy
+/// search begins from the seeded training schedule.
+pub type TrainWarmStart = WarmStart<TrainConfigs>;
 
 /// Tunes training dataflows under `scheme` by reusing the group-based
 /// greedy tuner once per *bound family set* (the paper's trick that
@@ -166,7 +144,6 @@ fn tune_training_impl(
     scheme: BindingScheme,
     warm: Option<&TrainWarmStart>,
 ) -> TrainTuneResult {
-    assert!(!sessions.is_empty() && !opts.space.is_empty());
     let mut span = ts_trace::span!(
         ts_trace::Subsystem::Autotune,
         "tune_training",
@@ -174,205 +151,22 @@ fn tune_training_impl(
         sessions = sessions.len(),
         space = opts.space.len(),
     );
-    let _quiet = ts_trace::suppress_sim_kernels();
-    let wall_start = Instant::now();
-    let n_groups = sessions[0].groups().len();
-    let threads = effective_threads(opts.threads);
-    let incremental = opts.mode == EvalMode::Incremental;
-    let (hits0, misses0) = cache_stats(sessions);
-    let mut evaluations = 0usize;
-
-    // A cold tune's baseline is the all-bound default; a warm run's is
-    // the seeded (transferred) schedule, so `speedup()` measures what
-    // re-tuning bought over the transfer.
-    let baseline = match warm {
-        None => TrainConfigs::bound(opts.default),
-        Some(w) => w.seed.clone(),
-    };
-    let default_latency_us = mean_latency(sessions, &baseline, ctx);
-    evaluations += 1;
-
-    // Which groups the greedy loop sweeps, in group order. A cold tune
-    // sweeps all of them; a warm start only the drifted ones.
-    let sweep_groups: Vec<usize> = match warm {
-        None => (0..n_groups).collect(),
-        Some(w) => {
-            let mut gs: Vec<usize> = w.retune.iter().copied().filter(|&g| g < n_groups).collect();
-            gs.sort_unstable();
-            gs.dedup();
-            gs
-        }
-    };
-
-    // Which families tune together: slots of family-index sets.
-    // 0 = fwd, 1 = dgrad, 2 = wgrad.
-    let family_sets: Vec<Vec<usize>> = match scheme {
-        BindingScheme::AllBound => vec![vec![0, 1, 2]],
-        BindingScheme::ForwardDgrad => vec![vec![0, 1], vec![2]],
-        BindingScheme::DgradWgrad => vec![vec![1, 2], vec![0]],
-        BindingScheme::Decoupled => vec![vec![0], vec![1], vec![2]],
-    };
-
-    // Incremental state: per-session residual plus per-(session, group)
-    // training contributions under the current `configs`.
-    let residuals: Vec<f64> = if incremental {
-        sessions
-            .iter()
-            .map(|s| s.training_residual_us(ctx))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let group_contrib = |s: &Session, g: usize, cfgs: &TrainConfigs| {
-        s.group_training_us(
-            g,
-            &cfgs.fwd.for_group(g),
-            &cfgs.dgrad.for_group(g),
-            &cfgs.wgrad.for_group(g),
-            ctx,
-        )
-    };
-
-    let mut configs = baseline;
-    let mut contrib: Vec<Vec<f64>> = if incremental {
-        sessions
-            .iter()
-            .map(|s| {
-                (0..s.groups().len())
-                    .map(|g| group_contrib(s, g, &configs))
-                    .collect()
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut group_wall_us = Vec::new();
-    for set in &family_sets {
-        // One greedy group sweep per bound family set, holding the other
-        // families at their current (already tuned or default) choices.
-        let families: String = set
-            .iter()
-            .map(|&f| ["fwd", "dgrad", "wgrad"][f])
-            .collect::<Vec<_>>()
-            .join("+");
-        let _fspan = ts_trace::span!(
-            ts_trace::Subsystem::Autotune,
-            "family_set",
-            families = families.as_str(),
-        );
-        for &g in &sweep_groups {
-            let mut gspan = ts_trace::span!(ts_trace::Subsystem::Autotune, "group", g = g);
-            let group_start = Instant::now();
-            let cand_us = if incremental {
-                // The group's per-family configs under `candidate`
-                // applied to this family set.
-                let cur = [
-                    configs.fwd.for_group(g),
-                    configs.dgrad.for_group(g),
-                    configs.wgrad.for_group(g),
-                ];
-                let (residuals, contrib) = (&residuals, &contrib);
-                sweep(&opts.space, threads, |_, cand| {
-                    let mut fam = cur;
-                    for &f in set {
-                        fam[f] = *cand;
-                    }
-                    let mut total = 0.0;
-                    for (si, s) in sessions.iter().enumerate() {
-                        let mut t = residuals[si];
-                        for (g2, &clean) in contrib[si].iter().enumerate() {
-                            t += if g2 == g {
-                                s.group_training_us(g, &fam[0], &fam[1], &fam[2], ctx)
-                            } else {
-                                clean
-                            };
-                        }
-                        total += t;
-                    }
-                    total / sessions.len() as f64
-                })
-            } else {
-                let configs = &configs;
-                sweep(&opts.space, threads, |_, cand| {
-                    let mut trial = configs.clone();
-                    for &fam in set {
-                        family_mut(&mut trial, fam).set(g, *cand);
-                    }
-                    mean_latency(sessions, &trial, ctx)
-                })
-            };
-            evaluations += opts.space.len();
-
-            let mut best: (DataflowConfig, f64) = (opts.default, f64::INFINITY);
-            for (i, &t) in cand_us.iter().enumerate() {
-                if t < best.1 {
-                    best = (opts.space[i], t);
-                }
-            }
-            for &fam in set {
-                family_mut(&mut configs, fam).set(g, best.0);
-            }
-            if incremental {
-                for (si, s) in sessions.iter().enumerate() {
-                    if g < contrib[si].len() {
-                        contrib[si][g] = group_contrib(s, g, &configs);
-                    }
-                }
-            }
-            group_wall_us.push(group_start.elapsed().as_secs_f64() * 1e6);
-            if gspan.active() {
-                gspan.arg("candidates", opts.space.len());
-                gspan.arg("best_us", best.1);
-                gspan.arg("choice", format!("{:?}", best.0));
-                ts_trace::counter_add("autotune.candidates.swept", opts.space.len() as i64);
-                ts_trace::counter_add("autotune.groups.tuned", 1);
-            }
-        }
-    }
-
-    let tuned_latency_us = mean_latency(sessions, &configs, ctx);
-    let (hits1, misses1) = cache_stats(sessions);
-    if span.active() {
-        span.arg("evaluations", evaluations);
-        span.arg("default_us", default_latency_us);
-        span.arg("tuned_us", tuned_latency_us);
-        if let Some(t) = ts_trace::current() {
-            t.gauge_set(
-                "autotune.training.speedup",
-                default_latency_us / tuned_latency_us.max(1e-9),
-            );
-        }
-    }
+    let (cold, sets) = (TrainConfigs::bound(opts.default), scheme.family_sets());
+    let t = greedy(sessions, ctx, opts, sets, cold, warm, &mut span);
     TrainTuneResult {
-        configs,
-        tuned_latency_us,
-        default_latency_us,
-        evaluations,
+        configs: t.configs,
+        tuned_latency_us: t.tuned_latency_us,
+        default_latency_us: t.default_latency_us,
+        evaluations: t.evaluations,
         scheme,
-        stats: TunerStats {
-            wall_us: wall_start.elapsed().as_secs_f64() * 1e6,
-            group_wall_us,
-            prepare_cache_hits: hits1 - hits0,
-            prepare_cache_misses: misses1 - misses0,
-            threads,
-            incremental,
-        },
-    }
-}
-
-fn family_mut(cfgs: &mut TrainConfigs, fam: usize) -> &mut GroupConfigs {
-    match fam {
-        0 => &mut cfgs.fwd,
-        1 => &mut cfgs.dgrad,
-        2 => &mut cfgs.wgrad,
-        _ => unreachable!("family index is 0..3"),
+        stats: t.stats,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EvalMode;
     use ts_tensor::Precision;
     use ts_workloads::Workload;
 

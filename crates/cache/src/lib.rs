@@ -67,7 +67,7 @@ use std::io;
 
 use ts_autotune::{
     tune_inference, tune_inference_warm, tune_training, tune_training_warm, BindingScheme,
-    TrainTuneResult, TrainWarmStart, TuneResult, TunerOptions, WarmStart,
+    TrainTuneResult, TuneResult, TunerOptions, WarmStart,
 };
 use ts_core::{Engine, GroupConfigs, Network, NetworkWeights, Session};
 use ts_dataflow::{DataflowConfig, ExecCtx};
@@ -246,13 +246,9 @@ pub fn tune_training_cached(
         scheme,
         policy,
         |warm| match warm {
-            Some((seed, retune)) => tune_training_warm(
-                sessions,
-                ctx,
-                opts,
-                scheme,
-                &TrainWarmStart { seed, retune },
-            ),
+            Some((seed, retune)) => {
+                tune_training_warm(sessions, ctx, opts, scheme, &WarmStart { seed, retune })
+            }
             None => tune_training(sessions, ctx, opts, scheme),
         },
         |key, result| TrainCacheEntry {

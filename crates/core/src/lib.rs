@@ -66,7 +66,9 @@ pub use session::{
 };
 pub use sparse_tensor::SparseTensor;
 pub use stream::{compile_stream, permute_to, StreamState};
-pub use trainer::{forward_backward, BackwardOutput, LossScaler};
+pub use trainer::{
+    forward_backward, forward_backward_micro, BackwardOutput, LossScaler, MicroSplit,
+};
 // Streaming callers configure and inspect updates with the kernel-map
 // vocabulary; re-exported so they need not depend on ts-kernelmap.
 pub use ts_kernelmap::{DeltaConfig, MapUpdate, UpdateOutcome};

@@ -52,9 +52,13 @@ pub enum CompileError {
 impl std::fmt::Display for CompileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CompileError::TransposedWithoutEncoder { layer, missing_stride } => write!(
+            CompileError::TransposedWithoutEncoder {
+                layer,
+                missing_stride,
+            } => write!(
                 f,
-                "transposed conv '{layer}' has no cached coordinates at stride {missing_stride}                  (no matching encoder downsample)"
+                "transposed conv '{layer}' has no cached coordinates at stride \
+                 {missing_stride} (no matching encoder downsample)"
             ),
             CompileError::ChannelMismatch { expected, got } => write!(
                 f,
@@ -262,6 +266,15 @@ impl TrainConfigs {
             wgrad: GroupConfigs::uniform(cfg),
         }
     }
+
+    /// Resolves group `g`'s `[fwd, dgrad, wgrad]` configurations.
+    pub fn for_group(&self, g: usize) -> [DataflowConfig; 3] {
+        [
+            self.fwd.for_group(g),
+            self.dgrad.for_group(g),
+            self.wgrad.for_group(g),
+        ]
+    }
 }
 
 /// A network compiled against a concrete input coordinate set: every
@@ -305,31 +318,57 @@ impl Clone for Session {
 /// Cache of prepared plans keyed by `(group, transposed, config)`.
 type PrepareCache = HashMap<(usize, bool, DataflowConfig), Arc<(Prepared, KernelTrace)>>;
 
-/// Per-group latency decomposition of one pass (inference or training):
-/// the total is `residual_us + group_us.iter().sum()` where the residual
-/// covers the configuration-independent elementwise layers and each
-/// `group_us[g]` covers group `g`'s one-time mapping work plus all of
-/// its conv layers under the configuration it was computed with.
-///
-/// The decomposition is sound because the cost model prices every
-/// kernel independently of trace order; the recomposed total matches
-/// the corresponding `simulate_*` report up to floating-point summation
-/// order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyBreakdown {
-    /// Configuration-independent cost (elementwise layers), us.
-    pub residual_us: f64,
-    /// Per-group cost (mapping + conv layers), us, indexed by group.
-    pub group_us: Vec<f64>,
+/// The part of a pass one pricing walk records: the whole pass, one
+/// group's mapping and conv layers, or the elementwise residual that no
+/// dataflow choice affects. Every scope records its kernels in the
+/// order the whole pass does, so a group's share of a pass is priced by
+/// exactly the kernels the pass records for that group.
+#[derive(Clone, Copy)]
+enum Scope {
+    Pass,
+    Group(usize),
+    Residual,
 }
 
-impl LatencyBreakdown {
-    /// Recomposed end-to-end latency: residual plus the group terms in
-    /// group order (a fixed summation order, so equal inputs give
-    /// bitwise-equal totals).
-    pub fn total_us(&self) -> f64 {
-        self.residual_us + self.group_us.iter().sum::<f64>()
+impl Scope {
+    /// Whether the walk prices group `g`'s mapping and conv layers.
+    fn covers(self, g: usize) -> bool {
+        match self {
+            Scope::Pass => true,
+            Scope::Group(only) => only == g,
+            Scope::Residual => false,
+        }
     }
+
+    /// Whether the walk prices the elementwise layers.
+    fn elementwise(self) -> bool {
+        matches!(self, Scope::Pass | Scope::Residual)
+    }
+}
+
+/// Appends one timing entry when the walk keeps timings; the name is
+/// only built then.
+fn note(
+    timings: &mut Option<&mut Vec<LayerTiming>>,
+    name: impl FnOnce() -> String,
+    node: usize,
+    group: Option<usize>,
+    time_us: f64,
+) {
+    if let Some(t) = timings {
+        t.push(LayerTiming {
+            name: name(),
+            node,
+            group,
+            time_us,
+        });
+    }
+}
+
+/// The configuration lookup of a residual walk, which prices no conv
+/// layer.
+fn no_conv<T>(_group: usize) -> T {
+    unreachable!("the residual prices no conv layer")
 }
 
 impl Session {
@@ -644,69 +683,164 @@ impl Session {
         ctx.record(trace, t);
     }
 
-    /// Simulates one inference pass with per-group dataflows.
-    pub fn simulate_inference(&self, cfgs: &GroupConfigs, ctx: &ExecCtx) -> RunReport {
-        let mut span = ts_trace::span(ts_trace::Subsystem::Core, "simulate_inference");
-        let mut trace = KernelTrace::new();
-        let mut timings = Vec::new();
-
-        // Per-group one-time mapping cost.
+    /// The forward pricing walk over `scope`: each covered group's
+    /// one-time mapping work (base build, transpose when a transposed
+    /// layer needs it, dataflow prepare), then each covered layer in
+    /// network order, with group `g` on `cfg(g)`. Appends to `trace`;
+    /// with `timings`, also one entry per group mapping and per layer.
+    fn price_forward(
+        &self,
+        scope: Scope,
+        cfg: impl Fn(usize) -> DataflowConfig,
+        ctx: &ExecCtx,
+        trace: &mut KernelTrace,
+        mut timings: Option<&mut Vec<LayerTiming>>,
+    ) {
         for (gid, g) in self.groups.iter().enumerate() {
+            if !scope.covers(gid) {
+                continue;
+            }
             let (fwd_used, t_used) = (
                 self.group_used_forward[gid],
                 self.group_used_transposed[gid],
             );
-            if !fwd_used && !t_used {
-                continue;
-            }
-            let before = trace.total_us();
-            self.base_map_cost(g, ctx, &mut trace);
+            let before = timings.as_ref().map(|_| trace.total_us());
+            self.base_map_cost(g, ctx, trace);
             if t_used {
-                self.transpose_cost(g, ctx, &mut trace);
+                self.transpose_cost(g, ctx, trace);
             }
-            let cfg = cfgs.for_group(gid);
+            let cfg = cfg(gid);
             for (transposed, used) in [(false, fwd_used), (true, t_used)] {
                 if used {
                     let prep = self.prepared_for(gid, transposed, &cfg, ctx);
                     trace.merge(prep.1.clone());
                 }
             }
-            timings.push(LayerTiming {
-                name: format!("group[{gid}] mapping"),
-                node: usize::MAX,
-                group: Some(gid),
-                time_us: trace.total_us() - before,
-            });
+            if let Some(before) = before {
+                let us = trace.total_us() - before;
+                let name = || format!("group[{gid}] mapping");
+                note(&mut timings, name, usize::MAX, Some(gid), us);
+            }
         }
 
-        // Per-layer compute.
         for l in &self.layers {
             match l {
-                LayerPlan::Conv(c) => {
-                    let cfg = cfgs.for_group(c.group);
+                LayerPlan::Conv(c) if scope.covers(c.group) => {
+                    let cfg = cfg(c.group);
                     let g = &self.groups[c.group];
                     let map = if c.transposed { &g.map_t } else { &g.map };
                     let prep = self.prepared_for(c.group, c.transposed, &cfg, ctx);
                     let t = forward_trace(c.c_in, c.c_out, map, &prep.0, &cfg, ctx);
-                    timings.push(LayerTiming {
-                        name: self.network.nodes()[c.node].name.clone(),
-                        node: c.node,
-                        group: Some(c.group),
-                        time_us: t.total_us(),
-                    });
+                    let name = || self.network.nodes()[c.node].name.clone();
+                    note(&mut timings, name, c.node, Some(c.group), t.total_us());
                     trace.merge(t);
                 }
-                LayerPlan::Elem(e) => {
-                    let t = self.elementwise_cost(e, ctx, &mut trace);
-                    timings.push(LayerTiming {
-                        name: self.network.nodes()[e.node].name.clone(),
-                        node: e.node,
-                        group: None,
-                        time_us: t,
-                    });
+                LayerPlan::Elem(e) if scope.elementwise() => {
+                    let t = self.elementwise_cost(e, ctx, trace);
+                    let name = || self.network.nodes()[e.node].name.clone();
+                    note(&mut timings, name, e.node, None, t);
                 }
+                _ => {}
             }
         }
+    }
+
+    /// The backward pricing walk over `scope`, the reverse half of a
+    /// training pass: each covered group's backward mapping (transpose
+    /// unless forward already paid it, the dgrad prepare, and — when
+    /// wgrad runs a dataflow of its own — the wgrad prepare plus a
+    /// structure-duplication pass), then dgrad and wgrad of each covered
+    /// conv layer and each covered elementwise layer, in reverse network
+    /// order. `cfg(g)` is group `g`'s `[fwd, dgrad, wgrad]`.
+    ///
+    /// Mapping preparations are shared where configurations coincide:
+    /// dgrad and wgrad share one when their configurations are equal
+    /// (the map-sharing argument behind the paper's dgrad-wgrad binding
+    /// scheme), and wgrad reuses forward's when those are equal.
+    fn price_backward(
+        &self,
+        scope: Scope,
+        cfg: impl Fn(usize) -> [DataflowConfig; 3],
+        ctx: &ExecCtx,
+        trace: &mut KernelTrace,
+        mut timings: Option<&mut Vec<LayerTiming>>,
+    ) {
+        for (gid, g) in self.groups.iter().enumerate() {
+            if !scope.covers(gid) {
+                continue;
+            }
+            let before = timings.as_ref().map(|_| trace.total_us());
+            let [fwd_cfg, d_cfg, w_cfg] = cfg(gid);
+            // dgrad runs on the transposed map.
+            if !self.group_used_transposed[gid] {
+                self.transpose_cost(g, ctx, trace);
+            }
+            let d_prep = self.prepared_for(gid, true, &d_cfg, ctx);
+            trace.merge(d_prep.1.clone());
+            // A wgrad dataflow of its own prepares over the forward
+            // orientation AND pays a structure-duplication pass: the
+            // paper warns that generating map structures for an extra
+            // dataflow costs on the order of extra convolution layers
+            // per group (Section 4.2), which is exactly what the binding
+            // schemes exist to avoid.
+            if w_cfg != d_cfg && w_cfg != fwd_cfg {
+                let w_prep = self.prepared_for(gid, false, &w_cfg, ctx);
+                trace.merge(w_prep.1.clone());
+                let s = g.build_stats;
+                let dup =
+                    KernelDesc::mapping("map:wgrad-structures", s.queries * 32, s.queries * 16);
+                ctx.record(trace, dup);
+            }
+            if let Some(before) = before {
+                let us = trace.total_us() - before;
+                let name = || format!("group[{gid}] bwd mapping");
+                note(&mut timings, name, usize::MAX, Some(gid), us);
+            }
+        }
+
+        for l in self.layers.iter().rev() {
+            match l {
+                LayerPlan::Conv(c) if scope.covers(c.group) => {
+                    let g = &self.groups[c.group];
+                    let [_, d_cfg, w_cfg] = cfg(c.group);
+                    // dgrad: convolution in the opposite orientation.
+                    let (d_map, d_transposed) = if c.transposed {
+                        (&g.map, false)
+                    } else {
+                        (&g.map_t, true)
+                    };
+                    let d_prep = self.prepared_for(c.group, d_transposed, &d_cfg, ctx);
+                    let dt = forward_trace(c.c_out, c.c_in, d_map, &d_prep.0, &d_cfg, ctx);
+                    // wgrad over the layer's own orientation.
+                    let w_map = if c.transposed { &g.map_t } else { &g.map };
+                    let wt = wgrad_trace(c.c_in, c.c_out, w_map, &w_cfg, ctx);
+                    // Separate dgrad/wgrad entries so per-phase step
+                    // attribution (ts-train) can bucket them by suffix.
+                    let (node, group) = (c.node, Some(c.group));
+                    let name = &self.network.nodes()[node].name;
+                    let (dgrad, wgrad) = (|| format!("{name}:dgrad"), || format!("{name}:wgrad"));
+                    note(&mut timings, dgrad, node, group, dt.total_us());
+                    note(&mut timings, wgrad, node, group, wt.total_us());
+                    trace.merge(dt);
+                    trace.merge(wt);
+                }
+                LayerPlan::Elem(e) if scope.elementwise() => {
+                    let t = self.elementwise_cost(e, ctx, trace);
+                    let name = || format!("{}:bwd", self.network.nodes()[e.node].name);
+                    note(&mut timings, name, e.node, None, t);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Simulates one inference pass with per-group dataflows.
+    pub fn simulate_inference(&self, cfgs: &GroupConfigs, ctx: &ExecCtx) -> RunReport {
+        let mut span = ts_trace::span(ts_trace::Subsystem::Core, "simulate_inference");
+        let mut trace = KernelTrace::new();
+        let mut timings = Vec::new();
+        let cfg = |g| cfgs.for_group(g);
+        self.price_forward(Scope::Pass, cfg, ctx, &mut trace, Some(&mut timings));
 
         if span.active() {
             // Virtual-lane output follows the sim-kernel filter: the
@@ -782,11 +916,6 @@ impl Session {
 
     /// Simulates one training iteration (forward + dgrad + wgrad) with
     /// potentially decoupled per-kernel-family configurations.
-    ///
-    /// Mapping preparations are shared where configurations coincide:
-    /// forward needs its own; dgrad and wgrad share one when their
-    /// configurations are equal (the map-sharing argument behind the
-    /// paper's dgrad-wgrad binding scheme).
     pub fn simulate_training(&self, cfgs: &TrainConfigs, ctx: &ExecCtx) -> RunReport {
         let mut span = ts_trace::span(ts_trace::Subsystem::Core, "simulate_training");
         // Forward pass (includes base mapping + fwd prepares).
@@ -797,98 +926,8 @@ impl Session {
         // kernels and group contributions; only the entries appended
         // below (backward prepares + backward layers) are new.
         let fwd_entries = trace.entries().len();
-
-        // Backward mapping preparation.
-        for (gid, g) in self.groups.iter().enumerate() {
-            let used: Vec<&ConvPlan> = self
-                .layers
-                .iter()
-                .filter_map(|l| match l {
-                    LayerPlan::Conv(c) if c.group == gid => Some(c),
-                    _ => None,
-                })
-                .collect();
-            if used.is_empty() {
-                continue;
-            }
-            let before = trace.total_us();
-            let d_cfg = cfgs.dgrad.for_group(gid);
-            let w_cfg = cfgs.wgrad.for_group(gid);
-            // dgrad runs on the transposed map.
-            if !self.group_used_transposed[gid] {
-                self.transpose_cost(g, ctx, &mut trace);
-            }
-            let d_prep = self.prepared_for(gid, true, &d_cfg, ctx);
-            trace.merge(d_prep.1.clone());
-            // wgrad shares dgrad's structures when the configs match;
-            // otherwise it prepares its own over the forward orientation
-            // AND pays a structure-duplication pass: the paper warns that
-            // generating map structures for an extra dataflow costs on
-            // the order of extra convolution layers per group
-            // (Section 4.2), which is exactly what the binding schemes
-            // exist to avoid.
-            if w_cfg != d_cfg && w_cfg != cfgs.fwd.for_group(gid) {
-                let w_prep = self.prepared_for(gid, false, &w_cfg, ctx);
-                trace.merge(w_prep.1.clone());
-                let s = g.build_stats;
-                let dup =
-                    KernelDesc::mapping("map:wgrad-structures", s.queries * 32, s.queries * 16);
-                ctx.record(&mut trace, dup);
-            }
-            timings.push(LayerTiming {
-                name: format!("group[{gid}] bwd mapping"),
-                node: usize::MAX,
-                group: Some(gid),
-                time_us: trace.total_us() - before,
-            });
-        }
-
-        // Backward per-layer kernels, in reverse order.
-        for l in self.layers.iter().rev() {
-            match l {
-                LayerPlan::Conv(c) => {
-                    let g = &self.groups[c.group];
-                    let d_cfg = cfgs.dgrad.for_group(c.group);
-                    let w_cfg = cfgs.wgrad.for_group(c.group);
-                    // dgrad: convolution in the opposite orientation.
-                    let (d_map, d_transposed) = if c.transposed {
-                        (&g.map, false)
-                    } else {
-                        (&g.map_t, true)
-                    };
-                    let d_prep = self.prepared_for(c.group, d_transposed, &d_cfg, ctx);
-                    let dt = forward_trace(c.c_out, c.c_in, d_map, &d_prep.0, &d_cfg, ctx);
-                    // wgrad over the layer's own orientation.
-                    let w_map = if c.transposed { &g.map_t } else { &g.map };
-                    let wt = wgrad_trace(c.c_in, c.c_out, w_map, &w_cfg, ctx);
-                    // Separate dgrad/wgrad entries so per-phase step
-                    // attribution (ts-train) can bucket them by suffix.
-                    timings.push(LayerTiming {
-                        name: format!("{}:dgrad", self.network.nodes()[c.node].name),
-                        node: c.node,
-                        group: Some(c.group),
-                        time_us: dt.total_us(),
-                    });
-                    timings.push(LayerTiming {
-                        name: format!("{}:wgrad", self.network.nodes()[c.node].name),
-                        node: c.node,
-                        group: Some(c.group),
-                        time_us: wt.total_us(),
-                    });
-                    trace.merge(dt);
-                    trace.merge(wt);
-                }
-                LayerPlan::Elem(e) => {
-                    let t = self.elementwise_cost(e, ctx, &mut trace);
-                    timings.push(LayerTiming {
-                        name: format!("{}:bwd", self.network.nodes()[e.node].name),
-                        node: e.node,
-                        group: None,
-                        time_us: t,
-                    });
-                }
-            }
-        }
+        let cfg = |g| cfgs.for_group(g);
+        self.price_backward(Scope::Pass, cfg, ctx, &mut trace, Some(&mut timings));
 
         if span.active() {
             if ts_trace::current()
@@ -908,73 +947,30 @@ impl Session {
     // ------------------------------------------------------------------
     // Decomposed simulation API (used by the incremental autotuner).
     //
-    // These methods record exactly the kernels the corresponding
-    // `simulate_*` call records, partitioned by group. The cost model
-    // prices each kernel independently of trace state, so the partition
-    // is exact up to floating-point summation order.
+    // These run the same pricing walks as `simulate_*` over one group or
+    // the elementwise residual, so they record exactly the kernels the
+    // whole pass records for that part. The cost model prices each
+    // kernel independently of trace state, so a pass's total equals
+    // `residual + Σ group contributions` up to floating-point summation
+    // order.
     // ------------------------------------------------------------------
 
     /// Configuration-independent inference cost: the elementwise layers
     /// (BN/ReLU/Add/Concat), which no dataflow choice affects.
     pub fn inference_residual_us(&self, ctx: &ExecCtx) -> f64 {
         let mut trace = KernelTrace::new();
-        for l in &self.layers {
-            if let LayerPlan::Elem(e) = l {
-                self.elementwise_cost(e, ctx, &mut trace);
-            }
-        }
+        self.price_forward(Scope::Residual, no_conv, ctx, &mut trace, None);
         trace.total_us()
     }
 
     /// Group `gid`'s inference contribution under `cfg`: the one-time
     /// mapping work (base build, transpose if needed, dataflow prepare)
-    /// plus every conv layer of the group. Returns 0 for groups no conv
-    /// layer uses. Depends only on (`gid`, `cfg`), never on the other
-    /// groups' configurations.
+    /// plus every conv layer of the group. Depends only on (`gid`,
+    /// `cfg`), never on the other groups' configurations.
     pub fn group_inference_us(&self, gid: usize, cfg: &DataflowConfig, ctx: &ExecCtx) -> f64 {
-        let (fwd_used, t_used) = (
-            self.group_used_forward[gid],
-            self.group_used_transposed[gid],
-        );
-        if !fwd_used && !t_used {
-            return 0.0;
-        }
-        let g = &self.groups[gid];
         let mut trace = KernelTrace::new();
-        self.base_map_cost(g, ctx, &mut trace);
-        if t_used {
-            self.transpose_cost(g, ctx, &mut trace);
-        }
-        for (transposed, used) in [(false, fwd_used), (true, t_used)] {
-            if used {
-                let prep = self.prepared_for(gid, transposed, cfg, ctx);
-                trace.merge(prep.1.clone());
-            }
-        }
-        for l in &self.layers {
-            if let LayerPlan::Conv(c) = l {
-                if c.group != gid {
-                    continue;
-                }
-                let map = if c.transposed { &g.map_t } else { &g.map };
-                let prep = self.prepared_for(gid, c.transposed, cfg, ctx);
-                trace.merge(forward_trace(c.c_in, c.c_out, map, &prep.0, cfg, ctx));
-            }
-        }
+        self.price_forward(Scope::Group(gid), |_| *cfg, ctx, &mut trace, None);
         trace.total_us()
-    }
-
-    /// Full per-group decomposition of one inference pass;
-    /// `breakdown.total_us()` matches
-    /// [`Session::simulate_inference`]`.total_us()` up to summation
-    /// order.
-    pub fn inference_breakdown(&self, cfgs: &GroupConfigs, ctx: &ExecCtx) -> LatencyBreakdown {
-        LatencyBreakdown {
-            residual_us: self.inference_residual_us(ctx),
-            group_us: (0..self.groups.len())
-                .map(|g| self.group_inference_us(g, &cfgs.for_group(g), ctx))
-                .collect(),
-        }
     }
 
     /// Configuration-independent training cost: the elementwise layers,
@@ -982,16 +978,8 @@ impl Session {
     /// [`Session::simulate_training`].
     pub fn training_residual_us(&self, ctx: &ExecCtx) -> f64 {
         let mut trace = KernelTrace::new();
-        for l in &self.layers {
-            if let LayerPlan::Elem(e) = l {
-                self.elementwise_cost(e, ctx, &mut trace);
-            }
-        }
-        for l in self.layers.iter().rev() {
-            if let LayerPlan::Elem(e) = l {
-                self.elementwise_cost(e, ctx, &mut trace);
-            }
-        }
+        self.price_forward(Scope::Residual, no_conv, ctx, &mut trace, None);
+        self.price_backward(Scope::Residual, no_conv, ctx, &mut trace, None);
         trace.total_us()
     }
 
@@ -1007,66 +995,11 @@ impl Session {
         w_cfg: &DataflowConfig,
         ctx: &ExecCtx,
     ) -> f64 {
-        if !self.group_used_forward[gid] && !self.group_used_transposed[gid] {
-            return 0.0;
-        }
         let fwd_us = self.group_inference_us(gid, fwd_cfg, ctx);
-        let g = &self.groups[gid];
         let mut trace = KernelTrace::new();
-
-        // Backward mapping preparation (mirrors simulate_training).
-        if !self.group_used_transposed[gid] {
-            self.transpose_cost(g, ctx, &mut trace);
-        }
-        let d_prep = self.prepared_for(gid, true, d_cfg, ctx);
-        trace.merge(d_prep.1.clone());
-        if w_cfg != d_cfg && w_cfg != fwd_cfg {
-            let w_prep = self.prepared_for(gid, false, w_cfg, ctx);
-            trace.merge(w_prep.1.clone());
-            let s = g.build_stats;
-            let dup = KernelDesc::mapping("map:wgrad-structures", s.queries * 32, s.queries * 16);
-            ctx.record(&mut trace, dup);
-        }
-
-        // Backward per-layer kernels.
-        for l in self.layers.iter().rev() {
-            if let LayerPlan::Conv(c) = l {
-                if c.group != gid {
-                    continue;
-                }
-                let (d_map, d_transposed) = if c.transposed {
-                    (&g.map, false)
-                } else {
-                    (&g.map_t, true)
-                };
-                let d_prep = self.prepared_for(gid, d_transposed, d_cfg, ctx);
-                trace.merge(forward_trace(c.c_out, c.c_in, d_map, &d_prep.0, d_cfg, ctx));
-                let w_map = if c.transposed { &g.map_t } else { &g.map };
-                trace.merge(wgrad_trace(c.c_in, c.c_out, w_map, w_cfg, ctx));
-            }
-        }
+        let cfg = |_| [*fwd_cfg, *d_cfg, *w_cfg];
+        self.price_backward(Scope::Group(gid), cfg, ctx, &mut trace, None);
         fwd_us + trace.total_us()
-    }
-
-    /// Full per-group decomposition of one training iteration;
-    /// `breakdown.total_us()` matches
-    /// [`Session::simulate_training`]`.total_us()` up to summation
-    /// order.
-    pub fn training_breakdown(&self, cfgs: &TrainConfigs, ctx: &ExecCtx) -> LatencyBreakdown {
-        LatencyBreakdown {
-            residual_us: self.training_residual_us(ctx),
-            group_us: (0..self.groups.len())
-                .map(|g| {
-                    self.group_training_us(
-                        g,
-                        &cfgs.fwd.for_group(g),
-                        &cfgs.dgrad.for_group(g),
-                        &cfgs.wgrad.for_group(g),
-                        ctx,
-                    )
-                })
-                .collect(),
-        }
     }
 }
 
@@ -1332,7 +1265,11 @@ mod tests {
             }
             other => panic!("unexpected compile error {other:?}"),
         }
-        assert!(err.to_string().contains("up_to_2"));
+        assert_eq!(
+            err.to_string(),
+            "transposed conv 'up_to_2' has no cached coordinates at stride 2 \
+             (no matching encoder downsample)"
+        );
 
         // The well-formed mirror image compiles.
         let mut b = crate::NetworkBuilder::new("ok", 4);
@@ -1370,9 +1307,9 @@ mod tests {
         assert_eq!(c2.total(), c2.hits + c2.misses);
     }
 
-    /// The per-group decomposition recomposes to the monolithic
-    /// simulation (identical kernels, so only FP summation order can
-    /// differ).
+    /// The residual plus every group's contribution recomposes to the
+    /// whole-pass simulation (identical kernels, so only FP summation
+    /// order can differ).
     #[test]
     fn inference_breakdown_matches_simulation() {
         let net = unet();
@@ -1382,15 +1319,12 @@ mod tests {
         cfgs.set(1, DataflowConfig::gather_scatter(false));
         cfgs.set(2, DataflowConfig::implicit_gemm(3));
         let naive = s.simulate_inference(&cfgs, &c).total_us();
-        let bd = s.inference_breakdown(&cfgs, &c);
-        assert_eq!(bd.group_us.len(), s.groups().len());
-        let rel = (bd.total_us() - naive).abs() / naive;
-        assert!(
-            rel < 1e-12,
-            "breakdown {} vs simulate {}",
-            bd.total_us(),
-            naive
-        );
+        let total = s.inference_residual_us(&c)
+            + (0..s.groups().len())
+                .map(|g| s.group_inference_us(g, &cfgs.for_group(g), &c))
+                .sum::<f64>();
+        let rel = (total - naive).abs() / naive;
+        assert!(rel < 1e-12, "breakdown {total} vs simulate {naive}");
     }
 
     #[test]
@@ -1402,14 +1336,15 @@ mod tests {
         cfgs.dgrad.set(0, DataflowConfig::implicit_gemm(2));
         cfgs.wgrad = GroupConfigs::uniform(DataflowConfig::gather_scatter(false));
         let naive = s.simulate_training(&cfgs, &c).total_us();
-        let bd = s.training_breakdown(&cfgs, &c);
-        let rel = (bd.total_us() - naive).abs() / naive;
-        assert!(
-            rel < 1e-12,
-            "breakdown {} vs simulate {}",
-            bd.total_us(),
-            naive
-        );
+        let total = s.training_residual_us(&c)
+            + (0..s.groups().len())
+                .map(|g| {
+                    let [f, d, w] = cfgs.for_group(g);
+                    s.group_training_us(g, &f, &d, &w, &c)
+                })
+                .sum::<f64>();
+        let rel = (total - naive).abs() / naive;
+        assert!(rel < 1e-12, "breakdown {total} vs simulate {naive}");
     }
 
     /// Changing one group's config must not change any other group's

@@ -1,6 +1,7 @@
 //! The training half of the walk: [`forward_backward`] runs the
 //! forward walk and then the reverse sweep over one compiled session,
-//! and [`LossScaler`] carries the dynamic loss scale across steps.
+//! [`forward_backward_micro`] accumulates it over micro-batches, and
+//! [`LossScaler`] carries the dynamic loss scale across steps.
 //! `ts_train::Trainer` is the trainer built on them.
 
 use ts_dataflow::{ConvWeights, ExecCtx};
@@ -117,4 +118,145 @@ pub fn forward_backward(
     backward(
         session, weights, &feats, cfgs, &fctx, loss_scale, fp16_grads,
     )
+}
+
+/// One training step's gradient accumulation: [`forward_backward`] once
+/// per micro-batch, summed. The protocol under `ts_train::Trainer` and
+/// the ts-verify training tier.
+///
+/// The batch indices present in `input` are split into contiguous
+/// chunks of `ceil(n / k)` indices, `k` being `micro_batches` clamped to
+/// between one and the `n` indices present. Each pass sees `input` with
+/// every feature row outside its chunk zeroed: the coordinate set, and
+/// so every kernel map, is unchanged, and zero rows contribute zero to
+/// the loss and gradients. Losses, weight gradients and input gradients
+/// are summed from zero over every chunk, and `overflow` reports whether
+/// any chunk's weight gradient overflowed (a trainer then skips the
+/// step). Every conv slot of `weights` receives a gradient. With `amp`,
+/// gradients flow in FP16 under its loss scale. Returns the sum and the
+/// [`MicroSplit`] run.
+///
+/// # Panics
+///
+/// As [`forward_backward`].
+pub fn forward_backward_micro(
+    weights: &NetworkWeights,
+    session: &Session,
+    input: &SparseTensor,
+    cfgs: &TrainConfigs,
+    ctx: &ExecCtx,
+    amp: Option<&LossScaler>,
+    micro_batches: usize,
+) -> (BackwardOutput, MicroSplit) {
+    let (loss_scale, fp16_grads) = amp.map_or((1.0, false), |a| (a.scale, true));
+    let mut batches: Vec<i32> = input.coords().iter().map(|c| c.batch).collect();
+    batches.sort_unstable();
+    batches.dedup();
+    let k = micro_batches.clamp(1, batches.len().max(1));
+    let chunk = batches.len().div_ceil(k).max(1);
+
+    let mut sum = BackwardOutput {
+        loss: 0.0,
+        grads: weights
+            .convs
+            .iter()
+            .map(|w| {
+                w.as_ref()
+                    .map(|w| ConvWeights::zeros(w.kernel_volume(), w.c_in(), w.c_out()))
+            })
+            .collect(),
+        input_grad: None,
+        overflow: false,
+    };
+    let mut passes = 0;
+    for span in batches.chunks(chunk) {
+        passes += 1;
+        let mut micro = input.clone();
+        for (i, c) in input.coords().iter().enumerate() {
+            if !span.contains(&c.batch) {
+                micro.feats_mut().row_mut(i).fill(0.0);
+            }
+        }
+        let bw = forward_backward(weights, session, &micro, cfgs, ctx, loss_scale, fp16_grads);
+        sum.loss += bw.loss;
+        sum.overflow |= bw.overflow;
+        for (slot, dw) in sum.grads.iter_mut().zip(&bw.grads) {
+            if let (Some(slot), Some(dw)) = (slot.as_mut(), dw.as_ref()) {
+                slot.axpy(1.0, dw);
+            }
+        }
+        if let Some(g) = &bw.input_grad {
+            sum.input_grad
+                .get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()))
+                .add_assign(g);
+        }
+    }
+    (sum, MicroSplit { k, passes })
+}
+
+/// The micro-batch split [`forward_backward_micro`] ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MicroSplit {
+    /// The requested micro-batch count, clamped to between one and the
+    /// number of batch indices present.
+    pub k: usize,
+    /// Forward+backward passes run, one per chunk. Chunks hold
+    /// `ceil(n / k)` of the `n` batch indices, so when `k` does not
+    /// divide `n` fewer than `k` cover them: 4 indices split 3 ways
+    /// run 2 passes.
+    pub passes: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetworkBuilder;
+    use ts_dataflow::DataflowConfig;
+    use ts_gpusim::Device;
+    use ts_kernelmap::Coord;
+    use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
+
+    /// Accumulates a two-conv network's gradients over three points in
+    /// each of `batches` batch indices, features scaled by `gain`.
+    fn run(batches: i32, gain: f32, micro_batches: usize) -> (BackwardOutput, MicroSplit) {
+        let mut b = NetworkBuilder::new("micro", 2);
+        let c = b.conv_block("enc", NetworkBuilder::INPUT, 4, 3, 1);
+        let _ = b.conv("head", c, 2, 1, 1);
+        let net = b.build();
+        let coords: Vec<Coord> = (0..batches)
+            .flat_map(|b| (0..3).map(move |x| Coord::new(b, x, 0, 0)))
+            .collect();
+        let mut feats = uniform_matrix(&mut rng_from_seed(4), coords.len(), 2, -1.0, 1.0);
+        feats.scale(gain);
+        let session = Session::new(&net, &coords);
+        let input = SparseTensor::new(coords, feats);
+        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
+        let cfgs = TrainConfigs::bound(DataflowConfig::implicit_gemm(1));
+        let w = net.init_weights(1);
+        forward_backward_micro(&w, &session, &input, &cfgs, &ctx, None, micro_batches)
+    }
+
+    #[test]
+    fn passes_count_the_chunks_run() {
+        for (requested, k, passes) in [(0, 1, 1), (2, 2, 2), (3, 3, 2), (9, 4, 4)] {
+            let split = run(4, 1.0, requested).1;
+            assert_eq!(split, MicroSplit { k, passes }, "micro_batches {requested}");
+        }
+    }
+
+    /// An overflowing chunk still adds its gradients, so the input
+    /// gradient summed over chunks is the one-pass gradient.
+    #[test]
+    fn overflowing_chunks_are_summed() {
+        let (whole, split) = (run(2, 1.0e4, 1).0, run(2, 1.0e4, 2).0);
+        assert!(whole.overflow && split.overflow);
+        let (dx, dx0) = (split.input_grad.unwrap(), whole.input_grad.unwrap());
+        let scale = dx0.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+        let diff = dx
+            .as_slice()
+            .iter()
+            .zip(dx0.as_slice())
+            .map(|(a, b)| (a - b).abs());
+        assert!(diff.fold(0.0f32, f32::max) <= 1e-4 * scale);
+    }
 }

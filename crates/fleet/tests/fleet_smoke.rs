@@ -160,8 +160,8 @@ fn fleet_health_snapshots_and_rehome_events() {
     let frames = frame_bank(4, 8, 0.15, 13);
     let mut handles = Vec::new();
     for f in 0..4 {
-        for s in 0..4u64 {
-            if let Ok(h) = fleet.submit(s, frames[s as usize][f].clone()) {
+        for (s, stream) in frames.iter().enumerate() {
+            if let Ok(h) = fleet.submit(s as u64, stream[f].clone()) {
                 handles.push(h);
             }
         }

@@ -34,10 +34,10 @@
 //!   panicked or stuck workers from fresh engine clones and re-enqueues
 //!   or sheds their in-flight requests with typed outcomes
 //!   ([`Rejected::WorkerCrashed`]); every submitted request resolves,
-//!   crash or not. Client-side, [`Client`] adds deterministic
-//!   retry/backoff and a count-based [`CircuitBreaker`]. Engines that
-//!   fail schedule validation boot degraded on the safe fallback
-//!   dataflow instead of refusing to serve (see
+//!   crash or not; [`Rejected::retryable`] tells a caller which
+//!   rejections are worth resubmitting. Engines that fail schedule
+//!   validation boot degraded on the safe fallback dataflow instead of
+//!   refusing to serve (see
 //!   [`ts_core::Engine::load_schedule_lenient`]); responses carry a
 //!   [`Response::degraded`] flag and the report counts the downgrades.
 //! * **Temporal map reuse** — with [`ServeConfig::with_map_reuse`],
@@ -64,7 +64,7 @@
 //!   halted. See `OPERATIONS.md` ("Alerting") for the runbook.
 //!
 //! See `examples/serve_lidar_stream.rs` for an end-to-end deployment
-//! loop, `examples/serve_resilience.rs` for degraded boot + retry, and
+//! loop, `examples/serve_resilience.rs` for degraded boot, and
 //! `benches/serve_throughput.rs` for the batching speedup measurement.
 //! `OPERATIONS.md` at the repository root is the operator's runbook for
 //! the failure modes and counters defined here.
@@ -76,7 +76,6 @@ mod config;
 mod faults;
 mod mapcache;
 mod metrics;
-mod retry;
 mod server;
 mod supervisor;
 
@@ -84,7 +83,6 @@ pub use batch::{merge_frames, sort_by_coord, split_output, validate_frame, Frame
 pub use config::ServeConfig;
 pub use faults::{Fault, FaultPlan};
 pub use metrics::{HistogramBucket, ServeReport, ServerLoad, StreamStats};
-pub use retry::{BreakerConfig, BreakerState, CircuitBreaker, Client, ClientError, RetryPolicy};
 pub use server::{Rejected, Response, ResponseHandle, Server};
 // Re-exported so serve users configure and read telemetry without a
 // direct ts-obs dependency.

@@ -82,8 +82,7 @@ impl Rejected {
     /// server-side conditions ([`Rejected::QueueFull`],
     /// [`Rejected::WorkerCrashed`]) are retryable; rejections caused by
     /// the request itself (bad frame, failed compile, expired deadline)
-    /// and server shutdown are not. [`crate::Client`] consults this to
-    /// decide between backing off and giving up.
+    /// and server shutdown are not.
     pub fn retryable(&self) -> bool {
         matches!(
             self,
@@ -974,6 +973,19 @@ mod tests {
     }
 
     #[test]
+    fn retryability_matches_the_transient_set() {
+        use crate::batch::FrameError;
+        assert!(Rejected::QueueFull { capacity: 1 }.retryable());
+        assert!(Rejected::WorkerCrashed { attempts: 1 }.retryable());
+        assert!(!Rejected::ShuttingDown.retryable());
+        assert!(!Rejected::BadFrame(FrameError::Empty).retryable());
+        assert!(!Rejected::DeadlineExpired {
+            missed_by: Duration::ZERO
+        }
+        .retryable());
+    }
+
+    #[test]
     fn serves_one_frame_bit_identical_to_serial() {
         let e = engine();
         let f = frame(3, 7);
@@ -1476,7 +1488,7 @@ mod tests {
                 ),
         );
         let handles: Vec<_> = (0..4)
-            .map(|i| server.submit(i, frame(0, i as u64)).expect("admitted"))
+            .map(|i| server.submit(i, frame(0, i)).expect("admitted"))
             .collect();
         server.halt();
         for h in handles {

@@ -51,8 +51,9 @@ impl SpanRecord {
 }
 
 /// Disabled-build tracer: a zero-sized handle whose every method is a
-/// no-op.
-#[derive(Debug, Clone, Copy, Default)]
+/// no-op. Not `Copy`, like the real handle, so code compiles the same
+/// way in both builds.
+#[derive(Debug, Clone, Default)]
 pub struct Tracer;
 
 impl Tracer {
@@ -240,6 +241,13 @@ pub struct SimKernelSuppression(());
 
 /// Inactive guard.
 pub struct SpanGuard(());
+
+/// Does nothing; the guard has a `Drop`, like the real one, so closing
+/// a span early with `drop(guard)` means the same in both builds.
+impl Drop for SpanGuard {
+    #[inline(always)]
+    fn drop(&mut self) {}
+}
 
 impl SpanGuard {
     /// Always false.

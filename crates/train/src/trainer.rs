@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use ts_autotune::{default_scheme_for, BindingScheme, TunerOptions};
 use ts_cache::{tune_training_cached, DriftPolicy, TrainScheduleCache, TuneOrigin};
 use ts_core::{
-    compile_stream, forward_backward, CompileError, LossScaler, Network, NetworkWeights,
+    compile_stream, forward_backward_micro, CompileError, LossScaler, Network, NetworkWeights,
     SparseTensor, StreamState, TrainConfigs,
 };
 use ts_dataflow::{ConvWeights, ExecCtx};
@@ -374,51 +374,20 @@ impl Trainer {
             &self.cfg.drift,
         )?;
 
-        // Partition the batch indices present into contiguous chunks.
-        let mut batches: Vec<i32> = canon.coords().iter().map(|c| c.batch).collect();
-        batches.sort_unstable();
-        batches.dedup();
-        let k = self.cfg.micro_batches.clamp(1, batches.len().max(1));
-        let chunk = batches.len().div_ceil(k);
+        let (bw, split) = forward_backward_micro(
+            &self.weights,
+            &session,
+            &canon,
+            &tune.result.configs,
+            &self.ctx,
+            self.amp.as_ref(),
+            self.cfg.micro_batches,
+        );
+        ts_trace::counter_add("train.microbatches.executed", split.passes as i64);
+        let k = split.k;
 
-        let loss_scale = self.amp.as_ref().map_or(1.0, |a| a.scale);
-        let fp16 = self.amp.is_some();
-        let mut loss = 0.0f32;
-        let mut overflow = false;
-        let mut acc: Vec<Option<ConvWeights>> = self
-            .velocity
-            .iter()
-            .map(|v| {
-                v.as_ref()
-                    .map(|v| ConvWeights::zeros(v.kernel_volume(), v.c_in(), v.c_out()))
-            })
-            .collect();
-        for lo in (0..batches.len()).step_by(chunk.max(1)) {
-            let span = &batches[lo..(lo + chunk).min(batches.len())];
-            let micro = mask_to_batches(&canon, span);
-            let bw = forward_backward(
-                &self.weights,
-                &session,
-                &micro,
-                &tune.result.configs,
-                &self.ctx,
-                loss_scale,
-                fp16,
-            );
-            loss += bw.loss;
-            overflow |= bw.overflow;
-            ts_trace::counter_add("train.microbatches.executed", 1);
-            if !bw.overflow {
-                for (slot, dw) in acc.iter_mut().zip(bw.grads.iter()) {
-                    if let (Some(slot), Some(dw)) = (slot.as_mut(), dw.as_ref()) {
-                        slot.axpy(1.0, dw);
-                    }
-                }
-            }
-        }
-
-        let applied = !overflow;
-        if overflow {
+        let applied = !bw.overflow;
+        if bw.overflow {
             self.amp
                 .as_mut()
                 .expect("overflow implies AMP")
@@ -426,7 +395,7 @@ impl Trainer {
             self.skipped += 1;
             ts_trace::counter_add("train.steps.skipped_overflow", 1);
         } else {
-            for (i, dw) in acc.iter().enumerate() {
+            for (i, dw) in bw.grads.iter().enumerate() {
                 let Some(dw) = dw else { continue };
                 let v = self.velocity[i].as_mut().expect("velocity slot");
                 for kv in 0..v.kernel_volume() {
@@ -464,7 +433,7 @@ impl Trainer {
 
         Ok(StepReport {
             step: self.steps,
-            loss,
+            loss: bw.loss,
             applied,
             loss_scale: self.amp.as_ref().map_or(1.0, |a| a.scale),
             micro_batches: k,
@@ -518,19 +487,6 @@ impl Trainer {
         }
         Ok(reports)
     }
-}
-
-/// Clones `input` with every feature row whose batch index is outside
-/// `span` zeroed. The coordinate set (and therefore the kernel map) is
-/// unchanged; zero rows contribute zero to the loss and gradients.
-fn mask_to_batches(input: &SparseTensor, span: &[i32]) -> SparseTensor {
-    let mut out = input.clone();
-    for (i, c) in input.coords().iter().enumerate() {
-        if !span.contains(&c.batch) {
-            out.feats_mut().row_mut(i).fill(0.0);
-        }
-    }
-    out
 }
 
 /// Merges the window's frames into one batched scene: slot `s`'s

@@ -4,14 +4,14 @@
 //! Where the differential engine checks each pass in isolation, this
 //! mode runs the *fused step pipeline* — forward → loss → dgrad →
 //! wgrad with gradient accumulation over micro-batches — through
-//! `ts_core::forward_backward` on a compiled session, for every
+//! `ts_core::forward_backward_micro` on a compiled session, for every
 //! dataflow × precision, and compares the accumulated loss, weight
 //! gradients and input gradient against a hand-rolled reference built
 //! from `ts_dataflow::reference_*` over the full batch.
 //!
-//! The micro-batch protocol mirrors `ts_train::Trainer`: the batch
-//! indices present are partitioned into contiguous chunks, feature rows
-//! outside a chunk are masked to zero, and per-chunk gradients are
+//! The micro-batch protocol is the one `ts_train::Trainer` runs: the
+//! batch indices present are partitioned into contiguous chunks, feature
+//! rows outside a chunk are masked to zero, and per-chunk gradients are
 //! summed. Sparse convolution never crosses batch boundaries and ReLU
 //! is row-wise, so the accumulated gradient must equal the full-batch
 //! reference up to floating-point reassociation — an
@@ -29,9 +29,7 @@ use ts_core::{NetworkBuilder, Session, SparseTensor, TrainConfigs};
 use ts_dataflow::{ConvWeights, DataflowConfig, ExecCtx};
 use ts_gpusim::Device;
 use ts_kernelmap::{build_submanifold_map, Coord, KernelOffsets};
-use ts_tensor::{
-    relu, relu_backward, rng_from_seed, uniform_matrix, ErrorBudget, Matrix, Precision,
-};
+use ts_tensor::{relu, relu_backward, rng_from_seed, uniform_matrix, ErrorBudget, Precision};
 
 use crate::{all_configs, Mismatch, Pass, ReproCoord, Scenario};
 
@@ -156,13 +154,6 @@ pub fn run_train_scenario(scenario: &TrainScenario) -> Vec<Mismatch> {
     let map = build_submanifold_map(&coords, &offsets);
     let kvol = map.kernel_volume();
 
-    // Partition the batch indices present into contiguous chunks.
-    let mut batches: Vec<i32> = coords.iter().map(|c| c.batch).collect();
-    batches.sort_unstable();
-    batches.dedup();
-    let k = scenario.micro_batches.clamp(1, batches.len());
-    let chunk = batches.len().div_ceil(k);
-
     let configs = scenario.active_configs();
     let mut mismatches = Vec::new();
 
@@ -191,48 +182,35 @@ pub fn run_train_scenario(scenario: &TrainScenario) -> Vec<Mismatch> {
         let ref_dw1 = ts_dataflow::reference_wgrad(&x, &dy1, &map);
         let ref_dx = ts_dataflow::reference_dgrad(&dy1, &w1, &map);
 
-        // Budgets: the deepest reduction feeding each compared value,
-        // plus the micro-batch accumulation depth.
         let max_pairs = (0..kvol).map(|kk| map.pairs(kk).len()).max().unwrap_or(1);
-        let wgrad_budget = ErrorBudget::new(precision, max_pairs + k);
-        let dgrad_budget = ErrorBudget::new(precision, (c_mid + c_out) * kvol + k);
-        let loss_budget = ErrorBudget::new(precision, coords.len() * c_out + (c_mid + c_in) * kvol);
-
         let mut weights = net.init_weights(scenario.seed);
         weights.convs[conv1] = Some(w1.clone());
         weights.convs[conv2] = Some(w2.clone());
 
         let ctx = ExecCtx::functional(Device::rtx3090(), precision);
+        let input = SparseTensor::new(coords.clone(), x);
         for cfg in &configs {
             let cfgs = TrainConfigs::bound(*cfg);
 
-            // Accumulate the step over micro-batches.
-            let mut loss = 0.0f32;
-            let mut dw1 = ConvWeights::zeros(kvol, c_in, c_mid);
-            let mut dw2 = ConvWeights::zeros(kvol, c_mid, c_out);
-            let mut dx = Matrix::zeros(coords.len(), c_in);
-            for lo in (0..batches.len()).step_by(chunk.max(1)) {
-                let span = &batches[lo..(lo + chunk).min(batches.len())];
-                let mut masked = x.clone();
-                for (i, c) in coords.iter().enumerate() {
-                    if !span.contains(&c.batch) {
-                        masked.row_mut(i).fill(0.0);
-                    }
-                }
-                let input = SparseTensor::new(coords.clone(), masked);
-                let bw =
-                    ts_core::forward_backward(&weights, &session, &input, &cfgs, &ctx, 1.0, false);
-                loss += bw.loss;
-                if let Some(g) = bw.grads[conv1].as_ref() {
-                    dw1.axpy(1.0, g);
-                }
-                if let Some(g) = bw.grads[conv2].as_ref() {
-                    dw2.axpy(1.0, g);
-                }
-                if let Some(g) = bw.input_grad.as_ref() {
-                    dx.add_assign(g);
-                }
-            }
+            let (bw, split) = ts_core::forward_backward_micro(
+                &weights,
+                &session,
+                &input,
+                &cfgs,
+                &ctx,
+                None,
+                scenario.micro_batches,
+            );
+            let dw1 = bw.grads[conv1].as_ref().expect("conv1 gradient");
+            let dw2 = bw.grads[conv2].as_ref().expect("conv2 gradient");
+            let dx = bw.input_grad.expect("input gradient");
+
+            // Budgets: the deepest reduction feeding each compared value,
+            // plus the micro-batch accumulation depth.
+            let wgrad_budget = ErrorBudget::new(precision, max_pairs + split.k);
+            let dgrad_budget = ErrorBudget::new(precision, (c_mid + c_out) * kvol + split.k);
+            let loss_budget =
+                ErrorBudget::new(precision, coords.len() * c_out + (c_mid + c_in) * kvol);
 
             let mut record =
                 |pass: Pass, budget: &ErrorBudget, found: Option<(f32, f32, f32, String)>| {
@@ -253,14 +231,14 @@ pub fn run_train_scenario(scenario: &TrainScenario) -> Vec<Mismatch> {
             record(
                 Pass::Forward,
                 &loss_budget,
-                worst(&[ref_loss], &[loss], &loss_budget, "loss", 1),
+                worst(&[ref_loss], &[bw.loss], &loss_budget, "loss", 1),
             );
             record(
                 Pass::Dgrad,
                 &dgrad_budget,
                 worst(ref_dx.as_slice(), dx.as_slice(), &dgrad_budget, "dx", c_in),
             );
-            for (label, reference, actual) in [("dw1", &ref_dw1, &dw1), ("dw2", &ref_dw2, &dw2)] {
+            for (label, reference, actual) in [("dw1", &ref_dw1, dw1), ("dw2", &ref_dw2, dw2)] {
                 let found = (0..kvol)
                     .filter_map(|kk| {
                         worst(

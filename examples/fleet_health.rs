@@ -43,8 +43,8 @@ fn main() {
     let frames = frame_bank(6, 8, 0.2, 17);
     let mut handles = Vec::new();
     for f in 0..6 {
-        for s in 0..6u64 {
-            if let Ok(h) = fleet.submit(s, frames[s as usize][f].clone()) {
+        for (s, stream) in frames.iter().enumerate() {
+            if let Ok(h) = fleet.submit(s as u64, stream[f].clone()) {
                 handles.push(h);
             }
         }

@@ -1,6 +1,6 @@
 //! Resilient deployment: boot a server leniently from a damaged
 //! schedule artifact (degraded mode on the safe fallback dataflow) and
-//! drive it through a retry/circuit-breaker client.
+//! serve frames through it.
 //!
 //! The fleet-rollout story behind this: a tuned schedule is pushed to
 //! thousands of vehicles; some copies arrive truncated or were tuned
@@ -18,7 +18,7 @@ use torchsparse::autotune::{tune_inference, TunerOptions};
 use torchsparse::core::{Engine, Session};
 use torchsparse::dataflow::ExecCtx;
 use torchsparse::gpusim::Device;
-use torchsparse::serve::{BreakerConfig, Client, RetryPolicy, ServeConfig, Server};
+use torchsparse::serve::{ServeConfig, Server};
 use torchsparse::tensor::Precision;
 use torchsparse::workloads::Workload;
 
@@ -65,7 +65,7 @@ fn main() {
         println!("  downgrade: {d}");
     }
 
-    // --- Serve through the resilient client ----------------------------
+    // --- Serve on the degraded engine -----------------------------------
     let server = Server::new(
         engine,
         ServeConfig::default()
@@ -74,11 +74,10 @@ fn main() {
             .with_max_wait(Duration::from_millis(2))
             .with_queue_capacity(32),
     );
-    let mut client = Client::new(&server, RetryPolicy::default(), BreakerConfig::default());
     let mut degraded_responses = 0u64;
     for i in 0..12u64 {
         let frame = workload.scene_scaled(100 + i, 0.02);
-        match client.call(i % 3, frame) {
+        match server.submit(i % 3, frame).and_then(|h| h.wait()) {
             Ok(resp) => {
                 if resp.degraded {
                     degraded_responses += 1;
@@ -88,10 +87,9 @@ fn main() {
                     resp.latency, resp.batch_size, resp.degraded
                 );
             }
-            Err(e) => println!("frame {i:2}: {e}"),
+            Err(e) => println!("frame {i:2}: {e} (retryable: {})", e.retryable()),
         }
     }
-    println!("breaker state at end: {:?}", client.breaker_state());
 
     let report = server.shutdown();
     println!(

@@ -10,9 +10,7 @@ use torchsparse::core::{Engine, GroupConfigs, NetworkBuilder, ScheduleArtifact, 
 use torchsparse::dataflow::{DataflowConfig, ExecCtx};
 use torchsparse::gpusim::Device;
 use torchsparse::kernelmap::{unique_coords, Coord};
-use torchsparse::serve::{
-    BreakerConfig, Client, FaultPlan, Rejected, RetryPolicy, ServeConfig, Server,
-};
+use torchsparse::serve::{FaultPlan, Rejected, ServeConfig, Server};
 use torchsparse::tensor::{rng_from_seed, uniform_matrix, Precision};
 
 const SEED: u64 = 0x000C_4A05;
@@ -124,12 +122,11 @@ fn chaos_decisions_replay_from_the_seed() {
     assert_eq!(a.corrupt_truncate(json), b.corrupt_truncate(json));
 }
 
-/// The retry client rides out a crashed-out request: the first attempt
-/// is shed with `WorkerCrashed` (requeue budget zero, panic on batch
-/// 0), the breaker stays closed, and the deterministic backoff retry
+/// A crashed-out request is shed with a retryable `WorkerCrashed`
+/// (requeue budget zero, panic on batch 0), and resubmitting it
 /// succeeds against the restarted worker.
 #[test]
-fn retry_client_recovers_from_a_crashed_worker() {
+fn resubmission_recovers_from_a_crashed_worker() {
     let net = network();
     let weights = net.init_weights(4);
     let engine = Engine::new(
@@ -147,18 +144,13 @@ fn retry_client_recovers_from_a_crashed_worker() {
             .with_supervisor_poll(Duration::from_millis(2))
             .with_fault_plan(FaultPlan::from_seed(SEED).with_panic_on([0])),
     );
-    let mut client = Client::new(&server, RetryPolicy::default(), BreakerConfig::default());
-    let mut backoffs = Vec::new();
-    let resp = client
-        .call_with(0, frame(7), |d| backoffs.push(d))
-        .expect("retry succeeds after the crash");
+    let submit = || server.submit(0, frame(7)).expect("admitted").wait();
+    match submit() {
+        Err(e @ Rejected::WorkerCrashed { attempts: 1 }) => assert!(e.retryable()),
+        other => panic!("expected WorkerCrashed on the first attempt, got {other:?}"),
+    }
+    let resp = submit().expect("resubmission succeeds after the crash");
     assert_eq!(resp.output.channels(), 2);
-    assert_eq!(backoffs.len(), 1, "exactly one retry was needed");
-    assert_eq!(
-        backoffs[0],
-        RetryPolicy::default().backoff_for(0, 0),
-        "the backoff schedule is reproducible from the policy"
-    );
     let report = server.shutdown();
     assert_eq!(report.shed_crashed, 1);
     assert_eq!(report.completed, 1);

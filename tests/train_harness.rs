@@ -148,6 +148,25 @@ fn binding_scheme_changes_latency_not_numerics() {
     );
 }
 
+/// `train.microbatches.executed` counts forward+backward passes: four
+/// frames split three ways run chunks of two, so two passes.
+#[cfg(feature = "trace")]
+#[test]
+fn executed_micro_batches_count_the_passes_run() {
+    use torchsparse::trace::{uninstall, Tracer};
+    let input = batched_scene(7, 4);
+    let cfg = TrainerConfig {
+        micro_batches: 3,
+        ..TrainerConfig::default()
+    };
+    let mut t = Trainer::new(&small_net(), 7, &ctx(), cfg);
+    let tracer = Tracer::new();
+    tracer.install();
+    t.step(&input).expect("step");
+    uninstall();
+    assert_eq!(tracer.counter("train.microbatches.executed"), 2);
+}
+
 /// Same scheme, same seed, same scene: the step is fully deterministic
 /// — bit-identical weights and identical simulated cost.
 #[test]
