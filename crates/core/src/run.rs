@@ -126,8 +126,7 @@ pub(crate) fn forward(
     for (i, node) in network.nodes().iter().enumerate().skip(1) {
         let x = feats[node.input]
             .as_ref()
-            .expect("producer already executed")
-            .clone();
+            .expect("producer already executed");
         let y = match node.op {
             Op::Input => unreachable!(),
             Op::Conv(_) => {
@@ -135,7 +134,7 @@ pub(crate) fn forward(
                 let w = weights.convs[i].as_ref().expect("conv weights initialised");
                 let cfg = cfgs.for_group(group);
                 let prepared = prepare(&map, &cfg, ctx);
-                let out = forward_prepared(&x, w, &map, &prepared, &cfg, ctx);
+                let out = forward_prepared(x, w, &map, &prepared, &cfg, ctx);
                 let mut y = out.features.expect("functional context computes features");
                 if ctx.quantize_storage {
                     ctx.precision.quantize_slice(y.as_mut_slice());
@@ -143,18 +142,18 @@ pub(crate) fn forward(
                 y
             }
             Op::BatchNorm => {
-                let mut y = x;
+                let mut y = x.clone();
                 let params = weights.bns[i].as_ref().expect("bn params initialised");
                 batch_norm(&mut y, params);
                 y
             }
             Op::ReLU => {
-                let mut y = x;
+                let mut y = x.clone();
                 relu(&mut y);
                 y
             }
             Op::Add { other } => {
-                let mut y = x;
+                let mut y = x.clone();
                 y.add_assign(feats[other].as_ref().expect("operand executed"));
                 y
             }
@@ -227,13 +226,14 @@ pub(crate) fn backward(
                 let mut dw = wgrad(x_in, &g, &map, &w_cfg, ctx).dw.expect("functional");
                 for k in 0..dw.kernel_volume() {
                     quantize(dw.offset_mut(k));
-                    // FP16 saturation (|v| at the max finite half) or
-                    // non-finite values mark the step as overflowed.
+                    // Non-finite values, or with FP16 gradients
+                    // saturation (|v| at the max finite half), mark the
+                    // step as overflowed.
                     if dw
                         .offset(k)
                         .as_slice()
                         .iter()
-                        .any(|v| !v.is_finite() || v.abs() >= 65504.0)
+                        .any(|v| !v.is_finite() || (fp16_grads && v.abs() >= 65504.0))
                     {
                         overflow = true;
                     }

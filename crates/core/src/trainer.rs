@@ -78,8 +78,9 @@ pub struct BackwardOutput {
     /// Gradient w.r.t. the input features. Still carries the loss
     /// scale (and FP16 rounding) when AMP is active.
     pub input_grad: Option<Matrix>,
-    /// Whether any weight gradient overflowed the FP16 range after
-    /// scaling — the step must be skipped and the scale backed off.
+    /// Whether any weight gradient is non-finite or, with FP16
+    /// gradients, reached the FP16 range after scaling — the step must
+    /// be skipped (and under AMP the scale backed off).
     pub overflow: bool,
 }
 
@@ -245,12 +246,16 @@ mod tests {
     }
 
     /// An overflowing chunk still adds its gradients, so the input
-    /// gradient summed over chunks is the one-pass gradient.
+    /// gradient summed over chunks is the one-pass gradient. Weight
+    /// gradients grow with the square of the gain and input gradients
+    /// linearly, so at this gain the former are non-finite (an overflow
+    /// with or without FP16 gradients) while the latter stay finite.
     #[test]
     fn overflowing_chunks_are_summed() {
-        let (whole, split) = (run(2, 1.0e4, 1).0, run(2, 1.0e4, 2).0);
+        let (whole, split) = (run(2, 1.0e22, 1).0, run(2, 1.0e22, 2).0);
         assert!(whole.overflow && split.overflow);
         let (dx, dx0) = (split.input_grad.unwrap(), whole.input_grad.unwrap());
+        assert!(dx0.as_slice().iter().all(|v| v.is_finite()));
         let scale = dx0.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
         let diff = dx
             .as_slice()

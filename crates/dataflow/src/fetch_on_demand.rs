@@ -46,22 +46,7 @@ pub(crate) fn trace_only(
 /// Functional path: direct accumulation (no DRAM buffers exist in this
 /// dataflow, so the math is exactly Equation 1 in pair order).
 fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap) -> Matrix {
-    let mut out = Matrix::zeros(map.n_out(), w.c_out());
-    for k in 0..map.kernel_volume() {
-        let wk = w.offset(k);
-        for &(i, o) in map.pairs(k) {
-            let xi = x.row(i as usize);
-            let dst = out.row_mut(o as usize);
-            for (c, d) in dst.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (r, &xv) in xi.iter().enumerate() {
-                    acc += xv * wk[(r, c)];
-                }
-                *d += acc;
-            }
-        }
-    }
-    out
+    crate::kernel::conv(x, w, map, 0..map.kernel_volume())
 }
 
 /// Per-offset fetch-on-demand (MinkowskiEngine): one fused kernel per

@@ -12,7 +12,7 @@
 
 use ts_gpusim::{KernelDesc, KernelTrace, Overlap};
 use ts_kernelmap::KernelMap;
-use ts_tensor::{gemm_accumulate, Matrix};
+use ts_tensor::Matrix;
 
 use crate::{ConvOutput, ConvWeights, DataflowConfig, ExecCtx};
 
@@ -50,32 +50,12 @@ pub(crate) fn trace_only(
     }
 }
 
-/// Functional path: explicit gather buffer -> GEMM -> scatter-add, per
-/// offset (bit-identical to the math of the fused variant).
+/// Functional path. Gathering each offset's rows, multiplying them by
+/// `W_k` and scatter-adding the products computes, per output element,
+/// the same sums in the same order as accumulating pair by pair, so the
+/// host runs the shared kernel straight into the output.
 fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap) -> Matrix {
-    let mut out = Matrix::zeros(map.n_out(), w.c_out());
-    for k in 0..map.kernel_volume() {
-        let pairs = map.pairs(k);
-        if pairs.is_empty() {
-            continue;
-        }
-        // Gather.
-        let mut buf = Matrix::zeros(pairs.len(), w.c_in());
-        for (r, &(i, _)) in pairs.iter().enumerate() {
-            buf.row_mut(r).copy_from_slice(x.row(i as usize));
-        }
-        // GEMM.
-        let mut prod = Matrix::zeros(pairs.len(), w.c_out());
-        gemm_accumulate(&buf, w.offset(k), &mut prod);
-        // Scatter-add.
-        for (r, &(_, o)) in pairs.iter().enumerate() {
-            let dst = out.row_mut(o as usize);
-            for (d, &v) in dst.iter_mut().zip(prod.row(r)) {
-                *d += v;
-            }
-        }
-    }
-    out
+    crate::kernel::conv(x, w, map, 0..map.kernel_volume())
 }
 
 fn trace_naive(c_in: u64, c_out: u64, map: &KernelMap, ctx: &ExecCtx) -> KernelTrace {

@@ -81,30 +81,14 @@ pub(crate) fn trace_only(
 
 /// Functional path: each split range accumulates into its own partial
 /// buffer (mirroring the separate DRAM buffers on GPU); a final reduction
-/// sums them. Row order follows the plan, which changes float summation
-/// order exactly like the real kernels do.
+/// sums them in range order. Within a range the kernel runs offset-outer
+/// over the pair lists: without multi-edges (asserted by [`run`]) they
+/// hold exactly the neighbor matrix's entries, and each output element
+/// still adds its offsets in ascending order.
 fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap, plan: &SplitPlan) -> Matrix {
     let mut out = Matrix::zeros(map.n_out(), w.c_out());
     for range in plan.ranges() {
-        let mut partial = Matrix::zeros(map.n_out(), w.c_out());
-        for &row in range.order(map) {
-            let o = row as usize;
-            let dst = partial.row_mut(o);
-            for k in range.k_begin..range.k_end {
-                if let Some(i) = map.neighbor(o, k) {
-                    let xi = x.row(i as usize);
-                    let wk = w.offset(k);
-                    for (c, d) in dst.iter_mut().enumerate() {
-                        let mut acc = 0.0;
-                        for (r, &xv) in xi.iter().enumerate() {
-                            acc += xv * wk[(r, c)];
-                        }
-                        *d += acc;
-                    }
-                }
-            }
-        }
-        out.add_assign(&partial);
+        out.add_assign(&crate::kernel::conv(x, w, map, range.k_begin..range.k_end));
     }
     out
 }

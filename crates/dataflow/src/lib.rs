@@ -49,6 +49,7 @@ mod ctx;
 mod fetch_on_demand;
 mod gather_scatter;
 mod implicit_gemm;
+mod kernel;
 mod prepare;
 mod reference;
 mod weights;

@@ -123,9 +123,10 @@ impl ConvWeights {
     pub fn axpy(&mut self, alpha: f32, other: &ConvWeights) {
         assert_eq!(self.kernel_volume(), other.kernel_volume());
         for (w, g) in self.per_offset.iter_mut().zip(other.per_offset.iter()) {
-            let mut scaled = g.clone();
-            scaled.scale(alpha);
-            w.add_assign(&scaled);
+            assert_eq!(w.shape(), g.shape(), "axpy shape mismatch");
+            for (a, &b) in w.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *a += alpha * b;
+            }
         }
     }
 }

@@ -165,3 +165,168 @@ proptest! {
         }
     }
 }
+
+// Bit identity: the functional path of every dataflow performs, per
+// output element, exactly the additions and multiplications of the
+// direct evaluation, so it must equal the oracle to the bit — not
+// merely within a tolerance. Channel widths straddle the kernel's
+// 4-pair block and the vector lanes (width 1, odd widths, 8 and 16 and
+// one past them); the random clouds give pair counts on both sides of
+// every block edge and offsets with no pairs at all.
+
+use rand::Rng;
+use ts_kernelmap::{KernelMap, SplitPlan};
+use ts_tensor::Matrix;
+
+/// `(c_in, c_out)` pairs every bit-identity case runs.
+const WIDTHS: [(usize, usize); 7] = [(1, 1), (1, 4), (3, 5), (4, 8), (7, 1), (8, 9), (16, 17)];
+
+/// The dataflows whose functional path is one offset range.
+fn single_range_configs() -> [DataflowConfig; 6] {
+    [
+        DataflowConfig::gather_scatter(false),
+        DataflowConfig::gather_scatter(true),
+        DataflowConfig::fetch_on_demand(false),
+        DataflowConfig::fetch_on_demand(true),
+        DataflowConfig::implicit_gemm(0),
+        DataflowConfig::implicit_gemm(1),
+    ]
+}
+
+/// A matrix's shape and element bit patterns (`-0.0 != 0.0` here).
+fn bits(m: &Matrix) -> (usize, usize, Vec<u32>) {
+    let b = m.as_slice().iter().map(|v| v.to_bits()).collect();
+    (m.rows(), m.cols(), b)
+}
+
+/// A submanifold (3x3x3) and a strided (2x2x2, stride 2) map over
+/// `coords`.
+fn conv_maps(coords: &[Coord]) -> [KernelMap; 2] {
+    let sub = build_submanifold_map(coords, &KernelOffsets::cube(3));
+    let (strided, _) = build_strided_map(coords, &KernelOffsets::cube(2), 2);
+    [sub, strided]
+}
+
+/// `map` with the pairs of offsets outside `offsets` removed.
+fn restrict(map: &KernelMap, offsets: std::ops::Range<usize>) -> KernelMap {
+    let pairs = (0..map.kernel_volume())
+        .map(|k| {
+            if offsets.contains(&k) {
+                map.pairs(k).to_vec()
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+    KernelMap::from_pairs(map.n_in(), map.n_out(), pairs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn single_range_dataflows_equal_reference_bit_for_bit(
+        coords in coords_strategy(),
+        seed in 0u64..500,
+    ) {
+        let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp32);
+        let mut rng = rng_from_seed(seed);
+        for map in conv_maps(&coords) {
+            for (c_in, c_out) in WIDTHS {
+                let x = uniform_matrix(&mut rng, map.n_in(), c_in, -1.0, 1.0);
+                let w = ConvWeights::random(&mut rng, map.kernel_volume(), c_in, c_out);
+                let want = bits(&reference_forward(&x, &w, &map));
+                for cfg in single_range_configs() {
+                    let got = forward(&x, &w, &map, &cfg, &ctx).features.unwrap();
+                    prop_assert_eq!(bits(&got), want.clone(), "{} at {}x{}", cfg, c_in, c_out);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mask_splits_equal_per_range_reference_partials_bit_for_bit(
+        coords in coords_strategy(),
+        seed in 0u64..500,
+    ) {
+        // Each split range sums into its own partial buffer; the buffers
+        // are then added in range order.
+        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
+        let mut rng = rng_from_seed(seed);
+        for map in conv_maps(&coords) {
+            for (c_in, c_out) in WIDTHS {
+                let x = uniform_matrix(&mut rng, map.n_in(), c_in, -1.0, 1.0);
+                let w = ConvWeights::random(&mut rng, map.kernel_volume(), c_in, c_out);
+                for splits in [2u32, 3, 5, 40] {
+                    let plan = SplitPlan::from_split_count(&map, splits);
+                    let mut want = Matrix::zeros(map.n_out(), c_out);
+                    for range in plan.ranges() {
+                        let part = restrict(&map, range.k_begin..range.k_end);
+                        want.add_assign(&reference_forward(&x, &w, &part));
+                    }
+                    let cfg = DataflowConfig::implicit_gemm(splits);
+                    let got = forward(&x, &w, &map, &cfg, &ctx).features.unwrap();
+                    prop_assert_eq!(bits(&got), bits(&want), "{} at {}x{}", cfg, c_in, c_out);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dgrad_equals_reference_forward_over_transposed_map_bit_for_bit(
+        coords in coords_strategy(),
+        seed in 0u64..500,
+    ) {
+        let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp32);
+        let mut rng = rng_from_seed(seed);
+        for map in conv_maps(&coords) {
+            let map_t = map.transposed();
+            for (c_in, c_out) in WIDTHS {
+                let w = ConvWeights::random(&mut rng, map.kernel_volume(), c_in, c_out);
+                let dy = uniform_matrix(&mut rng, map.n_out(), c_out, -1.0, 1.0);
+                let want = bits(&reference_forward(&dy, &w.transposed(), &map_t));
+                for cfg in single_range_configs() {
+                    let got = dgrad(&dy, &w, &map_t, &cfg, &ctx).features.unwrap();
+                    prop_assert_eq!(bits(&got), want.clone(), "dgrad {} at {}x{}", cfg, c_in, c_out);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relational_multi_edge_maps_equal_reference_bit_for_bit(
+        n_in in 1usize..24,
+        n_out in 1usize..24,
+        relations in 1usize..7,
+        seed in 0u64..500,
+    ) {
+        // Random edge lists: empty relations, repeated edges and one
+        // output reached several times within one relation (and so
+        // within one 4-pair block) all occur.
+        let mut rng = rng_from_seed(seed);
+        let pairs = (0..relations)
+            .map(|_| {
+                let len = rng.gen_range(0..40usize);
+                (0..len)
+                    .map(|_| (rng.gen_range(0..n_in) as u32, rng.gen_range(0..n_out) as u32))
+                    .collect()
+            })
+            .collect();
+        let map = KernelMap::from_relational_pairs(n_in, n_out, pairs);
+        let map_t = map.transposed();
+        let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp32);
+        for (c_in, c_out) in WIDTHS {
+            let x = uniform_matrix(&mut rng, n_in, c_in, -1.0, 1.0);
+            let w = ConvWeights::random(&mut rng, relations, c_in, c_out);
+            let dy = uniform_matrix(&mut rng, n_out, c_out, -1.0, 1.0);
+            let want = bits(&reference_forward(&x, &w, &map));
+            let want_dx = bits(&reference_forward(&dy, &w.transposed(), &map_t));
+            for cfg in &single_range_configs()[..4] {
+                let got = forward(&x, &w, &map, cfg, &ctx).features.unwrap();
+                prop_assert_eq!(bits(&got), want.clone(), "{} at {}x{}", cfg, c_in, c_out);
+                let dx = dgrad(&dy, &w, &map_t, cfg, &ctx).features.unwrap();
+                prop_assert_eq!(bits(&dx), want_dx.clone(), "dgrad {} at {}x{}", cfg, c_in, c_out);
+            }
+        }
+    }
+}

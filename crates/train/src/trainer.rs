@@ -114,7 +114,7 @@ pub struct StepReport {
     pub step: u64,
     /// Accumulated loss over the step's micro-batches.
     pub loss: f32,
-    /// Whether the optimizer update ran (`false` on AMP overflow).
+    /// Whether the optimizer update ran (`false` on gradient overflow).
     pub applied: bool,
     /// Loss scale *after* the step's scaler update (1.0 without AMP).
     pub loss_scale: f32,
@@ -148,7 +148,8 @@ pub struct TrainRun {
     pub weights_digest: String,
     /// Final dynamic loss scale (1.0 without AMP).
     pub loss_scale: f32,
-    /// Steps skipped due to AMP overflow.
+    /// Steps skipped due to gradient overflow (AMP overflow, or a
+    /// non-finite gradient without AMP).
     pub skipped: u32,
 }
 
@@ -338,7 +339,8 @@ impl Trainer {
     /// chunk masked to zero — sparse conv never crosses batch
     /// boundaries, so the accumulated gradient equals the full-batch
     /// gradient up to summation order), applies the momentum update
-    /// unless AMP overflowed, and advances the simulated clock.
+    /// unless the gradient overflowed (under AMP: reached the FP16 range;
+    /// without: became non-finite), and advances the simulated clock.
     ///
     /// # Errors
     ///
@@ -388,10 +390,11 @@ impl Trainer {
 
         let applied = !bw.overflow;
         if bw.overflow {
-            self.amp
-                .as_mut()
-                .expect("overflow implies AMP")
-                .update(true);
+            // Without AMP only a non-finite gradient overflows; the step
+            // is skipped all the same.
+            if let Some(scaler) = self.amp.as_mut() {
+                scaler.update(true);
+            }
             self.skipped += 1;
             ts_trace::counter_add("train.steps.skipped_overflow", 1);
         } else {
@@ -649,6 +652,28 @@ mod tests {
             &w_before,
             "overflowing step must not update weights"
         );
+    }
+
+    /// Without AMP the FP16 range does not apply: a weight gradient past
+    /// 65504 is applied, and only a non-finite one skips the step.
+    #[test]
+    fn fp32_steps_apply_large_gradients_and_skip_non_finite_ones() {
+        let cfg = TrainerConfig {
+            amp: false,
+            micro_batches: 1,
+            ..TrainerConfig::default()
+        };
+        let (net, input) = grid();
+        for (gain, applied) in [(1.0e3, true), (1.0e22, false)] {
+            let mut x = input.clone();
+            x.feats_mut().scale(gain);
+            let mut t = Trainer::new(&net, 7, &ctx(), cfg.clone());
+            let w_before = t.weights().clone();
+            let r = t.step(&x).unwrap();
+            assert_eq!(r.applied, applied, "gain {gain}");
+            assert_eq!(t.train_run(Vec::new()).skipped, u32::from(!applied));
+            assert_eq!(t.weights() == &w_before, !applied, "gain {gain}");
+        }
     }
 
     #[test]
