@@ -274,14 +274,6 @@ impl Engine {
     pub fn is_degraded(&self) -> bool {
         !self.downgrades.is_empty()
     }
-
-    /// Replaces the execution context (e.g. to re-target a device while
-    /// keeping the schedule — useful for asking "how would this schedule
-    /// do on Orin?").
-    pub fn with_ctx(mut self, ctx: ExecCtx) -> Self {
-        self.ctx = ctx;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -517,9 +509,12 @@ mod tests {
         let e = engine();
         let s = scene(4);
         let (out_a, rep_a) = e.infer(&s);
-        let e_orin = e
-            .clone()
-            .with_ctx(ExecCtx::functional(Device::jetson_orin(), Precision::Fp16));
+        let e_orin = Engine::new(
+            e.network().clone(),
+            e.weights.clone(),
+            e.configs().clone(),
+            ExecCtx::functional(Device::jetson_orin(), Precision::Fp16),
+        );
         let (out_b, rep_b) = e_orin.infer(&s);
         assert_eq!(out_a.feats(), out_b.feats());
         assert!(rep_b.total_us() > rep_a.total_us(), "Orin should be slower");

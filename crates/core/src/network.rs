@@ -401,16 +401,6 @@ impl NetworkBuilder {
         self.relu(&format!("{name}.out"), a)
     }
 
-    /// Number of nodes so far (including the input placeholder).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when only the input placeholder exists.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
     /// Output channels of node `i` (useful mid-construction).
     pub fn channels(&self, i: usize) -> usize {
         self.channels[i]

@@ -66,34 +66,6 @@ impl RunReport {
         &self.timings
     }
 
-    /// Sum of timings for layers in `group`.
-    pub fn group_us(&self, group: usize) -> f64 {
-        self.timings
-            .iter()
-            .filter(|t| t.group == Some(group))
-            .map(|t| t.time_us)
-            .sum()
-    }
-
-    /// Serialises the full report (trace and timings) to JSON, e.g. for
-    /// archiving per-frame latency evidence next to a `trace.json`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `serde_json` error on failure.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Restores a report saved with [`RunReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `serde_json` error on malformed input.
-    pub fn from_json(json: &str) -> Result<RunReport, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
     /// Renders a human-readable per-layer table.
     pub fn layer_table(&self) -> String {
         use std::fmt::Write as _;
@@ -265,13 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn group_sums() {
-        let r = sample();
-        assert_eq!(r.group_us(0), 25.0);
-        assert_eq!(r.group_us(1), 0.0);
-    }
-
-    #[test]
     fn table_contains_layers_and_total() {
         let t = sample().layer_table();
         assert!(t.contains("conv"));
@@ -329,23 +294,6 @@ mod tests {
         // Out-of-range quantiles clamp.
         assert_eq!(percentile_sorted(&sorted, -0.5), Some(10.0));
         assert_eq!(percentile_sorted(&sorted, 1.5), Some(50.0));
-    }
-
-    #[test]
-    fn run_report_round_trips_through_json() {
-        let r = sample();
-        let json = r.to_json().expect("serializes");
-        let back = RunReport::from_json(&json).expect("deserializes");
-        assert_eq!(back, r);
-        assert_eq!(back.total_us(), r.total_us());
-        assert_eq!(back.timings().len(), 2);
-        assert_eq!(back.trace().entries().len(), 2);
-    }
-
-    #[test]
-    fn run_report_rejects_malformed_json() {
-        assert!(RunReport::from_json("{\"timings\": []}").is_err());
-        assert!(RunReport::from_json("not json").is_err());
     }
 
     #[test]

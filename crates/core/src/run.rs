@@ -5,7 +5,7 @@
 //! forward half and training ([`crate::forward_backward`]) runs both, so
 //! the two can never disagree on what a layer computes.
 
-use ts_dataflow::{dgrad, forward_prepared, prepare, wgrad, ConvWeights, ExecCtx};
+use ts_dataflow::{forward_prepared, wgrad, ConvWeights, ExecCtx};
 use ts_tensor::{batch_norm, relu, relu_backward, Matrix, Precision};
 
 use crate::{
@@ -133,8 +133,8 @@ pub(crate) fn forward(
                 let (map, _, group) = session.conv_maps(i).expect("conv node has a compiled map");
                 let w = weights.convs[i].as_ref().expect("conv weights initialised");
                 let cfg = cfgs.for_group(group);
-                let prepared = prepare(&map, &cfg, ctx);
-                let out = forward_prepared(x, w, &map, &prepared, &cfg, ctx);
+                let plan = session.conv_plan(i, false, &cfg, ctx);
+                let out = forward_prepared(x, w, &map, &plan, &cfg, ctx);
                 let mut y = out.features.expect("functional context computes features");
                 if ctx.quantize_storage {
                     ctx.precision.quantize_slice(y.as_mut_slice());
@@ -217,7 +217,10 @@ pub(crate) fn backward(
                 let w = weights.convs[i].as_ref().expect("weights");
                 let d_cfg = cfgs.dgrad.for_group(group);
                 let w_cfg = cfgs.wgrad.for_group(group);
-                let mut dx = dgrad(&g, w, &grad_map, &d_cfg, ctx)
+                // dgrad: the forward over the transposed map with
+                // transposed weights.
+                let plan = session.conv_plan(i, true, &d_cfg, ctx);
+                let mut dx = forward_prepared(&g, &w.transposed(), &grad_map, &plan, &d_cfg, ctx)
                     .features
                     .expect("functional");
                 quantize(&mut dx);
@@ -439,6 +442,46 @@ mod tests {
             .iter()
             .any(|e| e.desc.name.contains("wgrad"));
         assert!(has_wgrad, "training trace must include wgrad kernels");
+    }
+
+    /// The feature walk takes its plans from the session cache that
+    /// pricing fills: it prepares nothing pricing does not, and looks up
+    /// one plan per conv forward and one more per conv dgrad.
+    #[test]
+    fn feature_walk_shares_the_pricing_plans() {
+        let (net, w) = unet();
+        let x = input(7, 4);
+        let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp16);
+        let fresh = || Session::new(&net, x.coords());
+        let counts = |s: &Session| {
+            let c = s.prepare_cache_counters();
+            (c.misses, c.hits)
+        };
+        let convs = fresh().conv_layer_count() as u64;
+        let mut decoupled = TrainConfigs::bound(DataflowConfig::implicit_gemm(1));
+        decoupled.dgrad = GroupConfigs::uniform(DataflowConfig::implicit_gemm(2));
+        decoupled.wgrad = GroupConfigs::uniform(DataflowConfig::gather_scatter(true));
+        for cfgs in [
+            TrainConfigs::bound(DataflowConfig::implicit_gemm(2)),
+            decoupled,
+        ] {
+            let (priced, walked) = (fresh(), fresh());
+            priced.simulate_inference(&cfgs.fwd, &ctx);
+            let _ = run_network_in_session(&walked, &w, &x, &cfgs.fwd, &ctx);
+            let (p, r) = (counts(&priced), counts(&walked));
+            assert_eq!(r, (p.0, p.1 + convs), "inference: a forward plan per conv");
+
+            let (priced, walked) = (fresh(), fresh());
+            priced.simulate_training(&cfgs, &ctx);
+            let _ = forward_backward(&w, &walked, &x, &cfgs, &ctx, 1.0, false);
+            walked.simulate_training(&cfgs, &ctx);
+            let (p, r) = (counts(&priced), counts(&walked));
+            assert_eq!(
+                r,
+                (p.0, p.1 + 2 * convs),
+                "training: forward and dgrad plans"
+            );
+        }
     }
 
     #[test]

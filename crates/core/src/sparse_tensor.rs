@@ -80,52 +80,10 @@ impl SparseTensor {
         self.stride
     }
 
-    /// Splits into `(coords, feats)`.
-    pub fn into_parts(self) -> (Vec<Coord>, Matrix) {
-        (self.coords, self.feats)
-    }
-
     /// Number of distinct batch indices.
     pub fn batch_size(&self) -> usize {
         let set: std::collections::HashSet<i32> = self.coords.iter().map(|c| c.batch).collect();
         set.len()
-    }
-
-    /// Projects to a bird's-eye-view sparse tensor: voxels sharing the
-    /// same `(batch, x, y)` column are merged (features summed) and `z`
-    /// collapses to 0.
-    ///
-    /// This is the sparse-to-BEV step between CenterPoint's 3D backbone
-    /// and its 2D detection head (which the paper deploys with TensorRT
-    /// and excludes from timing).
-    pub fn to_bev(&self) -> SparseTensor {
-        let mut table = ts_kernelmap::CoordHashMap::with_capacity(self.coords.len());
-        let mut out_coords: Vec<Coord> = Vec::new();
-        let mut out_feats: Vec<Vec<f32>> = Vec::new();
-        for (i, c) in self.coords.iter().enumerate() {
-            let flat = Coord::new(c.batch, c.x, c.y, 0);
-            match table.insert(flat.key(), out_coords.len() as i32) {
-                None => {
-                    out_coords.push(flat);
-                    out_feats.push(self.feats.row(i).to_vec());
-                }
-                Some(existing) => {
-                    for (acc, v) in out_feats[existing as usize]
-                        .iter_mut()
-                        .zip(self.feats.row(i))
-                    {
-                        *acc += v;
-                    }
-                }
-            }
-        }
-        let n = out_coords.len();
-        let c = self.channels();
-        let mut feats = Matrix::zeros(n, c);
-        for (r, row) in out_feats.iter().enumerate() {
-            feats.row_mut(r).copy_from_slice(row);
-        }
-        SparseTensor::with_stride(out_coords, feats, self.stride)
     }
 }
 
@@ -150,39 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn to_bev_merges_columns_and_sums_features() {
-        let coords = vec![
-            Coord::new(0, 1, 2, 0),
-            Coord::new(0, 1, 2, 5), // same column, different z
-            Coord::new(0, 3, 3, 1),
-            Coord::new(1, 1, 2, 0), // different batch: stays separate
-        ];
-        let feats = Matrix::from_rows(&[&[1.0, 0.0], &[2.0, 1.0], &[0.5, 0.5], &[9.0, 9.0]]);
-        let t = SparseTensor::new(coords, feats);
-        let bev = t.to_bev();
-        assert_eq!(bev.num_points(), 3);
-        assert!(bev.coords().iter().all(|c| c.z == 0));
-        // Column (0,1,2) sums rows 0 and 1.
-        assert_eq!(bev.feats().row(0), &[3.0, 1.0]);
-        assert_eq!(bev.feats().row(1), &[0.5, 0.5]);
-        assert_eq!(bev.feats().row(2), &[9.0, 9.0]);
-    }
-
-    #[test]
-    fn to_bev_is_idempotent() {
-        let coords = vec![Coord::new(0, 1, 1, 3), Coord::new(0, 1, 1, 4)];
-        let t = SparseTensor::new(coords, Matrix::filled(2, 2, 1.0));
-        let once = t.to_bev();
-        let twice = once.to_bev();
-        assert_eq!(once, twice);
-    }
-
-    #[test]
     fn stride_round_trip() {
         let t = SparseTensor::with_stride(vec![Coord::new(0, 0, 0, 0)], Matrix::zeros(1, 1), 4);
         assert_eq!(t.stride(), 4);
-        let (c, f) = t.into_parts();
-        assert_eq!(c.len(), 1);
-        assert_eq!(f.rows(), 1);
+        assert_eq!(t.coords().len(), 1);
+        assert_eq!(t.feats().rows(), 1);
     }
 }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ts_gpusim::{CostModel, Device, KernelTrace, Precision};
+use ts_gpusim::{CostModel, Device, Precision};
 use ts_kernelgen::{GeneratedDataflow, KernelSpec, PenaltyFactors, ShapeMode};
 use ts_tensor::Matrix;
 
@@ -81,7 +81,8 @@ pub struct ExecCtx {
     pub cost: CostModel,
     /// Execution precision.
     pub precision: Precision,
-    /// Compute real feature values (`true`) or only simulate (`false`).
+    /// Compute calls return real feature values (`true`) or skip them
+    /// (`false`). Pricing calls ignore it.
     pub functional: bool,
     /// Sparse Kernel Generator flags.
     pub gen_flags: GenFlags,
@@ -105,7 +106,7 @@ pub struct ExecCtx {
 }
 
 impl ExecCtx {
-    /// A functional context (computes features and traces).
+    /// A functional context (compute calls return features).
     pub fn functional(device: Device, precision: Precision) -> Self {
         Self {
             cost: CostModel::new(device),
@@ -119,7 +120,8 @@ impl ExecCtx {
         }
     }
 
-    /// A simulate-only context (features are skipped; fast for sweeps).
+    /// A simulate-only context (compute calls skip features; fast for
+    /// sweeps).
     pub fn simulate(device: Device, precision: Precision) -> Self {
         Self {
             functional: false,
@@ -164,8 +166,8 @@ impl ExecCtx {
     }
 
     /// Prices `desc` and appends it to `trace`, applying the context's
-    /// mapping inefficiency to mapping-class kernels. All executors and
-    /// the layer runner record kernels through this method.
+    /// mapping inefficiency to mapping-class kernels. Every pricing call
+    /// records its kernels through this method.
     pub fn record(
         &self,
         trace: &mut ts_gpusim::KernelTrace,
@@ -185,13 +187,11 @@ impl ExecCtx {
     }
 }
 
-/// Result of a forward or dgrad pass.
+/// Features computed by a forward or dgrad pass.
 #[derive(Debug, Clone)]
 pub struct ConvOutput {
     /// Output features (`None` in simulate-only mode).
     pub features: Option<Matrix>,
-    /// Kernels launched by the pass.
-    pub trace: KernelTrace,
 }
 
 #[cfg(test)]

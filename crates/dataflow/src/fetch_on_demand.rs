@@ -10,25 +10,13 @@
 use ts_gpusim::{KernelDesc, KernelTrace};
 use ts_kernelgen::GeneratedDataflow;
 use ts_kernelmap::KernelMap;
-use ts_tensor::Matrix;
 
-use crate::{ConvOutput, ConvWeights, DataflowConfig, ExecCtx};
+use crate::{DataflowConfig, ExecCtx};
 
-pub(crate) fn run(
-    x: &Matrix,
-    w: &ConvWeights,
-    map: &KernelMap,
-    fused: bool,
-    cfg: &DataflowConfig,
-    ctx: &ExecCtx,
-) -> ConvOutput {
-    let features = ctx.functional.then(|| compute(x, w, map));
-    let trace = trace_only(w.c_in(), w.c_out(), map, fused, cfg, ctx);
-    ConvOutput { features, trace }
-}
-
-/// Simulated trace without feature data.
-pub(crate) fn trace_only(
+/// Simulated trace of the per-offset or block-fused form (the
+/// functional path is the shared host kernel,
+/// [`crate::forward_prepared`]).
+pub(crate) fn trace(
     c_in: usize,
     c_out: usize,
     map: &KernelMap,
@@ -41,12 +29,6 @@ pub(crate) fn trace_only(
     } else {
         trace_per_offset(c_in as u64, c_out as u64, map, cfg, ctx)
     }
-}
-
-/// Functional path: direct accumulation (no DRAM buffers exist in this
-/// dataflow, so the math is exactly Equation 1 in pair order).
-fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap) -> Matrix {
-    crate::kernel::conv(x, w, map, 0..map.kernel_volume())
 }
 
 /// Per-offset fetch-on-demand (MinkowskiEngine): one fused kernel per
@@ -136,76 +118,50 @@ fn trace_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference_forward;
     use ts_gpusim::Device;
     use ts_kernelmap::{build_submanifold_map, Coord, KernelOffsets};
-    use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
+    use ts_tensor::Precision;
 
-    fn setup() -> (Matrix, ConvWeights, KernelMap) {
+    fn map() -> KernelMap {
         let coords: Vec<Coord> = (0..50)
             .map(|i| Coord::new(0, i % 10, (i / 10) % 5, i % 3))
             .collect();
         let coords = ts_kernelmap::unique_coords(&coords);
-        let n = coords.len();
-        let map = build_submanifold_map(&coords, &KernelOffsets::cube(3));
-        let mut rng = rng_from_seed(31);
-        let x = uniform_matrix(&mut rng, n, 6, -1.0, 1.0);
-        let w = ConvWeights::random(&mut rng, 27, 6, 4);
-        (x, w, map)
+        build_submanifold_map(&coords, &KernelOffsets::cube(3))
     }
 
-    #[test]
-    fn functional_matches_reference() {
-        let (x, w, map) = setup();
-        let expected = reference_forward(&x, &w, &map);
-        assert!(compute(&x, &w, &map).approx_eq(&expected, 1e-4));
+    /// The trace of a 6 -> 4 channel layer.
+    fn fod(map: &KernelMap, fused: bool, ctx: &ExecCtx) -> KernelTrace {
+        trace(
+            6,
+            4,
+            map,
+            fused,
+            &DataflowConfig::fetch_on_demand(fused),
+            ctx,
+        )
     }
 
     #[test]
     fn block_fusion_reduces_launches_to_one() {
-        let (x, w, map) = setup();
+        let map = map();
         let ctx = ExecCtx::simulate(Device::rtx2080ti(), Precision::Fp32);
-        let per = run(
-            &x,
-            &w,
-            &map,
-            false,
-            &DataflowConfig::fetch_on_demand(false),
-            &ctx,
-        );
-        let fused = run(
-            &x,
-            &w,
-            &map,
-            true,
-            &DataflowConfig::fetch_on_demand(true),
-            &ctx,
-        );
-        assert_eq!(fused.trace.launch_count(), 1);
-        assert!(
-            per.trace.launch_count() >= 5,
-            "launches = {}",
-            per.trace.launch_count()
-        );
-        assert!(fused.trace.total_us() < per.trace.total_us());
+        let per = fod(&map, false, &ctx);
+        let fused = fod(&map, true, &ctx);
+        assert_eq!(fused.launch_count(), 1);
+        assert!(per.launch_count() >= 5, "launches = {}", per.launch_count());
+        assert!(fused.total_us() < per.total_us());
     }
 
     #[test]
     fn write_back_is_atomic_and_amplified() {
-        let (x, w, map) = setup();
+        let map = map();
         let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-        let out = run(
-            &x,
-            &w,
-            &map,
-            true,
-            &DataflowConfig::fetch_on_demand(true),
-            &ctx,
-        );
-        let e = &out.trace.entries()[0].desc;
+        let t = fod(&map, true, &ctx);
+        let e = &t.entries()[0].desc;
         // Atomic write traffic is total_pairs * c_out, several times the
         // theoretical minimum n_out * c_out.
-        let min_write = map.n_out() as u64 * w.c_out() as u64 * 2;
+        let min_write = map.n_out() as u64 * 4 * 2;
         assert!(
             e.atomic_write > min_write * 2,
             "atomic {} min {min_write}",
@@ -216,19 +172,8 @@ mod tests {
 
     #[test]
     fn zero_redundant_computation() {
-        let (x, w, map) = setup();
+        let map = map();
         let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-        let out = run(
-            &x,
-            &w,
-            &map,
-            true,
-            &DataflowConfig::fetch_on_demand(true),
-            &ctx,
-        );
-        assert_eq!(
-            out.trace.total_macs(),
-            map.effective_macs(w.c_in(), w.c_out())
-        );
+        assert_eq!(fod(&map, true, &ctx).total_macs(), map.effective_macs(6, 4));
     }
 }

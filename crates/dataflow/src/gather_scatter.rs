@@ -12,31 +12,16 @@
 
 use ts_gpusim::{KernelDesc, KernelTrace, Overlap};
 use ts_kernelmap::KernelMap;
-use ts_tensor::Matrix;
 
-use crate::{ConvOutput, ConvWeights, DataflowConfig, ExecCtx};
+use crate::ExecCtx;
 
 /// Fraction of padding waste the adaptive grouping accepts within one
 /// batched-GEMM group before starting a new group.
 const GROUP_WASTE_LIMIT: f64 = 0.25;
 
-pub(crate) fn run(
-    x: &Matrix,
-    w: &ConvWeights,
-    map: &KernelMap,
-    fused: bool,
-    cfg: &DataflowConfig,
-    ctx: &ExecCtx,
-) -> ConvOutput {
-    let _ = cfg;
-    let features = ctx.functional.then(|| compute(x, w, map));
-    let trace = trace_only(w.c_in(), w.c_out(), map, fused, ctx);
-    ConvOutput { features, trace }
-}
-
-/// Simulated trace without touching feature data (used by the layer
-/// runner and autotuner, which sweep configurations without weights).
-pub(crate) fn trace_only(
+/// Simulated trace of the naive or fused form (the functional path is
+/// the shared host kernel, [`crate::forward_prepared`]).
+pub(crate) fn trace(
     c_in: usize,
     c_out: usize,
     map: &KernelMap,
@@ -48,14 +33,6 @@ pub(crate) fn trace_only(
     } else {
         trace_naive(c_in as u64, c_out as u64, map, ctx)
     }
-}
-
-/// Functional path. Gathering each offset's rows, multiplying them by
-/// `W_k` and scatter-adding the products computes, per output element,
-/// the same sums in the same order as accumulating pair by pair, so the
-/// host runs the shared kernel straight into the output.
-fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap) -> Matrix {
-    crate::kernel::conv(x, w, map, 0..map.kernel_volume())
 }
 
 fn trace_naive(c_in: u64, c_out: u64, map: &KernelMap, ctx: &ExecCtx) -> KernelTrace {
@@ -178,67 +155,32 @@ fn trace_fused(c_in: u64, c_out: u64, map: &KernelMap, ctx: &ExecCtx) -> KernelT
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference_forward;
     use ts_gpusim::Device;
     use ts_kernelmap::{build_submanifold_map, Coord, KernelOffsets};
-    use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
+    use ts_tensor::Precision;
 
-    fn setup() -> (Matrix, ConvWeights, KernelMap) {
+    fn map() -> KernelMap {
         let coords: Vec<Coord> = (0..40).map(|i| Coord::new(0, i % 8, i / 8, 0)).collect();
-        let map = build_submanifold_map(&coords, &KernelOffsets::cube(3));
-        let mut rng = rng_from_seed(21);
-        let x = uniform_matrix(&mut rng, 40, 5, -1.0, 1.0);
-        let w = ConvWeights::random(&mut rng, 27, 5, 7);
-        (x, w, map)
-    }
-
-    #[test]
-    fn functional_matches_reference() {
-        let (x, w, map) = setup();
-        let expected = reference_forward(&x, &w, &map);
-        let got = compute(&x, &w, &map);
-        assert!(got.approx_eq(&expected, 1e-4));
+        build_submanifold_map(&coords, &KernelOffsets::cube(3))
     }
 
     #[test]
     fn naive_launches_three_kernels_per_nonempty_offset() {
-        let (x, w, map) = setup();
+        let map = map();
         let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-        let out = run(
-            &x,
-            &w,
-            &map,
-            false,
-            &DataflowConfig::gather_scatter(false),
-            &ctx,
-        );
+        let naive = trace(5, 7, &map, false, &ctx);
         let nonempty = map.pairs_per_offset().iter().filter(|&&s| s > 0).count() as u64;
-        assert_eq!(out.trace.launch_count(), 3 * nonempty);
-        assert!(out.features.is_none());
+        assert_eq!(naive.launch_count(), 3 * nonempty);
     }
 
     #[test]
     fn fused_launches_far_fewer_kernels_and_is_faster() {
-        let (x, w, map) = setup();
+        let map = map();
         let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-        let naive = run(
-            &x,
-            &w,
-            &map,
-            false,
-            &DataflowConfig::gather_scatter(false),
-            &ctx,
-        );
-        let fused = run(
-            &x,
-            &w,
-            &map,
-            true,
-            &DataflowConfig::gather_scatter(true),
-            &ctx,
-        );
-        assert!(fused.trace.launch_count() < naive.trace.launch_count() / 3);
-        assert!(fused.trace.total_us() < naive.trace.total_us());
+        let naive = trace(5, 7, &map, false, &ctx);
+        let fused = trace(5, 7, &map, true, &ctx);
+        assert!(fused.launch_count() < naive.launch_count() / 3);
+        assert!(fused.total_us() < naive.total_us());
     }
 
     #[test]

@@ -13,9 +13,7 @@ use ts_kernelgen::GeneratedDataflow;
 use ts_kernelmap::{pad_to_multiple, KernelMap, SplitPlan};
 use ts_tensor::Matrix;
 
-use crate::{
-    ConvOutput, ConvWeights, DataflowConfig, DataflowKind, ExecCtx, Prepared, ReorderMode,
-};
+use crate::{ConvWeights, DataflowConfig, ExecCtx, ReorderMode};
 
 /// Compute-time multiplier the extra indirection of *online* reordering
 /// costs inside forward/dgrad kernels (Figure 19: ~4 % end-to-end).
@@ -25,67 +23,17 @@ pub(crate) const ONLINE_REORDER_FWD_PENALTY: f64 = 1.06;
 /// random addresses, so 32-byte sectors are only partially used.
 const GATHER_COALESCE_FACTOR: f64 = 1.2;
 
-pub(crate) fn run(
-    x: &Matrix,
-    w: &ConvWeights,
-    map: &KernelMap,
-    prepared: &Prepared,
-    cfg: &DataflowConfig,
-    ctx: &ExecCtx,
-) -> ConvOutput {
+/// Functional path: each split range accumulates into its own partial
+/// buffer (mirroring the separate DRAM buffers on GPU); a final reduction
+/// sums them in range order. Within a range the kernel runs offset-outer
+/// over the pair lists: without multi-edges (asserted) they hold exactly
+/// the neighbor matrix's entries, and each output element still adds its
+/// offsets in ascending order.
+pub(crate) fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap, plan: &SplitPlan) -> Matrix {
     assert!(
         map.has_dense_repr() && !map.has_multi_edges(),
         "implicit GEMM requires a dense output-stationary map without multi-edges"
     );
-    let splits = match cfg.kind {
-        DataflowKind::ImplicitGemm { splits } => splits,
-        _ => unreachable!("implicit_gemm::run called with a non-implicit config"),
-    };
-    let fallback;
-    let plan = match &prepared.plan {
-        Some(p) if p.split_count() == splits => p,
-        _ => {
-            fallback = SplitPlan::from_split_count(map, splits);
-            &fallback
-        }
-    };
-
-    let features = ctx.functional.then(|| compute(x, w, map, plan));
-    let trace = trace(w.c_in(), w.c_out(), map, plan, cfg, ctx);
-    ConvOutput { features, trace }
-}
-
-/// Simulated trace without feature data.
-pub(crate) fn trace_only(
-    c_in: usize,
-    c_out: usize,
-    map: &KernelMap,
-    prepared: &Prepared,
-    cfg: &DataflowConfig,
-    ctx: &ExecCtx,
-) -> KernelTrace {
-    let splits = match cfg.kind {
-        DataflowKind::ImplicitGemm { splits } => splits,
-        _ => unreachable!("implicit_gemm::trace_only with a non-implicit config"),
-    };
-    let fallback;
-    let plan = match &prepared.plan {
-        Some(p) if p.split_count() == splits => p,
-        _ => {
-            fallback = SplitPlan::from_split_count(map, splits);
-            &fallback
-        }
-    };
-    trace(c_in, c_out, map, plan, cfg, ctx)
-}
-
-/// Functional path: each split range accumulates into its own partial
-/// buffer (mirroring the separate DRAM buffers on GPU); a final reduction
-/// sums them in range order. Within a range the kernel runs offset-outer
-/// over the pair lists: without multi-edges (asserted by [`run`]) they
-/// hold exactly the neighbor matrix's entries, and each output element
-/// still adds its offsets in ascending order.
-fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap, plan: &SplitPlan) -> Matrix {
     let mut out = Matrix::zeros(map.n_out(), w.c_out());
     for range in plan.ranges() {
         out.add_assign(&crate::kernel::conv(x, w, map, range.k_begin..range.k_end));
@@ -93,7 +41,8 @@ fn compute(x: &Matrix, w: &ConvWeights, map: &KernelMap, plan: &SplitPlan) -> Ma
     out
 }
 
-fn trace(
+/// Simulated trace under `plan` (the plan [`crate::prepare`] built).
+pub(crate) fn trace(
     c_in_usize: usize,
     c_out_usize: usize,
     map: &KernelMap,
@@ -230,7 +179,7 @@ pub(crate) fn occupancy_stretch(ctas: u64, tile: ts_gpusim::TileShape, ctx: &Exe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{forward, reference_forward, DataflowConfig};
+    use crate::{forward, forward_trace, prepare, reference_forward, DataflowConfig};
     use ts_gpusim::Device;
     use ts_kernelmap::{build_submanifold_map, Coord, KernelOffsets};
     use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
@@ -247,6 +196,11 @@ mod tests {
         (x, w, map)
     }
 
+    /// The trace of an 8 -> 6 channel layer under `cfg`.
+    fn priced(map: &KernelMap, cfg: &DataflowConfig, ctx: &ExecCtx) -> KernelTrace {
+        forward_trace(8, 6, map, &prepare(map, cfg, ctx), cfg, ctx)
+    }
+
     #[test]
     fn all_split_counts_match_reference() {
         let (x, w, map) = setup(80);
@@ -261,27 +215,25 @@ mod tests {
 
     #[test]
     fn sorted_kernel_has_fewer_macs_than_unsorted() {
-        let (x, w, map) = setup(200);
+        let (_, _, map) = setup(200);
         let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-        let unsorted = forward(&x, &w, &map, &DataflowConfig::implicit_gemm(0), &ctx);
-        let sorted = forward(&x, &w, &map, &DataflowConfig::implicit_gemm(1), &ctx);
-        assert!(sorted.trace.total_macs() <= unsorted.trace.total_macs());
-        assert!(unsorted.trace.total_macs() > map.effective_macs(8, 6));
+        let unsorted = priced(&map, &DataflowConfig::implicit_gemm(0), &ctx);
+        let sorted = priced(&map, &DataflowConfig::implicit_gemm(1), &ctx);
+        assert!(sorted.total_macs() <= unsorted.total_macs());
+        assert!(unsorted.total_macs() > map.effective_macs(8, 6));
     }
 
     #[test]
     fn splits_add_a_reduction_kernel() {
-        let (x, w, map) = setup(100);
+        let (_, _, map) = setup(100);
         let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-        let s1 = forward(&x, &w, &map, &DataflowConfig::implicit_gemm(1), &ctx);
+        let s1 = priced(&map, &DataflowConfig::implicit_gemm(1), &ctx);
         assert!(!s1
-            .trace
             .entries()
             .iter()
             .any(|e| e.desc.class == KernelClass::Reduction));
-        let s3 = forward(&x, &w, &map, &DataflowConfig::implicit_gemm(3), &ctx);
+        let s3 = priced(&map, &DataflowConfig::implicit_gemm(3), &ctx);
         assert!(s3
-            .trace
             .entries()
             .iter()
             .any(|e| e.desc.class == KernelClass::Reduction));
@@ -289,11 +241,10 @@ mod tests {
 
     #[test]
     fn write_traffic_is_output_minimal_per_range() {
-        let (x, w, map) = setup(100);
+        let (_, _, map) = setup(100);
         let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-        let out = forward(&x, &w, &map, &DataflowConfig::implicit_gemm(0), &ctx);
+        let out = priced(&map, &DataflowConfig::implicit_gemm(0), &ctx);
         let compute = out
-            .trace
             .entries()
             .iter()
             .find(|e| e.desc.class == KernelClass::Compute)
@@ -304,22 +255,22 @@ mod tests {
 
     #[test]
     fn online_reordering_slows_compute_kernels() {
-        let (x, w, map) = setup(150);
+        let (_, _, map) = setup(150);
         let base = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
         let online = base.clone().with_reorder(ReorderMode::Online);
-        let t_off = forward(&x, &w, &map, &DataflowConfig::implicit_gemm(1), &base);
-        let t_on = forward(&x, &w, &map, &DataflowConfig::implicit_gemm(1), &online);
-        let c_off = t_off.trace.class_us(KernelClass::Compute);
-        let c_on = t_on.trace.class_us(KernelClass::Compute);
+        let t_off = priced(&map, &DataflowConfig::implicit_gemm(1), &base);
+        let t_on = priced(&map, &DataflowConfig::implicit_gemm(1), &online);
+        let c_off = t_off.class_us(KernelClass::Compute);
+        let c_on = t_on.class_us(KernelClass::Compute);
         assert!(c_on > c_off, "online {c_on} <= offline {c_off}");
     }
 
     #[test]
     fn padded_rows_are_a_tile_multiple() {
-        let (x, w, map) = setup(90);
+        let (_, _, map) = setup(90);
         let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-        let out = forward(&x, &w, &map, &DataflowConfig::implicit_gemm(0), &ctx);
-        let e = &out.trace.entries()[0].desc;
+        let out = priced(&map, &DataflowConfig::implicit_gemm(0), &ctx);
+        let e = &out.entries()[0].desc;
         let (m, _, _) = e.gemm_shape.unwrap();
         let cta_m = e.tile.unwrap().cta_m as u64;
         assert_eq!(m % cta_m, 0);

@@ -19,15 +19,24 @@
 //!   s >= 2 = mask splits), paying warp-lockstep redundant computation
 //!   counted *exactly* from the kernel map.
 //!
+//! Compute calls and pricing calls are separate, and no call does both.
+//! [`prepare`], [`forward`], [`forward_prepared`], [`dgrad`] and
+//! [`wgrad`] compute and never price; [`prepare_trace`],
+//! [`forward_trace`] and [`wgrad_trace`] price and never compute. A
+//! plan from [`prepare`] is context-free, so one plan per group serves
+//! both the feature math and the pricing of every context.
+//!
 //! Backward kernels: `dgrad` is a forward pass over the transposed map
-//! with transposed weights; [`wgrad`] reduces over output points per
-//! offset. Both honor the offline/online reordering distinction of
-//! Figure 19.
+//! with transposed weights, so a dgrad of a `c_in -> c_out` layer is
+//! priced as `forward_trace(c_out, c_in, map_t, ..)`; [`wgrad`] reduces
+//! over output points per offset. Both honor the offline/online
+//! reordering distinction of Figure 19.
 //!
 //! # Examples
 //!
 //! ```
-//! use ts_dataflow::{forward, ConvWeights, DataflowConfig, ExecCtx};
+//! use ts_dataflow::{forward_prepared, forward_trace, prepare, prepare_trace};
+//! use ts_dataflow::{ConvWeights, DataflowConfig, ExecCtx};
 //! use ts_gpusim::Device;
 //! use ts_kernelmap::{build_submanifold_map, Coord, KernelOffsets};
 //! use ts_tensor::{uniform_matrix, rng_from_seed, Precision};
@@ -38,10 +47,14 @@
 //! let x = uniform_matrix(&mut rng, 10, 4, -1.0, 1.0);
 //! let w = ConvWeights::random(&mut rng, 27, 4, 8);
 //! let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp32);
+//! let cfg = DataflowConfig::implicit_gemm(1);
 //!
-//! let out = forward(&x, &w, &map, &DataflowConfig::implicit_gemm(1), &ctx);
+//! let plan = prepare(&map, &cfg, &ctx);
+//! let out = forward_prepared(&x, &w, &map, &plan, &cfg, &ctx);
 //! assert_eq!(out.features.unwrap().shape(), (10, 8));
-//! assert!(out.trace.total_us() > 0.0);
+//! let mapping = prepare_trace(&map, &plan, &cfg, &ctx);
+//! let conv = forward_trace(4, 8, &map, &plan, &cfg, &ctx);
+//! assert!(mapping.total_us() > 0.0 && conv.total_us() > 0.0);
 //! ```
 
 mod config;
@@ -57,7 +70,7 @@ mod wgrad;
 
 pub use config::{ConfigError, DataflowConfig, DataflowKind, MAX_SPLITS};
 pub use ctx::{ConvOutput, ExecCtx, GenFlags, ReorderMode};
-pub use prepare::{prepare, Prepared};
+pub use prepare::{prepare, prepare_trace, Prepared};
 pub use reference::{reference_dgrad, reference_forward, reference_wgrad};
 pub use weights::ConvWeights;
 pub use wgrad::{wgrad, wgrad_trace, WgradOutput};
@@ -67,18 +80,12 @@ use ts_kernelmap::KernelMap;
 use ts_tensor::Matrix;
 
 /// Runs a sparse convolution forward pass through `map` with dataflow
-/// `cfg`.
-///
-/// Returns the output features (when the context is functional) and the
-/// kernel trace. Per-group preparation cost (bitmask build, sorting,
-/// reordering) is **not** included — call [`prepare`] once per layer
-/// group and merge its trace, exactly as the layer runner in `ts-core`
-/// does.
+/// `cfg`: [`prepare`], then [`forward_prepared`]. Computes and never
+/// prices.
 ///
 /// # Panics
 ///
-/// Panics if `x` has a different row count than `map.n_in()` or channel
-/// count than `w.c_in()`.
+/// As [`forward_prepared`].
 pub fn forward(
     x: &Matrix,
     w: &ConvWeights,
@@ -86,11 +93,21 @@ pub fn forward(
     cfg: &DataflowConfig,
     ctx: &ExecCtx,
 ) -> ConvOutput {
-    let prepared = prepare(map, cfg, ctx);
-    forward_prepared(x, w, map, &prepared, cfg, ctx)
+    forward_prepared(x, w, map, &prepare(map, cfg, ctx), cfg, ctx)
 }
 
-/// [`forward`] with an explicit prepared plan (no preparation cost).
+/// [`forward`] with a plan [`prepare`] built for `map` and `cfg`: the
+/// output features when the context is functional, `None` otherwise.
+/// Computes and never prices; [`forward_trace`] prices it.
+///
+/// Every dataflow runs one host kernel. Gather-scatter and
+/// fetch-on-demand run it over all offsets straight into the output;
+/// implicit GEMM runs it once per split range.
+///
+/// # Panics
+///
+/// Panics if `x` has a different row count than `map.n_in()` or channel
+/// count than `w.c_in()`, or if `prepared` was not prepared for `cfg`.
 pub fn forward_prepared(
     x: &Matrix,
     w: &ConvWeights,
@@ -102,14 +119,15 @@ pub fn forward_prepared(
     assert_eq!(x.rows(), map.n_in(), "input rows must match map inputs");
     assert_eq!(x.cols(), w.c_in(), "input channels must match weights");
     #[allow(unused_mut)]
-    let mut out = match cfg.kind {
-        DataflowKind::GatherScatter { fused } => gather_scatter::run(x, w, map, fused, cfg, ctx),
-        DataflowKind::FetchOnDemand { fused } => fetch_on_demand::run(x, w, map, fused, cfg, ctx),
-        DataflowKind::ImplicitGemm { .. } => implicit_gemm::run(x, w, map, prepared, cfg, ctx),
-    };
+    let mut features = ctx.functional.then(|| match cfg.kind {
+        DataflowKind::ImplicitGemm { splits } => {
+            implicit_gemm::compute(x, w, map, prepared.split_plan(splits))
+        }
+        _ => kernel::conv(x, w, map, 0..map.kernel_volume()),
+    });
     #[cfg(feature = "mutate")]
-    mutate::apply(&mut out, cfg);
-    out
+    mutate::apply(&mut features, cfg);
+    ConvOutput { features }
 }
 
 /// Deliberate fault injection for mutation testing of the conformance
@@ -121,16 +139,17 @@ pub fn forward_prepared(
 /// harness exercising the backward path can catch.
 #[cfg(feature = "mutate")]
 mod mutate {
-    use crate::{ConvOutput, ConvWeights, DataflowConfig, DataflowKind};
+    use crate::{ConvWeights, DataflowConfig, DataflowKind};
+    use ts_tensor::Matrix;
 
-    pub(crate) fn apply(out: &mut ConvOutput, cfg: &DataflowConfig) {
+    pub(crate) fn apply(features: &mut Option<Matrix>, cfg: &DataflowConfig) {
         if !matches!(cfg.kind, DataflowKind::GatherScatter { fused: true }) {
             return;
         }
         if std::env::var("TS_MUTATE").as_deref() != Ok("sign-flip") {
             return;
         }
-        if let Some(y) = out.features.as_mut() {
+        if let Some(y) = features.as_mut() {
             if let Some(v) = y.as_mut_slice().iter_mut().find(|v| **v != 0.0) {
                 *v = -*v;
             }
@@ -156,12 +175,15 @@ mod mutate {
     }
 }
 
-/// Simulated forward trace for a convolution of `c_in -> c_out` channels
-/// through `map`, without any feature data.
+/// Prices the kernels [`forward_prepared`] launches for a `c_in ->
+/// c_out` convolution through `map`, without any feature data.
+/// Preparation cost is excluded: [`prepare_trace`] prices it once per
+/// group. A dgrad of a `c_in -> c_out` layer is priced as
+/// `forward_trace(c_out, c_in, map_t, ..)`.
 ///
-/// This is what the layer runner and autotuner call when sweeping
-/// configurations: it prices the exact kernels [`forward`] would launch
-/// (preparation cost excluded — merge [`prepare`]'s trace per group).
+/// # Panics
+///
+/// Panics if `prepared` was not prepared for `cfg`.
 pub fn forward_trace(
     c_in: usize,
     c_out: usize,
@@ -172,22 +194,22 @@ pub fn forward_trace(
 ) -> KernelTrace {
     match cfg.kind {
         DataflowKind::GatherScatter { fused } => {
-            gather_scatter::trace_only(c_in, c_out, map, fused, ctx)
+            gather_scatter::trace(c_in, c_out, map, fused, ctx)
         }
         DataflowKind::FetchOnDemand { fused } => {
-            fetch_on_demand::trace_only(c_in, c_out, map, fused, cfg, ctx)
+            fetch_on_demand::trace(c_in, c_out, map, fused, cfg, ctx)
         }
-        DataflowKind::ImplicitGemm { .. } => {
-            implicit_gemm::trace_only(c_in, c_out, map, prepared, cfg, ctx)
+        DataflowKind::ImplicitGemm { splits } => {
+            implicit_gemm::trace(c_in, c_out, map, prepared.split_plan(splits), cfg, ctx)
         }
     }
 }
 
-/// Computes the input gradient (`dgrad`): a forward pass over the
-/// transposed map with per-offset transposed weights.
+/// Computes the input gradient (`dgrad`): a [`forward`] over the
+/// transposed map with per-offset transposed weights. Computes and
+/// never prices.
 ///
-/// `map_t` must be `map.transposed()` of the forward map (cached by the
-/// layer runner so its cost is charged once per group).
+/// `map_t` must be `map.transposed()` of the forward map.
 pub fn dgrad(
     dy: &Matrix,
     w: &ConvWeights,
@@ -195,24 +217,5 @@ pub fn dgrad(
     cfg: &DataflowConfig,
     ctx: &ExecCtx,
 ) -> ConvOutput {
-    let wt = w.transposed();
-    let mut out = forward(dy, &wt, map_t, cfg, ctx);
-    relabel(&mut out.trace, "dgrad");
-    out
-}
-
-fn relabel(trace: &mut KernelTrace, prefix: &str) {
-    let entries: Vec<_> = trace
-        .entries()
-        .iter()
-        .map(|e| {
-            let mut d = e.desc.clone();
-            d.name = format!("{prefix}:{}", d.name);
-            ts_gpusim::TraceEntry {
-                desc: d,
-                time_us: e.time_us,
-            }
-        })
-        .collect();
-    *trace = entries.into_iter().collect();
+    forward(dy, &w.transposed(), map_t, cfg, ctx)
 }

@@ -9,30 +9,78 @@ use crate::{DataflowConfig, DataflowKind, ExecCtx, ReorderMode};
 
 /// A prepared execution plan for one (map, dataflow-config) pair.
 ///
-/// Layers that share a kernel map (a *group* in the autotuner's sense)
-/// share one `Prepared`, so the mapping cost recorded in
-/// [`Prepared::trace`] is paid once per group — which is exactly why the
-/// paper forces intra-group dataflow homogeneity.
+/// A plan depends only on the map and the configuration, never on the
+/// execution context, so layers that share a kernel map (a *group* in
+/// the autotuner's sense) share one `Prepared` under every context, and
+/// [`prepare_trace`] prices its mapping cost once per group — which is
+/// exactly why the paper forces intra-group dataflow homogeneity.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// Split plan (implicit GEMM only).
     pub plan: Option<SplitPlan>,
-    /// Mapping kernels launched to prepare this dataflow's structures.
-    pub trace: KernelTrace,
 }
 
-/// Builds dataflow-specific map structures and records their cost.
+impl Prepared {
+    /// The split plan of an implicit-GEMM configuration with `splits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this plan was not prepared for that configuration.
+    pub(crate) fn split_plan(&self, splits: u32) -> &SplitPlan {
+        match &self.plan {
+            Some(p) if p.split_count() == splits => p,
+            _ => panic!("plan was not prepared for implicit GEMM with {splits} splits"),
+        }
+    }
+}
+
+/// Builds the dataflow-specific map structures of `cfg` over `map`: the
+/// split plan for implicit GEMM, nothing for the weight-stationary
+/// dataflows. Computes and never prices: [`prepare_trace`] prices the
+/// mapping kernels that build these structures on a GPU.
+///
+/// `_ctx` is unused: a plan is the same under every context.
+pub fn prepare(map: &KernelMap, cfg: &DataflowConfig, _ctx: &ExecCtx) -> Prepared {
+    let DataflowKind::ImplicitGemm { splits } = cfg.kind else {
+        return Prepared { plan: None };
+    };
+    let plan = SplitPlan::from_split_count(map, splits);
+    // The padding target [`prepare_trace`] prices and the plan itself
+    // must satisfy the split-plan invariants (ranges partition the
+    // offset axis, minimal cta_m padding); checked in debug builds.
+    #[cfg(debug_assertions)]
+    {
+        let violations = ts_kernelmap::check_plan(map, &plan, 128);
+        debug_assert!(
+            violations.is_empty(),
+            "split plan (splits = {splits}) violates invariants: {violations:?}"
+        );
+    }
+    Prepared { plan: Some(plan) }
+}
+
+/// Prices the mapping kernels that build `prepared`'s structures for
+/// `cfg` over `map`, under `ctx`, without computing anything.
 ///
 /// The *base* map construction (hashing + neighbor queries) is charged
-/// separately by the layer runner in `ts-core`; this function charges
-/// only what the chosen dataflow adds on top:
+/// separately by the pricing walk in `ts-core`; this prices only what
+/// the chosen dataflow adds on top:
 ///
 /// * weight-stationary layouts (gather-scatter, fetch-on-demand): a map
 ///   transposition pass;
 /// * implicit GEMM: bitmask building, per-split argsort, offline map
 ///   reordering (skipped when [`ReorderMode::Online`]) and padding to a
 ///   multiple of `cta_m`.
-pub fn prepare(map: &KernelMap, cfg: &DataflowConfig, ctx: &ExecCtx) -> Prepared {
+///
+/// # Panics
+///
+/// Panics if `prepared` was not prepared for `cfg`.
+pub fn prepare_trace(
+    map: &KernelMap,
+    prepared: &Prepared,
+    cfg: &DataflowConfig,
+    ctx: &ExecCtx,
+) -> KernelTrace {
     let mut trace = KernelTrace::new();
     let kvol = map.kernel_volume() as u64;
     let n_out = map.n_out() as u64;
@@ -45,22 +93,9 @@ pub fn prepare(map: &KernelMap, cfg: &DataflowConfig, ctx: &ExecCtx) -> Prepared
             let k = KernelDesc::mapping("map:to-weight-stationary", pairs * 8, pairs * 16)
                 .with_class(KernelClass::Mapping);
             ctx.record(&mut trace, k);
-            Prepared { plan: None, trace }
         }
         DataflowKind::ImplicitGemm { splits } => {
-            let plan = SplitPlan::from_split_count(map, splits);
-            // The padding target below and the plan itself must satisfy
-            // the split-plan invariants (ranges partition the offset
-            // axis, minimal cta_m padding); checked in debug builds.
-            #[cfg(debug_assertions)]
-            {
-                let violations = ts_kernelmap::check_plan(map, &plan, 128);
-                debug_assert!(
-                    violations.is_empty(),
-                    "split plan (splits = {splits}) violates invariants: {violations:?}"
-                );
-            }
-
+            let ranges = prepared.split_plan(splits).ranges().len() as u64;
             if splits >= 1 {
                 // Bitmask construction: one pass over the neighbor matrix.
                 let bm = KernelDesc::mapping(
@@ -73,7 +108,7 @@ pub fn prepare(map: &KernelMap, cfg: &DataflowConfig, ctx: &ExecCtx) -> Prepared
                 // One argsort per split (bitonic sort on GPU: n log^2 n
                 // compare-exchanges with n log n key passes over DRAM).
                 let log_n = (n_out.max(2) as f64).log2().ceil() as u64;
-                for s in 0..plan.ranges().len() {
+                for s in 0..ranges {
                     let sort = KernelDesc::mapping(
                         format!("map:argsort[{s}]"),
                         n_out * log_n * log_n,
@@ -89,7 +124,7 @@ pub fn prepare(map: &KernelMap, cfg: &DataflowConfig, ctx: &ExecCtx) -> Prepared
                     let reorder = KernelDesc::mapping(
                         "map:reorder",
                         n_out * kvol * 6,
-                        plan.ranges().len() as u64 * n_out * kvol * 4 * 2,
+                        ranges * n_out * kvol * 4 * 2,
                     );
                     ctx.record(&mut trace, reorder);
                 }
@@ -105,13 +140,9 @@ pub fn prepare(map: &KernelMap, cfg: &DataflowConfig, ctx: &ExecCtx) -> Prepared
                     ctx.record(&mut trace, pad);
                 }
             }
-
-            Prepared {
-                plan: Some(plan),
-                trace,
-            }
         }
     }
+    trace
 }
 
 #[cfg(test)]
@@ -132,25 +163,30 @@ mod tests {
         ExecCtx::simulate(Device::rtx3090(), Precision::Fp16)
     }
 
+    /// The mapping kernels of preparing `cfg` over `m`, priced under `c`.
+    fn mapping(m: &KernelMap, cfg: &DataflowConfig, c: &ExecCtx) -> KernelTrace {
+        prepare_trace(m, &prepare(m, cfg, c), cfg, c)
+    }
+
     #[test]
     fn implicit_gemm_prepare_builds_plan() {
-        let p = prepare(&map(), &DataflowConfig::implicit_gemm(2), &ctx());
-        let plan = p.plan.unwrap();
+        let cfg = DataflowConfig::implicit_gemm(2);
+        let plan = prepare(&map(), &cfg, &ctx()).plan.unwrap();
         assert_eq!(plan.ranges().len(), 2);
-        assert!(p.trace.total_us() > 0.0);
+        assert!(mapping(&map(), &cfg, &ctx()).total_us() > 0.0);
     }
 
     #[test]
     fn unsorted_is_cheaper_to_prepare_than_sorted() {
         let m = map();
         let c = ctx();
-        let unsorted = prepare(&m, &DataflowConfig::implicit_gemm(0), &c);
-        let sorted = prepare(&m, &DataflowConfig::implicit_gemm(1), &c);
+        let unsorted = mapping(&m, &DataflowConfig::implicit_gemm(0), &c);
+        let sorted = mapping(&m, &DataflowConfig::implicit_gemm(1), &c);
         assert!(
-            sorted.trace.total_us() > unsorted.trace.total_us(),
+            sorted.total_us() > unsorted.total_us(),
             "sorted {} <= unsorted {}",
-            sorted.trace.total_us(),
-            unsorted.trace.total_us()
+            sorted.total_us(),
+            unsorted.total_us()
         );
     }
 
@@ -158,23 +194,19 @@ mod tests {
     fn more_splits_cost_more_mapping_time() {
         let m = map();
         let c = ctx();
-        let s1 = prepare(&m, &DataflowConfig::implicit_gemm(1), &c);
-        let s4 = prepare(&m, &DataflowConfig::implicit_gemm(4), &c);
-        assert!(s4.trace.total_us() > s1.trace.total_us());
+        let s1 = mapping(&m, &DataflowConfig::implicit_gemm(1), &c);
+        let s4 = mapping(&m, &DataflowConfig::implicit_gemm(4), &c);
+        assert!(s4.total_us() > s1.total_us());
     }
 
     #[test]
     fn online_reorder_skips_the_reorder_kernel() {
         let m = map();
-        let offline = prepare(&m, &DataflowConfig::implicit_gemm(1), &ctx());
-        let online = prepare(
-            &m,
-            &DataflowConfig::implicit_gemm(1),
-            &ctx().with_reorder(ReorderMode::Online),
-        );
-        assert!(online.trace.total_us() < offline.trace.total_us());
+        let cfg = DataflowConfig::implicit_gemm(1);
+        let offline = mapping(&m, &cfg, &ctx());
+        let online = mapping(&m, &cfg, &ctx().with_reorder(ReorderMode::Online));
+        assert!(online.total_us() < offline.total_us());
         assert!(!online
-            .trace
             .entries()
             .iter()
             .any(|e| e.desc.name.contains("reorder")));
@@ -182,16 +214,15 @@ mod tests {
 
     #[test]
     fn weight_stationary_prepare_has_no_plan() {
-        let p = prepare(&map(), &DataflowConfig::gather_scatter(true), &ctx());
-        assert!(p.plan.is_none());
-        assert!(p.trace.total_us() > 0.0);
+        let cfg = DataflowConfig::gather_scatter(true);
+        assert!(prepare(&map(), &cfg, &ctx()).plan.is_none());
+        assert!(mapping(&map(), &cfg, &ctx()).total_us() > 0.0);
     }
 
     #[test]
     fn all_prepare_kernels_are_mapping_class() {
         for cfg in DataflowConfig::full_space(4) {
-            let p = prepare(&map(), &cfg, &ctx());
-            for e in p.trace.entries() {
+            for e in mapping(&map(), &cfg, &ctx()).entries() {
                 assert_eq!(e.desc.class, KernelClass::Mapping, "{}", e.desc.name);
             }
         }

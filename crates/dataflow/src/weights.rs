@@ -95,11 +95,6 @@ impl ConvWeights {
         &mut self.per_offset[k]
     }
 
-    /// All per-offset matrices.
-    pub fn as_slice(&self) -> &[Matrix] {
-        &self.per_offset
-    }
-
     /// Per-offset transposed weights (`C_out x C_in`), used by dgrad.
     pub fn transposed(&self) -> ConvWeights {
         Self::new(self.per_offset.iter().map(Matrix::transposed).collect())
@@ -108,11 +103,6 @@ impl ConvWeights {
     /// Total parameter count.
     pub fn param_count(&self) -> usize {
         self.per_offset.len() * self.c_in * self.c_out
-    }
-
-    /// Total parameter bytes at `bytes_per_elem`.
-    pub fn param_bytes(&self, bytes_per_elem: usize) -> u64 {
-        (self.param_count() * bytes_per_elem) as u64
     }
 
     /// Adds `other` scaled by `alpha` (SGD-style update step).
@@ -166,11 +156,5 @@ mod tests {
     #[should_panic(expected = "share one shape")]
     fn rejects_inconsistent_shapes() {
         let _ = ConvWeights::new(vec![Matrix::zeros(2, 2), Matrix::zeros(2, 3)]);
-    }
-
-    #[test]
-    fn param_bytes_scale_with_precision() {
-        let w = ConvWeights::zeros(27, 16, 32);
-        assert_eq!(w.param_bytes(2) * 2, w.param_bytes(4));
     }
 }

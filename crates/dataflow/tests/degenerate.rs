@@ -4,8 +4,8 @@
 //! compute.
 
 use ts_dataflow::{
-    dgrad, forward, prepare, reference_dgrad, reference_forward, reference_wgrad, wgrad,
-    ConvWeights, DataflowConfig, ExecCtx,
+    dgrad, forward, prepare, prepare_trace, reference_dgrad, reference_forward, reference_wgrad,
+    wgrad, ConvWeights, DataflowConfig, ExecCtx,
 };
 use ts_gpusim::Device;
 use ts_kernelmap::{build_strided_map, build_submanifold_map, Coord, KernelMap, KernelOffsets};
@@ -57,7 +57,7 @@ fn empty_map_runs_every_dataflow() {
                 }
             }
             let p = prepare(&map, &cfg, &ctx);
-            let _ = p.trace.total_us();
+            let _ = prepare_trace(&map, &p, &cfg, &ctx).total_us();
         }
     }
 }

@@ -1,7 +1,6 @@
 //! R-GCN layers expressed as relational kernel maps.
 
 use ts_dataflow::{forward, ConvWeights, DataflowConfig, ExecCtx};
-use ts_gpusim::KernelTrace;
 use ts_kernelmap::KernelMap;
 use ts_tensor::{relu, rng_from_seed, Matrix};
 use ts_workloads::graphs::HeteroGraph;
@@ -60,44 +59,31 @@ impl RgcnModel {
         self.layers.iter().map(|w| (w.c_in(), w.c_out())).collect()
     }
 
-    /// Runs the model functionally (when `ctx.functional`) through the
-    /// given dataflow, returning output features and the kernel trace of
-    /// *compute* work (mapping cost is charged by the system models).
+    /// Runs the model through the given dataflow, returning the output
+    /// features (`None` unless `ctx.functional`). Computes and never
+    /// prices: [`crate::GraphSystem::run`] prices the model.
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong number of rows or channels.
-    pub fn forward(
-        &self,
-        x: &Matrix,
-        cfg: &DataflowConfig,
-        ctx: &ExecCtx,
-    ) -> (Option<Matrix>, KernelTrace) {
+    pub fn forward(&self, x: &Matrix, cfg: &DataflowConfig, ctx: &ExecCtx) -> Option<Matrix> {
         assert_eq!(x.rows(), self.map.n_in(), "one feature row per node");
-        let mut trace = KernelTrace::new();
-        let mut feats = ctx.functional.then(|| x.clone());
+        let mut feats = ctx.functional.then(|| x.clone())?;
         for (i, w) in self.layers.iter().enumerate() {
-            let input = feats
-                .clone()
-                .unwrap_or_else(|| Matrix::zeros(self.map.n_in(), w.c_in()));
-            let out = forward(&input, w, &self.map, cfg, ctx);
-            trace.merge(out.trace);
-            feats = out.features.map(|mut f| {
-                if i + 1 < self.layers.len() {
-                    relu(&mut f);
-                }
-                f
-            });
+            feats = forward(&feats, w, &self.map, cfg, ctx).features?;
+            if i + 1 < self.layers.len() {
+                relu(&mut feats);
+            }
         }
-        (feats, trace)
+        Some(feats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_dataflow::reference_forward;
-    use ts_gpusim::Device;
+    use ts_dataflow::{forward_trace, prepare, reference_forward};
+    use ts_gpusim::{Device, KernelTrace};
     use ts_tensor::{uniform_matrix, Precision};
 
     fn tiny() -> (HeteroGraph, Matrix) {
@@ -123,7 +109,7 @@ mod tests {
         let model = RgcnModel::new(&g, 8, 6, 4, 3);
         let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
         let cfg = DataflowConfig::gather_scatter(true);
-        let (out, _) = model.forward(&x, &cfg, &ctx);
+        let out = model.forward(&x, &cfg, &ctx);
         // Recompute by hand: layer1 + relu + layer2.
         let mut h = reference_forward(&x, &model.layers[0], model.map());
         relu(&mut h);
@@ -136,18 +122,26 @@ mod tests {
         let (g, x) = tiny();
         let model = RgcnModel::new(&g, 8, 6, 4, 3);
         let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
-        let (a, _) = model.forward(&x, &DataflowConfig::gather_scatter(false), &ctx);
-        let (b, _) = model.forward(&x, &DataflowConfig::fetch_on_demand(true), &ctx);
+        let a = model.forward(&x, &DataflowConfig::gather_scatter(false), &ctx);
+        let b = model.forward(&x, &DataflowConfig::fetch_on_demand(true), &ctx);
         assert!(a.unwrap().approx_eq(&b.unwrap(), 1e-3));
     }
 
+    /// The model prices as its layer dimensions through `forward_trace`
+    /// (what `GraphSystem::run` charges), and a simulate-only forward
+    /// computes nothing.
     #[test]
     fn trace_has_work_for_both_layers() {
         let (g, x) = tiny();
         let model = RgcnModel::new(&g, 8, 6, 4, 3);
         let ctx = ExecCtx::simulate(Device::a100(), Precision::Fp16);
-        let (out, trace) = model.forward(&x, &DataflowConfig::fetch_on_demand(true), &ctx);
-        assert!(out.is_none());
+        let cfg = DataflowConfig::fetch_on_demand(true);
+        assert!(model.forward(&x, &cfg, &ctx).is_none());
+        let plan = prepare(model.map(), &cfg, &ctx);
+        let mut trace = KernelTrace::new();
+        for (c_in, c_out) in model.layer_dims() {
+            trace.merge(forward_trace(c_in, c_out, model.map(), &plan, &cfg, &ctx));
+        }
         assert!(trace.total_us() > 0.0);
         assert!(trace.total_macs() >= model.map().total_pairs() * (8 * 6 + 6 * 4) as u64);
     }

@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ts_dataflow::{forward_trace, prepare, DataflowConfig, ExecCtx};
+use ts_dataflow::{forward_trace, prepare, prepare_trace, DataflowConfig, ExecCtx};
 use ts_gpusim::{Device, KernelDesc, Precision};
 use ts_workloads::graphs::HeteroGraph;
 
@@ -100,7 +100,7 @@ impl GraphSystem {
                     DataflowConfig::gather_scatter(true),
                 ] {
                     let prep = prepare(map, &cfg, &ctx);
-                    let mut t = prep.trace.total_us();
+                    let mut t = prepare_trace(map, &prep, &cfg, &ctx).total_us();
                     for &(ci, co) in &dims {
                         t += forward_trace(ci, co, map, &prep, &cfg, &ctx).total_us();
                     }
@@ -120,7 +120,7 @@ impl GraphSystem {
                 };
                 let cfg = DataflowConfig::gather_scatter(fused_memops);
                 let prep = prepare(map, &cfg, &ctx);
-                let mut trace = prep.trace.clone();
+                let mut trace = prepare_trace(map, &prep, &cfg, &ctx);
                 for &(ci, co) in &dims {
                     trace.merge(forward_trace(ci, co, map, &prep, &cfg, &ctx));
                     // Message-passing frameworks materialise per-edge

@@ -386,7 +386,7 @@ impl Trainer {
             self.cfg.micro_batches,
         );
         ts_trace::counter_add("train.microbatches.executed", split.passes as i64);
-        let k = split.k;
+        let passes = split.passes;
 
         let applied = !bw.overflow;
         if bw.overflow {
@@ -422,16 +422,16 @@ impl Trainer {
         // even when the schedule itself came straight from the cache.
         let report = session.simulate_training(&tune.result.configs, &self.ctx);
         let optim = optimizer_us(self.param_bytes, &self.ctx);
-        let sim = StepSim::from_report(&report, k, optim);
+        let sim = StepSim::from_report(&report, passes, optim);
         let unbound_report =
             session.simulate_training(&TrainConfigs::bound(self.cfg.tuner.default), &self.ctx);
-        let unbound_sim = StepSim::from_report(&unbound_report, k, optim);
+        let unbound_sim = StepSim::from_report(&unbound_report, passes, optim);
         self.steps += 1;
         let step_us = sim.step_us();
         self.now_us += step_us.max(0.0) as u64;
         if let Some(t) = &self.telemetry {
             let _ = t.on_completed_at(self.now_us, 0, step_us.max(0.0) as u64, false);
-            t.on_batch_at(self.now_us, self.steps, k as u64, step_us);
+            t.on_batch_at(self.now_us, self.steps, passes as u64, step_us);
         }
 
         Ok(StepReport {
@@ -439,7 +439,7 @@ impl Trainer {
             loss: bw.loss,
             applied,
             loss_scale: self.amp.as_ref().map_or(1.0, |a| a.scale),
-            micro_batches: k,
+            micro_batches: passes,
             sim,
             unbound_sim,
             tune_origin: match tune.origin {
@@ -798,6 +798,21 @@ mod tests {
         assert!(s.optim_us > 0.0, "optimizer priced");
         let expect = s.map_us + 2.0 * (s.fwd_us + s.dgrad_us + s.wgrad_us) + s.optim_us;
         assert!((s.step_us() - expect).abs() < 1e-9);
+    }
+
+    /// A step is priced by the passes it runs: 4 frames split 3 ways
+    /// run 2 passes of ceil(4 / 3) = 2 frames each.
+    #[test]
+    fn step_prices_the_passes_it_runs() {
+        let cfg = TrainerConfig {
+            micro_batches: 3,
+            ..TrainerConfig::default()
+        };
+        let mut t = Trainer::new(&net(), 7, &ctx(), cfg);
+        let r = t.step(&scene(13, 4)).unwrap();
+        assert_eq!(r.micro_batches, 2);
+        let s = &r.sim;
+        assert_eq!(s.step_us(), s.map_us + 2.0 * s.compute_us() + s.optim_us);
     }
 
     #[test]

@@ -29,13 +29,13 @@ fn main() {
     let model = RgcnModel::new(&demo, 16, 16, 4, 9);
     let x = uniform_matrix(&mut rng_from_seed(1), demo.n_nodes, 16, -1.0, 1.0);
     let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp32);
-    let (out, trace) = model.forward(&x, &DataflowConfig::fetch_on_demand(true), &ctx);
-    let out = out.expect("functional run");
+    let out = model
+        .forward(&x, &DataflowConfig::fetch_on_demand(true), &ctx)
+        .expect("functional run");
     println!(
-        "R-GCN output: {} nodes x {} classes; {} simulated kernel launches",
+        "R-GCN output: {} nodes x {} classes",
         out.rows(),
-        out.cols(),
-        trace.launch_count()
+        out.cols()
     );
 
     // The Figure 16 comparison across the five benchmark graphs.
