@@ -159,18 +159,21 @@ fn f16_round_trip(v: f32) -> f32 {
         // Inf / NaN pass through.
         return v;
     }
+    let clamp = if sign == 1 { -65504.0 } else { 65504.0 };
     let unbiased = exp - 127;
     if unbiased > 15 {
         // Overflow: clamp to max finite half (65504).
-        return if sign == 1 { -65504.0 } else { 65504.0 };
-    }
-    if unbiased < -24 {
-        return if sign == 1 { -0.0 } else { 0.0 };
+        return clamp;
     }
     if unbiased < -14 {
-        // Subnormal half: quantise to multiples of 2^-24.
-        let q = (v / 2f32.powi(-24)).round();
-        return q * 2f32.powi(-24);
+        // Below the smallest normal half, the grid is the multiples of
+        // 2^-24. `|v| * 2^24` is exact and at most 1024; adding and
+        // subtracting 2^23 rounds it to an integer, ties to even,
+        // without a libm call (`round_ties_even` is one on baseline
+        // x86-64, and exact zeros take this path). The sign goes back
+        // on last, so a result that rounds to zero keeps it.
+        let q = (v.abs() * 2f32.powi(24) + 2f32.powi(23)) - 2f32.powi(23);
+        return (q * 2f32.powi(-24)).copysign(v);
     }
     // Normal half: keep 10 mantissa bits with round-to-nearest-even.
     let shift = 13;
@@ -179,7 +182,11 @@ fn f16_round_trip(v: f32) -> f32 {
     let rounded = frac + (halfway - 1) + tie_to_even;
     let new_frac = rounded >> shift << shift;
     if new_frac > 0x7f_ffff {
-        // Mantissa overflowed into the exponent.
+        // Mantissa overflowed into the exponent; past 2^15 that is an
+        // overflow too.
+        if unbiased == 15 {
+            return clamp;
+        }
         return f32::from_bits((sign << 31) | (((exp + 1) as u32) << 23));
     }
     f32::from_bits((sign << 31) | ((exp as u32) << 23) | new_frac)
@@ -224,6 +231,50 @@ mod tests {
     #[test]
     fn fp16_flushes_tiny_values() {
         assert_eq!(Precision::Fp16.quantize(1e-30), 0.0);
+    }
+
+    /// The positive finite binary16 value with bit pattern `h`, decoded
+    /// from its fields: `m · 2^-24` for subnormals, `(1024 + m) ·
+    /// 2^(e - 25)` for normals.
+    fn half(h: u16) -> f32 {
+        let (e, m) = (i32::from(h >> 10), f32::from(h & 0x3ff));
+        if e == 0 {
+            m * 2f32.powi(-24)
+        } else {
+            (1024.0 + m) * 2f32.powi(e - 25)
+        }
+    }
+
+    /// Every finite half is a fixed point. Between two neighbouring
+    /// halves, the midpoint rounds to the one with the even mantissa and
+    /// the `f32` one ulp to either side of it rounds to its own side:
+    /// this covers subnormal ties, the gap between 0 and 2^-24, and the
+    /// carry into the next binade. From 65504 up to 65536 every value
+    /// rounds to 65504 or beyond it, so it clamps to 65504.
+    #[test]
+    fn fp16_rounds_to_nearest_even_at_every_half() {
+        let q = |v: f32| Precision::Fp16.quantize(v).to_bits();
+        for sign in [1.0f32, -1.0] {
+            for h in 0..0x7bffu16 {
+                let (lo, hi) = (sign * half(h), sign * half(h + 1));
+                let mid = (lo + hi) / 2.0;
+                let even = if h % 2 == 0 { lo } else { hi };
+                assert_eq!(q(lo), lo.to_bits(), "{lo:e} is a half");
+                assert_eq!(q(mid), even.to_bits(), "midpoint {mid:e}");
+                let (toward_lo, toward_hi) = if sign > 0.0 {
+                    (mid.next_down(), mid.next_up())
+                } else {
+                    (mid.next_up(), mid.next_down())
+                };
+                assert_eq!(q(toward_lo), lo.to_bits(), "{toward_lo:e}");
+                assert_eq!(q(toward_hi), hi.to_bits(), "{toward_hi:e}");
+            }
+            let max = sign * 65504.0;
+            assert_eq!(q(max), max.to_bits());
+            for v in [65519.996f32, 65520.0, 65520.004, 65535.996] {
+                assert_eq!(q(sign * v), max.to_bits(), "{v} clamps");
+            }
+        }
     }
 
     #[test]
