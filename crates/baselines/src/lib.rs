@@ -21,6 +21,8 @@
 //! [`flatformer`] (the point-cloud-transformer comparison of
 //! Section 5.2).
 
+#![forbid(unsafe_code)]
+
 pub mod cublas;
 pub mod flatformer;
 pub mod pointacc;

@@ -10,6 +10,8 @@
 //! latencies shift with scale, but every comparison is within-scale, so
 //! speedup *shapes* are stable.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::PathBuf;
 

@@ -51,6 +51,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod digest;
 mod store;

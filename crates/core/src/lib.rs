@@ -43,6 +43,8 @@
 //! assert!(report.total_us() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod network;
 mod report;

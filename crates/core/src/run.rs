@@ -174,6 +174,28 @@ pub(crate) fn forward(
     feats
 }
 
+/// The weights of one weight update: the network's own, and every
+/// conv's per-offset transposed weights, which dgrad reads. Built once
+/// per update, so each of its passes shares one transpose.
+pub(crate) struct PassWeights<'a> {
+    pub(crate) weights: &'a NetworkWeights,
+    transposed: Vec<Option<ConvWeights>>,
+}
+
+impl<'a> PassWeights<'a> {
+    pub(crate) fn new(weights: &'a NetworkWeights) -> Self {
+        let transposed = weights
+            .convs
+            .iter()
+            .map(|w| w.as_ref().map(ConvWeights::transposed))
+            .collect();
+        Self {
+            weights,
+            transposed,
+        }
+    }
+}
+
 /// The reverse half of the walk over the activations [`forward`]
 /// stored: the loss `0.5 * ||output||^2`, then dgrad through the
 /// transposed maps and wgrad through the forward maps with the per-pass
@@ -183,7 +205,7 @@ pub(crate) fn forward(
 /// un-scaled. `ctx` must be functional.
 pub(crate) fn backward(
     session: &Session,
-    weights: &NetworkWeights,
+    weights: &PassWeights,
     feats: &[Option<Matrix>],
     cfgs: &TrainConfigs,
     ctx: &ExecCtx,
@@ -214,13 +236,13 @@ pub(crate) fn backward(
             Op::Input => unreachable!(),
             Op::Conv(_) => {
                 let (map, grad_map, group) = session.conv_maps(i).expect("conv map");
-                let w = weights.convs[i].as_ref().expect("weights");
+                let w_t = weights.transposed[i].as_ref().expect("weights");
                 let d_cfg = cfgs.dgrad.for_group(group);
                 let w_cfg = cfgs.wgrad.for_group(group);
                 // dgrad: the forward over the transposed map with
                 // transposed weights.
                 let plan = session.conv_plan(i, true, &d_cfg, ctx);
-                let mut dx = forward_prepared(&g, &w.transposed(), &grad_map, &plan, &d_cfg, ctx)
+                let mut dx = forward_prepared(&g, w_t, &grad_map, &plan, &d_cfg, ctx)
                     .features
                     .expect("functional");
                 quantize(&mut dx);
@@ -248,7 +270,7 @@ pub(crate) fn backward(
                 conv_grads[i] = Some(dw);
             }
             Op::BatchNorm => {
-                let params = weights.bns[i].as_ref().expect("bn");
+                let params = weights.weights.bns[i].as_ref().expect("bn");
                 let mut dx = g;
                 for r in 0..dx.rows() {
                     for (c, v) in dx.row_mut(r).iter_mut().enumerate() {

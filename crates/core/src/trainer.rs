@@ -7,7 +7,7 @@
 use ts_dataflow::{ConvWeights, ExecCtx};
 use ts_tensor::Matrix;
 
-use crate::run::{backward, forward};
+use crate::run::{backward, forward, PassWeights};
 use crate::{NetworkWeights, Session, SparseTensor, TrainConfigs};
 
 /// Dynamic loss scaling for mixed-precision training: gradients flow in
@@ -111,18 +111,33 @@ pub fn forward_backward(
     loss_scale: f32,
     fp16_grads: bool,
 ) -> BackwardOutput {
+    let weights = PassWeights::new(weights);
+    pass(&weights, session, input, cfgs, ctx, loss_scale, fp16_grads)
+}
+
+/// [`forward_backward`] with the weights already transposed for dgrad.
+fn pass(
+    weights: &PassWeights,
+    session: &Session,
+    input: &SparseTensor,
+    cfgs: &TrainConfigs,
+    ctx: &ExecCtx,
+    loss_scale: f32,
+    fp16_grads: bool,
+) -> BackwardOutput {
     let fctx = ExecCtx {
         functional: true,
         ..ctx.clone()
     };
-    let feats = forward(session, weights, input.feats(), &cfgs.fwd, &fctx);
+    let feats = forward(session, weights.weights, input.feats(), &cfgs.fwd, &fctx);
     backward(
         session, weights, &feats, cfgs, &fctx, loss_scale, fp16_grads,
     )
 }
 
 /// One training step's gradient accumulation: [`forward_backward`] once
-/// per micro-batch, summed. The protocol under `ts_train::Trainer` and
+/// per micro-batch, summed, with one transpose of the conv weights for
+/// dgrad shared by every pass. The protocol under `ts_train::Trainer` and
 /// the ts-verify training tier.
 ///
 /// The batch indices present in `input` are split into contiguous
@@ -169,6 +184,7 @@ pub fn forward_backward_micro(
         input_grad: None,
         overflow: false,
     };
+    let weights = PassWeights::new(weights);
     let mut passes = 0;
     for span in batches.chunks(chunk) {
         passes += 1;
@@ -178,7 +194,7 @@ pub fn forward_backward_micro(
                 micro.feats_mut().row_mut(i).fill(0.0);
             }
         }
-        let bw = forward_backward(weights, session, &micro, cfgs, ctx, loss_scale, fp16_grads);
+        let bw = pass(&weights, session, &micro, cfgs, ctx, loss_scale, fp16_grads);
         sum.loss += bw.loss;
         sum.overflow |= bw.overflow;
         for (slot, dw) in sum.grads.iter_mut().zip(&bw.grads) {

@@ -57,6 +57,9 @@
 //! assert!(mapping.total_us() > 0.0 && conv.total_us() > 0.0);
 //! ```
 
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 mod config;
 mod ctx;
 mod fetch_on_demand;

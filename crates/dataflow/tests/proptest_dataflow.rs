@@ -150,17 +150,32 @@ proptest! {
 // Bit identity: the functional path of every dataflow performs, per
 // output element, exactly the additions and multiplications of the
 // direct evaluation, so it must equal the oracle to the bit — not
-// merely within a tolerance. Channel widths straddle the kernel's
-// 4-pair block and the vector lanes (width 1, odd widths, 8 and 16 and
-// one past them); the random clouds give pair counts on both sides of
-// every block edge and offsets with no pairs at all.
+// merely within a tolerance. Output widths cover the kernel's
+// 16-column tile: narrower than one tile, whole tiles (16, 48), and a
+// remainder after one or more whole tiles (17, 19, 35). dgrad swaps
+// each pair, so narrow dgrad outputs (4, 1) and odd input widths (33)
+// occur too. The random clouds give pair counts on both sides of every
+// pair-block edge and offsets with no pairs at all.
 
 use rand::Rng;
 use ts_kernelmap::{KernelMap, SplitPlan};
 use ts_tensor::Matrix;
 
 /// `(c_in, c_out)` pairs every bit-identity case runs.
-const WIDTHS: [(usize, usize); 7] = [(1, 1), (1, 4), (3, 5), (4, 8), (7, 1), (8, 9), (16, 17)];
+const WIDTHS: [(usize, usize); 12] = [
+    (1, 1),
+    (1, 4),
+    (3, 5),
+    (4, 8),
+    (7, 1),
+    (8, 9),
+    (16, 17),
+    (4, 16),
+    (16, 4),
+    (32, 48),
+    (48, 19),
+    (33, 35),
+];
 
 /// The dataflows whose functional path is one offset range.
 fn single_range_configs() -> [DataflowConfig; 6] {

@@ -29,6 +29,8 @@
 //! assert!(model.kernel_time_us(&gemm) > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cost;
 mod device;
 mod kernel;

@@ -23,6 +23,8 @@
 //! assert_eq!(model.layer_count(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod rgcn;
 mod systems;
 

@@ -34,6 +34,8 @@
 //! assert_eq!(kernel.stats.inner_loop_branches, 0); // padded by default
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod analysis;
 mod codegen;
 mod engineering;

@@ -39,6 +39,8 @@
 //! assert_eq!(map.total_pairs(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod build;
 mod check;
 mod coord;

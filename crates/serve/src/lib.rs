@@ -70,6 +70,7 @@
 //! the failure modes and counters defined here.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 mod config;

@@ -23,6 +23,8 @@
 //! assert_eq!(c, a);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod matrix;
 mod ops;
 mod precision;

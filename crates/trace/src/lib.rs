@@ -81,6 +81,7 @@
 //!
 //! Gauges follow the same convention (e.g. `autotune.speedup`).
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 

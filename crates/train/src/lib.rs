@@ -58,6 +58,8 @@
 //! assert!(reports.iter().all(|r| r.loss.is_finite()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod plan;
 mod trainer;
 

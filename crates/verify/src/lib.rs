@@ -55,6 +55,8 @@
 //! assert!(run_scenario(&scenario).is_empty(), "all dataflows conform");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod differential;
 mod fuzz;
 mod invariants;

@@ -23,6 +23,8 @@
 //! * [`arrivals`] — open-loop Poisson arrival traces for fleet-scale
 //!   load generation.
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 mod benchmarks;
 pub mod graphs;

@@ -15,6 +15,8 @@
 //! assert_eq!(m.rows(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ts_autotune as autotune;
 pub use ts_baselines as baselines;
 pub use ts_cache as cache;
