@@ -9,7 +9,7 @@
 
 use serde_json::json;
 use ts_bench::{paper_check, print_table, write_json};
-use ts_core::{GroupConfigs, LatencyStats, Session};
+use ts_core::{GroupConfigs, Session};
 use ts_dataflow::{DataflowConfig, ExecCtx};
 use ts_gpusim::{Device, Precision};
 use ts_workloads::{masked_image_batch, masked_image_encoder, MaskedImageConfig};
@@ -22,16 +22,18 @@ fn latency_ms(keep_ratio: f32, ctx: &ExecCtx) -> f64 {
         channels: 16,
     };
     let net = masked_image_encoder(cfg.channels);
-    let reports: Vec<_> = (0..3)
+    let total_ms: f64 = (0..3)
         .map(|seed| {
             let batch = masked_image_batch(&cfg, seed, 4);
-            Session::new(&net, batch.coords()).simulate_inference(
-                &GroupConfigs::uniform(DataflowConfig::implicit_gemm(1)),
-                ctx,
-            )
+            Session::new(&net, batch.coords())
+                .simulate_inference(
+                    &GroupConfigs::uniform(DataflowConfig::implicit_gemm(1)),
+                    ctx,
+                )
+                .total_ms()
         })
-        .collect();
-    LatencyStats::from_reports(reports.iter()).mean_ms()
+        .sum();
+    total_ms / 3.0
 }
 
 fn main() {

@@ -22,7 +22,7 @@ use ts_bench::{bench_scale, print_table, write_json};
 use ts_core::{Engine, GroupConfigs, SparseTensor};
 use ts_dataflow::{DataflowConfig, ExecCtx};
 use ts_gpusim::Device;
-use ts_serve::{ObsConfig, ServeConfig, Server, Telemetry};
+use ts_serve::{ObsConfig, ObsEvent, ServeConfig, Server, Telemetry};
 use ts_tensor::Precision;
 use ts_workloads::Workload;
 
@@ -97,7 +97,11 @@ fn main() {
     const OPS: u64 = 200_000;
     let t0 = Instant::now();
     for i in 0..OPS {
-        telemetry.on_completed(i % STREAMS, 100 + i % 400, i % 97 == 0);
+        telemetry.observe(ObsEvent::Completed {
+            stream: i % STREAMS,
+            latency_us: (100 + i % 400) as f64,
+            missed: i % 97 == 0,
+        });
     }
     let ns_per_completion = t0.elapsed().as_nanos() as f64 / OPS as f64;
 

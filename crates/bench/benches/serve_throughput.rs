@@ -101,7 +101,7 @@ fn main() {
     let speedup_sim = serve_fps_sim / serial_fps_sim;
     let serial_fps_wall = n_frames as f64 / serial_wall_s;
     let serve_fps_wall = n_frames as f64 / serve_wall_s;
-    let overall = report.overall.expect("completions recorded");
+    let overall = &report.overall;
 
     print_table(
         &format!(
@@ -132,8 +132,8 @@ fn main() {
     );
     println!(
         "SLO: wall p50 {:.1} ms, p99 {:.1} ms, deadline-miss rate {:.1}%",
-        overall.p50_us / 1e3,
-        overall.p99_us / 1e3,
+        overall.quantile_us(0.50) / 1e3,
+        overall.quantile_us(0.99) / 1e3,
         report.deadline_miss_rate() * 100.0
     );
 
@@ -155,9 +155,9 @@ fn main() {
         "serve_fps_wall": serve_fps_wall,
         "speedup_fps_sim": speedup_sim,
         "speedup_fps_wall": serve_fps_wall / serial_fps_wall,
-        "wall_p50_ms": overall.p50_us / 1e3,
-        "wall_p90_ms": overall.p90_us / 1e3,
-        "wall_p99_ms": overall.p99_us / 1e3,
+        "wall_p50_ms": overall.quantile_us(0.50) / 1e3,
+        "wall_p90_ms": overall.quantile_us(0.90) / 1e3,
+        "wall_p99_ms": overall.quantile_us(0.99) / 1e3,
         "deadline_miss_rate": report.deadline_miss_rate(),
         "deadline_misses": report.deadline_misses,
         "shed_deadline": report.shed_deadline,

@@ -5,7 +5,7 @@
 use std::fmt;
 
 use ts_core::{Network, NetworkWeights, SparseTensor};
-use ts_obs::{Alert, HealthSnapshot, ObsEvent};
+use ts_obs::{Alert, HealthSnapshot, ObsEvent, RecordedEvent};
 use ts_serve::{Rejected, ResponseHandle, ServeReport, Server};
 
 use crate::node::NodeSpec;
@@ -71,14 +71,10 @@ struct NodeSlot {
 impl NodeSlot {
     /// This lifetime's report merged with all retired ones.
     fn pooled_report(&self, live: Option<ServeReport>) -> ServeReport {
-        let mut reports = self.retired.clone();
-        if let Some(r) = live {
-            reports.push(r);
-        }
-        reports
-            .into_iter()
-            .reduce(|a, b| a.merge(&b))
-            .unwrap_or_else(crate::report::empty_report)
+        self.retired
+            .iter()
+            .chain(&live)
+            .fold(ServeReport::default(), |acc, r| acc.merge(r))
     }
 
     /// Retired-lifetime alerts plus the live server's, in order.
@@ -235,11 +231,10 @@ impl Fleet {
         // wants in the ring: record it on the node that *gained* the
         // stream (where the map rebuild cost will land).
         if let (Some(kind), Some(t)) = (decision.movement_kind(), server.telemetry()) {
-            t.record_event(ObsEvent::Migration {
-                at_us: t.now_us(),
+            t.observe(ObsEvent::Migration {
                 stream,
                 node: decision.node as u64,
-                kind: kind.to_owned(),
+                kind,
             });
         }
         Ok(server.submit(stream, frame)?)
@@ -265,7 +260,7 @@ impl Fleet {
     /// Node `id`'s flight-recorder ring, oldest first — "what just
     /// happened on that node". Empty for dead nodes, unknown ids, and
     /// nodes serving without telemetry.
-    pub fn node_recent_events(&self, id: usize) -> Vec<ObsEvent> {
+    pub fn node_recent_events(&self, id: usize) -> Vec<RecordedEvent> {
         self.nodes
             .get(id)
             .and_then(|n| n.server.as_ref())

@@ -1,6 +1,6 @@
 //! Fleet-level reporting: per-node [`ServeReport`]s plus the routing
-//! counters, merged with the exact pooled statistics of
-//! [`ServeReport::merge`] / [`ts_core::LatencyStats::merge`].
+//! counters, pooled with [`ServeReport::merge`] (counters sum, latency
+//! histograms add bucket by bucket).
 
 use serde::{Deserialize, Serialize};
 use ts_obs::Alert;
@@ -40,7 +40,7 @@ pub struct FleetReport {
     /// Per-node reports, sorted by node id.
     pub nodes: Vec<NodeReport>,
     /// All node reports pooled via [`ServeReport::merge`] — exact
-    /// counters, exact pooled mean/variance, run-weighted percentiles.
+    /// counters, latency histograms pooled bucket by bucket.
     pub merged: ServeReport,
     /// Requests the router placed (all placements).
     pub routed: u64,
@@ -75,14 +75,7 @@ impl FleetReport {
     pub fn from_nodes(nodes: Vec<NodeReport>, counters: RoutingCounters) -> Self {
         let merged = nodes
             .iter()
-            .map(|n| &n.report)
-            .fold(None::<ServeReport>, |acc, r| {
-                Some(match acc {
-                    None => r.clone(),
-                    Some(m) => m.merge(r),
-                })
-            })
-            .unwrap_or_else(empty_report);
+            .fold(ServeReport::default(), |acc, n| acc.merge(&n.report));
         let alerts = nodes.iter().flat_map(|n| n.alerts.clone()).collect();
         Self {
             nodes,
@@ -147,39 +140,6 @@ pub struct RoutingCounters {
     pub rejected_no_capacity: u64,
 }
 
-/// An all-zero serving report for a fleet (or node) that served
-/// nothing.
-pub(crate) fn empty_report() -> ServeReport {
-    ServeReport {
-        completed: 0,
-        rejected_queue_full: 0,
-        rejected_bad_frame: 0,
-        shed_deadline: 0,
-        shed_crashed: 0,
-        shed_halt: 0,
-        deadline_misses: 0,
-        worker_panics: 0,
-        worker_stalls: 0,
-        worker_restarts: 0,
-        requeued: 0,
-        schedule_downgrades: 0,
-        map_cache_hits: 0,
-        map_cache_misses: 0,
-        map_patched: 0,
-        map_rebuilt: 0,
-        map_evicted: 0,
-        map_invalidated: 0,
-        wall_s: 0.0,
-        throughput_fps: 0.0,
-        sim_us_total: 0.0,
-        batch_sizes: Vec::new(),
-        queue_depths: Vec::new(),
-        streams: Vec::new(),
-        overall: None,
-        trace_path: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,26 +173,26 @@ mod tests {
     #[test]
     fn idle_node_does_not_skew_fleet_percentiles() {
         let busy = {
-            let mut r = empty_report();
-            r.completed = 4;
-            r.batch_sizes = vec![ts_serve::HistogramBucket { value: 2, count: 2 }];
-            r.overall = ts_core::LatencyStats::from_latencies_us(&[100.0, 200.0, 300.0, 400.0]);
+            let mut r = ServeReport {
+                completed: 4,
+                batch_sizes: vec![ts_serve::HistogramBucket { value: 2, count: 2 }],
+                ..ServeReport::default()
+            };
+            for v in [100.0, 200.0, 300.0, 400.0] {
+                r.overall.record(v);
+            }
             r
         };
         let fleet = FleetReport::from_nodes(
             vec![
                 node(0, busy.clone(), Vec::new()),
-                node(1, empty_report(), Vec::new()),
+                node(1, ServeReport::default(), Vec::new()),
             ],
             RoutingCounters::default(),
         );
         assert_eq!(fleet.merged.completed, 4);
         assert_eq!(fleet.merged.batch_sizes, busy.batch_sizes);
-        let pooled = fleet.merged.overall.expect("busy side survives");
-        let alone = busy.overall.expect("busy");
-        assert_eq!(pooled.runs, alone.runs);
-        assert_eq!(pooled.p50_us, alone.p50_us);
-        assert_eq!(pooled.p99_us, alone.p99_us);
+        assert_eq!(fleet.merged.overall, busy.overall);
         assert_eq!(fleet.merged.deadline_miss_rate(), 0.0);
     }
 
@@ -252,8 +212,8 @@ mod tests {
         };
         let fleet = FleetReport::from_nodes(
             vec![
-                node(0, empty_report(), vec![alert(10)]),
-                node(1, empty_report(), vec![alert(5), alert(20)]),
+                node(0, ServeReport::default(), vec![alert(10)]),
+                node(1, ServeReport::default(), vec![alert(5), alert(20)]),
             ],
             RoutingCounters::default(),
         );

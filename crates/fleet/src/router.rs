@@ -41,6 +41,7 @@
 use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
+use ts_obs::MigrationKind;
 
 /// Routing policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -111,14 +112,14 @@ pub struct Decision {
 impl Decision {
     /// The home-movement kind of this decision, if any — the `kind`
     /// recorded in the target node's flight recorder as an
-    /// [`ts_obs::ObsEvent::Migration`]: `"migrate"` for a
-    /// persistent-overload move, `"re_home"` for a move forced by the
-    /// old home's death, `None` when the home did not move.
-    pub fn movement_kind(&self) -> Option<&'static str> {
+    /// [`ts_obs::ObsEvent::Migration`]: `Migrate` for a
+    /// persistent-overload move, `ReHome` for a move forced by the old
+    /// home's death, `None` when the home did not move.
+    pub fn movement_kind(&self) -> Option<MigrationKind> {
         if self.migrated {
-            Some("migrate")
+            Some(MigrationKind::Migrate)
         } else if self.re_homed {
-            Some("re_home")
+            Some(MigrationKind::ReHome)
         } else {
             None
         }

@@ -189,8 +189,12 @@ fn fleet_health_snapshots_and_rehome_events() {
     assert_ne!(new_home, victim);
     assert!(
         fleet.node_recent_events(new_home).iter().any(|e| matches!(
-            e,
-            ts_serve::ObsEvent::Migration { stream: 0, kind, .. } if kind == "re_home"
+            e.event,
+            ts_serve::ObsEvent::Migration {
+                stream: 0,
+                kind: ts_serve::MigrationKind::ReHome,
+                ..
+            }
         )),
         "the gaining node's recorder must log the re-home"
     );

@@ -26,10 +26,15 @@
 //!    worker or a node dies.
 //!
 //! The crate is deliberately engine-agnostic: it knows timestamps,
-//! streams, batches and faults, never tensors. `ts-serve` owns the
-//! wiring (every [`Telemetry`] hook is called from existing
-//! `Metrics` instrumentation points) and `ts-fleet` evaluates the SLO
-//! monitor deterministically inside `FleetSim`.
+//! streams, batches and faults, never tensors. Every serve
+//! instrumentation site emits one typed [`ObsEvent`]; `ts-serve`'s
+//! `Metrics::record` folds it into the cumulative report and its trace
+//! counters and hands the same event to [`Telemetry::observe_at`], the
+//! registry's one write entry point. `ts-train` feeds its virtual-clock
+//! steps through the same call, and `ts-fleet` evaluates the SLO
+//! monitor deterministically inside `FleetSim`. [`LatencyHistogram`] is
+//! the fixed-size cumulative latency distribution the serve report
+//! keeps per stream, on the same buckets the windows use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,8 +45,13 @@ mod registry;
 mod slo;
 mod window;
 
-pub use histogram::{bucket_index, bucket_upper_us, HistogramSnapshot, RollingHistogram, BUCKETS};
-pub use recorder::{FlightRecorder, ObsEvent, PostMortem};
+pub use histogram::{
+    bucket_index, bucket_upper_us, HistogramSnapshot, LatencyHistogram, RollingHistogram, BUCKETS,
+};
+pub use recorder::{
+    FaultKind, FlightRecorder, MapUpdateKind, MigrationKind, ObsEvent, PostMortem, RecordedEvent,
+    RejectReason, ShedReason,
+};
 pub use registry::{HealthSnapshot, ObsConfig, StreamHealth, Telemetry};
 pub use slo::{Alert, AlertLevel, AlertState, BurnReading, SloMonitor, SloPolicy};
 pub use window::WindowedCounter;

@@ -19,76 +19,171 @@ use serde::{Deserialize, Serialize};
 use crate::registry::HealthSnapshot;
 use crate::slo::{AlertLevel, AlertState};
 
-/// One structured event in the flight recorder, timestamped in
-/// microseconds since the owning [`Telemetry`](crate::Telemetry)'s
-/// epoch (virtual time under simulation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Why a worker left the pool abnormally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FaultKind {
+    /// The worker thread panicked.
+    WorkerPanic,
+    /// The worker stayed busy on one batch past the stall timeout.
+    WorkerStall,
+}
+
+/// Why a request was rejected outright: refused at admission, or its
+/// frame could not be served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RejectReason {
+    /// The in-flight queue was full at submission.
+    QueueFull,
+    /// The frame failed shape validation or did not compile.
+    BadFrame,
+}
+
+/// Why an admitted request was shed unexecuted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ShedReason {
+    /// Its deadline passed before execution started.
+    Deadline,
+    /// It exhausted its re-enqueue budget on crashing workers.
+    WorkerCrashed,
+    /// The node was halted with the request still queued.
+    Halt,
+}
+
+/// How a frame's kernel map was brought up to date with temporal map
+/// reuse on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum MapUpdateKind {
+    /// No cached state: the map was built from scratch.
+    Built,
+    /// The cached map was patched in place.
+    Patched,
+    /// The cached map was rebuilt because churn passed the threshold.
+    Rebuilt,
+}
+
+/// Why a stream's fleet home moved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum MigrationKind {
+    /// The old home died.
+    ReHome,
+    /// The old home stayed overloaded.
+    Migrate,
+}
+
+/// One thing that happened on a server (or on a trainer's virtual
+/// clock), emitted once by the site where it happened. The serve
+/// report, the `serve.*` trace counters, the rolling windows, the SLO
+/// monitor and the flight recorder are all folds of the same stream of
+/// these ([`Telemetry::observe_at`](crate::Telemetry::observe_at) is
+/// the telemetry half).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ObsEvent {
+    /// A request was admitted; `queue_depth` counts it.
+    Admitted {
+        /// In-flight requests after admission.
+        queue_depth: u64,
+    },
     /// The batcher dispatched a batch to the worker pool.
     Dispatch {
-        /// Event time, microseconds.
-        at_us: u64,
         /// Batch sequence number.
         batch: u64,
         /// Jobs in the batch.
         jobs: u64,
-        /// Ingress queue depth after dispatch.
+        /// In-flight requests at dispatch.
         queue_depth: u64,
     },
-    /// A worker finished executing a batch.
+    /// A worker executed a batch, or with map reuse one frame of it.
     Batch {
-        /// Event time, microseconds.
-        at_us: u64,
-        /// Batch sequence number.
+        /// Sequence number of the dispatched (or requeued) batch.
         batch: u64,
-        /// Jobs executed.
+        /// Frames executed in this inference call.
         jobs: u64,
-        /// Simulated GPU time the batch cost.
+        /// Simulated GPU time of the call.
         sim_us: f64,
     },
-    /// A fault: worker panic, stall, restart, or requeue.
-    Fault {
-        /// Event time, microseconds.
-        at_us: u64,
-        /// Fault kind (`worker_panic`, `worker_stall`,
-        /// `worker_restart`, `requeue`).
-        kind: String,
-        /// The batch involved, when known.
-        batch: Option<u64>,
-        /// Free-form context.
-        detail: String,
+    /// A request was answered with an output.
+    Completed {
+        /// The request's stream.
+        stream: u64,
+        /// Submission to response, microseconds.
+        latency_us: f64,
+        /// Whether the response came after the deadline.
+        missed: bool,
     },
-    /// A request was shed with a typed rejection.
+    /// A request was refused.
+    Rejected {
+        /// Why.
+        reason: RejectReason,
+    },
+    /// An admitted request was shed unexecuted.
     Shed {
-        /// Event time, microseconds.
-        at_us: u64,
-        /// Shed reason (`deadline`, `crashed`, `halt`).
-        reason: String,
+        /// Why.
+        reason: ShedReason,
         /// The stream whose request was shed.
         stream: u64,
     },
+    /// The supervisor reaped a panicked worker or retired a stuck one.
+    Fault {
+        /// Panic or stall.
+        kind: FaultKind,
+        /// The batch the worker held, when one was recovered.
+        batch: Option<u64>,
+    },
+    /// The supervisor spawned a replacement worker.
+    Restart,
+    /// Jobs recovered from a dead or stuck worker were re-enqueued.
+    Requeue {
+        /// The fresh sequence number they were re-enqueued under.
+        batch: u64,
+        /// Jobs re-enqueued.
+        jobs: u64,
+    },
+    /// The chaos fault plan injected a fault into a batch.
+    Injected {
+        /// Panic or stall.
+        kind: FaultKind,
+        /// The batch it was injected into.
+        batch: u64,
+    },
     /// Schedule slots booted degraded (lenient artifact load).
     Downgrade {
-        /// Event time, microseconds.
-        at_us: u64,
         /// Downgraded slot count.
         slots: u64,
     },
+    /// Map reuse was requested but left off on a degraded engine.
+    MapReuseDisabled,
+    /// A frame looked up its stream in the map cache.
+    MapLookup {
+        /// Whether the stream's state was cached.
+        hit: bool,
+    },
+    /// A frame's kernel map was brought up to date.
+    MapUpdate {
+        /// Built, patched or rebuilt.
+        kind: MapUpdateKind,
+        /// Voxels that entered since the previous frame.
+        entered: u64,
+        /// Voxels that left since the previous frame.
+        exited: u64,
+    },
+    /// The map cache evicted its least recently used stream.
+    MapEvicted,
+    /// The map cache dropped every stream (worker respawn).
+    MapInvalidated {
+        /// Streams dropped.
+        streams: u64,
+    },
     /// A stream's home moved (fleet routing).
     Migration {
-        /// Event time, microseconds.
-        at_us: u64,
         /// The stream that moved.
         stream: u64,
         /// The node it now lives on.
         node: u64,
-        /// `re_home` (old home died) or `migrate` (overload).
-        kind: String,
+        /// Re-home or migrate.
+        kind: MigrationKind,
     },
     /// An SLO alert transition (see [`crate::SloMonitor`]).
     Alert {
-        /// Event time, microseconds.
-        at_us: u64,
         /// Severity.
         level: AlertLevel,
         /// Trip or clear edge.
@@ -96,38 +191,22 @@ pub enum ObsEvent {
         /// Burn rate at the edge.
         burn_rate: f64,
     },
-    /// A trace counter mirrored into the recorder via
-    /// [`ts_trace::Tracer::set_counter_hook`] (chaos injections use
-    /// this path).
-    Counter {
-        /// Event time, microseconds.
-        at_us: u64,
-        /// Counter name (`serve.chaos.injected_panic`, ...).
-        name: String,
-        /// Increment.
-        delta: i64,
-    },
 }
 
-impl ObsEvent {
-    /// The event's timestamp.
-    pub fn at_us(&self) -> u64 {
-        match *self {
-            ObsEvent::Dispatch { at_us, .. }
-            | ObsEvent::Batch { at_us, .. }
-            | ObsEvent::Fault { at_us, .. }
-            | ObsEvent::Shed { at_us, .. }
-            | ObsEvent::Downgrade { at_us, .. }
-            | ObsEvent::Migration { at_us, .. }
-            | ObsEvent::Alert { at_us, .. }
-            | ObsEvent::Counter { at_us, .. } => at_us,
-        }
-    }
+/// One flight-recorder entry: an event and its time, microseconds since
+/// the owning [`Telemetry`](crate::Telemetry)'s epoch (virtual time
+/// under simulation).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RecordedEvent {
+    /// Event time, microseconds.
+    pub at_us: u64,
+    /// What happened.
+    pub event: ObsEvent,
 }
 
-/// Fixed-size ring of the most recent [`ObsEvent`]s.
+/// Fixed-size ring of the most recent [`RecordedEvent`]s.
 pub struct FlightRecorder {
-    slots: Vec<Mutex<Option<ObsEvent>>>,
+    slots: Vec<Mutex<Option<RecordedEvent>>>,
     cursor: AtomicU64,
 }
 
@@ -151,21 +230,21 @@ impl FlightRecorder {
         self.cursor.load(Ordering::Relaxed)
     }
 
-    /// Appends an event, overwriting the oldest once full.
-    pub fn record(&self, event: ObsEvent) {
+    /// Appends an event at `at_us`, overwriting the oldest once full.
+    pub fn record(&self, at_us: u64, event: ObsEvent) {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let idx = (seq % self.slots.len() as u64) as usize;
-        *self.slots[idx].lock().expect("recorder slot lock") = Some(event);
+        *self.slots[idx].lock().expect("recorder slot lock") = Some(RecordedEvent { at_us, event });
     }
 
     /// Drains a copy of the retained events, oldest first.
-    pub fn dump(&self) -> Vec<ObsEvent> {
+    pub fn dump(&self) -> Vec<RecordedEvent> {
         let cap = self.slots.len() as u64;
         let cursor = self.cursor.load(Ordering::Relaxed);
         let mut out = Vec::with_capacity(self.slots.len());
         for i in 0..cap {
             let idx = ((cursor + i) % cap) as usize;
-            if let Some(ev) = self.slots[idx].lock().expect("recorder slot lock").clone() {
+            if let Some(ev) = *self.slots[idx].lock().expect("recorder slot lock") {
                 out.push(ev);
             }
         }
@@ -187,7 +266,7 @@ pub struct PostMortem {
     /// Time of death, microseconds since telemetry epoch.
     pub at_us: u64,
     /// Retained flight-recorder events, oldest first.
-    pub events: Vec<ObsEvent>,
+    pub events: Vec<RecordedEvent>,
     /// Health snapshot taken at the moment of the dump.
     pub snapshot: HealthSnapshot,
 }
@@ -227,12 +306,14 @@ impl PostMortem {
 mod tests {
     use super::*;
 
-    fn ev(at_us: u64) -> ObsEvent {
-        ObsEvent::Batch {
+    fn ev(at_us: u64) -> RecordedEvent {
+        RecordedEvent {
             at_us,
-            batch: at_us,
-            jobs: 1,
-            sim_us: 10.0,
+            event: ObsEvent::Batch {
+                batch: at_us,
+                jobs: 1,
+                sim_us: 10.0,
+            },
         }
     }
 
@@ -240,10 +321,10 @@ mod tests {
     fn ring_keeps_the_most_recent_events_in_order() {
         let r = FlightRecorder::new(4);
         for t in 0..10u64 {
-            r.record(ev(t));
+            r.record(t, ev(t).event);
         }
         let dump = r.dump();
-        let times: Vec<u64> = dump.iter().map(ObsEvent::at_us).collect();
+        let times: Vec<u64> = dump.iter().map(|e| e.at_us).collect();
         assert_eq!(times, vec![6, 7, 8, 9]);
         assert_eq!(r.recorded(), 10);
         assert_eq!(r.capacity(), 4);
@@ -252,8 +333,8 @@ mod tests {
     #[test]
     fn partial_ring_dumps_only_what_was_recorded() {
         let r = FlightRecorder::new(8);
-        r.record(ev(1));
-        r.record(ev(2));
+        r.record(1, ev(1).event);
+        r.record(2, ev(2).event);
         assert_eq!(r.dump().len(), 2);
     }
 
@@ -264,11 +345,12 @@ mod tests {
             at_us: 1234,
             events: vec![
                 ev(1200),
-                ObsEvent::Fault {
+                RecordedEvent {
                     at_us: 1234,
-                    kind: "worker_panic".to_owned(),
-                    batch: Some(7),
-                    detail: "injected".to_owned(),
+                    event: ObsEvent::Fault {
+                        kind: FaultKind::WorkerPanic,
+                        batch: Some(7),
+                    },
                 },
             ],
             snapshot: HealthSnapshot::empty(0),

@@ -1,6 +1,6 @@
-//! The online metrics registry: one [`Telemetry`] per server, fed from
-//! the existing serve/fleet instrumentation points, readable at any
-//! instant as a [`HealthSnapshot`].
+//! The online metrics registry: one [`Telemetry`] per server, fed the
+//! same [`ObsEvent`]s the serve report folds, readable at any instant
+//! as a [`HealthSnapshot`].
 //!
 //! Hot-path writes go to lock-free structures only — per-worker
 //! [`RollingHistogram`] shards (picked by a thread-local shard id, so
@@ -17,7 +17,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::histogram::{HistogramSnapshot, RollingHistogram};
-use crate::recorder::{FlightRecorder, ObsEvent, PostMortem};
+use crate::recorder::{FlightRecorder, ObsEvent, PostMortem, RecordedEvent};
 use crate::slo::{Alert, SloMonitor, SloPolicy};
 use crate::window::WindowedCounter;
 
@@ -317,16 +317,14 @@ fn thread_shard() -> usize {
 
 /// One server's live telemetry registry: rolling counters, sharded
 /// latency histograms, per-stream table, SLO monitor and flight
-/// recorder. All write paths take an explicit `*_at(now_us, ...)`
-/// timestamp so [`FleetSim`](../../fleet) drives the identical code on
-/// virtual clocks; the `now_us()`-based convenience wrappers serve the
-/// live wall-clock path.
+/// recorder. It has one write entry point, [`Telemetry::observe_at`],
+/// which takes an explicit timestamp so a virtual clock (a trainer's
+/// simulated step time) drives the identical code; [`Telemetry::observe`]
+/// is its live wall-clock form.
 pub struct Telemetry {
     cfg: ObsConfig,
     epoch: Instant,
     latency: Vec<RollingHistogram>,
-    batch_sim: RollingHistogram,
-    completed: WindowedCounter,
     misses: WindowedCounter,
     faults: WindowedCounter,
     sheds: WindowedCounter,
@@ -358,8 +356,6 @@ impl Telemetry {
             latency: (0..cfg.shards.max(1))
                 .map(|_| RollingHistogram::new(slot_us, slots))
                 .collect(),
-            batch_sim: RollingHistogram::new(slot_us, slots),
-            completed: wheel(),
             misses: wheel(),
             faults: wheel(),
             sheds: wheel(),
@@ -383,152 +379,84 @@ impl Telemetry {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    // --- write path (explicit timestamps) ----------------------------
+    // --- write path ----------------------------------------------------
 
-    /// Records a completed request: latency into the thread's shard and
-    /// the stream's histogram, plus SLO observation and evaluation.
-    /// Returns the alert transitions this completion caused (usually
-    /// empty; also appended to the alert log and the recorder).
-    pub fn on_completed_at(
-        &self,
-        now_us: u64,
-        stream: u64,
-        latency_us: u64,
-        missed: bool,
-    ) -> Vec<Alert> {
-        let shard = thread_shard() % self.latency.len();
-        self.latency[shard].record_at(now_us, latency_us);
-        self.streams.slot_for(stream).record_at(now_us, latency_us);
-        self.completed.add_at(now_us, 1);
-        if missed {
-            self.misses.add_at(now_us, 1);
+    /// Folds one event into the registry at `now_us`: completions feed
+    /// the latency windows, the stream table and the SLO monitor (whose
+    /// alert edges land in the alert log and the flight recorder); map
+    /// lookups feed the reuse-rate windows; faults, restarts, requeues
+    /// and sheds feed their windowed counters. Every event but the
+    /// per-request and per-frame ones enters the flight recorder, so a
+    /// burst cannot flush the rarer dispatch, batch, fault and recovery
+    /// events from the ring.
+    pub fn observe_at(&self, now_us: u64, event: ObsEvent) {
+        match event {
+            ObsEvent::Completed {
+                stream,
+                latency_us,
+                missed,
+            } => {
+                let latency_us = latency_us as u64;
+                let shard = thread_shard() % self.latency.len();
+                self.latency[shard].record_at(now_us, latency_us);
+                self.streams.slot_for(stream).record_at(now_us, latency_us);
+                if missed {
+                    self.misses.add_at(now_us, 1);
+                }
+                return self.observe_slo(now_us, missed);
+            }
+            ObsEvent::MapLookup { hit } => {
+                self.map_lookups.add_at(now_us, 1);
+                if hit {
+                    self.map_hits.add_at(now_us, 1);
+                }
+                return;
+            }
+            ObsEvent::Admitted { .. }
+            | ObsEvent::Rejected { .. }
+            | ObsEvent::MapUpdate { .. }
+            | ObsEvent::MapEvicted => return,
+            ObsEvent::Fault { .. } | ObsEvent::Restart | ObsEvent::Requeue { .. } => {
+                self.faults.add_at(now_us, 1);
+            }
+            ObsEvent::Shed { .. } => self.sheds.add_at(now_us, 1),
+            _ => {}
         }
+        self.recorder.record(now_us, event);
+    }
+
+    /// [`Self::observe_at`] at the live clock.
+    pub fn observe(&self, event: ObsEvent) {
+        self.observe_at(self.now_us(), event);
+    }
+
+    /// One completion's SLO observation and evaluation; alert edges go
+    /// to the alert log and the flight recorder.
+    fn observe_slo(&self, now_us: u64, missed: bool) {
         let Some(slo) = &self.slo else {
-            return Vec::new();
+            return;
         };
         let mut monitor = slo.lock().expect("slo monitor lock");
         monitor.observe_at(now_us, missed);
         let alerts = monitor.evaluate_at(now_us);
         drop(monitor);
+        if alerts.is_empty() {
+            return;
+        }
         for a in &alerts {
-            self.recorder.record(ObsEvent::Alert {
-                at_us: a.at_us,
-                level: a.level,
-                state: a.state,
-                burn_rate: a.burn_rate,
-            });
+            self.recorder.record(
+                a.at_us,
+                ObsEvent::Alert {
+                    level: a.level,
+                    state: a.state,
+                    burn_rate: a.burn_rate,
+                },
+            );
         }
-        if !alerts.is_empty() {
-            self.alert_log
-                .lock()
-                .expect("alert log lock")
-                .extend(alerts.iter().cloned());
-        }
-        alerts
-    }
-
-    /// Records a batch dispatch into the flight recorder.
-    pub fn on_dispatch_at(&self, now_us: u64, batch: u64, jobs: u64, queue_depth: u64) {
-        self.recorder.record(ObsEvent::Dispatch {
-            at_us: now_us,
-            batch,
-            jobs,
-            queue_depth,
-        });
-    }
-
-    /// Records a finished batch (recorder + windowed sim-cost
-    /// histogram).
-    pub fn on_batch_at(&self, now_us: u64, batch: u64, jobs: u64, sim_us: f64) {
-        self.batch_sim.record_at(now_us, sim_us as u64);
-        self.recorder.record(ObsEvent::Batch {
-            at_us: now_us,
-            batch,
-            jobs,
-            sim_us,
-        });
-    }
-
-    /// Records a fault (panic/stall/restart/requeue): windowed counter
-    /// plus recorder event.
-    pub fn on_fault_at(&self, now_us: u64, kind: &str, batch: Option<u64>, detail: &str) {
-        self.faults.add_at(now_us, 1);
-        self.recorder.record(ObsEvent::Fault {
-            at_us: now_us,
-            kind: kind.to_owned(),
-            batch,
-            detail: detail.to_owned(),
-        });
-    }
-
-    /// Records a shed request.
-    pub fn on_shed_at(&self, now_us: u64, reason: &str, stream: u64) {
-        self.sheds.add_at(now_us, 1);
-        self.recorder.record(ObsEvent::Shed {
-            at_us: now_us,
-            reason: reason.to_owned(),
-            stream,
-        });
-    }
-
-    /// Records schedule downgrades observed at boot or batch time.
-    pub fn on_downgrade_at(&self, now_us: u64, slots: u64) {
-        self.recorder.record(ObsEvent::Downgrade {
-            at_us: now_us,
-            slots,
-        });
-    }
-
-    /// Records a map-cache lookup (hit or miss) for the windowed reuse
-    /// rate.
-    pub fn on_map_lookup_at(&self, now_us: u64, hit: bool) {
-        self.map_lookups.add_at(now_us, 1);
-        if hit {
-            self.map_hits.add_at(now_us, 1);
-        }
-    }
-
-    /// Appends an arbitrary event to the flight recorder (used by the
-    /// fleet for migrations and by the trace counter hook).
-    pub fn record_event(&self, event: ObsEvent) {
-        self.recorder.record(event);
-    }
-
-    // --- live-clock wrappers ------------------------------------------
-
-    /// [`Self::on_completed_at`] at the live clock.
-    pub fn on_completed(&self, stream: u64, latency_us: u64, missed: bool) -> Vec<Alert> {
-        self.on_completed_at(self.now_us(), stream, latency_us, missed)
-    }
-
-    /// [`Self::on_dispatch_at`] at the live clock.
-    pub fn on_dispatch(&self, batch: u64, jobs: u64, queue_depth: u64) {
-        self.on_dispatch_at(self.now_us(), batch, jobs, queue_depth);
-    }
-
-    /// [`Self::on_batch_at`] at the live clock.
-    pub fn on_batch(&self, batch: u64, jobs: u64, sim_us: f64) {
-        self.on_batch_at(self.now_us(), batch, jobs, sim_us);
-    }
-
-    /// [`Self::on_fault_at`] at the live clock.
-    pub fn on_fault(&self, kind: &str, batch: Option<u64>, detail: &str) {
-        self.on_fault_at(self.now_us(), kind, batch, detail);
-    }
-
-    /// [`Self::on_shed_at`] at the live clock.
-    pub fn on_shed(&self, reason: &str, stream: u64) {
-        self.on_shed_at(self.now_us(), reason, stream);
-    }
-
-    /// [`Self::on_downgrade_at`] at the live clock.
-    pub fn on_downgrade(&self, slots: u64) {
-        self.on_downgrade_at(self.now_us(), slots);
-    }
-
-    /// [`Self::on_map_lookup_at`] at the live clock.
-    pub fn on_map_lookup(&self, hit: bool) {
-        self.on_map_lookup_at(self.now_us(), hit);
+        self.alert_log
+            .lock()
+            .expect("alert log lock")
+            .extend(alerts);
     }
 
     // --- read path ----------------------------------------------------
@@ -539,7 +467,7 @@ impl Telemetry {
     }
 
     /// The retained flight-recorder events, oldest first.
-    pub fn recent_events(&self) -> Vec<ObsEvent> {
+    pub fn recent_events(&self) -> Vec<RecordedEvent> {
         self.recorder.dump()
     }
 
@@ -557,7 +485,7 @@ impl Telemetry {
     pub fn health_snapshot_at(&self, now_us: u64, queue_depth: u64) -> HealthSnapshot {
         let w = self.cfg.window_us;
         let latency = self.latency_at(now_us);
-        let completed = self.completed.sum_window_at(now_us, w);
+        let completed = latency.count;
         let misses = self.misses.sum_window_at(now_us, w);
         let lookups = self.map_lookups.sum_window_at(now_us, w);
         let hits = self.map_hits.sum_window_at(now_us, w);
@@ -634,7 +562,16 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::FaultKind;
     use crate::slo::{AlertLevel, AlertState};
+
+    fn completed(stream: u64, latency_us: u64, missed: bool) -> ObsEvent {
+        ObsEvent::Completed {
+            stream,
+            latency_us: latency_us as f64,
+            missed,
+        }
+    }
 
     fn cfg() -> ObsConfig {
         ObsConfig {
@@ -660,8 +597,8 @@ mod tests {
     fn snapshot_reflects_windowed_traffic() {
         let t = Telemetry::new(cfg());
         for i in 0..20u64 {
-            t.on_completed_at(i * 100, i % 2, 500 + i, false);
-            t.on_map_lookup_at(i * 100, i > 4);
+            t.observe_at(i * 100, completed(i % 2, 500 + i, false));
+            t.observe_at(i * 100, ObsEvent::MapLookup { hit: i > 4 });
         }
         let snap = t.health_snapshot_at(2_000, 3);
         assert_eq!(snap.completed, 20);
@@ -680,16 +617,15 @@ mod tests {
     fn misses_trip_the_fast_alert_and_land_in_the_log() {
         let t = Telemetry::new(cfg());
         for i in 0..10u64 {
-            t.on_completed_at(i * 100, 0, 100, false);
+            t.observe_at(i * 100, completed(0, 100, false));
         }
-        let mut tripped = Vec::new();
         for i in 10..20u64 {
-            tripped.extend(t.on_completed_at(i * 100, 0, 9_000, true));
+            t.observe_at(i * 100, completed(0, 9_000, true));
         }
-        assert!(tripped
+        assert!(t
+            .alerts()
             .iter()
             .any(|a| a.level == AlertLevel::PageWorthy && a.state == AlertState::Tripped));
-        assert!(!t.alerts().is_empty());
         let snap = t.health_snapshot_at(2_000, 0);
         assert!(snap.page_alert_active);
         assert!(snap.fast_burn >= 10.0);
@@ -697,7 +633,7 @@ mod tests {
         assert!(t
             .recent_events()
             .iter()
-            .any(|e| matches!(e, ObsEvent::Alert { .. })));
+            .any(|e| matches!(e.event, ObsEvent::Alert { .. })));
     }
 
     #[test]
@@ -708,7 +644,7 @@ mod tests {
             ..cfg()
         });
         for s in 0..10u64 {
-            t.on_completed_at(100, s, 50, false);
+            t.observe_at(100, completed(s, 50, false));
         }
         let snap = t.health_snapshot_at(100, 0);
         let total: u64 = snap.streams.iter().map(|s| s.completed).sum();
@@ -724,19 +660,26 @@ mod tests {
             postmortem_dir: Some(dir.to_string_lossy().into_owned()),
             ..cfg()
         });
-        t.on_dispatch_at(10, 1, 4, 2);
-        t.on_batch_at(20, 1, 4, 123.0);
-        t.on_fault_at(30, "worker_panic", Some(1), "injected");
+        let dispatch = ObsEvent::Dispatch {
+            batch: 1,
+            jobs: 4,
+            queue_depth: 2,
+        };
+        let fault = ObsEvent::Fault {
+            kind: FaultKind::WorkerPanic,
+            batch: Some(1),
+        };
+        t.observe_at(10, dispatch);
+        t.observe_at(15, completed(0, 50, false)); // not kept in the ring
+        t.observe_at(30, fault);
         let path = t.dump_postmortem("worker_panic", 7).expect("dump path");
         let pm = PostMortem::from_json(&std::fs::read_to_string(&path).expect("readable"))
             .expect("parses");
         assert_eq!(pm.reason, "worker_panic");
-        assert_eq!(pm.events.len(), 3);
+        let events: Vec<_> = pm.events.iter().map(|e| (e.at_us, e.event)).collect();
+        assert_eq!(events, vec![(10, dispatch), (30, fault)]);
         assert_eq!(pm.snapshot.queue_depth, 7);
-        assert!(pm
-            .events
-            .iter()
-            .any(|e| matches!(e, ObsEvent::Fault { kind, .. } if kind == "worker_panic")));
+        assert_eq!(pm.snapshot.faults, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

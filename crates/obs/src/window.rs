@@ -25,14 +25,13 @@ struct Slot {
     count: AtomicU64,
 }
 
-/// A rolling event counter over a fixed time wheel. Write path is two
-/// atomic RMWs (plus a CAS when the slot rotates); read path is a scan
+/// A rolling event counter over a fixed time wheel. Write path is one
+/// atomic RMW (plus a CAS when the slot rotates); read path is a scan
 /// of the wheel. See the module docs for the precision contract.
 #[derive(Debug)]
 pub struct WindowedCounter {
     slot_us: u64,
     slots: Vec<Slot>,
-    total: AtomicU64,
 }
 
 impl WindowedCounter {
@@ -49,18 +48,7 @@ impl WindowedCounter {
                     count: AtomicU64::new(0),
                 })
                 .collect(),
-            total: AtomicU64::new(0),
         }
-    }
-
-    /// Slot width in microseconds.
-    pub fn slot_us(&self) -> u64 {
-        self.slot_us
-    }
-
-    /// Widest window this wheel can answer, in microseconds.
-    pub fn span_us(&self) -> u64 {
-        self.slot_us * self.slots.len() as u64
     }
 
     /// Rotates the slot for `now_us` forward if stale and returns it.
@@ -87,7 +75,6 @@ impl WindowedCounter {
     /// Adds `n` events at `now_us`.
     pub fn add_at(&self, now_us: u64, n: u64) {
         self.rotate(now_us).count.fetch_add(n, Ordering::Relaxed);
-        self.total.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Events in the window `(now_us - window_us, now_us]`, summed from
@@ -109,11 +96,6 @@ impl WindowedCounter {
             .map(|s| s.count.load(Ordering::Relaxed))
             .sum()
     }
-
-    /// Lifetime total, independent of any window.
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +111,6 @@ mod tests {
         // 8 slots * 1ms = 8ms span; by t=10ms the first slots rotated.
         c.add_at(10_500, 1);
         assert_eq!(c.sum_window_at(10_500, 2_000), 1);
-        assert_eq!(c.total(), 6);
     }
 
     #[test]

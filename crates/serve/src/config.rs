@@ -68,12 +68,13 @@ pub struct ServeConfig {
     /// [`ts_core::DeltaConfig`]).
     pub map_churn_threshold: f32,
     /// Live telemetry: when set, the server boots a
-    /// [`ts_obs::Telemetry`] registry fed from every metrics hook —
+    /// [`ts_obs::Telemetry`] registry fed every serve event —
     /// rolling-window health snapshots ([`crate::Server::health_snapshot`]),
     /// burn-rate SLO alerts ([`crate::Server::alerts`]) and a flight
     /// recorder dumped to a post-mortem file when the supervisor reaps
     /// a panicked or stalled worker or the node is halted. `None` (the
-    /// default) compiles the hooks down to a skipped branch.
+    /// default) reduces the telemetry half of each record to a skipped
+    /// branch.
     pub obs: Option<ts_obs::ObsConfig>,
 }
 

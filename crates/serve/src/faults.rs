@@ -184,25 +184,28 @@ impl FaultPlan {
 }
 
 /// Injection hook called by the worker loop once per batch, before
-/// execution. Compiled to a no-op unless the `chaos` feature is on.
+/// execution; records the injection (so a post-mortem names it) before
+/// acting on it. Compiled to a no-op unless the `chaos` feature is on.
 #[cfg(feature = "chaos")]
-pub(crate) fn inject(plan: Option<&FaultPlan>, seq: u64) {
-    match plan.and_then(|p| p.decide(seq)) {
-        Some(Fault::WorkerPanic) => {
-            ts_trace::counter_add("serve.chaos.injected_panic", 1);
-            panic!("chaos: injected worker panic on batch {seq}");
-        }
-        Some(Fault::SlowBatch(stall)) => {
-            ts_trace::counter_add("serve.chaos.injected_stall", 1);
-            std::thread::sleep(stall);
-        }
-        None => {}
+pub(crate) fn inject(plan: Option<&FaultPlan>, seq: u64, metrics: &crate::metrics::Metrics) {
+    use ts_obs::{FaultKind, ObsEvent};
+    let Some(fault) = plan.and_then(|p| p.decide(seq)) else {
+        return;
+    };
+    let kind = match fault {
+        Fault::WorkerPanic => FaultKind::WorkerPanic,
+        Fault::SlowBatch(_) => FaultKind::WorkerStall,
+    };
+    metrics.record(ObsEvent::Injected { kind, batch: seq });
+    match fault {
+        Fault::WorkerPanic => panic!("chaos: injected worker panic on batch {seq}"),
+        Fault::SlowBatch(stall) => std::thread::sleep(stall),
     }
 }
 
 /// No-op twin of the chaos injection hook for production builds.
 #[cfg(not(feature = "chaos"))]
-pub(crate) fn inject(_plan: Option<&FaultPlan>, _seq: u64) {}
+pub(crate) fn inject(_plan: Option<&FaultPlan>, _seq: u64, _metrics: &crate::metrics::Metrics) {}
 
 #[cfg(test)]
 mod tests {

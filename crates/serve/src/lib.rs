@@ -27,9 +27,13 @@
 //!   [`ts_core::Engine::load_schedule`]) instead of re-tuning, with
 //!   typed errors when an artifact was tuned for a different network,
 //!   device, precision or format version.
-//! * **SLO accounting** — per-stream p50/p90/p99 wall latency, batch
-//!   size and queue-depth histograms, throughput, and deadline-miss
-//!   counters, exported as JSON via [`ServeReport`].
+//! * **SLO accounting** — per-stream wall-latency histograms (exact
+//!   count, mean, min, max and std; p50/p90/p99 at log-bucket
+//!   resolution), batch size and queue-depth histograms, throughput,
+//!   and deadline-miss counters, exported as JSON via [`ServeReport`].
+//!   Every instrumentation site emits one typed [`ObsEvent`]; the
+//!   report, the `serve.*` trace counters and the live telemetry below
+//!   are folds of that one record.
 //! * **Robustness** — workers run under a supervisor that restarts
 //!   panicked or stuck workers from fresh engine clones and re-enqueues
 //!   or sheds their in-flight requests with typed outcomes
@@ -55,8 +59,8 @@
 //!   corruption as a pure function of the batch sequence number, so a
 //!   failing chaos run replays bit-identically from its seed. Without
 //!   the feature the injection sites compile to no-ops.
-//! * **Live telemetry** — with [`ServeConfig::with_obs`], every metrics
-//!   hook also feeds a [`ts_obs::Telemetry`] registry: rolling-window
+//! * **Live telemetry** — with [`ServeConfig::with_obs`], every event
+//!   also feeds a [`ts_obs::Telemetry`] registry: rolling-window
 //!   health snapshots ([`Server::health_snapshot`]), multi-window
 //!   burn-rate SLO alerts ([`Server::alerts`]), and a flight recorder
 //!   of recent structured events dumped to a post-mortem JSON file when
@@ -88,6 +92,7 @@ pub use server::{Rejected, Response, ResponseHandle, Server};
 // Re-exported so serve users configure and read telemetry without a
 // direct ts-obs dependency.
 pub use ts_obs::{
-    Alert, AlertLevel, AlertState, HealthSnapshot, ObsConfig, ObsEvent, PostMortem, SloPolicy,
-    StreamHealth, Telemetry,
+    Alert, AlertLevel, AlertState, FaultKind, HealthSnapshot, LatencyHistogram, MapUpdateKind,
+    MigrationKind, ObsConfig, ObsEvent, PostMortem, RecordedEvent, RejectReason, ShedReason,
+    SloPolicy, StreamHealth, Telemetry,
 };

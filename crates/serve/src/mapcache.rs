@@ -15,18 +15,21 @@
 //! concurrently; a second in-flight frame of the same stream simply
 //! misses and rebuilds.
 //!
-//! Cache activity is observable three ways: cumulative `map_*` fields
-//! of [`crate::ServeReport`], `serve.map_cache.*` trace counters, and —
-//! with [`crate::ServeConfig::with_obs`] — the *windowed* reuse rate in
-//! [`ts_obs::HealthSnapshot`] (fed through [`Metrics::on_map_lookup`]),
-//! which is what a router or operator should watch: a stream churning
-//! past the patch threshold shows up there minutes before it moves the
-//! cumulative rate.
+//! Cache activity is recorded once per event ([`ObsEvent::MapLookup`],
+//! [`ObsEvent::MapUpdate`], [`ObsEvent::MapEvicted`],
+//! [`ObsEvent::MapInvalidated`]) and observable three ways: cumulative
+//! `map_*` fields of [`crate::ServeReport`], `serve.map_cache.*` trace
+//! counters, and — with [`crate::ServeConfig::with_obs`] — the
+//! *windowed* reuse rate in [`ts_obs::HealthSnapshot`], which is what a
+//! router or operator should watch: a stream churning past the patch
+//! threshold shows up there minutes before it moves the cumulative
+//! rate.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use ts_core::{DeltaConfig, StreamState};
+use ts_obs::ObsEvent;
 
 use crate::metrics::Metrics;
 
@@ -115,8 +118,7 @@ impl MapCache {
                 .map(|(&k, _)| k)
                 .expect("non-empty over capacity");
             inner.entries.remove(&oldest);
-            metrics.on_map_evicted();
-            ts_trace::counter_add("serve.map_cache.evicted", 1);
+            metrics.record(ObsEvent::MapEvicted);
         }
     }
 
@@ -128,8 +130,7 @@ impl MapCache {
         let n = inner.entries.len() as u64;
         inner.entries.clear();
         if n > 0 {
-            metrics.on_map_invalidated(n);
-            ts_trace::counter_add("serve.map_cache.invalidated", n as i64);
+            metrics.record(ObsEvent::MapInvalidated { streams: n });
         }
     }
 
@@ -173,7 +174,7 @@ mod tests {
 
     #[test]
     fn take_removes_and_put_restores() {
-        let m = Metrics::new();
+        let m = Metrics::new(None, None);
         let cache = MapCache::new(true, 4, DeltaConfig::default());
         assert!(cache.take(7).is_none());
         cache.put(7, state_for(0), &m);
@@ -187,7 +188,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_at_capacity() {
-        let m = Metrics::new();
+        let m = Metrics::new(None, None);
         let cache = MapCache::new(true, 2, DeltaConfig::default());
         cache.put(1, state_for(1), &m);
         cache.put(2, state_for(2), &m);
@@ -204,7 +205,7 @@ mod tests {
 
     #[test]
     fn invalidate_drops_everything_and_counts() {
-        let m = Metrics::new();
+        let m = Metrics::new(None, None);
         let cache = MapCache::new(true, 8, DeltaConfig::default());
         cache.put(1, state_for(1), &m);
         cache.put(2, state_for(2), &m);

@@ -1,20 +1,21 @@
-//! SLO accounting: per-stream latency distributions, batch-size and
-//! queue-depth histograms, throughput, and deadline/rejection counters.
+//! SLO accounting: the cumulative [`ServeReport`] and the cheap
+//! [`ServerLoad`] poll, both folds of the serve events every
+//! instrumentation site emits through [`Metrics::record`].
 //!
-//! When the server was configured with [`crate::ServeConfig::with_obs`],
-//! every hook here additionally forwards into the live
-//! [`ts_obs::Telemetry`] registry — same call sites, so the cumulative
-//! report and the rolling-window health snapshot can never disagree
-//! about what happened.
+//! One call records an event everywhere it is counted: the report
+//! state, the `serve.*` counters of the server's tracer (from the one
+//! name table, [`trace_counters`]), and — when the server was configured
+//! with [`crate::ServeConfig::with_obs`] — the live
+//! [`ts_obs::Telemetry`] registry. The cumulative report, the trace and
+//! the rolling-window health snapshot therefore cannot disagree about
+//! what happened.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use ts_core::LatencyStats;
-use ts_obs::Telemetry;
+use ts_obs::{LatencyHistogram, ObsEvent, RejectReason, Telemetry};
 
 /// One bucket of a discrete histogram (`value` occurred `count` times).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,6 +24,14 @@ pub struct HistogramBucket {
     pub value: u64,
     /// Number of observations.
     pub count: u64,
+}
+
+/// Adds `count` observations of `value` to buckets kept sorted by value.
+fn bump(buckets: &mut Vec<HistogramBucket>, value: u64, count: u64) {
+    match buckets.binary_search_by_key(&value, |b| b.value) {
+        Ok(i) => buckets[i].count += count,
+        Err(i) => buckets.insert(i, HistogramBucket { value, count }),
+    }
 }
 
 /// A point-in-time load snapshot of one server, cheap enough to poll on
@@ -69,17 +78,23 @@ impl ServerLoad {
 }
 
 /// Latency distribution of one stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamStats {
     /// Stream identifier (caller-chosen).
     pub stream: u64,
-    /// End-to-end (submit -> response) wall latency distribution, in
-    /// microseconds.
-    pub latency: LatencyStats,
+    /// End-to-end (submit -> response) wall latency, microseconds.
+    pub latency: LatencyHistogram,
 }
 
 /// Snapshot of a server's SLO counters, exported as JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Latency is kept as fixed-size log-bucketed histograms
+/// ([`LatencyHistogram`]), one per stream plus one overall: count,
+/// mean, min, max and standard deviation are exact, and p50/p90/p99
+/// ([`LatencyHistogram::quantile_us`]) are bucket-resolution values
+/// (never below the exact percentile, above it by less than one
+/// quarter-octave bucket) clamped to `[min, max]`.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Requests answered with an output tensor.
     pub completed: u64,
@@ -144,9 +159,9 @@ pub struct ServeReport {
     pub queue_depths: Vec<HistogramBucket>,
     /// Per-stream latency distributions, sorted by stream id.
     pub streams: Vec<StreamStats>,
-    /// Latency distribution over all completed requests; `None` if
-    /// nothing completed.
-    pub overall: Option<LatencyStats>,
+    /// Latency distribution over all completed requests (empty when
+    /// nothing completed).
+    pub overall: LatencyHistogram,
     /// Path of the Chrome trace written at shutdown, when the server
     /// was started with a tracer installed and
     /// [`crate::ServeConfig::with_trace_path`].
@@ -197,131 +212,199 @@ impl ServeReport {
     /// Aggregates this report with one from another server (or another
     /// epoch of the same deployment).
     ///
-    /// Counters and simulated time sum; histograms merge bucket-wise
-    /// (sorted by `value`); per-stream and overall latency
-    /// distributions pool via [`LatencyStats::merge`]. `wall_s` takes
-    /// the maximum (concurrent servers share the wall clock) and
-    /// throughput is recomputed from the merged totals. `trace_path`
-    /// keeps this report's path, falling back to the other's.
+    /// Counters and simulated time sum; histograms add bucket-wise, so
+    /// the pooled latency distributions equal those of the pooled
+    /// samples. `wall_s` takes the maximum (concurrent servers share
+    /// the wall clock) and throughput is recomputed from the merged
+    /// totals. `trace_path` keeps this report's path, falling back to
+    /// the other's.
     pub fn merge(&self, other: &ServeReport) -> ServeReport {
-        let wall_s = self.wall_s.max(other.wall_s);
-        let completed = self.completed + other.completed;
-        let merge_hist = |a: &[HistogramBucket], b: &[HistogramBucket]| {
-            let mut m: BTreeMap<u64, u64> = BTreeMap::new();
-            for bucket in a.iter().chain(b) {
-                *m.entry(bucket.value).or_insert(0) += bucket.count;
-            }
-            sorted_buckets(&m)
+        let mut m = self.clone();
+        m.completed += other.completed;
+        m.rejected_queue_full += other.rejected_queue_full;
+        m.rejected_bad_frame += other.rejected_bad_frame;
+        m.shed_deadline += other.shed_deadline;
+        m.shed_crashed += other.shed_crashed;
+        m.shed_halt += other.shed_halt;
+        m.deadline_misses += other.deadline_misses;
+        m.worker_panics += other.worker_panics;
+        m.worker_stalls += other.worker_stalls;
+        m.worker_restarts += other.worker_restarts;
+        m.requeued += other.requeued;
+        m.schedule_downgrades += other.schedule_downgrades;
+        m.map_cache_hits += other.map_cache_hits;
+        m.map_cache_misses += other.map_cache_misses;
+        m.map_patched += other.map_patched;
+        m.map_rebuilt += other.map_rebuilt;
+        m.map_evicted += other.map_evicted;
+        m.map_invalidated += other.map_invalidated;
+        m.sim_us_total += other.sim_us_total;
+        for b in &other.batch_sizes {
+            bump(&mut m.batch_sizes, b.value, b.count);
+        }
+        for b in &other.queue_depths {
+            bump(&mut m.queue_depths, b.value, b.count);
+        }
+        for s in &other.streams {
+            m.stream_latency(s.stream).merge(&s.latency);
+        }
+        m.overall.merge(&other.overall);
+        m.set_wall_s(self.wall_s.max(other.wall_s));
+        m.trace_path = m.trace_path.or_else(|| other.trace_path.clone());
+        m
+    }
+
+    /// Sets the wall clock and the throughput derived from it.
+    fn set_wall_s(&mut self, wall_s: f64) {
+        self.wall_s = wall_s;
+        self.throughput_fps = if wall_s > 0.0 {
+            self.completed as f64 / wall_s
+        } else {
+            0.0
         };
-        // A degenerate side (zero completed requests, e.g. a node killed
-        // before serving anything, or a hand-written report) must not
-        // skew the pooled distributions: `runs == 0` entries carry no
-        // observations, so they are dropped rather than merged — their
-        // zero-valued mean/percentile fields are placeholders, not data.
-        let mut streams: BTreeMap<u64, LatencyStats> = BTreeMap::new();
-        for s in self.streams.iter().chain(&other.streams) {
-            if s.latency.runs == 0 {
-                continue;
+    }
+
+    /// The latency histogram of `stream`, inserted (in stream order)
+    /// on first sight.
+    fn stream_latency(&mut self, stream: u64) -> &mut LatencyHistogram {
+        let i = match self.streams.binary_search_by_key(&stream, |s| s.stream) {
+            Ok(i) => i,
+            Err(i) => {
+                self.streams.insert(
+                    i,
+                    StreamStats {
+                        stream,
+                        latency: LatencyHistogram::default(),
+                    },
+                );
+                i
             }
-            streams
-                .entry(s.stream)
-                .and_modify(|l| *l = l.merge(&s.latency))
-                .or_insert(s.latency);
-        }
-        let nonzero = |l: &Option<LatencyStats>| l.filter(|s| s.runs > 0);
-        ServeReport {
-            completed,
-            rejected_queue_full: self.rejected_queue_full + other.rejected_queue_full,
-            rejected_bad_frame: self.rejected_bad_frame + other.rejected_bad_frame,
-            shed_deadline: self.shed_deadline + other.shed_deadline,
-            shed_crashed: self.shed_crashed + other.shed_crashed,
-            shed_halt: self.shed_halt + other.shed_halt,
-            deadline_misses: self.deadline_misses + other.deadline_misses,
-            worker_panics: self.worker_panics + other.worker_panics,
-            worker_stalls: self.worker_stalls + other.worker_stalls,
-            worker_restarts: self.worker_restarts + other.worker_restarts,
-            requeued: self.requeued + other.requeued,
-            schedule_downgrades: self.schedule_downgrades + other.schedule_downgrades,
-            map_cache_hits: self.map_cache_hits + other.map_cache_hits,
-            map_cache_misses: self.map_cache_misses + other.map_cache_misses,
-            map_patched: self.map_patched + other.map_patched,
-            map_rebuilt: self.map_rebuilt + other.map_rebuilt,
-            map_evicted: self.map_evicted + other.map_evicted,
-            map_invalidated: self.map_invalidated + other.map_invalidated,
-            wall_s,
-            throughput_fps: if wall_s > 0.0 {
-                completed as f64 / wall_s
-            } else {
-                0.0
+        };
+        &mut self.streams[i].latency
+    }
+
+    /// Folds one event into the report. Events that carry nothing the
+    /// report counts (dispatches, injections, migrations, alerts) leave
+    /// it unchanged.
+    fn fold(&mut self, event: &ObsEvent) {
+        use ts_obs::{FaultKind::*, MapUpdateKind::*, RejectReason::*, ShedReason::*};
+        let (counter, delta) = match *event {
+            ObsEvent::Admitted { queue_depth } => {
+                return bump(&mut self.queue_depths, queue_depth, 1)
+            }
+            ObsEvent::Batch { jobs, sim_us, .. } => {
+                self.sim_us_total += sim_us;
+                return bump(&mut self.batch_sizes, jobs, 1);
+            }
+            ObsEvent::Completed {
+                stream,
+                latency_us,
+                missed,
+            } => {
+                self.deadline_misses += u64::from(missed);
+                self.stream_latency(stream).record(latency_us);
+                self.overall.record(latency_us);
+                (&mut self.completed, 1)
+            }
+            ObsEvent::Rejected { reason: QueueFull } => (&mut self.rejected_queue_full, 1),
+            ObsEvent::Rejected { reason: BadFrame } => (&mut self.rejected_bad_frame, 1),
+            ObsEvent::Shed { reason, .. } => match reason {
+                Deadline => (&mut self.shed_deadline, 1),
+                WorkerCrashed => (&mut self.shed_crashed, 1),
+                Halt => (&mut self.shed_halt, 1),
             },
-            sim_us_total: self.sim_us_total + other.sim_us_total,
-            batch_sizes: merge_hist(&self.batch_sizes, &other.batch_sizes),
-            queue_depths: merge_hist(&self.queue_depths, &other.queue_depths),
-            streams: streams
-                .into_iter()
-                .map(|(stream, latency)| StreamStats { stream, latency })
-                .collect(),
-            overall: match (nonzero(&self.overall), nonzero(&other.overall)) {
-                (Some(a), Some(b)) => Some(a.merge(&b)),
-                (Some(a), None) => Some(a),
-                (None, Some(b)) => Some(b),
-                (None, None) => None,
+            ObsEvent::Fault { kind, .. } => match kind {
+                WorkerPanic => (&mut self.worker_panics, 1),
+                WorkerStall => (&mut self.worker_stalls, 1),
             },
-            trace_path: self.trace_path.clone().or_else(|| other.trace_path.clone()),
-        }
+            ObsEvent::Restart => (&mut self.worker_restarts, 1),
+            ObsEvent::Requeue { jobs, .. } => (&mut self.requeued, jobs),
+            ObsEvent::Downgrade { slots } => (&mut self.schedule_downgrades, slots),
+            ObsEvent::MapLookup { hit: true } => (&mut self.map_cache_hits, 1),
+            ObsEvent::MapLookup { hit: false } => (&mut self.map_cache_misses, 1),
+            ObsEvent::MapUpdate { kind: Patched, .. } => (&mut self.map_patched, 1),
+            ObsEvent::MapUpdate { kind: Rebuilt, .. } => (&mut self.map_rebuilt, 1),
+            ObsEvent::MapEvicted => (&mut self.map_evicted, 1),
+            ObsEvent::MapInvalidated { streams } => (&mut self.map_invalidated, streams),
+            ObsEvent::Dispatch { .. }
+            | ObsEvent::Injected { .. }
+            | ObsEvent::MapReuseDisabled
+            | ObsEvent::MapUpdate { kind: Built, .. }
+            | ObsEvent::Migration { .. }
+            | ObsEvent::Alert { .. } => return,
+        };
+        *counter += delta;
     }
 }
 
-/// Histogram buckets of `m`, explicitly sorted ascending by `value` —
-/// the serialization invariant `ServeReport` promises regardless of the
-/// backing map's iteration order.
-fn sorted_buckets(m: &BTreeMap<u64, u64>) -> Vec<HistogramBucket> {
-    let mut buckets: Vec<HistogramBucket> = m
-        .iter()
-        .map(|(&value, &count)| HistogramBucket { value, count })
-        .collect();
-    buckets.sort_by_key(|b| b.value);
-    buckets
+/// The `serve.*` trace counters an event adds, as `(name, delta)` pairs
+/// passed to `add` — the one place a serve event is named for the
+/// trace.
+fn trace_counters(event: &ObsEvent, mut add: impl FnMut(&'static str, i64)) {
+    use ts_obs::{FaultKind::*, MapUpdateKind::*, RejectReason::*, ShedReason::*};
+    let (name, delta) = match *event {
+        ObsEvent::Dispatch { .. } => ("serve.batches.dispatched", 1),
+        ObsEvent::Batch { .. } => ("serve.batches.executed", 1),
+        ObsEvent::Completed { missed, .. } => {
+            if missed {
+                add("serve.deadline.missed", 1);
+            }
+            ("serve.requests.completed", 1)
+        }
+        ObsEvent::Rejected { reason: QueueFull } => ("serve.requests.rejected_queue_full", 1),
+        ObsEvent::Rejected { reason: BadFrame } => ("serve.frames.rejected", 1),
+        ObsEvent::Shed { reason, .. } => match reason {
+            Deadline => ("serve.requests.shed_deadline", 1),
+            WorkerCrashed => ("serve.requests.shed_crashed", 1),
+            Halt => ("serve.requests.shed_halt", 1),
+        },
+        ObsEvent::Fault { kind, .. } => match kind {
+            WorkerPanic => ("serve.workers.panicked", 1),
+            WorkerStall => ("serve.workers.stalled", 1),
+        },
+        ObsEvent::Restart => ("serve.workers.restarted", 1),
+        ObsEvent::Requeue { jobs, .. } => ("serve.requests.requeued", jobs as i64),
+        ObsEvent::Injected { kind, .. } => match kind {
+            WorkerPanic => ("serve.chaos.injected_panic", 1),
+            WorkerStall => ("serve.chaos.injected_stall", 1),
+        },
+        ObsEvent::Downgrade { slots } => ("serve.schedule.downgraded", slots as i64),
+        ObsEvent::MapReuseDisabled => ("serve.map_cache.disabled_degraded", 1),
+        ObsEvent::MapLookup { hit: true } => ("serve.map_cache.hit", 1),
+        ObsEvent::MapLookup { hit: false } => ("serve.map_cache.miss", 1),
+        ObsEvent::MapUpdate {
+            kind,
+            entered,
+            exited,
+        } => {
+            add("serve.map_cache.entered", entered as i64);
+            add("serve.map_cache.exited", exited as i64);
+            match kind {
+                Built => return,
+                Patched => ("serve.map_cache.patched", 1),
+                Rebuilt => ("serve.map_cache.rebuilt", 1),
+            }
+        }
+        ObsEvent::MapEvicted => ("serve.map_cache.evicted", 1),
+        ObsEvent::MapInvalidated { streams } => ("serve.map_cache.invalidated", streams as i64),
+        ObsEvent::Admitted { .. } | ObsEvent::Migration { .. } | ObsEvent::Alert { .. } => return,
+    };
+    add(name, delta);
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    completed: u64,
-    rejected_queue_full: u64,
-    rejected_bad_frame: u64,
-    shed_deadline: u64,
-    shed_crashed: u64,
-    shed_halt: u64,
-    deadline_misses: u64,
-    worker_panics: u64,
-    worker_stalls: u64,
-    worker_restarts: u64,
-    requeued: u64,
-    schedule_downgrades: u64,
-    map_cache_hits: u64,
-    map_cache_misses: u64,
-    map_patched: u64,
-    map_rebuilt: u64,
-    map_evicted: u64,
-    map_invalidated: u64,
-    sim_us_total: f64,
-    per_stream: HashMap<u64, Vec<f64>>,
-    batch_sizes: BTreeMap<u64, u64>,
-    queue_depths: BTreeMap<u64, u64>,
-}
-
-/// Thread-safe metrics sink shared by the submission path, the batcher
-/// and the workers.
+/// Thread-safe metrics sink shared by the submission path, the batcher,
+/// the workers and the supervisor.
 pub(crate) struct Metrics {
     started: Instant,
-    inner: Mutex<Counters>,
+    /// The report state, minus the wall clock filled in at read time.
+    report: Mutex<ServeReport>,
     depth: AtomicUsize,
+    /// The tracer the server was built under; every event's `serve.*`
+    /// counters land on it, whichever thread records the event.
+    tracer: Option<ts_trace::Tracer>,
     /// Live telemetry registry, when the server was configured with
-    /// [`crate::ServeConfig::with_obs`]; every hook forwards into it.
+    /// [`crate::ServeConfig::with_obs`]; every event is handed to it.
     telemetry: Option<Arc<Telemetry>>,
-    /// Ordinal of executed batches, used as the batch id of
-    /// [`ts_obs::ObsEvent::Batch`] flight-recorder events.
-    exec_seq: AtomicU64,
 }
 
 impl std::fmt::Debug for Metrics {
@@ -334,19 +417,13 @@ impl std::fmt::Debug for Metrics {
 }
 
 impl Metrics {
-    /// Telemetry-free constructor, used by unit tests.
-    #[cfg(test)]
-    pub(crate) fn new() -> Self {
-        Self::with_telemetry(None)
-    }
-
-    pub(crate) fn with_telemetry(telemetry: Option<Arc<Telemetry>>) -> Self {
+    pub(crate) fn new(tracer: Option<ts_trace::Tracer>, telemetry: Option<Arc<Telemetry>>) -> Self {
         Self {
             started: Instant::now(),
-            inner: Mutex::new(Counters::default()),
+            report: Mutex::new(ServeReport::default()),
             depth: AtomicUsize::new(0),
+            tracer,
             telemetry,
-            exec_seq: AtomicU64::new(0),
         }
     }
 
@@ -360,74 +437,54 @@ impl Metrics {
         self.depth.load(Ordering::SeqCst)
     }
 
-    /// Admits one request if the in-flight count is below `capacity`.
-    /// On admission the depth histogram records the post-admission
-    /// depth. Returns whether the request was admitted.
+    /// Admits one request if the in-flight count is below `capacity`,
+    /// recording either the admission (with the post-admission depth)
+    /// or the queue-full rejection. Returns whether the request was
+    /// admitted.
     pub(crate) fn try_admit(&self, capacity: usize) -> bool {
-        let mut cur = self.depth.load(Ordering::SeqCst);
-        loop {
-            if cur >= capacity {
-                let mut c = self.inner.lock().expect("metrics lock");
-                c.rejected_queue_full += 1;
-                return false;
-            }
-            match self
-                .depth
-                .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-        let depth = (cur + 1) as u64;
-        let mut c = self.inner.lock().expect("metrics lock");
-        *c.queue_depths.entry(depth).or_insert(0) += 1;
-        true
+        let admitted = self
+            .depth
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
+                (cur < capacity).then_some(cur + 1)
+            });
+        self.record(match admitted {
+            Ok(before) => ObsEvent::Admitted {
+                queue_depth: before as u64 + 1,
+            },
+            Err(_) => ObsEvent::Rejected {
+                reason: RejectReason::QueueFull,
+            },
+        });
+        admitted.is_ok()
     }
 
-    fn leave(&self) {
+    /// Releases an admitted request's slot without recording anything
+    /// (the server shut down before the request could be enqueued).
+    pub(crate) fn release(&self) {
         self.depth.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// A request left the queue without being counted anywhere else
-    /// (admitted but the server shut down before it could be enqueued).
-    pub(crate) fn on_abandoned(&self) {
-        self.leave();
-    }
-
-    pub(crate) fn on_bad_frame(&self) {
-        self.leave();
-        let mut c = self.inner.lock().expect("metrics lock");
-        c.rejected_bad_frame += 1;
-    }
-
-    pub(crate) fn on_shed_deadline(&self, stream: u64) {
-        self.leave();
-        let mut c = self.inner.lock().expect("metrics lock");
-        c.shed_deadline += 1;
-        drop(c);
-        if let Some(t) = &self.telemetry {
-            t.on_shed("deadline", stream);
+    /// Records one event everywhere it is counted: the report state,
+    /// the server tracer's `serve.*` counters and, with obs on, the
+    /// telemetry registry. An event that answers an admitted request
+    /// (completion, shed, bad frame) also releases its queue slot.
+    pub(crate) fn record(&self, event: ObsEvent) {
+        if matches!(
+            event,
+            ObsEvent::Completed { .. }
+                | ObsEvent::Shed { .. }
+                | ObsEvent::Rejected {
+                    reason: RejectReason::BadFrame
+                }
+        ) {
+            self.release();
         }
-    }
-
-    pub(crate) fn on_shed_crashed(&self, stream: u64) {
-        self.leave();
-        let mut c = self.inner.lock().expect("metrics lock");
-        c.shed_crashed += 1;
-        drop(c);
-        if let Some(t) = &self.telemetry {
-            t.on_shed("worker_crashed", stream);
+        self.report.lock().expect("metrics lock").fold(&event);
+        if let Some(t) = &self.tracer {
+            trace_counters(&event, |name, delta| t.counter_add(name, delta));
         }
-    }
-
-    pub(crate) fn on_shed_halt(&self, stream: u64) {
-        self.leave();
-        let mut c = self.inner.lock().expect("metrics lock");
-        c.shed_halt += 1;
-        drop(c);
         if let Some(t) = &self.telemetry {
-            t.on_shed("halt", stream);
+            t.observe(event);
         }
     }
 
@@ -435,187 +492,59 @@ impl Metrics {
     /// single atomic read, the SLO counters one short lock.
     pub(crate) fn load(&self) -> ServerLoad {
         let queue_depth = self.depth();
-        let c = self.inner.lock().expect("metrics lock");
+        let r = self.report.lock().expect("metrics lock");
         ServerLoad {
             queue_depth,
-            completed: c.completed,
-            deadline_misses: c.deadline_misses,
-            shed_deadline: c.shed_deadline,
-            sim_us_total: c.sim_us_total,
-        }
-    }
-
-    /// A worker thread was reaped after a panic; `batch` is the
-    /// sequence number of the batch it died holding, when one was
-    /// recovered.
-    pub(crate) fn on_worker_panic(&self, batch: Option<u64>) {
-        self.inner.lock().expect("metrics lock").worker_panics += 1;
-        if let Some(t) = &self.telemetry {
-            t.on_fault("worker_panic", batch, "worker thread panicked mid-batch");
-        }
-    }
-
-    /// A worker was declared stuck past the stall timeout and retired.
-    pub(crate) fn on_worker_stall(&self, batch: Option<u64>) {
-        self.inner.lock().expect("metrics lock").worker_stalls += 1;
-        if let Some(t) = &self.telemetry {
-            t.on_fault(
-                "worker_stall",
-                batch,
-                "worker stuck past stall timeout; retired",
-            );
-        }
-    }
-
-    pub(crate) fn on_worker_restart(&self) {
-        self.inner.lock().expect("metrics lock").worker_restarts += 1;
-        if let Some(t) = &self.telemetry {
-            t.on_fault("worker_restart", None, "replacement worker spawned");
-        }
-    }
-
-    pub(crate) fn on_requeued(&self, n: u64) {
-        self.inner.lock().expect("metrics lock").requeued += n;
-        if let Some(t) = &self.telemetry {
-            t.on_fault("requeue", None, "recovered in-flight jobs re-enqueued");
-        }
-    }
-
-    /// Records, once at boot, how many schedule slots the engine
-    /// degraded to the safe fallback.
-    pub(crate) fn record_downgrades(&self, n: u64) {
-        self.inner.lock().expect("metrics lock").schedule_downgrades = n;
-        if let Some(t) = &self.telemetry {
-            t.on_downgrade(n);
-        }
-    }
-
-    /// A frame looked up its stream in the map cache.
-    pub(crate) fn on_map_lookup(&self, hit: bool) {
-        let mut c = self.inner.lock().expect("metrics lock");
-        if hit {
-            c.map_cache_hits += 1;
-        } else {
-            c.map_cache_misses += 1;
-        }
-        drop(c);
-        if let Some(t) = &self.telemetry {
-            t.on_map_lookup(hit);
-        }
-    }
-
-    /// A cached stream state was updated for a new frame, either by
-    /// patching in place or by falling back to a full rebuild.
-    pub(crate) fn on_map_update(&self, patched: bool) {
-        let mut c = self.inner.lock().expect("metrics lock");
-        if patched {
-            c.map_patched += 1;
-        } else {
-            c.map_rebuilt += 1;
-        }
-    }
-
-    pub(crate) fn on_map_evicted(&self) {
-        self.inner.lock().expect("metrics lock").map_evicted += 1;
-    }
-
-    pub(crate) fn on_map_invalidated(&self, n: u64) {
-        self.inner.lock().expect("metrics lock").map_invalidated += n;
-        // Wholesale invalidation accompanies a worker respawn — worth a
-        // flight-recorder entry, but the respawn itself already counted
-        // as the fault, so this lands as a bare counter event.
-        if let Some(t) = &self.telemetry {
-            t.record_event(ts_obs::ObsEvent::Counter {
-                at_us: t.now_us(),
-                name: "serve.map_cache.invalidated".to_owned(),
-                delta: n as i64,
-            });
-        }
-    }
-
-    pub(crate) fn on_batch_executed(&self, size: usize, sim_us: f64) {
-        let mut c = self.inner.lock().expect("metrics lock");
-        *c.batch_sizes.entry(size as u64).or_insert(0) += 1;
-        c.sim_us_total += sim_us;
-        drop(c);
-        if let Some(t) = &self.telemetry {
-            let seq = self.exec_seq.fetch_add(1, Ordering::Relaxed);
-            t.on_batch(seq, size as u64, sim_us);
-        }
-    }
-
-    pub(crate) fn on_completed(&self, stream: u64, latency_us: f64, missed_deadline: bool) {
-        self.leave();
-        let mut c = self.inner.lock().expect("metrics lock");
-        c.completed += 1;
-        if missed_deadline {
-            c.deadline_misses += 1;
-        }
-        c.per_stream.entry(stream).or_default().push(latency_us);
-        drop(c);
-        if let Some(t) = &self.telemetry {
-            t.on_completed(stream, latency_us as u64, missed_deadline);
+            completed: r.completed,
+            deadline_misses: r.deadline_misses,
+            shed_deadline: r.shed_deadline,
+            sim_us_total: r.sim_us_total,
         }
     }
 
     pub(crate) fn report(&self) -> ServeReport {
-        let wall_s = self.started.elapsed().as_secs_f64();
-        let c = self.inner.lock().expect("metrics lock");
-        let mut streams: Vec<StreamStats> = c
-            .per_stream
-            .iter()
-            .filter_map(|(&stream, lat)| {
-                LatencyStats::from_latencies_us(lat).map(|latency| StreamStats { stream, latency })
-            })
-            .collect();
-        streams.sort_by_key(|s| s.stream);
-        let all: Vec<f64> = c.per_stream.values().flatten().copied().collect();
-        ServeReport {
-            completed: c.completed,
-            rejected_queue_full: c.rejected_queue_full,
-            rejected_bad_frame: c.rejected_bad_frame,
-            shed_deadline: c.shed_deadline,
-            shed_crashed: c.shed_crashed,
-            shed_halt: c.shed_halt,
-            deadline_misses: c.deadline_misses,
-            worker_panics: c.worker_panics,
-            worker_stalls: c.worker_stalls,
-            worker_restarts: c.worker_restarts,
-            requeued: c.requeued,
-            schedule_downgrades: c.schedule_downgrades,
-            map_cache_hits: c.map_cache_hits,
-            map_cache_misses: c.map_cache_misses,
-            map_patched: c.map_patched,
-            map_rebuilt: c.map_rebuilt,
-            map_evicted: c.map_evicted,
-            map_invalidated: c.map_invalidated,
-            wall_s,
-            throughput_fps: if wall_s > 0.0 {
-                c.completed as f64 / wall_s
-            } else {
-                0.0
-            },
-            sim_us_total: c.sim_us_total,
-            batch_sizes: sorted_buckets(&c.batch_sizes),
-            queue_depths: sorted_buckets(&c.queue_depths),
-            streams,
-            overall: LatencyStats::from_latencies_us(&all),
-            trace_path: None,
-        }
+        let mut r = self.report.lock().expect("metrics lock").clone();
+        r.set_wall_s(self.started.elapsed().as_secs_f64());
+        r
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ts_obs::{FaultKind, MapUpdateKind, ShedReason};
+
+    fn metrics() -> Metrics {
+        Metrics::new(None, None)
+    }
+
+    fn complete(m: &Metrics, stream: u64, latency_us: f64, missed: bool) {
+        m.record(ObsEvent::Completed {
+            stream,
+            latency_us,
+            missed,
+        });
+    }
+
+    fn batch(m: &Metrics, jobs: u64, sim_us: f64) {
+        m.record(ObsEvent::Batch {
+            batch: 0,
+            jobs,
+            sim_us,
+        });
+    }
+
+    fn shed(m: &Metrics, reason: ShedReason) {
+        m.record(ObsEvent::Shed { reason, stream: 0 });
+    }
 
     #[test]
     fn admission_bounds_in_flight_count() {
-        let m = Metrics::new();
+        let m = metrics();
         assert!(m.try_admit(2));
         assert!(m.try_admit(2));
         assert!(!m.try_admit(2), "third request exceeds capacity");
-        m.on_completed(0, 100.0, false);
+        complete(&m, 0, 100.0, false);
         assert!(m.try_admit(2), "completion frees a slot");
         let r = m.report();
         assert_eq!(r.rejected_queue_full, 1);
@@ -625,15 +554,15 @@ mod tests {
 
     #[test]
     fn report_aggregates_streams_and_histograms() {
-        let m = Metrics::new();
+        let m = metrics();
         for _ in 0..4 {
             assert!(m.try_admit(16));
         }
-        m.on_batch_executed(3, 1500.0);
-        m.on_completed(1, 100.0, false);
-        m.on_completed(1, 300.0, true);
-        m.on_completed(2, 200.0, false);
-        m.on_shed_deadline(0);
+        batch(&m, 3, 1500.0);
+        complete(&m, 1, 100.0, false);
+        complete(&m, 1, 300.0, true);
+        complete(&m, 2, 200.0, false);
+        shed(&m, ShedReason::Deadline);
         let r = m.report();
         assert_eq!(r.completed, 3);
         assert_eq!(r.deadline_misses, 1);
@@ -642,9 +571,10 @@ mod tests {
         assert_eq!(r.batch_sizes, vec![HistogramBucket { value: 3, count: 1 }]);
         assert_eq!(r.streams.len(), 2);
         assert_eq!(r.streams[0].stream, 1);
-        assert_eq!(r.streams[0].latency.runs, 2);
-        assert_eq!(r.streams[1].latency.mean_us, 200.0);
-        assert_eq!(r.overall.expect("has completions").runs, 3);
+        assert_eq!(r.streams[0].latency.count, 2);
+        assert_eq!(r.streams[1].latency.mean_us(), 200.0);
+        assert_eq!(r.overall.count, 3);
+        assert_eq!((r.overall.min_us, r.overall.max_us), (100.0, 300.0));
         // 1 late completion + 1 shed out of 4 finished.
         assert!((r.deadline_miss_rate() - 0.5).abs() < 1e-12);
         // Queue depth was sampled at 1, 2, 3, 4.
@@ -653,9 +583,9 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let m = Metrics::new();
+        let m = metrics();
         assert!(m.try_admit(4));
-        m.on_completed(7, 250.0, false);
+        complete(&m, 7, 250.0, false);
         let r = m.report();
         let json = r.to_json().expect("serializes");
         let back = ServeReport::from_json(&json).expect("parses");
@@ -664,9 +594,9 @@ mod tests {
 
     #[test]
     fn histogram_buckets_serialize_sorted_by_value() {
-        let m = Metrics::new();
-        for size in [5usize, 2, 8, 2] {
-            m.on_batch_executed(size, 10.0);
+        let m = metrics();
+        for size in [5u64, 2, 8, 2] {
+            batch(&m, size, 10.0);
         }
         let r = m.report();
         let values: Vec<u64> = r.batch_sizes.iter().map(|b| b.value).collect();
@@ -677,21 +607,21 @@ mod tests {
     #[test]
     fn merged_reports_aggregate_two_servers() {
         let a = {
-            let m = Metrics::new();
+            let m = metrics();
             assert!(m.try_admit(8));
             assert!(m.try_admit(8));
-            m.on_batch_executed(2, 500.0);
-            m.on_completed(1, 100.0, false);
-            m.on_completed(2, 200.0, true);
+            batch(&m, 2, 500.0);
+            complete(&m, 1, 100.0, false);
+            complete(&m, 2, 200.0, true);
             m.report()
         };
         let b = {
-            let m = Metrics::new();
+            let m = metrics();
             assert!(m.try_admit(8));
-            m.on_batch_executed(1, 300.0);
-            m.on_batch_executed(2, 400.0);
-            m.on_completed(1, 300.0, false);
-            m.on_shed_deadline(0);
+            batch(&m, 1, 300.0);
+            batch(&m, 2, 400.0);
+            complete(&m, 1, 300.0, false);
+            shed(&m, ShedReason::Deadline);
             m.report()
         };
         let merged = a.merge(&b);
@@ -710,9 +640,23 @@ mod tests {
         );
         // Stream 1 appears in both inputs: its distributions pool.
         let s1 = merged.streams.iter().find(|s| s.stream == 1).expect("s1");
-        assert_eq!(s1.latency.runs, 2);
-        assert_eq!(s1.latency.mean_us, 200.0);
-        assert_eq!(merged.overall.expect("pooled").runs, 3);
+        assert_eq!(s1.latency.count, 2);
+        assert_eq!(s1.latency.mean_us(), 200.0);
+        assert_eq!(merged.overall.count, 3);
+        // The pooled histogram is the histogram of the pooled samples.
+        let pooled = {
+            let m = metrics();
+            for (stream, latency_us) in [(1, 100.0), (2, 200.0), (1, 300.0)] {
+                m.report.lock().expect("lock").fold(&ObsEvent::Completed {
+                    stream,
+                    latency_us,
+                    missed: false,
+                });
+            }
+            m.report()
+        };
+        assert_eq!(merged.overall, pooled.overall);
+        assert_eq!(merged.streams, pooled.streams);
         // Merge is symmetric on the counters.
         let rev = b.merge(&a);
         assert_eq!(rev.completed, merged.completed);
@@ -721,29 +665,37 @@ mod tests {
 
     #[test]
     fn merging_with_an_empty_report_is_identity_on_counters() {
-        let m = Metrics::new();
+        let m = metrics();
         assert!(m.try_admit(4));
-        m.on_completed(0, 50.0, false);
+        complete(&m, 0, 50.0, false);
         let r = m.report();
-        let merged = r.merge(&Metrics::new().report());
+        let merged = r.merge(&metrics().report());
         assert_eq!(merged.completed, r.completed);
         assert_eq!(merged.streams, r.streams);
         assert_eq!(merged.overall, r.overall);
         // Empty histograms merge as identity too, in both directions.
         assert_eq!(merged.batch_sizes, r.batch_sizes);
         assert_eq!(merged.queue_depths, r.queue_depths);
-        let rev = Metrics::new().report().merge(&r);
+        let rev = metrics().report().merge(&r);
         assert_eq!(rev.batch_sizes, r.batch_sizes);
         assert_eq!(rev.queue_depths, r.queue_depths);
+        assert_eq!(rev.overall, r.overall);
+        // Two empty reports merge to an empty one with finite rates.
+        let both = metrics().report().merge(&metrics().report());
+        assert_eq!(both.overall.count, 0);
+        assert!(both.streams.is_empty());
+        assert_eq!(both.deadline_miss_rate(), 0.0);
+        assert_eq!(both.map_reuse_rate(), 0.0);
+        assert_eq!(both.throughput_fps, 0.0);
     }
 
     #[test]
     fn merge_trace_path_prefers_self_then_other() {
-        let mut with_path = Metrics::new().report();
+        let mut with_path = metrics().report();
         with_path.trace_path = Some("a.trace.json".to_owned());
-        let mut other_path = Metrics::new().report();
+        let mut other_path = metrics().report();
         other_path.trace_path = Some("b.trace.json".to_owned());
-        let none = Metrics::new().report();
+        let none = metrics().report();
 
         // Self wins when both sides carry a path.
         assert_eq!(
@@ -763,65 +715,10 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_merge_ignores_zero_run_distributions() {
-        // A report with zero completed requests can still carry
-        // `runs == 0` placeholder distributions — e.g. deserialized from
-        // a hand-written or truncated JSON. Merging one in must neither
-        // skew the pooled percentiles nor divide by zero anywhere.
-        let m = Metrics::new();
-        assert!(m.try_admit(4));
-        assert!(m.try_admit(4));
-        m.on_completed(3, 100.0, false);
-        m.on_completed(3, 300.0, false);
-        let real = m.report();
-
-        let mut degenerate = Metrics::new().report();
-        let zeros = LatencyStats {
-            runs: 0,
-            mean_us: 0.0,
-            min_us: 0.0,
-            max_us: 0.0,
-            std_us: 0.0,
-            p50_us: 0.0,
-            p90_us: 0.0,
-            p99_us: 0.0,
-        };
-        degenerate.overall = Some(zeros);
-        degenerate.streams = vec![StreamStats {
-            stream: 3,
-            latency: zeros,
-        }];
-
-        for merged in [real.merge(&degenerate), degenerate.merge(&real)] {
-            assert_eq!(merged.completed, 2);
-            let overall = merged.overall.expect("real side survives");
-            assert_eq!(overall.runs, 2);
-            assert_eq!(
-                overall.mean_us, 200.0,
-                "zero-run side must not drag the mean"
-            );
-            assert_eq!(overall.p99_us, real.overall.expect("real").p99_us);
-            let s3 = merged.streams.iter().find(|s| s.stream == 3).expect("s3");
-            assert_eq!(s3.latency.runs, 2);
-            assert_eq!(s3.latency.mean_us, 200.0);
-            assert_eq!(merged.deadline_miss_rate(), 0.0);
-        }
-
-        // Two degenerate sides merge to no distribution at all, and the
-        // rate accessors stay finite on the result.
-        let both = degenerate.merge(&degenerate.clone());
-        assert_eq!(both.overall, None);
-        assert!(both.streams.is_empty());
-        assert_eq!(both.deadline_miss_rate(), 0.0);
-        assert_eq!(both.map_reuse_rate(), 0.0);
-        assert_eq!(both.throughput_fps, 0.0);
-    }
-
-    #[test]
     fn shed_halt_counts_and_merges() {
-        let m = Metrics::new();
+        let m = metrics();
         assert!(m.try_admit(4));
-        m.on_shed_halt(0);
+        shed(&m, ShedReason::Halt);
         let r = m.report();
         assert_eq!(r.shed_halt, 1);
         assert_eq!(m.depth(), 0, "halt-shed releases the queue slot");
@@ -837,12 +734,12 @@ mod tests {
 
     #[test]
     fn server_load_snapshot_tracks_counters() {
-        let m = Metrics::new();
+        let m = metrics();
         assert!(m.try_admit(8));
         assert!(m.try_admit(8));
         assert!(m.try_admit(8));
-        m.on_completed(0, 100.0, true);
-        m.on_shed_deadline(0);
+        complete(&m, 0, 100.0, true);
+        shed(&m, ShedReason::Deadline);
         let load = m.load();
         assert_eq!(load.queue_depth, 1);
         assert_eq!(load.completed, 1);
@@ -850,22 +747,28 @@ mod tests {
         assert_eq!(load.shed_deadline, 1);
         // 1 late completion + 1 shed out of 2 finished.
         assert!((load.miss_rate() - 1.0).abs() < 1e-12);
-        assert_eq!(Metrics::new().load().miss_rate(), 0.0);
+        assert_eq!(metrics().load().miss_rate(), 0.0);
     }
 
     #[test]
     fn fault_counters_accumulate_and_merge() {
-        let m = Metrics::new();
+        let m = metrics();
         for _ in 0..3 {
             assert!(m.try_admit(8));
         }
-        m.on_worker_panic(None);
-        m.on_worker_restart();
-        m.on_requeued(2);
-        m.on_worker_stall(Some(3));
-        m.on_worker_restart();
-        m.on_shed_crashed(0);
-        m.record_downgrades(4);
+        m.record(ObsEvent::Fault {
+            kind: FaultKind::WorkerPanic,
+            batch: None,
+        });
+        m.record(ObsEvent::Restart);
+        m.record(ObsEvent::Requeue { batch: 1, jobs: 2 });
+        m.record(ObsEvent::Fault {
+            kind: FaultKind::WorkerStall,
+            batch: Some(3),
+        });
+        m.record(ObsEvent::Restart);
+        shed(&m, ShedReason::WorkerCrashed);
+        m.record(ObsEvent::Downgrade { slots: 4 });
         let r = m.report();
         assert_eq!(r.worker_panics, 1);
         assert_eq!(r.worker_stalls, 1);
@@ -889,16 +792,24 @@ mod tests {
 
     #[test]
     fn map_counters_accumulate_merge_and_rate() {
-        let m = Metrics::new();
-        m.on_map_lookup(false); // first frame of a stream: miss
-        m.on_map_lookup(true);
-        m.on_map_lookup(true);
-        m.on_map_lookup(true);
-        m.on_map_update(true);
-        m.on_map_update(true);
-        m.on_map_update(false); // high-churn frame fell back to rebuild
-        m.on_map_evicted();
-        m.on_map_invalidated(3);
+        let m = metrics();
+        let update = |kind| ObsEvent::MapUpdate {
+            kind,
+            entered: 2,
+            exited: 1,
+        };
+        // First frame of a stream: a miss, built from scratch.
+        m.record(ObsEvent::MapLookup { hit: false });
+        m.record(update(MapUpdateKind::Built));
+        for _ in 0..3 {
+            m.record(ObsEvent::MapLookup { hit: true });
+        }
+        m.record(update(MapUpdateKind::Patched));
+        m.record(update(MapUpdateKind::Patched));
+        // A high-churn frame fell back to a rebuild.
+        m.record(update(MapUpdateKind::Rebuilt));
+        m.record(ObsEvent::MapEvicted);
+        m.record(ObsEvent::MapInvalidated { streams: 3 });
         let r = m.report();
         assert_eq!(r.map_cache_hits, 3);
         assert_eq!(r.map_cache_misses, 1);
@@ -918,9 +829,9 @@ mod tests {
 
     #[test]
     fn empty_report_has_no_stats() {
-        let r = Metrics::new().report();
+        let r = metrics().report();
         assert_eq!(r.completed, 0);
-        assert!(r.overall.is_none());
+        assert_eq!(r.overall, LatencyHistogram::default());
         assert!(r.streams.is_empty());
         assert_eq!(r.deadline_miss_rate(), 0.0);
         assert_eq!(r.map_reuse_rate(), 0.0);

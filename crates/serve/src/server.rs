@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use ts_core::{CompileError, DeltaConfig, Engine, MapUpdate, SparseTensor};
+use ts_obs::{MapUpdateKind, ObsEvent, RejectReason, ShedReason};
 
 use crate::batch::{merge_frames, sort_by_coord, split_output, validate_frame, FrameError};
 use crate::mapcache::MapCache;
@@ -256,9 +257,6 @@ pub struct Server {
     tracer: Option<ts_trace::Tracer>,
     trace_path: Option<PathBuf>,
     next_req: AtomicU64,
-    /// Live telemetry registry ([`ServeConfig::with_obs`]); also held
-    /// by [`Metrics`], which forwards every hook into it.
-    telemetry: Option<Arc<ts_obs::Telemetry>>,
 }
 
 impl Server {
@@ -289,27 +287,7 @@ impl Server {
             .obs
             .as_ref()
             .map(|o| Arc::new(ts_obs::Telemetry::new(o.clone())));
-        // With both a tracer and telemetry present, mirror the chaos
-        // injection counters into the flight recorder — a post-mortem
-        // then shows the injected fault next to the batch it killed —
-        // and the schedule-cache counters, so a post-mortem also shows
-        // whether the node booted on a cached, transferred or fallback
-        // schedule. The hook is tracer-global; the most recently built
-        // server owns it (fine for single-tracer test/deployment
-        // setups).
-        if let (Some(t), Some(tel)) = (&tracer, &telemetry) {
-            let tel = Arc::clone(tel);
-            t.set_counter_hook(Some(Arc::new(move |name: &str, delta: i64| {
-                if name.starts_with("serve.chaos.") || name.starts_with("cache.") {
-                    tel.record_event(ts_obs::ObsEvent::Counter {
-                        at_us: tel.now_us(),
-                        name: name.to_owned(),
-                        delta,
-                    });
-                }
-            })));
-        }
-        let metrics = Arc::new(Metrics::with_telemetry(telemetry.clone()));
+        let metrics = Arc::new(Metrics::new(tracer.clone(), telemetry));
         let stop = Arc::new(AtomicBool::new(false));
         let next_batch = Arc::new(AtomicU64::new(0));
         let (ingress_tx, ingress_rx) = unbounded::<Job>();
@@ -317,15 +295,14 @@ impl Server {
 
         let downgrades = engine.downgrades().len() as u64;
         if downgrades > 0 {
-            metrics.record_downgrades(downgrades);
-            ts_trace::counter_add("serve.schedule.downgraded", downgrades as i64);
+            metrics.record(ObsEvent::Downgrade { slots: downgrades });
         }
 
         // Temporal map reuse never enables on a degraded engine: its
         // schedule already fell back, keep the failure domain simple.
         let reuse = cfg.map_reuse && !engine.is_degraded();
         if cfg.map_reuse && !reuse {
-            ts_trace::counter_add("serve.map_cache.disabled_degraded", 1);
+            metrics.record(ObsEvent::MapReuseDisabled);
         }
         let map_cache = Arc::new(MapCache::new(
             reuse,
@@ -375,7 +352,6 @@ impl Server {
             tracer,
             trace_path: cfg.trace_path,
             next_req: AtomicU64::new(0),
-            telemetry,
         }
     }
 
@@ -396,9 +372,6 @@ impl Server {
     ) -> Result<ResponseHandle, Rejected> {
         let ingress = self.ingress.as_ref().ok_or(Rejected::ShuttingDown)?;
         if !self.metrics.try_admit(self.capacity) {
-            if let Some(t) = &self.tracer {
-                t.counter_add("serve.requests.rejected_queue_full", 1);
-            }
             return Err(Rejected::QueueFull {
                 capacity: self.capacity,
             });
@@ -417,7 +390,7 @@ impl Server {
             reply: tx,
         };
         if ingress.send(job).is_err() {
-            self.metrics.on_abandoned();
+            self.metrics.release();
             return Err(Rejected::ShuttingDown);
         }
         Ok(ResponseHandle { rx })
@@ -456,34 +429,20 @@ impl Server {
     /// configured rolling window — the "what is happening right now"
     /// view.
     pub fn health_snapshot(&self) -> Option<ts_obs::HealthSnapshot> {
-        self.telemetry
-            .as_ref()
+        self.telemetry()
             .map(|t| t.health_snapshot(self.metrics.depth() as u64))
     }
 
     /// Every SLO alert transition (trip/clear) recorded so far, in
     /// order; empty without [`ServeConfig::with_obs`].
     pub fn alerts(&self) -> Vec<ts_obs::Alert> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.alerts())
-            .unwrap_or_default()
-    }
-
-    /// Appends an event to this server's flight recorder (a no-op
-    /// without [`ServeConfig::with_obs`]). The fleet layer uses this to
-    /// record stream migrations and re-homes against the node that
-    /// received the traffic.
-    pub fn record_obs_event(&self, event: ts_obs::ObsEvent) {
-        if let Some(t) = &self.telemetry {
-            t.record_event(event);
-        }
+        self.telemetry().map(|t| t.alerts()).unwrap_or_default()
     }
 
     /// The live telemetry registry, when the server was configured with
     /// [`ServeConfig::with_obs`].
     pub fn telemetry(&self) -> Option<&Arc<ts_obs::Telemetry>> {
-        self.telemetry.as_ref()
+        self.metrics.telemetry()
     }
 
     /// Graceful drain: stops admitting, serves everything already
@@ -516,7 +475,7 @@ impl Server {
         self.abort.store(true, Ordering::SeqCst);
         // A halt is the fleet's node kill: dump the flight recorder
         // while the backlog is still visible in the queue depth.
-        if let Some(t) = &self.telemetry {
+        if let Some(t) = self.telemetry() {
             let _ = t.dump_postmortem("node_halt", self.metrics.depth() as u64);
         }
         self.shutdown()
@@ -542,6 +501,11 @@ impl Drop for Server {
     }
 }
 
+/// A frame that failed validation or compilation.
+const BAD_FRAME: ObsEvent = ObsEvent::Rejected {
+    reason: RejectReason::BadFrame,
+};
+
 /// Rejects every expired job in `pending`, keeping the rest. Jobs whose
 /// completion latch was already claimed (a recovery twin answered) are
 /// silently dropped.
@@ -551,8 +515,10 @@ pub(crate) fn shed_expired(pending: &mut Vec<Job>, metrics: &Metrics) {
     for job in pending.drain(..) {
         if job.expired(now) {
             if job.claim() {
-                metrics.on_shed_deadline(job.stream);
-                ts_trace::counter_add("serve.requests.shed_deadline", 1);
+                metrics.record(ObsEvent::Shed {
+                    reason: ShedReason::Deadline,
+                    stream: job.stream,
+                });
                 let missed_by =
                     now.saturating_duration_since(job.deadline.expect("expired has one"));
                 job.send_err(Rejected::DeadlineExpired { missed_by });
@@ -585,14 +551,15 @@ fn dispatch(
         batch = jobs.len(),
         backlog = pending.len(),
     );
-    ts_trace::counter_add("serve.batches.dispatched", 1);
     let batch = Batch {
         seq: next_batch.fetch_add(1, Ordering::SeqCst),
         jobs,
     };
-    if let Some(t) = metrics.telemetry() {
-        t.on_dispatch(batch.seq, batch.jobs.len() as u64, metrics.depth() as u64);
-    }
+    metrics.record(ObsEvent::Dispatch {
+        batch: batch.seq,
+        jobs: batch.jobs.len() as u64,
+        queue_depth: metrics.depth() as u64,
+    });
     if let Err(e) = work.send(batch) {
         for job in e.into_inner().jobs {
             job.reject(Rejected::ShuttingDown);
@@ -636,8 +603,10 @@ fn batcher_loop(
     if abort.load(Ordering::SeqCst) {
         for job in pending.drain(..) {
             if job.claim() {
-                metrics.on_shed_halt(job.stream);
-                ts_trace::counter_add("serve.requests.shed_halt", 1);
+                metrics.record(ObsEvent::Shed {
+                    reason: ShedReason::Halt,
+                    stream: job.stream,
+                });
                 job.send_err(Rejected::ShuttingDown);
             }
         }
@@ -647,8 +616,11 @@ fn batcher_loop(
     }
 }
 
+/// Executes the jobs of batch `seq` (the dispatched or requeued
+/// sequence number its `Batch` events carry).
 pub(crate) fn process_batch(
     engine: &Engine,
+    seq: u64,
     mut batch: Vec<Job>,
     metrics: &Metrics,
     cache: &MapCache,
@@ -665,8 +637,7 @@ pub(crate) fn process_batch(
             Ok(()) => valid.push(job),
             Err(e) => {
                 if job.claim() {
-                    metrics.on_bad_frame();
-                    ts_trace::counter_add("serve.frames.rejected", 1);
+                    metrics.record(BAD_FRAME);
                     job.send_err(Rejected::BadFrame(e));
                 }
             }
@@ -682,7 +653,7 @@ pub(crate) fn process_batch(
     // batch indices and unions the coordinate sets).
     if cache.enabled() {
         for job in valid {
-            process_streamed(engine, job, metrics, cache);
+            process_streamed(engine, seq, job, metrics, cache);
         }
         return;
     }
@@ -697,8 +668,11 @@ pub(crate) fn process_batch(
             let inferred_at = Instant::now();
             let size = valid.len();
             let sim_us = report.total_us();
-            metrics.on_batch_executed(size, sim_us);
-            ts_trace::counter_add("serve.batches.executed", 1);
+            metrics.record(ObsEvent::Batch {
+                batch: seq,
+                jobs: size as u64,
+                sim_us,
+            });
             if span.active() {
                 span.arg("batch", size);
                 span.arg("sim_us", sim_us);
@@ -720,14 +694,13 @@ pub(crate) fn process_batch(
         Err(_) if valid.len() > 1 => {
             drop(span);
             for job in valid {
-                process_batch(engine, vec![job], metrics, cache);
+                process_batch(engine, seq, vec![job], metrics, cache);
             }
         }
         Err(e) => {
             let job = valid.into_iter().next().expect("single job");
             if job.claim() {
-                metrics.on_bad_frame();
-                ts_trace::counter_add("serve.frames.rejected", 1);
+                metrics.record(BAD_FRAME);
                 job.send_err(Rejected::CompileFailed(e));
             }
         }
@@ -741,41 +714,32 @@ pub(crate) fn process_batch(
 /// misses and rebuilds) and put back on both success and failure —
 /// [`Engine::infer_stream`] validates before mutating, so a rejected
 /// frame leaves the state intact.
-fn process_streamed(engine: &Engine, job: Job, metrics: &Metrics, cache: &MapCache) {
+fn process_streamed(engine: &Engine, seq: u64, job: Job, metrics: &Metrics, cache: &MapCache) {
     let mut span = ts_trace::span(ts_trace::Subsystem::Serve, "process_stream");
     let exec_start = Instant::now();
     let mut state = cache.take(job.stream);
     let hit = state.is_some();
-    metrics.on_map_lookup(hit);
-    ts_trace::counter_add(
-        if hit {
-            "serve.map_cache.hit"
-        } else {
-            "serve.map_cache.miss"
-        },
-        1,
-    );
+    metrics.record(ObsEvent::MapLookup { hit });
     let taken_at = Instant::now();
     match engine.infer_stream(&mut state, &job.frame, cache.delta()) {
         Ok((out, report, outcome)) => {
             let inferred_at = Instant::now();
             let sim_us = report.total_us();
             let patched = matches!(outcome.kind, MapUpdate::Patched);
-            if hit {
-                metrics.on_map_update(patched);
-                ts_trace::counter_add(
-                    if patched {
-                        "serve.map_cache.patched"
-                    } else {
-                        "serve.map_cache.rebuilt"
-                    },
-                    1,
-                );
-            }
-            ts_trace::counter_add("serve.map_cache.entered", outcome.entered as i64);
-            ts_trace::counter_add("serve.map_cache.exited", outcome.exited as i64);
-            metrics.on_batch_executed(1, sim_us);
-            ts_trace::counter_add("serve.batches.executed", 1);
+            metrics.record(ObsEvent::MapUpdate {
+                kind: match (hit, patched) {
+                    (false, _) => MapUpdateKind::Built,
+                    (true, true) => MapUpdateKind::Patched,
+                    (true, false) => MapUpdateKind::Rebuilt,
+                },
+                entered: outcome.entered as u64,
+                exited: outcome.exited as u64,
+            });
+            metrics.record(ObsEvent::Batch {
+                batch: seq,
+                jobs: 1,
+                sim_us,
+            });
             if span.active() {
                 span.arg("stream", job.stream);
                 span.arg("hit", hit);
@@ -807,8 +771,7 @@ fn process_streamed(engine: &Engine, job: Job, metrics: &Metrics, cache: &MapCac
                 cache.put(job.stream, st, metrics);
             }
             if job.claim() {
-                metrics.on_bad_frame();
-                ts_trace::counter_add("serve.frames.rejected", 1);
+                metrics.record(BAD_FRAME);
                 job.send_err(Rejected::CompileFailed(e));
             }
         }
@@ -842,11 +805,11 @@ fn complete(
     let now = Instant::now();
     let latency = now.saturating_duration_since(job.submitted);
     let missed = job.expired(now);
-    metrics.on_completed(job.stream, latency.as_secs_f64() * 1e6, missed);
-    ts_trace::counter_add("serve.requests.completed", 1);
-    if missed {
-        ts_trace::counter_add("serve.deadline.missed", 1);
-    }
+    metrics.record(ObsEvent::Completed {
+        stream: job.stream,
+        latency_us: latency.as_secs_f64() * 1e6,
+        missed,
+    });
     record_request_spans(&job, marks, batch_size, sim_us, missed, now);
     let _ = job.reply.send(Ok(Response {
         output,
@@ -1451,11 +1414,63 @@ mod tests {
         let events = server.telemetry().expect("obs").recent_events();
         assert!(events
             .iter()
-            .any(|e| matches!(e, ts_obs::ObsEvent::Dispatch { .. })));
+            .any(|e| matches!(e.event, ObsEvent::Dispatch { .. })));
         assert!(events
             .iter()
-            .any(|e| matches!(e, ts_obs::ObsEvent::Batch { .. })));
+            .any(|e| matches!(e.event, ObsEvent::Batch { .. })));
         server.shutdown();
+    }
+
+    /// With map reuse a k-frame batch executes as k inference calls;
+    /// each call's `Batch` event must carry the sequence number the
+    /// batch was dispatched (or requeued) under, so a post-mortem can
+    /// join executions to dispatches.
+    #[test]
+    fn batch_events_name_the_dispatched_batch() {
+        let server = Server::new(
+            engine(),
+            ServeConfig::default()
+                .with_max_wait(Duration::from_millis(200))
+                .with_max_batch(4)
+                .with_workers(1)
+                .with_map_reuse(true)
+                .with_obs(ts_obs::ObsConfig::default()),
+        );
+        let frames: Vec<_> = (0..8).map(|k| drift_frame(k, 600 + k as u64)).collect();
+        let handles: Vec<_> = frames
+            .into_iter()
+            .enumerate()
+            .map(|(i, f)| server.submit(i as u64 % 3, f).expect("admitted"))
+            .collect();
+        for h in handles {
+            h.wait().expect("served");
+        }
+        let events = server.telemetry().expect("obs").recent_events();
+        server.shutdown();
+
+        let issued: std::collections::HashSet<u64> = events
+            .iter()
+            .filter_map(|e| match e.event {
+                ObsEvent::Dispatch { batch, .. } | ObsEvent::Requeue { batch, .. } => Some(batch),
+                _ => None,
+            })
+            .collect();
+        let executed: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e.event {
+                ObsEvent::Batch { batch, .. } => Some(batch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(executed.len(), 8, "one inference call per frame");
+        assert!(
+            executed.iter().all(|b| issued.contains(b)),
+            "batch events {executed:?} must name dispatched batches {issued:?}"
+        );
+        assert!(
+            executed.len() > issued.len(),
+            "some dispatched batch held several frames"
+        );
     }
 
     #[test]

@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use ts_core::Engine;
+use ts_obs::{FaultKind, ObsEvent, ShedReason};
 
 use crate::faults::{self, FaultPlan};
 use crate::mapcache::MapCache;
@@ -189,8 +190,8 @@ fn worker_loop(
                 // Park a clone where the supervisor can recover it,
                 // *before* any injection site or engine call can die.
                 shared.begin(&batch);
-                faults::inject(plan, batch.seq);
-                process_batch(engine, batch.jobs, metrics, map_cache);
+                faults::inject(plan, batch.seq, metrics);
+                process_batch(engine, batch.seq, batch.jobs, metrics, map_cache);
                 shared.finish();
             }
             Err(RecvTimeoutError::Timeout) => continue,
@@ -234,8 +235,10 @@ fn run(ctx: SupervisorCtx) {
             let slot = slots.remove(i);
             if slot.handle.join().is_err() {
                 let inflight = slot.shared.steal();
-                metrics.on_worker_panic(inflight.as_ref().map(|b| b.seq));
-                ts_trace::counter_add("serve.workers.panicked", 1);
+                metrics.record(ObsEvent::Fault {
+                    kind: FaultKind::WorkerPanic,
+                    batch: inflight.as_ref().map(|b| b.seq),
+                });
                 // Post-mortem first, recovery second: the dump captures
                 // the ring as the worker died, including the crashing
                 // batch's dispatch and the fault just recorded.
@@ -254,8 +257,7 @@ fn run(ctx: SupervisorCtx) {
                         next_id, &engine, &work_rx, &metrics, &tracer, &map_cache, &cfg,
                     ));
                     next_id += 1;
-                    metrics.on_worker_restart();
-                    ts_trace::counter_add("serve.workers.restarted", 1);
+                    metrics.record(ObsEvent::Restart);
                 }
                 recover(inflight, work_tx.as_ref(), &next_batch, &metrics, &cfg);
             }
@@ -273,8 +275,10 @@ fn run(ctx: SupervisorCtx) {
                 let slot = slots.remove(i);
                 slot.shared.retired.store(true, Ordering::SeqCst);
                 let inflight = slot.shared.steal();
-                metrics.on_worker_stall(inflight.as_ref().map(|b| b.seq));
-                ts_trace::counter_add("serve.workers.stalled", 1);
+                metrics.record(ObsEvent::Fault {
+                    kind: FaultKind::WorkerStall,
+                    batch: inflight.as_ref().map(|b| b.seq),
+                });
                 if let Some(tel) = metrics.telemetry() {
                     let _ = tel.dump_postmortem("worker_stall", metrics.depth() as u64);
                 }
@@ -289,8 +293,7 @@ fn run(ctx: SupervisorCtx) {
                         next_id, &engine, &work_rx, &metrics, &tracer, &map_cache, &cfg,
                     ));
                     next_id += 1;
-                    metrics.on_worker_restart();
-                    ts_trace::counter_add("serve.workers.restarted", 1);
+                    metrics.record(ObsEvent::Restart);
                 }
                 recover(inflight, work_tx.as_ref(), &next_batch, &metrics, &cfg);
             }
@@ -346,14 +349,16 @@ fn recover(
     }
     // Deadlines may have passed while the batch sat on the dead worker.
     shed_expired(&mut retry, metrics);
-    metrics.on_requeued(retry.len() as u64);
-    ts_trace::counter_add("serve.requests.requeued", retry.len() as i64);
     let batch = Batch {
         // Fresh sequence number: an explicit fault plan that killed the
         // original batch does not automatically kill the replay.
         seq: next_batch.fetch_add(1, Ordering::SeqCst),
         jobs: retry,
     };
+    metrics.record(ObsEvent::Requeue {
+        batch: batch.seq,
+        jobs: batch.jobs.len() as u64,
+    });
     if let Some(tx) = work_tx {
         if let Err(e) = tx.send(batch) {
             for job in e.into_inner().jobs {
@@ -367,8 +372,10 @@ fn shed_crashed(job: crate::server::Job, metrics: &Metrics) {
     // This crash counts as an attempt on top of the recorded dispatches.
     let attempts = job.attempts + 1;
     if job.claim() {
-        metrics.on_shed_crashed(job.stream);
-        ts_trace::counter_add("serve.requests.shed_crashed", 1);
+        metrics.record(ObsEvent::Shed {
+            reason: ShedReason::WorkerCrashed,
+            stream: job.stream,
+        });
         job.send_err(Rejected::WorkerCrashed { attempts });
     }
 }

@@ -9,7 +9,7 @@ use ts_core::{Engine, GroupConfigs, NetworkBuilder, SparseTensor};
 use ts_dataflow::{DataflowConfig, ExecCtx};
 use ts_gpusim::Device;
 use ts_kernelmap::Coord;
-use ts_serve::{FaultPlan, Rejected, ServeConfig, Server};
+use ts_serve::{FaultKind, FaultPlan, ObsEvent, Rejected, ServeConfig, Server};
 use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
 
 fn engine() -> Engine {
@@ -136,7 +136,8 @@ fn total_panic_rate_terminates_with_typed_outcomes() {
 
 /// An injected worker panic must leave a flight-recorder post-mortem on
 /// disk, and the dump must contain the crashing batch's events: its
-/// dispatch and the `worker_panic` fault naming its batch seq.
+/// dispatch, the injection and the `WorkerPanic` fault naming its
+/// batch seq — with no tracer installed.
 #[test]
 fn injected_panic_dumps_flight_recorder_postmortem() {
     // CI sets TS_POSTMORTEM_DIR to keep the dump as a build artifact;
@@ -187,15 +188,25 @@ fn injected_panic_dumps_flight_recorder_postmortem() {
     assert!(
         pm.events
             .iter()
-            .any(|e| matches!(e, ts_serve::ObsEvent::Dispatch { batch: 0, .. })),
+            .any(|e| matches!(e.event, ObsEvent::Dispatch { batch: 0, .. })),
         "dump must contain the crashing batch's dispatch"
+    );
+    // ...the injection that killed it...
+    assert!(
+        pm.events.iter().any(|e| e.event
+            == ObsEvent::Injected {
+                kind: FaultKind::WorkerPanic,
+                batch: 0,
+            }),
+        "dump must contain the injected panic for batch 0"
     );
     // ...and the fault event names it.
     assert!(
-        pm.events.iter().any(|e| matches!(
-            e,
-            ts_serve::ObsEvent::Fault { kind, batch: Some(0), .. } if kind == "worker_panic"
-        )),
+        pm.events.iter().any(|e| e.event
+            == ObsEvent::Fault {
+                kind: FaultKind::WorkerPanic,
+                batch: Some(0),
+            }),
         "dump must contain the worker_panic fault for batch 0"
     );
     if !keep {

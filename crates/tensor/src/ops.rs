@@ -18,12 +18,12 @@ pub fn add_bias(m: &mut Matrix, bias: &[f32]) {
     }
 }
 
-/// Applies ReLU in place.
+/// Applies ReLU in place. A select, not a branch: it compiles to a
+/// vector max, and it keeps NaN and `-0.0` as they are (which
+/// `f32::max` would not).
 pub fn relu(m: &mut Matrix) {
     for v in m.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        *v = if *v < 0.0 { 0.0 } else { *v };
     }
 }
 
@@ -40,9 +40,7 @@ pub fn relu_backward(grad: &mut Matrix, forward_input: &Matrix) {
         "relu_backward shape mismatch"
     );
     for (g, &x) in grad.as_mut_slice().iter_mut().zip(forward_input.as_slice()) {
-        if x <= 0.0 {
-            *g = 0.0;
-        }
+        *g = if x <= 0.0 { 0.0 } else { *g };
     }
 }
 
@@ -97,11 +95,33 @@ mod tests {
         assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
     }
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Inputs whose ReLU is easy to get wrong bit-wise: NaN, both
+    /// zeros, both infinities and both subnormal signs.
+    const SUB: f32 = f32::MIN_POSITIVE / 2.0;
+    const EDGES: [f32; 7] = [
+        f32::NAN,
+        -0.0,
+        0.0,
+        f32::INFINITY,
+        -f32::INFINITY,
+        SUB,
+        -SUB,
+    ];
+
     #[test]
     fn relu_clamps_negatives() {
         let mut m = Matrix::from_rows(&[&[-1.0, 2.0], &[0.0, -0.5]]);
         relu(&mut m);
         assert_eq!(m, Matrix::from_rows(&[&[0.0, 2.0], &[0.0, 0.0]]));
+        // Only values below zero change: NaN and -0.0 pass through.
+        let mut m = Matrix::from_rows(&[&EDGES]);
+        relu(&mut m);
+        let expected = [f32::NAN, -0.0, 0.0, f32::INFINITY, 0.0, SUB, 0.0];
+        assert_eq!(bits(&m), bits(&Matrix::from_rows(&[&expected])));
     }
 
     #[test]
@@ -110,6 +130,13 @@ mod tests {
         let mut g = Matrix::filled(2, 2, 1.0);
         relu_backward(&mut g, &x);
         assert_eq!(g, Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 1.0]]));
+        // A (here NaN) gradient survives where the input is above zero
+        // or NaN, and is zeroed everywhere else.
+        let mut g = Matrix::filled(1, EDGES.len(), f32::NAN);
+        relu_backward(&mut g, &Matrix::from_rows(&[&EDGES]));
+        let n = f32::NAN;
+        let expected = [n, 0.0, 0.0, n, 0.0, n, 0.0];
+        assert_eq!(bits(&g), bits(&Matrix::from_rows(&[&expected])));
     }
 
     #[test]

@@ -79,6 +79,12 @@
 //! | `train.map.patched` / `.rebuilt` | Step-plan kernel-map maintenance across temporally coherent steps |
 //! | `train.plan.compiled` | Fused step plans compiled (tune + session build epochs) |
 //!
+//! The `serve.*` counters are not written at their call sites: each
+//! serve site emits one typed `ts_obs::ObsEvent`, and ts-serve adds the
+//! event's counters from one name table on the server's tracer, next to
+//! its report and live-telemetry folds of the same event. A counter is
+//! a plain tally; nothing observes or re-records `counter_add`.
+//!
 //! Gauges follow the same convention (e.g. `autotune.speedup`).
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -176,15 +182,6 @@ impl fmt::Display for Subsystem {
         f.write_str(self.label())
     }
 }
-
-/// An observer invoked (synchronously, after the registry update) on
-/// every [`Tracer::counter_add`], installed with
-/// [`Tracer::set_counter_hook`]. `ts-obs` uses this to mirror fault
-/// counters (e.g. chaos injections emitted deep inside worker threads)
-/// into its flight recorder without threading a handle through every
-/// call site. Hooks must be cheap and must not re-enter the tracer's
-/// counter API.
-pub type CounterHook = std::sync::Arc<dyn Fn(&str, i64) + Send + Sync>;
 
 /// A typed span-argument value.
 #[derive(Debug, Clone, PartialEq)]

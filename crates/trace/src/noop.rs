@@ -86,9 +86,6 @@ impl Tracer {
     /// No-op.
     pub fn counter_add(&self, _name: &str, _delta: i64) {}
 
-    /// No-op.
-    pub fn set_counter_hook(&self, _hook: Option<crate::CounterHook>) {}
-
     /// Always 0.
     pub fn counter(&self, _name: &str) -> i64 {
         0

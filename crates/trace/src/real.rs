@@ -89,17 +89,6 @@ pub(crate) enum Event {
     },
 }
 
-/// Holds the optional counter observer; manual `Debug` because
-/// function trait objects have none.
-struct HookCell(Mutex<Option<crate::CounterHook>>);
-
-impl std::fmt::Debug for HookCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let installed = self.0.lock().map(|h| h.is_some()).unwrap_or(false);
-        write!(f, "HookCell(installed: {installed})")
-    }
-}
-
 #[derive(Debug)]
 pub(crate) struct Inner {
     pub(crate) epoch: Instant,
@@ -111,7 +100,6 @@ pub(crate) struct Inner {
     pub(crate) threads: Mutex<HashMap<ThreadId, (u64, String)>>,
     pub(crate) lanes: Mutex<Vec<String>>,
     sim_kernels: AtomicBool,
-    counter_hook: HookCell,
 }
 
 /// A shared trace collector. Cloning is cheap (`Arc`); clones feed the
@@ -138,7 +126,6 @@ impl Tracer {
             threads: Mutex::new(HashMap::new()),
             lanes: Mutex::new(Vec::new()),
             sim_kernels: AtomicBool::new(true),
-            counter_hook: HookCell(Mutex::new(None)),
         }))
     }
 
@@ -213,34 +200,13 @@ impl Tracer {
     /// Adds `delta` to a named counter (saturating at the `i64` bounds).
     /// Counter names follow the `subsystem.noun.verb` convention.
     pub fn counter_add(&self, name: &str, delta: i64) {
-        {
-            let mut counters = self.0.counters.lock().expect("trace counters");
-            match counters.get_mut(name) {
-                Some(v) => *v = v.saturating_add(delta),
-                None => {
-                    counters.insert(name.to_string(), delta);
-                }
+        let mut counters = self.0.counters.lock().expect("trace counters");
+        match counters.get_mut(name) {
+            Some(v) => *v = v.saturating_add(delta),
+            None => {
+                counters.insert(name.to_string(), delta);
             }
         }
-        // Observe outside the registry lock so a hook reading counters
-        // (or taking its own locks) cannot deadlock.
-        let hook = self
-            .0
-            .counter_hook
-            .0
-            .lock()
-            .expect("trace counter hook")
-            .clone();
-        if let Some(hook) = hook {
-            hook(name, delta);
-        }
-    }
-
-    /// Installs (or, with `None`, removes) the counter observer called
-    /// on every [`Self::counter_add`] — see [`crate::CounterHook`].
-    /// One hook per tracer; installing replaces the previous one.
-    pub fn set_counter_hook(&self, hook: Option<crate::CounterHook>) {
-        *self.0.counter_hook.0.lock().expect("trace counter hook") = hook;
     }
 
     /// Reads one counter (0 if never touched).

@@ -470,31 +470,3 @@ fn subsystem_pids_are_unique_and_match_all_order() {
         );
     }
 }
-
-#[test]
-fn counter_hook_observes_every_add_without_reentry() {
-    use std::sync::atomic::{AtomicI64, Ordering};
-    use std::sync::Arc;
-
-    let tracer = Tracer::new();
-    let seen = Arc::new(AtomicI64::new(0));
-    let seen_in_hook = Arc::clone(&seen);
-    tracer.set_counter_hook(Some(Arc::new(move |name: &str, delta: i64| {
-        if name.starts_with("serve.chaos.") {
-            seen_in_hook.fetch_add(delta, Ordering::Relaxed);
-        }
-    })));
-    tracer.install();
-    ts_trace::counter_add("serve.chaos.injected_panic", 2);
-    ts_trace::counter_add("serve.requests.completed", 1); // filtered out
-    ts_trace::counter_add("serve.chaos.injected_stall", 3);
-    ts_trace::uninstall();
-    assert_eq!(seen.load(Ordering::Relaxed), 5);
-    // The registry still saw everything.
-    assert_eq!(tracer.counter("serve.chaos.injected_panic"), 2);
-    assert_eq!(tracer.counter("serve.requests.completed"), 1);
-    // Uninstalling the hook stops observation.
-    tracer.set_counter_hook(None);
-    tracer.counter_add("serve.chaos.injected_panic", 10);
-    assert_eq!(seen.load(Ordering::Relaxed), 5);
-}

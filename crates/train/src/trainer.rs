@@ -24,7 +24,7 @@ use ts_core::{
 };
 use ts_dataflow::{ConvWeights, ExecCtx};
 use ts_kernelmap::{Coord, DeltaConfig, MapUpdate};
-use ts_obs::{HealthSnapshot, HistogramSnapshot, ObsConfig, Telemetry};
+use ts_obs::{HealthSnapshot, HistogramSnapshot, ObsConfig, ObsEvent, Telemetry};
 use ts_tensor::Matrix;
 use ts_trace::Subsystem;
 use ts_workloads::{LidarScene, LidarStream};
@@ -430,8 +430,22 @@ impl Trainer {
         let step_us = sim.step_us();
         self.now_us += step_us.max(0.0) as u64;
         if let Some(t) = &self.telemetry {
-            let _ = t.on_completed_at(self.now_us, 0, step_us.max(0.0) as u64, false);
-            t.on_batch_at(self.now_us, self.steps, passes as u64, step_us);
+            t.observe_at(
+                self.now_us,
+                ObsEvent::Completed {
+                    stream: 0,
+                    latency_us: step_us.max(0.0),
+                    missed: false,
+                },
+            );
+            t.observe_at(
+                self.now_us,
+                ObsEvent::Batch {
+                    batch: self.steps,
+                    jobs: passes as u64,
+                    sim_us: step_us,
+                },
+            );
         }
 
         Ok(StepReport {

@@ -131,10 +131,10 @@ fn main() {
         println!(
             "stream {}: p50 {:>7.2} ms   p90 {:>7.2} ms   p99 {:>7.2} ms   ({} frames)",
             s.stream,
-            s.latency.p50_us / 1e3,
-            s.latency.p90_us / 1e3,
-            s.latency.p99_us / 1e3,
-            s.latency.runs
+            s.latency.quantile_us(0.50) / 1e3,
+            s.latency.quantile_us(0.90) / 1e3,
+            s.latency.quantile_us(0.99) / 1e3,
+            s.latency.count
         );
     }
     print!("batch sizes:");

@@ -156,3 +156,111 @@ fn resubmission_recovers_from_a_crashed_worker() {
     assert_eq!(report.completed, 1);
     assert!(report.worker_restarts >= 1);
 }
+
+/// One seeded scenario — an injected panic, an injected stall, map
+/// reuse, live telemetry and an installed tracer — in which every view
+/// of the serve events must agree: each `ServeReport` counter equals
+/// its `serve.*` trace counter, and the rolling-window health snapshot
+/// counts what the report counts.
+#[test]
+fn report_trace_counters_and_health_agree_under_chaos() {
+    use torchsparse::serve::{FaultKind, ObsConfig, ObsEvent};
+
+    let net = network();
+    let weights = net.init_weights(5);
+    let engine = Engine::new(
+        net,
+        weights,
+        GroupConfigs::uniform(DataflowConfig::implicit_gemm(1)),
+        ExecCtx::functional(Device::rtx3090(), Precision::Fp16),
+    );
+    // Batch 1 panics; batch 3 stalls far past the stall timeout, so its
+    // retired worker stays asleep until after the views are compared.
+    // The timeout leaves the panicking worker time to print its
+    // backtrace and die before it could pass for a stalled one.
+    let plan = FaultPlan::from_seed(SEED)
+        .with_panic_on([1])
+        .with_stall_on([3], Duration::from_secs(20));
+    let tracer = torchsparse::trace::Tracer::new();
+    tracer.install();
+    let server = Server::new(
+        engine,
+        ServeConfig::default()
+            .with_workers(1)
+            .with_max_batch(1)
+            .with_max_requeues(2)
+            .with_max_wait(Duration::from_millis(1))
+            .with_supervisor_poll(Duration::from_millis(2))
+            .with_stall_timeout(Some(Duration::from_secs(2)))
+            .with_map_reuse(true)
+            .with_obs(ObsConfig::default())
+            .with_fault_plan(plan),
+    );
+    torchsparse::trace::uninstall();
+    // Two streams, frames one at a time so each finds its stream's
+    // cached map (until the panic invalidates the cache).
+    for i in 0..8u64 {
+        server
+            .submit(i % 2, frame(200 + i))
+            .expect("admitted")
+            .wait()
+            .expect("recovered from every fault");
+    }
+    let health = server.health_snapshot().expect("obs configured");
+    let events = server.telemetry().expect("obs").recent_events();
+    let report = server.shutdown();
+
+    assert_eq!(report.completed, 8);
+    assert_eq!(report.worker_panics, 1);
+    assert_eq!(report.worker_stalls, 1);
+    assert!(report.map_cache_hits > 0 && report.map_invalidated > 0);
+    let executed = report.batch_sizes.iter().map(|b| b.count).sum();
+    for (name, value) in [
+        ("serve.requests.completed", report.completed),
+        (
+            "serve.requests.rejected_queue_full",
+            report.rejected_queue_full,
+        ),
+        ("serve.frames.rejected", report.rejected_bad_frame),
+        ("serve.requests.shed_deadline", report.shed_deadline),
+        ("serve.requests.shed_crashed", report.shed_crashed),
+        ("serve.requests.shed_halt", report.shed_halt),
+        ("serve.deadline.missed", report.deadline_misses),
+        ("serve.workers.panicked", report.worker_panics),
+        ("serve.workers.stalled", report.worker_stalls),
+        ("serve.workers.restarted", report.worker_restarts),
+        ("serve.requests.requeued", report.requeued),
+        ("serve.schedule.downgraded", report.schedule_downgrades),
+        ("serve.map_cache.hit", report.map_cache_hits),
+        ("serve.map_cache.miss", report.map_cache_misses),
+        ("serve.map_cache.patched", report.map_patched),
+        ("serve.map_cache.rebuilt", report.map_rebuilt),
+        ("serve.map_cache.evicted", report.map_evicted),
+        ("serve.map_cache.invalidated", report.map_invalidated),
+        ("serve.batches.executed", executed),
+        ("serve.chaos.injected_panic", 1),
+        ("serve.chaos.injected_stall", 1),
+    ] {
+        assert_eq!(tracer.counter(name), value as i64, "trace counter {name}");
+    }
+
+    assert_eq!(health.completed, report.completed);
+    assert_eq!(health.deadline_misses, report.deadline_misses);
+    assert_eq!(
+        health.sheds,
+        report.shed_deadline + report.shed_crashed + report.shed_halt
+    );
+    assert_eq!(
+        health.map_lookups,
+        report.map_cache_hits + report.map_cache_misses
+    );
+    // The flight recorder holds both injections.
+    for (kind, batch) in [(FaultKind::WorkerPanic, 1), (FaultKind::WorkerStall, 3)] {
+        assert!(
+            events
+                .iter()
+                .any(|e| e.event == ObsEvent::Injected { kind, batch }),
+            "recorder misses the {kind:?} injected into batch {batch}"
+        );
+    }
+}

@@ -8,11 +8,12 @@ use proptest::prelude::*;
 
 use torchsparse::autotune::{tune_inference, TunerOptions};
 use torchsparse::core::{
-    Engine, GroupConfigs, LatencyStats, NetworkBuilder, Session, SparseTensor,
+    percentile_sorted, Engine, GroupConfigs, NetworkBuilder, Session, SparseTensor,
 };
 use torchsparse::dataflow::{DataflowConfig, ExecCtx};
 use torchsparse::gpusim::Device;
 use torchsparse::kernelmap::{unique_coords, Coord};
+use torchsparse::obs::{bucket_index, bucket_upper_us, LatencyHistogram};
 use torchsparse::serve::{sort_by_coord, ServeConfig, Server};
 use torchsparse::tensor::{rng_from_seed, uniform_matrix, Precision};
 use torchsparse::workloads::Workload;
@@ -193,13 +194,13 @@ fn slo_report_is_consistent_and_serializable() {
     assert_eq!(report.completed, 12);
     assert_eq!(report.streams.len(), 3);
     for s in &report.streams {
-        assert!(s.latency.p50_us <= s.latency.p90_us);
-        assert!(s.latency.p90_us <= s.latency.p99_us);
-        assert!(s.latency.min_us <= s.latency.p50_us);
-        assert!(s.latency.p99_us <= s.latency.max_us);
+        let q = |q| s.latency.quantile_us(q);
+        assert!(q(0.50) <= q(0.90));
+        assert!(q(0.90) <= q(0.99));
+        assert!(s.latency.min_us <= q(0.50));
+        assert!(q(0.99) <= s.latency.max_us);
     }
-    let overall = report.overall.expect("completions recorded");
-    assert_eq!(overall.runs, 12);
+    assert_eq!(report.overall.count, 12);
     assert!(report.throughput_fps > 0.0);
     let json = report.to_json().expect("serializes");
     let back = torchsparse::serve::ServeReport::from_json(&json).expect("parses");
@@ -209,43 +210,74 @@ fn slo_report_is_consistent_and_serializable() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pins the documented merge contract: `runs`, `min`, `max` are
-    /// exact, and the pooled mean/variance match statistics computed
-    /// over the concatenated samples to floating-point accuracy —
-    /// merging summaries loses no moment information. (Percentiles are
-    /// explicitly a run-weighted approximation and are not pinned.)
+    /// Pins the report histogram's merge contract: folding `a` and `b`
+    /// separately and merging equals folding `a ++ b` — count, extrema,
+    /// buckets and every percentile exactly, mean and variance to
+    /// floating-point accuracy (only the order of f64 additions
+    /// differs). Every percentile lies in `[min, max]` and within one
+    /// bucket of `percentile_sorted` on the raw samples: not below it,
+    /// and not above the same percentile of the samples' bucket upper
+    /// edges.
     #[test]
     fn latency_merge_equals_stats_over_concatenated_samples(
         a in prop::collection::vec(1.0f64..10_000.0, 1..48),
         b in prop::collection::vec(1.0f64..10_000.0, 1..48),
     ) {
-        let sa = LatencyStats::from_latencies_us(&a).expect("non-empty");
-        let sb = LatencyStats::from_latencies_us(&b).expect("non-empty");
-        let merged = sa.merge(&sb);
+        let fold = |xs: &[f64]| {
+            let mut h = LatencyHistogram::default();
+            for &x in xs {
+                h.record(x);
+            }
+            h
+        };
+        let mut merged = fold(&a);
+        merged.merge(&fold(&b));
         let concat: Vec<f64> = a.iter().chain(&b).copied().collect();
-        let pooled = LatencyStats::from_latencies_us(&concat).expect("non-empty");
+        let pooled = fold(&concat);
 
-        prop_assert_eq!(merged.runs, pooled.runs);
+        prop_assert_eq!(merged.count, pooled.count);
         prop_assert_eq!(merged.min_us, pooled.min_us, "min is exact");
         prop_assert_eq!(merged.max_us, pooled.max_us, "max is exact");
-        let mean_tol = 1e-9 * (1.0 + pooled.mean_us.abs());
+        prop_assert_eq!(&merged.buckets, &pooled.buckets);
+        let mean_tol = 1e-9 * (1.0 + pooled.mean_us().abs());
         prop_assert!(
-            (merged.mean_us - pooled.mean_us).abs() <= mean_tol,
-            "pooled mean {} vs concatenated {}", merged.mean_us, pooled.mean_us
+            (merged.mean_us() - pooled.mean_us()).abs() <= mean_tol,
+            "pooled mean {} vs concatenated {}", merged.mean_us(), pooled.mean_us()
         );
-        // Compare variances: the grouped decomposition is algebraically
-        // exact, so any difference is rounding, bounded by a few ulps
-        // of the squared data range.
+        // Both variances come from the same sums of squares, so any
+        // difference is rounding, bounded by a few ulps of the squared
+        // data range.
         let var_tol = 1e-9 * (1.0 + pooled.max_us * pooled.max_us);
         prop_assert!(
-            (merged.std_us.powi(2) - pooled.std_us.powi(2)).abs() <= var_tol,
+            (merged.std_us().powi(2) - pooled.std_us().powi(2)).abs() <= var_tol,
             "pooled variance {} vs concatenated {}",
-            merged.std_us.powi(2), pooled.std_us.powi(2)
+            merged.std_us().powi(2), pooled.std_us().powi(2)
         );
-        // Merge must be symmetric in its inputs.
-        let rev = sb.merge(&sa);
-        prop_assert_eq!(merged.runs, rev.runs);
-        prop_assert!((merged.mean_us - rev.mean_us).abs() <= mean_tol);
+        // Merge is symmetric in its inputs.
+        let mut rev = fold(&b);
+        rev.merge(&fold(&a));
+        prop_assert_eq!(rev.count, merged.count);
+        prop_assert_eq!(&rev.buckets, &merged.buckets);
+
+        let mut sorted = concat;
+        sorted.sort_by(|x, y| x.partial_cmp(y).expect("finite samples"));
+        let uppers: Vec<f64> = sorted
+            .iter()
+            .map(|&x| bucket_upper_us(bucket_index(x.ceil() as u64)) as f64)
+            .collect();
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            let got = merged.quantile_us(q);
+            prop_assert_eq!(got, pooled.quantile_us(q), "q{} merges exactly", q);
+            prop_assert!(merged.min_us <= got && got <= merged.max_us, "q{} = {}", q, got);
+            // Slack for the rounding of the interpolation arithmetic.
+            let slack = 1e-12 * got;
+            let exact = percentile_sorted(&sorted, q).expect("non-empty");
+            let edge = percentile_sorted(&uppers, q).expect("non-empty");
+            prop_assert!(
+                exact <= got + slack && got <= edge + slack,
+                "q{}: {} outside [{}, {}]", q, got, exact, edge
+            );
+        }
     }
 }
 
@@ -283,12 +315,12 @@ fn reports_from_two_servers_merge_consistently() {
     let b = run(3, 7, 200);
     let merged = a.merge(&b);
     assert_eq!(merged.completed, 12);
-    assert_eq!(merged.overall.expect("pooled").runs, 12);
+    assert_eq!(merged.overall.count, 12);
     // Stream 0 exists in both runs; its pooled run count is the sum.
     let s0 = merged.streams.iter().find(|s| s.stream == 0).expect("s0");
     let a0 = a.streams.iter().find(|s| s.stream == 0).expect("a0");
     let b0 = b.streams.iter().find(|s| s.stream == 0).expect("b0");
-    assert_eq!(s0.latency.runs, a0.latency.runs + b0.latency.runs);
+    assert_eq!(s0.latency.count, a0.latency.count + b0.latency.count);
     assert!(merged.throughput_fps > 0.0);
     assert!(!merged.saw_faults(), "clean runs report no faults");
 }
