@@ -6,7 +6,8 @@
 //! the two can never disagree on what a layer computes.
 
 use ts_dataflow::{forward_prepared, wgrad, ConvWeights, ExecCtx};
-use ts_tensor::{batch_norm, relu, relu_backward, Matrix, Precision};
+use ts_kernelmap::KernelMap;
+use ts_tensor::{batch_norm, relu, relu_backward, unscale_grad, Matrix, Precision};
 
 use crate::{
     BackwardOutput, CompileError, GroupConfigs, Network, NetworkWeights, Op, RunReport, Session,
@@ -134,6 +135,7 @@ pub(crate) fn forward(
                 let w = weights.convs[i].as_ref().expect("conv weights initialised");
                 let cfg = cfgs.for_group(group);
                 let plan = session.conv_plan(i, false, &cfg, ctx);
+                count_macs(&map, x.cols(), w.c_out());
                 let out = forward_prepared(x, w, &map, &plan, &cfg, ctx);
                 let mut y = out.features.expect("functional context computes features");
                 if ctx.quantize_storage {
@@ -242,30 +244,20 @@ pub(crate) fn backward(
                 // dgrad: the forward over the transposed map with
                 // transposed weights.
                 let plan = session.conv_plan(i, true, &d_cfg, ctx);
+                count_macs(&grad_map, g.cols(), w_t.c_out());
                 let mut dx = forward_prepared(&g, w_t, &grad_map, &plan, &d_cfg, ctx)
                     .features
                     .expect("functional");
                 quantize(&mut dx);
                 accumulate(&mut grads, node.input, dx);
                 let x_in = feats[node.input].as_ref().expect("activation");
+                count_macs(&map, x_in.cols(), g.cols());
                 let mut dw = wgrad(x_in, &g, &map, &w_cfg, ctx).dw.expect("functional");
+                // Overflow is judged before un-scaling (the deferred
+                // AMP update).
                 for k in 0..dw.kernel_volume() {
-                    quantize(dw.offset_mut(k));
-                    // Non-finite values, or with FP16 gradients
-                    // saturation (|v| at the max finite half), mark the
-                    // step as overflowed.
-                    if dw
-                        .offset(k)
-                        .as_slice()
-                        .iter()
-                        .any(|v| !v.is_finite() || (fp16_grads && v.abs() >= 65504.0))
-                    {
-                        overflow = true;
-                    }
-                    // Un-scale back to true gradient magnitude.
-                    if loss_scale != 1.0 {
-                        dw.offset_mut(k).scale(1.0 / loss_scale);
-                    }
+                    let values = dw.offset_mut(k).as_mut_slice();
+                    overflow |= unscale_grad(values, fp16_grads, loss_scale);
                 }
                 conv_grads[i] = Some(dw);
             }
@@ -308,6 +300,13 @@ pub(crate) fn backward(
         input_grad: grads[0].take(),
         overflow,
     }
+}
+
+/// Adds one kernel call's work, `pairs × c_in × c_out` multiply-adds
+/// through `map`, to the `core.walk.macs` trace counter.
+fn count_macs(map: &KernelMap, c_in: usize, c_out: usize) {
+    let macs = map.total_pairs() * (c_in * c_out) as u64;
+    ts_trace::counter_add("core.walk.macs", macs as i64);
 }
 
 fn accumulate(grads: &mut [Option<Matrix>], node: usize, g: Matrix) {
@@ -464,6 +463,70 @@ mod tests {
             .iter()
             .any(|e| e.desc.name.contains("wgrad"));
         assert!(has_wgrad, "training trace must include wgrad kernels");
+    }
+
+    /// A sub-session walks its batch index's rows exactly as the whole
+    /// session walks them when every other row is zero: same loss,
+    /// weight gradients and input-gradient rows, to the bit, through
+    /// the strided, transposed and concatenating layers, for every
+    /// dataflow family, with FP32 gradients and with FP16 gradients
+    /// under a loss scale.
+    #[test]
+    fn a_sub_session_walks_its_rows_as_the_masked_session_does() {
+        let (net, w) = unet();
+        // Three batch indices, each a grid of its own size and shape.
+        let coords: Vec<Coord> = (0..3)
+            .flat_map(|b| {
+                let n = 5 + b;
+                (0..n).flat_map(move |x| (0..n).map(move |y| Coord::new(b, x, y, (x * b + y) % 3)))
+            })
+            .collect();
+        let feats = uniform_matrix(&mut rng_from_seed(11), coords.len(), 4, -1.0, 1.0);
+        let x = SparseTensor::new(coords, feats);
+        let session = Session::new(&net, x.coords());
+        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
+        let bits = |vs: &[f32]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for cfg in families() {
+            let cfgs = TrainConfigs::bound(cfg);
+            for (loss_scale, fp16) in [(1.0, false), (1024.0, true)] {
+                for b in 0..3 {
+                    let case = format!("{cfg}, fp16 gradients {fp16}, batch {b}");
+                    let rows: Vec<usize> = (0..x.num_points())
+                        .filter(|&r| x.coords()[r].batch == b)
+                        .collect();
+                    let mut masked = x.clone();
+                    for r in (0..x.num_points()).filter(|r| !rows.contains(r)) {
+                        masked.feats_mut().row_mut(r).fill(0.0);
+                    }
+                    let whole =
+                        forward_backward(&w, &session, &masked, &cfgs, &ctx, loss_scale, fp16);
+
+                    let sub = session.select_batches(&[b]);
+                    let mut sub_feats = Matrix::zeros(rows.len(), x.channels());
+                    for (to, &from) in rows.iter().enumerate() {
+                        sub_feats.row_mut(to).copy_from_slice(x.feats().row(from));
+                    }
+                    let sub_x = SparseTensor::new(sub.coords(0).to_vec(), sub_feats);
+                    let part = forward_backward(&w, &sub, &sub_x, &cfgs, &ctx, loss_scale, fp16);
+
+                    assert_eq!(part.loss.to_bits(), whole.loss.to_bits(), "loss: {case}");
+                    assert_eq!(part.overflow, whole.overflow, "overflow: {case}");
+                    for (i, (p, f)) in part.grads.iter().zip(&whole.grads).enumerate() {
+                        assert_eq!(p.is_some(), f.is_some(), "node {i}: {case}");
+                        let (Some(p), Some(f)) = (p, f) else { continue };
+                        for k in 0..p.kernel_volume() {
+                            let (p, f) = (p.offset(k).as_slice(), f.offset(k).as_slice());
+                            assert_eq!(bits(p), bits(f), "dW of node {i}, offset {k}: {case}");
+                        }
+                    }
+                    let (dx, dx_whole) = (part.input_grad.unwrap(), whole.input_grad.unwrap());
+                    for (r, &row) in rows.iter().enumerate() {
+                        let (p, f) = (dx.row(r), dx_whole.row(row));
+                        assert_eq!(bits(p), bits(f), "input gradient row {row}: {case}");
+                    }
+                }
+            }
+        }
     }
 
     /// The feature walk takes its plans from the session cache that

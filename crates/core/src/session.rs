@@ -523,6 +523,74 @@ impl Session {
         })
     }
 
+    /// The session over the rows of batch indices `batches` alone: every
+    /// node keeps those rows in order, and each group's `map` and `map_t`
+    /// keep the pairs between kept rows, in order, re-indexed. Sparse
+    /// convolution never pairs two batch indices, so walking the result
+    /// gives the kept rows exactly what walking `self` gives them; the
+    /// other rows are not walked at all.
+    ///
+    /// Nothing is hashed: each distinct coordinate list gets one table
+    /// from row to kept index. The prepare cache starts empty, and the
+    /// walk prepares each plan again over the smaller maps; a split
+    /// plan's ranges depend only on kernel volume and split count, so
+    /// the feature math runs the same ranges. The result serves the
+    /// feature walk: its map-build stats and elementwise layer sizes
+    /// stay the full session's, so it does not price the kept rows.
+    pub(crate) fn select_batches(&self, batches: &[i32]) -> Session {
+        let mut lists: Vec<Selection> = Vec::new();
+        let mut select = |coords: &Arc<Vec<Coord>>| match lists
+            .iter()
+            .position(|s| Arc::ptr_eq(&s.from, coords))
+        {
+            Some(i) => i,
+            None => {
+                lists.push(Selection::new(coords, batches));
+                lists.len() - 1
+            }
+        };
+        let node_lists: Vec<usize> = self.coords.iter().map(&mut select).collect();
+        // Each group's (fine, coarse) lists, from a conv layer bound to it.
+        let mut ends: Vec<Option<(usize, usize)>> = vec![None; self.groups.len()];
+        for l in &self.layers {
+            if let LayerPlan::Conv(c) = l {
+                let (src, dst) = (
+                    node_lists[self.network.nodes()[c.node].input],
+                    node_lists[c.node],
+                );
+                ends[c.group].get_or_insert(if c.transposed { (dst, src) } else { (src, dst) });
+            }
+        }
+        let groups = self
+            .groups
+            .iter()
+            .zip(ends)
+            .map(|(g, ends)| {
+                let (fine, coarse) = ends.expect("every group has a conv layer");
+                let (fine, coarse) = (&lists[fine], &lists[coarse]);
+                GroupInfo {
+                    map: Arc::new(select_pairs(&g.map, fine, coarse)),
+                    map_t: Arc::new(select_pairs(&g.map_t, coarse, fine)),
+                    ..g.clone()
+                }
+            })
+            .collect();
+        Session {
+            network: self.network.clone(),
+            coords: node_lists
+                .iter()
+                .map(|&l| Arc::clone(&lists[l].kept))
+                .collect(),
+            groups,
+            layers: self.layers.clone(),
+            group_used_forward: self.group_used_forward.clone(),
+            group_used_transposed: self.group_used_transposed.clone(),
+            prepare_cache: RwLock::new(HashMap::new()),
+            prepare_hits: AtomicU64::new(0),
+            prepare_misses: AtomicU64::new(0),
+        }
+    }
+
     /// Prepare-cache counters since construction (or since the values
     /// captured at [`Clone`] time).
     ///
@@ -1117,6 +1185,65 @@ fn build_group(
             layer_count: 0,
         })
     }
+}
+
+/// One coordinate list restricted to some batch indices, for
+/// [`Session::select_batches`].
+struct Selection {
+    /// The full list.
+    from: Arc<Vec<Coord>>,
+    /// Its rows in the kept batch indices, in order.
+    kept: Arc<Vec<Coord>>,
+    /// Each row's index in `kept`, or [`Selection::DROPPED`].
+    index: Vec<u32>,
+}
+
+impl Selection {
+    const DROPPED: u32 = u32::MAX;
+
+    fn new(from: &Arc<Vec<Coord>>, batches: &[i32]) -> Self {
+        let mut kept = Vec::new();
+        let index = from
+            .iter()
+            .map(|c| {
+                if batches.contains(&c.batch) {
+                    kept.push(*c);
+                    (kept.len() - 1) as u32
+                } else {
+                    Self::DROPPED
+                }
+            })
+            .collect();
+        Self {
+            from: Arc::clone(from),
+            kept: Arc::new(kept),
+            index,
+        }
+    }
+}
+
+/// `map` over the kept rows of `src` (its inputs) and `dst` (its
+/// outputs): the pairs of kept inputs, in order, re-indexed. No pair
+/// joins two batch indices, so a kept input's output is kept too.
+fn select_pairs(map: &KernelMap, src: &Selection, dst: &Selection) -> KernelMap {
+    let pairs = map
+        .all_pairs()
+        .iter()
+        .map(|list| {
+            list.iter()
+                .filter_map(|&(i, o)| {
+                    let (i, o) = (src.index[i as usize], dst.index[o as usize]);
+                    debug_assert_eq!(
+                        i == Selection::DROPPED,
+                        o == Selection::DROPPED,
+                        "a pair joins two batch indices"
+                    );
+                    (i != Selection::DROPPED).then_some((i, o))
+                })
+                .collect()
+        })
+        .collect();
+    KernelMap::from_pairs(src.kept.len(), dst.kept.len(), pairs)
 }
 
 /// Recovers the coarse coordinate list of a strided group (the builder

@@ -112,14 +112,23 @@ pub fn forward_backward(
     fp16_grads: bool,
 ) -> BackwardOutput {
     let weights = PassWeights::new(weights);
-    pass(&weights, session, input, cfgs, ctx, loss_scale, fp16_grads)
+    pass(
+        &weights,
+        session,
+        input.feats(),
+        cfgs,
+        ctx,
+        loss_scale,
+        fp16_grads,
+    )
 }
 
-/// [`forward_backward`] with the weights already transposed for dgrad.
+/// [`forward_backward`] over the input features `input`, with the
+/// weights already transposed for dgrad.
 fn pass(
     weights: &PassWeights,
     session: &Session,
-    input: &SparseTensor,
+    input: &Matrix,
     cfgs: &TrainConfigs,
     ctx: &ExecCtx,
     loss_scale: f32,
@@ -129,7 +138,7 @@ fn pass(
         functional: true,
         ..ctx.clone()
     };
-    let feats = forward(session, weights.weights, input.feats(), &cfgs.fwd, &fctx);
+    let feats = forward(session, weights.weights, input, &cfgs.fwd, &fctx);
     backward(
         session, weights, &feats, cfgs, &fctx, loss_scale, fp16_grads,
     )
@@ -142,15 +151,17 @@ fn pass(
 ///
 /// The batch indices present in `input` are split into contiguous
 /// chunks of `ceil(n / k)` indices, `k` being `micro_batches` clamped to
-/// between one and the `n` indices present. Each pass sees `input` with
-/// every feature row outside its chunk zeroed: the coordinate set, and
-/// so every kernel map, is unchanged, and zero rows contribute zero to
-/// the loss and gradients. Losses, weight gradients and input gradients
-/// are summed from zero over every chunk, and `overflow` reports whether
-/// any chunk's weight gradient overflowed (a trainer then skips the
-/// step). Every conv slot of `weights` receives a gradient. With `amp`,
-/// gradients flow in FP16 under its loss scale. Returns the sum and the
-/// [`MicroSplit`] run.
+/// between one and the `n` indices present. Each pass walks only its
+/// chunk's rows: the session restricted to those batch indices, whose
+/// maps keep exactly the pairs between the chunk's rows (sparse
+/// convolution never pairs two batch indices), over the chunk's input
+/// rows. A single chunk walks `session` itself. Losses, weight gradients
+/// and input gradients are summed from zero over every chunk, each
+/// chunk's input gradient into its own rows, and `overflow` reports
+/// whether any chunk's weight gradient overflowed (a trainer then skips
+/// the step). Every conv slot of `weights` receives a gradient. With
+/// `amp`, gradients flow in FP16 under its loss scale. Returns the sum
+/// and the [`MicroSplit`] run.
 ///
 /// # Panics
 ///
@@ -170,6 +181,7 @@ pub fn forward_backward_micro(
     batches.dedup();
     let k = micro_batches.clamp(1, batches.len().max(1));
     let chunk = batches.len().div_ceil(k).max(1);
+    let spans: Vec<&[i32]> = batches.chunks(chunk).collect();
 
     let mut sum = BackwardOutput {
         loss: 0.0,
@@ -185,16 +197,24 @@ pub fn forward_backward_micro(
         overflow: false,
     };
     let weights = PassWeights::new(weights);
-    let mut passes = 0;
-    for span in batches.chunks(chunk) {
-        passes += 1;
-        let mut micro = input.clone();
-        for (i, c) in input.coords().iter().enumerate() {
-            if !span.contains(&c.batch) {
-                micro.feats_mut().row_mut(i).fill(0.0);
+    let walk = |session: &Session, feats: &Matrix| {
+        pass(&weights, session, feats, cfgs, ctx, loss_scale, fp16_grads)
+    };
+    for span in &spans {
+        // The pass and, for a chunk of several, the input rows it walked.
+        let (bw, rows) = if spans.len() == 1 {
+            (walk(session, input.feats()), None)
+        } else {
+            let rows: Vec<usize> = (0..input.num_points())
+                .filter(|&r| span.contains(&input.coords()[r].batch))
+                .collect();
+            let feats = input.feats();
+            let mut micro = Matrix::zeros(rows.len(), feats.cols());
+            for (to, &from) in rows.iter().enumerate() {
+                micro.row_mut(to).copy_from_slice(feats.row(from));
             }
-        }
-        let bw = pass(&weights, session, &micro, cfgs, ctx, loss_scale, fp16_grads);
+            (walk(&session.select_batches(span), &micro), Some(rows))
+        };
         sum.loss += bw.loss;
         sum.overflow |= bw.overflow;
         for (slot, dw) in sum.grads.iter_mut().zip(&bw.grads) {
@@ -203,11 +223,22 @@ pub fn forward_backward_micro(
             }
         }
         if let Some(g) = &bw.input_grad {
-            sum.input_grad
-                .get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()))
-                .add_assign(g);
+            let dx = sum
+                .input_grad
+                .get_or_insert_with(|| Matrix::zeros(input.num_points(), g.cols()));
+            match rows {
+                None => dx.add_assign(g),
+                Some(rows) => {
+                    for (from, &to) in rows.iter().enumerate() {
+                        for (a, b) in dx.row_mut(to).iter_mut().zip(g.row(from)) {
+                            *a += b;
+                        }
+                    }
+                }
+            }
         }
     }
+    let passes = spans.len();
     (sum, MicroSplit { k, passes })
 }
 
@@ -231,11 +262,21 @@ mod tests {
     use ts_dataflow::DataflowConfig;
     use ts_gpusim::Device;
     use ts_kernelmap::Coord;
-    use ts_tensor::{rng_from_seed, uniform_matrix, Precision};
+    use ts_tensor::{rng_from_seed, uniform_matrix, ErrorBudget, Precision};
 
     /// Accumulates a two-conv network's gradients over three points in
     /// each of `batches` batch indices, features scaled by `gain`.
     fn run(batches: i32, gain: f32, micro_batches: usize) -> (BackwardOutput, MicroSplit) {
+        run_shifted(batches, gain, 0.0, micro_batches)
+    }
+
+    /// [`run`] with every BatchNorm shifting by `shift`.
+    fn run_shifted(
+        batches: i32,
+        gain: f32,
+        shift: f32,
+        micro_batches: usize,
+    ) -> (BackwardOutput, MicroSplit) {
         let mut b = NetworkBuilder::new("micro", 2);
         let c = b.conv_block("enc", NetworkBuilder::INPUT, 4, 3, 1);
         let _ = b.conv("head", c, 2, 1, 1);
@@ -249,7 +290,10 @@ mod tests {
         let input = SparseTensor::new(coords, feats);
         let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
         let cfgs = TrainConfigs::bound(DataflowConfig::implicit_gemm(1));
-        let w = net.init_weights(1);
+        let mut w = net.init_weights(1);
+        for bn in w.bns.iter_mut().flatten() {
+            bn.shift.fill(shift);
+        }
         forward_backward_micro(&w, &session, &input, &cfgs, &ctx, None, micro_batches)
     }
 
@@ -259,6 +303,38 @@ mod tests {
             let split = run(4, 1.0, requested).1;
             assert_eq!(split, MicroSplit { k, passes }, "micro_batches {requested}");
         }
+    }
+
+    /// A BatchNorm shift moves only the rows of the micro-batch being
+    /// walked: accumulating over two micro-batches gives the one-pass
+    /// loss and gradients. (A pass that walked the other micro-batch's
+    /// rows as zeros would shift them too, and count them in its loss.)
+    #[test]
+    fn batch_norm_shift_stays_inside_its_micro_batch() {
+        let (whole, split) = (run_shifted(2, 1.0, 0.5, 1), run_shifted(2, 1.0, 0.5, 2));
+        assert_eq!((whole.1.passes, split.1.passes), (1, 2));
+        let (whole, split) = (whole.0, split.0);
+        // The deepest reduction: dgrad through 27 offsets x 4 channels,
+        // plus the two-pass sum.
+        let budget = ErrorBudget::new(Precision::Fp32, 27 * 4 + 2);
+        let agree = |what: &str, a: &[f32], b: &[f32]| {
+            assert_eq!(a.len(), b.len(), "{what}");
+            for (x, y) in a.iter().zip(b) {
+                assert!(budget.allows(*x, *y), "{what}: {x} vs {y}");
+            }
+        };
+        agree("loss", &[whole.loss], &[split.loss]);
+        for (i, (a, b)) in whole.grads.iter().zip(&split.grads).enumerate() {
+            assert_eq!(a.is_some(), b.is_some(), "node {i}");
+            if let (Some(a), Some(b)) = (a, b) {
+                for k in 0..a.kernel_volume() {
+                    let what = format!("dW of node {i}, offset {k}");
+                    agree(&what, a.offset(k).as_slice(), b.offset(k).as_slice());
+                }
+            }
+        }
+        let (dx, dx0) = (split.input_grad.unwrap(), whole.input_grad.unwrap());
+        agree("input gradient", dx0.as_slice(), dx.as_slice());
     }
 
     /// An overflowing chunk still adds its gradients, so the input

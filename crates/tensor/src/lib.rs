@@ -34,5 +34,5 @@ pub use matrix::{
     gemm, gemm_accumulate, gemm_nt, gemm_tn, gemm_tn_naive, Matrix, MatrixShapeError, GEMM_TN_BLOCK,
 };
 pub use ops::{add_bias, batch_norm, relu, relu_backward, BatchNormParams};
-pub use precision::{ErrorBudget, Precision};
+pub use precision::{unscale_grad, ErrorBudget, Precision};
 pub use rng::{rng_from_seed, uniform_matrix, xavier_matrix};

@@ -52,13 +52,48 @@ impl Precision {
 
     /// Applies [`Self::quantize`] to every element of a slice.
     pub fn quantize_slice(self, vs: &mut [f32]) {
-        if self == Precision::Fp32 {
-            return;
-        }
-        for v in vs {
-            *v = self.quantize(*v);
+        match self {
+            Precision::Fp32 => {}
+            // One loop per precision, so the FP16 one vectorises.
+            Precision::Fp16 => vs.iter_mut().for_each(|v| *v = f16_round_trip(*v)),
+            Precision::Tf32 => vs.iter_mut().for_each(|v| *v = self.quantize(*v)),
         }
     }
+}
+
+/// Finishes one loss-scaled gradient in a single sweep: with `fp16`,
+/// each value is rounded to the FP16 grid; it is then multiplied by
+/// `1 / loss_scale` unless `loss_scale` is 1. Returns whether any value
+/// overflowed before the un-scaling: it is non-finite or, with `fp16`,
+/// reached the largest finite half (65504). This is the deferred-update
+/// check of mixed-precision training, and a step with an overflowed
+/// gradient is skipped.
+///
+/// Every value gets the same operations as [`Precision::quantize`]
+/// followed by [`crate::Matrix::scale`], so the result is bit-identical
+/// to those two sweeps. The overflow flag is an OR without early exit,
+/// so each variant of the loop vectorises.
+pub fn unscale_grad(vs: &mut [f32], fp16: bool, loss_scale: f32) -> bool {
+    let inv = 1.0 / loss_scale;
+    match (fp16, loss_scale != 1.0) {
+        (true, true) => unscale_sweep::<true, true>(vs, inv),
+        (true, false) => unscale_sweep::<true, false>(vs, inv),
+        (false, true) => unscale_sweep::<false, true>(vs, inv),
+        (false, false) => unscale_sweep::<false, false>(vs, inv),
+    }
+}
+
+/// One variant of [`unscale_grad`]'s loop, with its two choices fixed.
+#[inline(always)]
+fn unscale_sweep<const FP16: bool, const UNSCALE: bool>(vs: &mut [f32], inv: f32) -> bool {
+    let mut overflow = false;
+    for v in vs {
+        let q = if FP16 { f16_round_trip(*v) } else { *v };
+        // `|`, not `||`: no early exit, so the loop vectorises.
+        overflow |= !q.is_finite() | (FP16 & (q.abs() >= 65504.0));
+        *v = if UNSCALE { q * inv } else { q };
+    }
+    overflow
 }
 
 impl fmt::Display for Precision {
@@ -148,8 +183,52 @@ impl ErrorBudget {
     }
 }
 
-/// Round-trips an `f32` through IEEE binary16 with round-to-nearest-even.
+/// Round-trips an `f32` through IEEE binary16 with round-to-nearest-even,
+/// clamping past the largest finite half to ±65504; infinities and NaN
+/// pass through unchanged.
+///
+/// Branch-free, so a loop over it vectorises: both candidate results
+/// are computed and selected.
+/// * From 2^-14 up, the 13 mantissa bits binary16 lacks are rounded off
+///   in the bit pattern: adding `0x0fff` plus the lowest kept bit rounds
+///   to nearest with ties to even, and a carry out of the mantissa
+///   moves into the exponent, which is the next binade's first value.
+/// * Below 2^-14 the grid is the multiples of 2^-24. `|v| · 2^24` is
+///   exact there and at most 1024; adding and subtracting 2^23 rounds it
+///   to an integer, ties to even, without a libm call
+///   (`round_ties_even` is one on baseline x86-64). The sign goes back
+///   on last, so a result that rounds to zero keeps it.
+/// * A rounded magnitude above 65504 is at least 65536, past the
+///   largest finite half, and clamps.
+#[inline]
 fn f16_round_trip(v: f32) -> f32 {
+    let bits = v.to_bits();
+    // Wrapping: only a NaN pattern can carry out of the top bit, and
+    // the select below discards the result for it.
+    let normal = f32::from_bits(bits.wrapping_add(0x0fff + ((bits >> 13) & 1)) & !0x1fff);
+    let scaled = v.abs() * 2f32.powi(24);
+    let subnormal = (((scaled + 2f32.powi(23)) - 2f32.powi(23)) * 2f32.powi(-24)).copysign(v);
+    let rounded = if v.abs() < 2f32.powi(-14) {
+        subnormal
+    } else {
+        normal
+    };
+    let clamped = if rounded.abs() > 65504.0 {
+        65504f32.copysign(v)
+    } else {
+        rounded
+    };
+    if v.is_finite() {
+        clamped
+    } else {
+        v
+    }
+}
+
+/// The branchy form [`f16_round_trip`] replaced, kept as the reference
+/// it is checked against.
+#[cfg(test)]
+fn f16_round_trip_reference(v: f32) -> f32 {
     let bits = v.to_bits();
     let sign = bits >> 31;
     let exp = ((bits >> 23) & 0xff) as i32;
@@ -273,6 +352,109 @@ mod tests {
             assert_eq!(q(max), max.to_bits());
             for v in [65519.996f32, 65520.0, 65520.004, 65535.996] {
                 assert_eq!(q(sign * v), max.to_bits(), "{v} clamps");
+            }
+        }
+    }
+
+    /// The values where FP16 rounding changes behaviour, each with its
+    /// f32 neighbours, in both signs: every finite half and every
+    /// midpoint between neighbouring halves, the subnormal, normal and
+    /// overflow thresholds, infinities, NaN payloads and both zeros.
+    fn rounding_boundaries() -> Vec<f32> {
+        let mut edges: Vec<f32> = (0..0x7bffu16)
+            .flat_map(|h| [half(h), (half(h) + half(h + 1)) / 2.0])
+            .collect();
+        edges.extend([
+            half(0x7bff),
+            2f32.powi(-25),
+            65520.0,
+            65536.0,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::MAX,
+        ]);
+        let mut out = Vec::new();
+        for v in edges {
+            for s in [v, -v] {
+                out.extend([s.next_down(), s, s.next_up()]);
+            }
+        }
+        out.extend([f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0]);
+        out.extend(
+            [0x7f80_0001u32, 0x7fa5_a5a5, 0x7fc0_0000, 0x7fff_ffff]
+                .into_iter()
+                .flat_map(|nan| [f32::from_bits(nan), f32::from_bits(nan | 1 << 31)]),
+        );
+        out
+    }
+
+    fn assert_matches_reference(v: f32) {
+        assert_eq!(
+            f16_round_trip(v).to_bits(),
+            f16_round_trip_reference(v).to_bits(),
+            "{v:e} ({:#010x})",
+            v.to_bits()
+        );
+    }
+
+    /// The branch-free rounding equals the branchy reference on every
+    /// rounding boundary and on a strided sweep of all bit patterns.
+    #[test]
+    fn branch_free_fp16_rounding_equals_the_reference() {
+        rounding_boundaries()
+            .into_iter()
+            .for_each(assert_matches_reference);
+        // An odd stride reaches every exponent and both signs, with
+        // varied low mantissa bits.
+        (0..=u32::MAX)
+            .step_by(4093)
+            .for_each(|b| assert_matches_reference(f32::from_bits(b)));
+    }
+
+    /// Every one of the 2^32 bit patterns; ~15 s in a release build on
+    /// two threads: `cargo test --release -p ts-tensor -- --include-ignored`.
+    #[test]
+    #[ignore = "exhaustive; run in release with --include-ignored"]
+    fn branch_free_fp16_rounding_equals_the_reference_on_every_pattern() {
+        const THREADS: u32 = 2;
+        let share = (1u64 << 32) / u64::from(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..u64::from(THREADS) {
+                s.spawn(move || {
+                    for b in t * share..(t + 1) * share {
+                        assert_matches_reference(f32::from_bits(b as u32));
+                    }
+                });
+            }
+        });
+    }
+
+    /// `unscale_grad` gives the bits and the overflow verdict of the
+    /// sweeps it fuses: quantize, check, then multiply by the inverse
+    /// scale.
+    #[test]
+    fn unscale_grad_equals_quantize_check_then_scale() {
+        let values = rounding_boundaries();
+        for fp16 in [false, true] {
+            for loss_scale in [1.0f32, 1024.0, 3.0] {
+                for chunk in values.chunks(7) {
+                    let mut want = crate::Matrix::from_vec(1, chunk.len(), chunk.to_vec());
+                    if fp16 {
+                        Precision::Fp16.quantize_slice(want.as_mut_slice());
+                    }
+                    let overflowed = want
+                        .as_slice()
+                        .iter()
+                        .any(|v| !v.is_finite() || (fp16 && v.abs() >= 65504.0));
+                    if loss_scale != 1.0 {
+                        want.scale(1.0 / loss_scale);
+                    }
+                    let mut got = chunk.to_vec();
+                    let flagged = unscale_grad(&mut got, fp16, loss_scale);
+                    let bits = |vs: &[f32]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(want.as_slice()), "{chunk:?}");
+                    assert_eq!(flagged, overflowed, "{chunk:?}");
+                }
             }
         }
     }

@@ -48,6 +48,7 @@
 //! | `core.schedule.artifact_rejected` | Lenient schedule load rejected the whole artifact (fallback dataflow everywhere) |
 //! | `core.stream.entered` / `.exited` / `.frames` | Streaming-session lifecycle and frames served |
 //! | `core.stream.patched` / `.rebuilt` | Incremental kernel-map updates: in-place patch vs full rebuild |
+//! | `core.walk.macs` | Multiply-adds the feature walk computes: `pairs × c_in × c_out` per forward, dgrad and wgrad kernel call |
 //! | `autotune.rounds.completed` / `.groups.tuned` / `.candidates.swept` | Sparse Autotuner progress |
 //! | `serve.requests.completed` / `.rejected_queue_full` / `.requeued` | Request lifecycle at the server boundary |
 //! | `serve.requests.shed_deadline` / `.shed_crashed` / `.shed_halt` | Requests shed with a typed rejection: deadline expiry, requeue budget exhausted, server halt |

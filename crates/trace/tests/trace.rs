@@ -364,6 +364,7 @@ const EMITTED_COUNTERS: &[(&str, Subsystem)] = &[
     ("core.stream.frames", Subsystem::Core),
     ("core.stream.patched", Subsystem::Core),
     ("core.stream.rebuilt", Subsystem::Core),
+    ("core.walk.macs", Subsystem::Core),
     ("autotune.candidates.swept", Subsystem::Autotune),
     ("autotune.groups.tuned", Subsystem::Autotune),
     ("autotune.rounds.completed", Subsystem::Autotune),

@@ -335,12 +335,13 @@ impl Trainer {
     /// The step compiles its session (patching the stride-1 map from
     /// the previous step when the scene is temporally coherent), pulls
     /// the tuned schedule through the cache, accumulates gradients over
-    /// micro-batches (feature rows outside a micro-batch's batch-index
-    /// chunk masked to zero — sparse conv never crosses batch
-    /// boundaries, so the accumulated gradient equals the full-batch
-    /// gradient up to summation order), applies the momentum update
-    /// unless the gradient overflowed (under AMP: reached the FP16 range;
-    /// without: became non-finite), and advances the simulated clock.
+    /// micro-batches (each pass walks only its batch-index chunk's rows,
+    /// through the session restricted to them — sparse conv never
+    /// crosses batch boundaries, so the accumulated gradient equals the
+    /// full-batch gradient up to summation order), applies the momentum
+    /// update unless the gradient overflowed (under AMP: reached the
+    /// FP16 range; without: became non-finite), and advances the
+    /// simulated clock.
     ///
     /// # Errors
     ///

@@ -10,11 +10,12 @@
 //! from `ts_dataflow::reference_*` over the full batch.
 //!
 //! The micro-batch protocol is the one `ts_train::Trainer` runs: the
-//! batch indices present are partitioned into contiguous chunks, feature
-//! rows outside a chunk are masked to zero, and per-chunk gradients are
-//! summed. Sparse convolution never crosses batch boundaries and ReLU
-//! is row-wise, so the accumulated gradient must equal the full-batch
-//! reference up to floating-point reassociation — an
+//! batch indices present are partitioned into contiguous chunks, each
+//! chunk's rows are walked through the session restricted to them, and
+//! per-chunk gradients are summed. Sparse convolution never crosses
+//! batch boundaries and every other layer is row-wise, so the
+//! accumulated gradient must equal the full-batch reference up to
+//! floating-point reassociation — an
 //! [`ErrorBudget`](ts_tensor::ErrorBudget) scaled by the reduction
 //! depth, never a hard-coded epsilon.
 

@@ -167,6 +167,42 @@ fn executed_micro_batches_count_the_passes_run() {
     assert_eq!(tracer.counter("train.microbatches.executed"), 2);
 }
 
+/// `core.walk.macs` counts `pairs × c_in × c_out` for every forward,
+/// dgrad and wgrad kernel call: one step does three times the
+/// network's convolution work however many micro-batches it runs, as
+/// each pass walks only its own rows.
+#[cfg(feature = "trace")]
+#[test]
+fn a_step_walks_each_pair_three_times_whatever_the_split() {
+    use torchsparse::core::Session;
+    use torchsparse::trace::{uninstall, Tracer};
+    let input = batched_scene(7, 4);
+    let net = small_net();
+    let conv_macs: u64 = Session::new(&net, input.coords())
+        .group_signatures()
+        .iter()
+        .map(|g| g.effective_macs)
+        .sum();
+    assert!(conv_macs > 0);
+    for micro_batches in [1, 2] {
+        let cfg = TrainerConfig {
+            micro_batches,
+            ..TrainerConfig::default()
+        };
+        let mut t = Trainer::new(&net, 7, &ctx(), cfg);
+        let tracer = Tracer::new();
+        tracer.install();
+        let report = t.step(&input).expect("step");
+        uninstall();
+        assert_eq!(report.micro_batches, micro_batches);
+        assert_eq!(
+            tracer.counter("core.walk.macs"),
+            3 * conv_macs as i64,
+            "micro_batches {micro_batches}"
+        );
+    }
+}
+
 /// Same scheme, same seed, same scene: the step is fully deterministic
 /// — bit-identical weights and identical simulated cost.
 #[test]
