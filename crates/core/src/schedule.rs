@@ -134,8 +134,7 @@ impl std::fmt::Display for Downgrade {
 /// Validates every slot of `configs` without modifying anything,
 /// returning one `(group, config, error)` triple per rejected slot
 /// (`None` = the default slot). This is the checking pass behind
-/// [`sanitize_configs`]; `ts-verify` also runs it standalone to report
-/// illegal schedules as typed violations.
+/// [`sanitize_configs`], usable standalone to report illegal schedules.
 pub fn check_configs(configs: &GroupConfigs) -> Vec<(Option<usize>, DataflowConfig, ConfigError)> {
     let mut rejected = Vec::new();
     if let Err(error) = configs.default.validate() {

@@ -165,8 +165,8 @@ pub struct GroupInfo {
     pub key: GroupKey,
     /// The shared kernel map, oriented fine -> coarse.
     pub map: Arc<KernelMap>,
-    /// Transposed map (built lazily when a transposed-conv layer or a
-    /// dgrad pass needs it).
+    /// Transposed map, built with the group: transposed-conv layers
+    /// and dgrad passes walk it.
     pub map_t: Arc<KernelMap>,
     /// Hash build/query statistics of the base map construction.
     pub build_stats: MapStats,
@@ -433,7 +433,7 @@ impl Session {
                                 &spec,
                                 transposed,
                                 &in_coords,
-                                &stride_cache,
+                                &mut stride_cache,
                                 reuse,
                             )
                             .ok_or_else(|| {
@@ -459,10 +459,11 @@ impl Session {
                             }
                         })?)
                     } else if spec.stride > 1 {
-                        // The strided builder produced the coarse coords;
-                        // recover them from the map orientation. They were
-                        // stored in the group build below.
-                        Arc::new(coarse_coords_of(&groups[gid], &in_coords))
+                        Arc::clone(
+                            stride_cache
+                                .get(&key.hi_stride)
+                                .expect("building a strided group caches its coarse coordinates"),
+                        )
                     } else {
                         Arc::clone(&in_coords)
                     };
@@ -1126,12 +1127,15 @@ fn group_key_for(spec: &ConvSpec, in_stride: i32) -> (GroupKey, bool) {
     }
 }
 
+/// Builds a layer group's maps. A strided group also leaves its coarse
+/// coordinates in `stride_cache` at its high stride, unless a list is
+/// already there.
 fn build_group(
     key: GroupKey,
     spec: &ConvSpec,
     transposed: bool,
     in_coords: &Arc<Vec<Coord>>,
-    stride_cache: &HashMap<i32, Arc<Vec<Coord>>>,
+    stride_cache: &mut HashMap<i32, Arc<Vec<Coord>>>,
     reuse: Option<&SubmanifoldReuse>,
 ) -> Option<GroupInfo> {
     let offsets = KernelOffsets::cube(spec.kernel_size);
@@ -1174,7 +1178,10 @@ fn build_group(
             in_coords
         };
         let ratio = key.hi_stride / key.lo_stride;
-        let (map, _out, stats) = build_strided_map_with_stats(fine, &offsets, ratio);
+        let (map, coarse, stats) = build_strided_map_with_stats(fine, &offsets, ratio);
+        stride_cache
+            .entry(key.hi_stride)
+            .or_insert_with(|| Arc::new(coarse));
         let map = Arc::new(map);
         let map_t = Arc::new(map.transposed());
         Some(GroupInfo {
@@ -1244,13 +1251,6 @@ fn select_pairs(map: &KernelMap, src: &Selection, dst: &Selection) -> KernelMap 
         })
         .collect();
     KernelMap::from_pairs(src.kept.len(), dst.kept.len(), pairs)
-}
-
-/// Recovers the coarse coordinate list of a strided group (the builder
-/// already deduplicated them; recompute cheaply and deterministically).
-fn coarse_coords_of(group: &GroupInfo, fine: &[Coord]) -> Vec<Coord> {
-    let ratio = group.key.hi_stride / group.key.lo_stride;
-    ts_kernelmap::downsample_coords(fine, ratio)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use ts_serve::{Rejected, ResponseHandle, ServeReport, Server};
 
 use crate::node::NodeSpec;
 use crate::report::{FleetReport, NodeReport, RoutingCounters};
-use crate::router::{NodeLoad, Placement, Router, RouterConfig};
+use crate::router::{NodeLoad, Router, RouterConfig};
 
 /// Typed fleet-level failure, composing the node-level [`Rejected`]
 /// outcomes so router and caller error paths work with `?`.
@@ -175,33 +175,6 @@ impl Fleet {
             .collect()
     }
 
-    fn count_decision(&mut self, placement: Placement, re_homed: bool, migrated: bool) {
-        self.counters.routed += 1;
-        ts_trace::counter_add("fleet.requests.routed", 1);
-        match placement {
-            Placement::Affinity => {
-                self.counters.affinity += 1;
-                ts_trace::counter_add("fleet.requests.affinity", 1);
-            }
-            Placement::Hashed => {
-                self.counters.hashed += 1;
-                ts_trace::counter_add("fleet.requests.hashed", 1);
-            }
-            Placement::Spilled => {
-                self.counters.spilled += 1;
-                ts_trace::counter_add("fleet.requests.spilled", 1);
-            }
-        }
-        if re_homed {
-            self.counters.re_homed += 1;
-            ts_trace::counter_add("fleet.streams.re_homed", 1);
-        }
-        if migrated {
-            self.counters.migrated += 1;
-            ts_trace::counter_add("fleet.streams.migrated", 1);
-        }
-    }
-
     /// Routes and submits one frame. On success the handle resolves to
     /// the serving node's response (or its typed rejection) exactly as
     /// with a single [`Server`].
@@ -222,7 +195,7 @@ impl Fleet {
             ts_trace::counter_add("fleet.requests.rejected_no_capacity", 1);
             return Err(FleetError::NoCapacity);
         };
-        self.count_decision(decision.placement, decision.re_homed, decision.migrated);
+        self.counters.count(&decision);
         let server = self.nodes[decision.node]
             .server
             .as_ref()

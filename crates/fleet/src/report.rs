@@ -7,6 +7,7 @@ use ts_obs::Alert;
 use ts_serve::ServeReport;
 
 use crate::node::DeviceTier;
+use crate::router::{Decision, Placement};
 
 /// One node's contribution to a [`FleetReport`]. A node killed and
 /// restarted contributes one `NodeReport` whose `report` merges every
@@ -138,6 +139,30 @@ pub struct RoutingCounters {
     pub node_restarts: u64,
     /// Requests refused with no alive node.
     pub rejected_no_capacity: u64,
+}
+
+impl RoutingCounters {
+    /// Tallies one placement and adds the matching `fleet.requests.*`
+    /// and `fleet.streams.*` trace counters.
+    pub(crate) fn count(&mut self, decision: &Decision) {
+        self.routed += 1;
+        ts_trace::counter_add("fleet.requests.routed", 1);
+        let (tally, counter) = match decision.placement {
+            Placement::Affinity => (&mut self.affinity, "fleet.requests.affinity"),
+            Placement::Hashed => (&mut self.hashed, "fleet.requests.hashed"),
+            Placement::Spilled => (&mut self.spilled, "fleet.requests.spilled"),
+        };
+        *tally += 1;
+        ts_trace::counter_add(counter, 1);
+        if decision.re_homed {
+            self.re_homed += 1;
+            ts_trace::counter_add("fleet.streams.re_homed", 1);
+        }
+        if decision.migrated {
+            self.migrated += 1;
+            ts_trace::counter_add("fleet.streams.migrated", 1);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use ts_workloads::ArrivalTrace;
 
 use crate::node::NodeSpec;
 use crate::report::RoutingCounters;
-use crate::router::{NodeLoad, Placement, Router, RouterConfig};
+use crate::router::{NodeLoad, Router, RouterConfig};
 
 /// A scheduled whole-node failure in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,14 +47,13 @@ pub struct KillEvent {
     pub restart_at_us: Option<f64>,
 }
 
-/// Simulation policy: deadline, churn handling, and the kill schedule.
+/// Simulation policy: deadline, alerting and the kill schedule. Stream
+/// maps are patched under [`DeltaConfig::default`], as on a live server.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Per-request deadline in simulated microseconds (arrival to
     /// completion); completions later than this count as misses.
     pub deadline_us: f64,
-    /// Churn policy for the per-stream incremental maps.
-    pub delta: DeltaConfig,
     /// Whole-node failures to inject.
     pub kills: Vec<KillEvent>,
     /// Multi-window burn-rate alerting over the simulated completions
@@ -71,7 +70,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             deadline_us: 50_000.0,
-            delta: DeltaConfig::default(),
             kills: Vec::new(),
             slo: Some(SloPolicy::default()),
         }
@@ -356,28 +354,15 @@ impl FleetSim {
                 ts_trace::counter_add("fleet.requests.rejected_no_capacity", 1);
                 continue;
             };
-            counters.routed += 1;
-            ts_trace::counter_add("fleet.requests.routed", 1);
-            match decision.placement {
-                Placement::Affinity => counters.affinity += 1,
-                Placement::Hashed => counters.hashed += 1,
-                Placement::Spilled => counters.spilled += 1,
-            }
-            if decision.re_homed {
-                counters.re_homed += 1;
-                ts_trace::counter_add("fleet.streams.re_homed", 1);
-            }
-            if decision.migrated {
-                counters.migrated += 1;
-                ts_trace::counter_add("fleet.streams.migrated", 1);
-            }
+            counters.count(&decision);
 
             let frame = &frames[arrival.stream as usize][arrival.frame];
             let node = &mut self.nodes[decision.node];
             let hit = node.states.contains_key(&arrival.stream);
             let mut state = node.states.remove(&arrival.stream);
             let Ok((_out, report, outcome)) =
-                node.engine.infer_stream(&mut state, frame, &self.cfg.delta)
+                node.engine
+                    .infer_stream(&mut state, frame, &DeltaConfig::default())
             else {
                 continue;
             };

@@ -189,7 +189,6 @@ fn mid_trace_kill_trips_fast_alert_and_restart_clears() {
             min_samples: 5,
             ..SloPolicy::default()
         }),
-        ..SimConfig::default()
     };
     // Spill once a home's estimated wait is worth half the deadline, so
     // recovery actually routes around the drowned Edge node.

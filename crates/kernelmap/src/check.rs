@@ -5,8 +5,8 @@
 //! transposed or fuzzer-built maps want a *reporting* pass instead: one
 //! that walks the structure and returns every violated invariant as a
 //! typed [`MapViolation`]. `ts-core` runs this pass in debug builds
-//! when compiling a session, and `ts-verify` exposes it as part of the
-//! differential conformance harness.
+//! when compiling a session, and `ts-verify` runs it on every stream
+//! frame and kernel-scenario replay.
 
 use std::collections::HashSet;
 use std::fmt;

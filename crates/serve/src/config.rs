@@ -63,10 +63,6 @@ pub struct ServeConfig {
     /// Bound on cached per-stream map states; least recently used
     /// streams are evicted beyond it.
     pub map_cache_capacity: usize,
-    /// Voxel churn fraction above which a frame rebuilds its stream's
-    /// map from scratch instead of patching (see
-    /// [`ts_core::DeltaConfig`]).
-    pub map_churn_threshold: f32,
     /// Live telemetry: when set, the server boots a
     /// [`ts_obs::Telemetry`] registry fed every serve event —
     /// rolling-window health snapshots ([`crate::Server::health_snapshot`]),
@@ -93,7 +89,6 @@ impl Default for ServeConfig {
             fault_plan: None,
             map_reuse: false,
             map_cache_capacity: 64,
-            map_churn_threshold: 0.35,
             obs: None,
         }
     }
@@ -177,13 +172,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the churn fraction above which a stream's map is rebuilt
-    /// from scratch instead of patched.
-    pub fn with_map_churn_threshold(mut self, threshold: f32) -> Self {
-        self.map_churn_threshold = threshold;
-        self
-    }
-
     /// Enables live telemetry (health snapshots, SLO alerts, flight
     /// recorder) with the given registry configuration.
     pub fn with_obs(mut self, obs: ts_obs::ObsConfig) -> Self {
@@ -200,7 +188,6 @@ impl ServeConfig {
         self.queue_capacity = self.queue_capacity.max(1);
         self.supervisor_poll = self.supervisor_poll.max(Duration::from_millis(1));
         self.map_cache_capacity = self.map_cache_capacity.max(1);
-        self.map_churn_threshold = self.map_churn_threshold.max(0.0);
         self
     }
 }
@@ -250,7 +237,6 @@ mod tests {
             fault_plan: None,
             map_reuse: false,
             map_cache_capacity: 0,
-            map_churn_threshold: -1.0,
             obs: None,
         }
         .normalized();
@@ -259,7 +245,6 @@ mod tests {
         assert_eq!(c.queue_capacity, 1);
         assert!(c.supervisor_poll >= Duration::from_millis(1));
         assert_eq!(c.map_cache_capacity, 1);
-        assert_eq!(c.map_churn_threshold, 0.0);
     }
 
     #[test]
@@ -267,13 +252,9 @@ mod tests {
         let c = ServeConfig::default();
         assert!(!c.map_reuse, "temporal reuse is opt-in");
         assert!(c.map_cache_capacity >= 1);
-        let c = c
-            .with_map_reuse(true)
-            .with_map_cache_capacity(8)
-            .with_map_churn_threshold(0.5);
+        let c = c.with_map_reuse(true).with_map_cache_capacity(8);
         assert!(c.map_reuse);
         assert_eq!(c.map_cache_capacity, 8);
-        assert_eq!(c.map_churn_threshold, 0.5);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use ts_core::{DeltaConfig, StreamState};
+use ts_core::StreamState;
 use ts_obs::ObsEvent;
 
 use crate::metrics::Metrics;
@@ -49,7 +49,6 @@ struct Inner {
 pub(crate) struct MapCache {
     enabled: bool,
     capacity: usize,
-    delta: DeltaConfig,
     inner: Mutex<Inner>,
 }
 
@@ -63,11 +62,10 @@ impl std::fmt::Debug for MapCache {
 }
 
 impl MapCache {
-    pub(crate) fn new(enabled: bool, capacity: usize, delta: DeltaConfig) -> Self {
+    pub(crate) fn new(enabled: bool, capacity: usize) -> Self {
         Self {
             enabled,
             capacity: capacity.max(1),
-            delta,
             inner: Mutex::new(Inner::default()),
         }
     }
@@ -75,11 +73,6 @@ impl MapCache {
     /// Whether workers should take the per-stream reuse path at all.
     pub(crate) fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The churn policy frames are updated with.
-    pub(crate) fn delta(&self) -> &DeltaConfig {
-        &self.delta
     }
 
     /// Whether the cache currently holds a state for `stream` (a router
@@ -175,7 +168,7 @@ mod tests {
     #[test]
     fn take_removes_and_put_restores() {
         let m = Metrics::new(None, None);
-        let cache = MapCache::new(true, 4, DeltaConfig::default());
+        let cache = MapCache::new(true, 4);
         assert!(cache.take(7).is_none());
         cache.put(7, state_for(0), &m);
         assert_eq!(cache.len(), 1);
@@ -189,7 +182,7 @@ mod tests {
     #[test]
     fn lru_eviction_at_capacity() {
         let m = Metrics::new(None, None);
-        let cache = MapCache::new(true, 2, DeltaConfig::default());
+        let cache = MapCache::new(true, 2);
         cache.put(1, state_for(1), &m);
         cache.put(2, state_for(2), &m);
         // Touch stream 1 so stream 2 is the LRU victim.
@@ -206,7 +199,7 @@ mod tests {
     #[test]
     fn invalidate_drops_everything_and_counts() {
         let m = Metrics::new(None, None);
-        let cache = MapCache::new(true, 8, DeltaConfig::default());
+        let cache = MapCache::new(true, 8);
         cache.put(1, state_for(1), &m);
         cache.put(2, state_for(2), &m);
         cache.invalidate_all(&m);

@@ -138,7 +138,7 @@ pub struct ServeReport {
     /// place (churn under the threshold).
     pub map_patched: u64,
     /// Cache hits that rebuilt the map anyway because churn exceeded
-    /// [`crate::ServeConfig::map_churn_threshold`].
+    /// the [`ts_core::DeltaConfig::default`] threshold.
     pub map_rebuilt: u64,
     /// Stream states evicted from the bounded map cache (LRU).
     pub map_evicted: u64,

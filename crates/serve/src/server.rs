@@ -304,13 +304,7 @@ impl Server {
         if cfg.map_reuse && !reuse {
             metrics.record(ObsEvent::MapReuseDisabled);
         }
-        let map_cache = Arc::new(MapCache::new(
-            reuse,
-            cfg.map_cache_capacity,
-            DeltaConfig {
-                churn_threshold: cfg.map_churn_threshold,
-            },
-        ));
+        let map_cache = Arc::new(MapCache::new(reuse, cfg.map_cache_capacity));
 
         let abort = Arc::new(AtomicBool::new(false));
         let supervisor = spawn_supervisor(SupervisorCtx {
@@ -721,7 +715,7 @@ fn process_streamed(engine: &Engine, seq: u64, job: Job, metrics: &Metrics, cach
     let hit = state.is_some();
     metrics.record(ObsEvent::MapLookup { hit });
     let taken_at = Instant::now();
-    match engine.infer_stream(&mut state, &job.frame, cache.delta()) {
+    match engine.infer_stream(&mut state, &job.frame, &DeltaConfig::default()) {
         Ok((out, report, outcome)) => {
             let inferred_at = Instant::now();
             let sim_us = report.total_us();

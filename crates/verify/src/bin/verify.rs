@@ -8,12 +8,9 @@
 //! verify --mutation-smoke [--repro-dir DIR]  # requires --features mutate
 //! ```
 //!
-//! `--stream` fuzzes frame-delta sequences through the incremental
-//! kernel-map engine (structural equivalence to from-scratch rebuilds);
-//! `--train` fuzzes whole training steps (forward + loss + dgrad +
-//! wgrad + micro-batch accumulation) against the full-batch reference.
-//! Both compose with `--corpus` and `--fuzz` the same way they compose
-//! with each other.
+//! `--fuzz`, `--stream` and `--train` each fuzz one tier (kernel,
+//! stream, train) through the same loop and compose with `--corpus` and
+//! each other.
 //!
 //! Exit status: 0 = clean, 1 = conformance failure (counterexample
 //! written when a repro dir applies), 2 = usage or environment error.
@@ -21,7 +18,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use ts_verify::{fuzz, fuzz_stream, fuzz_train, replay_corpus, write_repro, write_stream_repro};
+use ts_verify::{fuzz, replay_corpus, write_repro, Scenario, StreamScenario, Tier, TrainScenario};
 
 /// Default corpus/repro directory: `tests/repros/` at the workspace
 /// root, resolved relative to this crate so the binary works from any
@@ -139,17 +136,8 @@ fn run_corpus(dir: &Path) -> bool {
         } else {
             failed += 1;
             println!("FAIL {}", r.path.display());
-            for v in &r.violations {
-                println!("  violation: {v}");
-            }
-            for m in &r.mismatches {
-                println!("  mismatch: {m}");
-            }
-            for m in &r.stream_mismatches {
-                println!("  stream mismatch: {m}");
-            }
-            for m in &r.train_mismatches {
-                println!("  train mismatch: {m}");
+            for f in &r.failures {
+                println!("  {f}");
             }
         }
     }
@@ -157,165 +145,104 @@ fn run_corpus(dir: &Path) -> bool {
     failed == 0
 }
 
-fn run_fuzz(seed: u64, iters: usize, repro_dir: &Path) -> bool {
-    let report = fuzz(seed, iters);
-    match report.counterexample {
-        None => {
-            println!(
-                "fuzz: {} scenario(s) from seed {seed:#x}, all conformant",
-                report.iterations
-            );
-            true
-        }
-        Some(ce) => {
-            eprintln!(
-                "fuzz: counterexample after {} scenario(s): {} point(s), {}x{} channels, kernel {}",
-                report.iterations,
-                ce.scenario.coords.len(),
-                ce.scenario.c_in,
-                ce.scenario.c_out,
-                ce.scenario.kernel_size
-            );
-            for m in &ce.mismatches {
-                eprintln!("  {m}");
-            }
-            match write_repro(repro_dir, &ce) {
-                Ok(path) => eprintln!("repro written to {}", path.display()),
-                Err(e) => eprintln!("could not write repro: {e}"),
-            }
-            false
-        }
-    }
-}
+/// [`run_tier`] for one tier: `(seed, iters, repro_dir) -> passed`.
+type TierDriver = fn(u64, usize, &Path) -> bool;
 
-fn run_stream(seed: u64, iters: usize, repro_dir: &Path) -> bool {
-    let report = fuzz_stream(seed, iters);
-    match report.counterexample {
-        None => {
-            println!(
-                "stream: {} frame-delta sequence(s) from seed {seed:#x}, all equivalent to rebuilds",
-                report.iterations
-            );
-            true
-        }
-        Some(ce) => {
-            eprintln!(
-                "stream: counterexample after {} sequence(s): {} base point(s), {} frame(s), threshold {}, kernel {}",
-                report.iterations,
-                ce.scenario.base.len(),
-                ce.scenario.frames.len(),
-                ce.scenario.churn_threshold,
-                ce.scenario.kernel_size
-            );
-            for m in &ce.mismatches {
-                eprintln!("  {m}");
-            }
-            match write_stream_repro(repro_dir, &ce) {
-                Ok(path) => eprintln!("repro written to {}", path.display()),
-                Err(e) => eprintln!("could not write repro: {e}"),
-            }
-            false
-        }
+/// Fuzzes tier `T`; on a failure prints the shrunken counterexample and
+/// writes its repro under `repro_dir`.
+fn run_tier<T: Tier>(seed: u64, iters: usize, repro_dir: &Path) -> bool {
+    let report = fuzz::<T>(seed, iters);
+    let Some(ce) = report.counterexample else {
+        println!(
+            "{}: {} scenario(s) from seed {seed:#x}, all conformant",
+            T::NAME,
+            report.iterations
+        );
+        return true;
+    };
+    eprintln!(
+        "{}: counterexample after {} scenario(s): {}",
+        T::NAME,
+        report.iterations,
+        ce.scenario.describe()
+    );
+    for m in &ce.mismatches {
+        eprintln!("  {m}");
     }
-}
-
-fn run_train(seed: u64, iters: usize, repro_dir: &Path) -> bool {
-    let report = fuzz_train(seed, iters);
-    match report.counterexample {
-        None => {
-            println!(
-                "train: {} training step(s) from seed {seed:#x}, all conformant",
-                report.iterations
-            );
-            true
-        }
-        Some(ce) => {
-            eprintln!(
-                "train: counterexample after {} scenario(s): {} point(s), {}x{}x{} channels, kernel {}, {} micro-batch(es)",
-                report.iterations,
-                ce.scenario.coords.len(),
-                ce.scenario.c_in,
-                ce.scenario.c_mid,
-                ce.scenario.c_out,
-                ce.scenario.kernel_size,
-                ce.scenario.micro_batches
-            );
-            for m in &ce.mismatches {
-                eprintln!("  {m}");
-            }
-            match ts_verify::write_train_repro(repro_dir, &ce) {
-                Ok(path) => eprintln!("repro written to {}", path.display()),
-                Err(e) => eprintln!("could not write repro: {e}"),
-            }
-            false
-        }
+    match write_repro(repro_dir, &ce) {
+        Ok(path) => eprintln!("repro written to {}", path.display()),
+        Err(e) => eprintln!("could not write repro: {e}"),
     }
+    false
 }
 
 /// Flips a sign inside one dataflow's forward kernel and one's wgrad
 /// kernel (the `mutate` feature's hooks in `ts-dataflow`) and asserts
-/// the matching harness catches each with a shrunken repro of at most 8
-/// points. Proves the conformance gate — differential *and* training —
+/// the matching tier catches each with a shrunken repro of at most 8
+/// points. Proves the conformance gate — kernel *and* train tiers —
 /// detects real defects rather than vacuously passing.
 #[cfg(feature = "mutate")]
 fn run_mutation_smoke(repro_dir: &Path) -> ExitCode {
-    std::env::set_var("TS_MUTATE", "sign-flip");
-    let report = fuzz(0x5EED_F11B, 8);
-    std::env::remove_var("TS_MUTATE");
-    let Some(ce) = report.counterexample else {
-        eprintln!("mutation smoke FAILED: sign-flipped dataflow was not caught");
-        return ExitCode::FAILURE;
-    };
-    let points = ce.scenario.coords.len();
-    if points > 8 {
-        eprintln!("mutation smoke FAILED: repro has {points} points, expected <= 8");
-        return ExitCode::FAILURE;
-    }
-    let smoke_dir = repro_dir.join("mutation-smoke");
-    match write_repro(&smoke_dir, &ce) {
-        Ok(path) => println!(
-            "mutation smoke passed: sign flip caught, shrunk to {points} point(s), repro at {}",
-            path.display()
-        ),
+    match mutation_smoke(&repro_dir.join("mutation-smoke")) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("mutation smoke FAILED: could not persist repro: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("mutation smoke FAILED: {e}");
+            ExitCode::FAILURE
         }
     }
+}
 
-    // Second leg: a wgrad-only sign flip is invisible to inference but
-    // must be caught (and shrunk) by the training harness.
-    std::env::set_var("TS_MUTATE", "wgrad-sign-flip");
-    let report = fuzz_train(0x5EED_F11B, 8);
-    std::env::remove_var("TS_MUTATE");
-    let Some(ce) = report.counterexample else {
-        eprintln!("mutation smoke FAILED: wgrad sign flip was not caught by --train");
-        return ExitCode::FAILURE;
-    };
+#[cfg(feature = "mutate")]
+fn mutation_smoke(dir: &Path) -> Result<(), String> {
+    let ce = caught::<Scenario>("sign-flip")?;
+    persist("sign-flip", &ce, ce.scenario.coords.len(), dir)?;
+
+    // A wgrad-only sign flip is invisible to inference but must be
+    // caught (and shrunk) by the train tier, with a wgrad mismatch.
+    let ce = caught::<TrainScenario>("wgrad-sign-flip")?;
     if !ce
         .mismatches
         .iter()
-        .any(|m| matches!(m.pass, ts_verify::Pass::Wgrad))
+        .any(|m| m.pass == ts_verify::Pass::Wgrad)
     {
-        eprintln!("mutation smoke FAILED: wgrad flip surfaced without a wgrad mismatch");
-        return ExitCode::FAILURE;
+        return Err("wgrad flip surfaced without a wgrad mismatch".to_owned());
     }
-    let points = ce.scenario.coords.len();
+    persist("wgrad-sign-flip", &ce, ce.scenario.coords.len(), dir)
+}
+
+/// The shrunken counterexample tier `T`'s fuzzer finds with the
+/// `mutate` hook `mutation` switched on; an error if it finds none.
+#[cfg(feature = "mutate")]
+fn caught<T: Tier>(mutation: &str) -> Result<ts_verify::Counterexample<T>, String> {
+    std::env::set_var("TS_MUTATE", mutation);
+    let report = fuzz::<T>(0x5EED_F11B, 8);
+    std::env::remove_var("TS_MUTATE");
+    report
+        .counterexample
+        .ok_or(format!("{mutation} was not caught by --{}", T::NAME))
+}
+
+/// Writes the repro of a caught mutation, which must have shrunk to at
+/// most 8 points.
+#[cfg(feature = "mutate")]
+fn persist<T: Tier>(
+    mutation: &str,
+    ce: &ts_verify::Counterexample<T>,
+    points: usize,
+    dir: &Path,
+) -> Result<(), String> {
     if points > 8 {
-        eprintln!("mutation smoke FAILED: train repro has {points} points, expected <= 8");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "{mutation} repro has {points} points, expected <= 8"
+        ));
     }
-    match ts_verify::write_train_repro(&smoke_dir, &ce) {
-        Ok(path) => println!(
-            "mutation smoke passed: wgrad sign flip caught by --train, shrunk to {points} point(s), repro at {}",
-            path.display()
-        ),
-        Err(e) => {
-            eprintln!("mutation smoke FAILED: could not persist train repro: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    let path = write_repro(dir, ce).map_err(|e| format!("could not persist repro: {e}"))?;
+    println!(
+        "mutation smoke passed: {mutation} caught by --{}, shrunk to {points} point(s), repro at {}",
+        T::NAME,
+        path.display()
+    );
+    Ok(())
 }
 
 #[cfg(not(feature = "mutate"))]
@@ -343,17 +270,16 @@ fn main() -> ExitCode {
         ran = true;
         failed |= !run_corpus(dir);
     }
-    if args.fuzz && !failed {
-        ran = true;
-        failed |= !run_fuzz(args.seed, args.iters, &args.repro_dir);
-    }
-    if args.stream && !failed {
-        ran = true;
-        failed |= !run_stream(args.seed, args.iters, &args.repro_dir);
-    }
-    if args.train && !failed {
-        ran = true;
-        failed |= !run_train(args.seed, args.iters, &args.repro_dir);
+    let tiers: [(bool, TierDriver); 3] = [
+        (args.fuzz, run_tier::<Scenario>),
+        (args.stream, run_tier::<StreamScenario>),
+        (args.train, run_tier::<TrainScenario>),
+    ];
+    for (on, run) in tiers {
+        if on && !failed {
+            ran = true;
+            failed |= !run(args.seed, args.iters, &args.repro_dir);
+        }
     }
     if !ran {
         return usage();

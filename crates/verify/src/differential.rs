@@ -10,12 +10,17 @@
 //! — so each precision gets its own derived tolerance instead of one
 //! hard-coded epsilon.
 
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use ts_dataflow::{ConvWeights, DataflowConfig, ExecCtx};
 use ts_gpusim::Device;
-use ts_kernelmap::{build_submanifold_map, unique_coords, Coord, KernelMap, KernelOffsets};
+use ts_kernelmap::{
+    build_submanifold_map, check_map, unique_coords, Coord, KernelMap, KernelOffsets,
+};
 use ts_tensor::{rng_from_seed, uniform_matrix, ErrorBudget, Matrix, Precision};
+
+use crate::{Shrinker, Tier};
 
 /// One point of a scenario, in a named-field form that serializes to
 /// self-describing JSON (`{"b":0,"x":1,...}`).
@@ -195,7 +200,7 @@ fn worst_mismatch(
 /// Runs every configured dataflow × {fwd, dgrad, wgrad} × precision of
 /// `scenario` against the reference, returning all out-of-budget
 /// mismatches (empty = conformant).
-pub fn run_scenario(scenario: &Scenario) -> Vec<Mismatch> {
+fn run_scenario(scenario: &Scenario) -> Vec<Mismatch> {
     let coords = scenario.unique_coords();
     let offsets = KernelOffsets::cube(scenario.kernel_size.max(1));
     let map = build_submanifold_map(&coords, &offsets);
@@ -285,25 +290,107 @@ pub fn run_scenario(scenario: &Scenario) -> Vec<Mismatch> {
     mismatches
 }
 
-/// Convenience: run a scenario against the transposed map too, checking
-/// that the kernel maps a scenario builds satisfy all structural
-/// invariants before any arithmetic is compared.
-pub fn check_scenario_maps(scenario: &Scenario) -> Vec<crate::Violation> {
-    let coords = scenario.unique_coords();
-    let offsets = KernelOffsets::cube(scenario.kernel_size.max(1));
-    let map = build_submanifold_map(&coords, &offsets);
-    let mut out = crate::check_kernel_map("scenario map", &map);
-    out.extend(crate::check_kernel_map("scenario map_t", &map.transposed()));
-    out
-}
+impl Tier for Scenario {
+    type Mismatch = Mismatch;
+    const NAME: &'static str = "fuzz";
+    const REPRO_PREFIX: &'static str = "repro-seed-";
+    const MARKER: Option<&'static str> = None;
+    /// Each evaluation runs the full dataflow × pass × precision matrix;
+    /// 300 minimize any scenario [`Tier::generate`] draws.
+    const SHRINK_BUDGET: usize = 300;
 
-/// The largest reduction depth of a map (used by tests to reason about
-/// budget scaling).
-pub fn max_fan_in(map: &KernelMap) -> usize {
-    (0..map.kernel_volume())
-        .map(|k| map.pairs(k).len())
-        .max()
-        .unwrap_or(0)
+    /// Scenarios are intentionally small (≤ 48 points, ≤ 8 channels):
+    /// the differential matrix multiplies out to hundreds of executions
+    /// per scenario, and conformance defects in index plumbing do not
+    /// need large clouds to surface.
+    fn generate(seed: u64) -> Self {
+        let mut rng = rng_from_seed(seed ^ 0xD1FF_7C0D);
+        let n: usize = rng.gen_range(1..=48);
+        let batches: i32 = rng.gen_range(1..=2);
+        let kernel_size: u32 = rng.gen_range(2..=3);
+        let c_in: usize = rng.gen_range(1..=8);
+        let c_out: usize = rng.gen_range(1..=8);
+        let coords = (0..n)
+            .map(|_| ReproCoord {
+                b: rng.gen_range(0..batches),
+                x: rng.gen_range(-6..=6),
+                y: rng.gen_range(-6..=6),
+                z: rng.gen_range(-2..=2),
+            })
+            .collect();
+        Scenario {
+            seed,
+            coords,
+            c_in,
+            c_out,
+            kernel_size,
+            configs: Vec::new(),
+        }
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn run(&self) -> Vec<Mismatch> {
+        run_scenario(self)
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "{} point(s), {}x{} channels, kernel {}",
+            self.coords.len(),
+            self.c_in,
+            self.c_out,
+            self.kernel_size
+        )
+    }
+
+    /// Pins the failing config: every later evaluation then runs one
+    /// dataflow instead of the full space.
+    fn shrink_start(s: &mut Shrinker<Self>) {
+        if let Some(config) = s.mismatches().first().map(|m| m.config) {
+            s.edit(|t| {
+                if t.configs.is_empty() {
+                    t.configs = vec![config];
+                }
+            });
+        }
+    }
+
+    /// Points, then channels toward 1, then the kernel (which drops
+    /// whole offset planes).
+    fn shrink_round(s: &mut Shrinker<Self>) -> bool {
+        s.halve_then_drop(|t| &mut t.coords)
+            | s.edits(&[
+                |t| t.c_in = 1,
+                |t| t.c_in = (t.c_in / 2).max(1),
+                |t| t.c_out = 1,
+                |t| t.c_out = (t.c_out / 2).max(1),
+                |t| {
+                    if t.kernel_size > 1 {
+                        t.kernel_size -= 1;
+                    }
+                },
+            ])
+    }
+
+    /// The oracle's mismatches, after the structural invariants of the
+    /// scenario's kernel map and its transpose.
+    fn replay(&self) -> Vec<String> {
+        let offsets = KernelOffsets::cube(self.kernel_size.max(1));
+        let map = build_submanifold_map(&self.unique_coords(), &offsets);
+        let violations = |name: &str, map: &KernelMap| {
+            check_map(map)
+                .into_iter()
+                .map(|v| format!("[scenario {name}] {v}"))
+                .collect::<Vec<_>>()
+        };
+        let mut out = violations("map", &map);
+        out.extend(violations("map_t", &map.transposed()));
+        out.extend(self.run().iter().map(ToString::to_string));
+        out
+    }
 }
 
 #[cfg(test)]
@@ -331,16 +418,37 @@ mod tests {
 
     #[test]
     fn all_dataflows_conform_on_a_dense_grid() {
-        let mismatches = run_scenario(&grid_scenario(42, 40));
-        assert!(
-            mismatches.is_empty(),
-            "unexpected mismatches: {mismatches:#?}"
-        );
+        // A replay checks the scenario's maps as well as the oracle.
+        let failures = grid_scenario(42, 40).replay();
+        assert!(failures.is_empty(), "unexpected failures: {failures:#?}");
     }
 
     #[test]
-    fn scenario_maps_are_clean() {
-        assert!(check_scenario_maps(&grid_scenario(1, 30)).is_empty());
+    fn generation_is_deterministic() {
+        assert_eq!(Scenario::generate(123), Scenario::generate(123));
+        assert_ne!(Scenario::generate(123), Scenario::generate(124));
+    }
+
+    #[test]
+    fn generated_scenarios_are_well_formed() {
+        for seed in 0..20 {
+            let s = Scenario::generate(seed);
+            assert!(!s.coords.is_empty());
+            assert!((1..=8).contains(&s.c_in));
+            assert!((1..=8).contains(&s.c_out));
+            assert!((2..=3).contains(&s.kernel_size));
+        }
+    }
+
+    #[test]
+    fn clean_dataflows_survive_a_short_fuzz_burst() {
+        let report = crate::fuzz::<Scenario>(0xBEEF, 4);
+        assert_eq!(report.iterations, 4);
+        assert!(
+            report.counterexample.is_none(),
+            "unexpected counterexample: {:#?}",
+            report.counterexample
+        );
     }
 
     #[test]

@@ -1,86 +1,103 @@
-//! Seeded scenario fuzzing with minimal-repro shrinking.
+//! The one conformance loop: seeded fuzzing, shrinking to a minimal
+//! repro, repro files and corpus replay, for every [`Tier`].
 //!
-//! The fuzzer draws random scenarios (point cloud, channels, kernel
-//! size) from a seed, runs the differential engine over each, and — on
-//! the first failure — shrinks the scenario to a local minimum: every
-//! single-step reduction (fewer points, fewer channels, smaller kernel,
-//! fewer configs) still reproduces the mismatch. The result serializes
-//! as a JSON [`Counterexample`] suitable for checking in under
-//! `tests/repros/`.
+//! A tier supplies what differs between the kernel, stream and train
+//! checks: how to draw a scenario from a seed, the oracle, and one round
+//! of shrink steps built from [`Shrinker`]'s helpers. The fuzz loop, the
+//! shrink loop and its evaluation budget, the JSON [`Counterexample`]
+//! checked in under `tests/repros/`, and the corpus replay that tells
+//! the tiers' files apart are written once, here.
 
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use ts_tensor::rng_from_seed;
+use crate::{Scenario, StreamScenario, TrainScenario};
 
-use crate::{run_scenario, Mismatch, ReproCoord, Scenario};
+/// One conformance tier: a scenario type, its oracle and its shrink
+/// steps.
+pub trait Tier: fmt::Debug + Clone + PartialEq + Serialize + Deserialize {
+    /// One divergence the oracle reports.
+    type Mismatch: fmt::Debug + fmt::Display + Clone + PartialEq + Serialize + Deserialize;
 
-/// Hard cap on differential evaluations one shrink pass may spend.
-/// Each evaluation runs the full dataflow × pass × precision matrix, so
-/// shrinking is the expensive part of a fuzz failure; 300 evaluations
-/// minimize any scenario this fuzzer can generate.
-const SHRINK_BUDGET: usize = 300;
+    /// The `verify` flag that fuzzes this tier, without its dashes; it
+    /// also labels the tier's output lines.
+    const NAME: &'static str;
+    /// Repro files are named `{REPRO_PREFIX}{seed}.json`.
+    const REPRO_PREFIX: &'static str;
+    /// A `scenario` field only this tier's corpus files carry; `None`
+    /// for the tier that replays every other file.
+    const MARKER: Option<&'static str>;
+    /// Oracle evaluations one shrink may spend.
+    const SHRINK_BUDGET: usize;
+
+    /// Deterministically draws the scenario of one fuzz iteration.
+    fn generate(seed: u64) -> Self;
+    /// The seed the scenario's data derive from; names its repro file.
+    fn seed(&self) -> u64;
+    /// The oracle: every divergence from the reference (empty =
+    /// conformant).
+    fn run(&self) -> Vec<Self::Mismatch>;
+    /// One line sizing the scenario, for the `verify` binary.
+    fn describe(&self) -> String;
+    /// Shrink steps taken once, before the rounds.
+    fn shrink_start(s: &mut Shrinker<Self>);
+    /// One shrink round; returns whether any step was adopted. Rounds
+    /// repeat until one adopts nothing or the budget is spent.
+    fn shrink_round(s: &mut Shrinker<Self>) -> bool;
+    /// Everything a corpus replay of this scenario finds, rendered.
+    fn replay(&self) -> Vec<String> {
+        self.run().iter().map(ToString::to_string).collect()
+    }
+}
 
 /// A shrunken failing scenario plus the mismatches it reproduces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Counterexample {
+#[derive(Debug, Clone, PartialEq)]
+pub struct Counterexample<T: Tier> {
     /// The minimal failing scenario.
-    pub scenario: Scenario,
+    pub scenario: T,
     /// Mismatches observed when the counterexample was produced. Empty
     /// for corpus seeds that never failed (conformance scenarios).
-    pub mismatches: Vec<Mismatch>,
+    pub mismatches: Vec<T::Mismatch>,
+}
+
+// Written by hand: the vendored `serde_derive` rejects generic items.
+impl<T: Tier> Serialize for Counterexample<T> {
+    fn serialize_value(&self) -> Value {
+        Value::Object(vec![
+            ("scenario".to_owned(), self.scenario.serialize_value()),
+            ("mismatches".to_owned(), self.mismatches.serialize_value()),
+        ])
+    }
+}
+
+impl<T: Tier> Deserialize for Counterexample<T> {
+    fn deserialize_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(Self {
+            scenario: serde::__de_field(v, "scenario")?,
+            mismatches: serde::__de_field(v, "mismatches")?,
+        })
+    }
 }
 
 /// Outcome of a fuzz run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FuzzReport {
+pub struct FuzzReport<T: Tier> {
     /// Scenarios generated and executed.
     pub iterations: usize,
     /// First failure found, already shrunken; `None` = all conformant.
-    pub counterexample: Option<Counterexample>,
+    pub counterexample: Option<Counterexample<T>>,
 }
 
-/// Deterministically generates the `i`-th scenario of a fuzz run.
-///
-/// Scenarios are intentionally small (≤ 48 points, ≤ 8 channels): the
-/// differential matrix multiplies out to hundreds of executions per
-/// scenario, and conformance defects in index plumbing do not need
-/// large clouds to surface.
-pub fn generate_scenario(seed: u64) -> Scenario {
-    let mut rng = rng_from_seed(seed ^ 0xD1FF_7C0D);
-    let n: usize = rng.gen_range(1..=48);
-    let batches: i32 = rng.gen_range(1..=2);
-    let kernel_size: u32 = rng.gen_range(2..=3);
-    let c_in: usize = rng.gen_range(1..=8);
-    let c_out: usize = rng.gen_range(1..=8);
-    let coords = (0..n)
-        .map(|_| ReproCoord {
-            b: rng.gen_range(0..batches),
-            x: rng.gen_range(-6..=6),
-            y: rng.gen_range(-6..=6),
-            z: rng.gen_range(-2..=2),
-        })
-        .collect();
-    Scenario {
-        seed,
-        coords,
-        c_in,
-        c_out,
-        kernel_size,
-        configs: Vec::new(),
-    }
-}
-
-/// Runs `iters` seeded scenarios starting at `seed`; stops at (and
-/// shrinks) the first failure.
-pub fn fuzz(seed: u64, iters: usize) -> FuzzReport {
+/// Runs `iters` seeded scenarios of tier `T` starting at `seed`; stops
+/// at (and shrinks) the first failure.
+pub fn fuzz<T: Tier>(seed: u64, iters: usize) -> FuzzReport<T> {
     for i in 0..iters {
-        let scenario = generate_scenario(seed.wrapping_add(i as u64));
-        let mismatches = run_scenario(&scenario);
+        let scenario = T::generate(seed.wrapping_add(i as u64));
+        let mismatches = scenario.run();
         if !mismatches.is_empty() {
             let (scenario, mismatches) = shrink(&scenario, mismatches);
             return FuzzReport {
@@ -98,112 +115,136 @@ pub fn fuzz(seed: u64, iters: usize) -> FuzzReport {
     }
 }
 
-/// Shrinks a failing scenario to a local minimum: the returned scenario
-/// still fails, and no single shrink step (pinning configs, halving or
-/// dropping points, collapsing channels, shrinking the kernel) keeps it
-/// failing. Also returns the minimal scenario's mismatches.
-pub fn shrink(scenario: &Scenario, mismatches: Vec<Mismatch>) -> (Scenario, Vec<Mismatch>) {
-    let mut best = scenario.clone();
-    let mut best_mismatches = mismatches;
-    let mut evals = 0usize;
+/// Shrinks a failing scenario to a local minimum within
+/// [`Tier::SHRINK_BUDGET`] oracle evaluations: the returned scenario
+/// still fails, and (budget permitting) no step of the tier's shrink
+/// round keeps it failing. Also returns its mismatches.
+pub fn shrink<T: Tier>(scenario: &T, mismatches: Vec<T::Mismatch>) -> (T, Vec<T::Mismatch>) {
+    let mut s = Shrinker::new(scenario.clone(), mismatches, T::SHRINK_BUDGET);
+    s.run();
+    (s.best, s.mismatches)
+}
 
-    // Try a candidate: adopt it iff it still fails. Returns whether it
-    // was adopted.
-    let attempt = |cand: Scenario,
-                   best: &mut Scenario,
-                   best_mismatches: &mut Vec<Mismatch>,
-                   evals: &mut usize|
-     -> bool {
-        if *evals >= SHRINK_BUDGET {
-            return false;
-        }
-        *evals += 1;
-        let m = run_scenario(&cand);
-        if m.is_empty() {
-            return false;
-        }
-        *best = cand;
-        *best_mismatches = m;
-        true
-    };
+/// One shrink in progress: the smallest failing scenario so far, its
+/// mismatches, and the oracle evaluations spent. A tier's shrink steps
+/// propose candidates through [`Shrinker::attempt`] and its helpers.
+pub struct Shrinker<T: Tier> {
+    best: T,
+    mismatches: Vec<T::Mismatch>,
+    evals: usize,
+    budget: usize,
+}
 
-    // Pin to the single failing config first: every later evaluation
-    // then runs one dataflow instead of the full space.
-    if best.configs.is_empty() {
-        let mut cand = best.clone();
-        cand.configs = vec![best_mismatches[0].config];
-        attempt(cand, &mut best, &mut best_mismatches, &mut evals);
+impl<T: Tier> Shrinker<T> {
+    fn new(best: T, mismatches: Vec<T::Mismatch>, budget: usize) -> Self {
+        Self {
+            best,
+            mismatches,
+            evals: 0,
+            budget,
+        }
     }
 
-    let mut progress = true;
-    while progress && evals < SHRINK_BUDGET {
-        progress = false;
+    fn run(&mut self) {
+        T::shrink_start(self);
+        let mut progress = true;
+        while progress && !self.spent() {
+            progress = T::shrink_round(self);
+        }
+    }
 
-        // Halving passes remove big chunks cheaply.
-        while best.coords.len() > 1 && evals < SHRINK_BUDGET {
-            let half = best.coords.len() / 2;
-            let front = Scenario {
-                coords: best.coords[..half].to_vec(),
-                ..best.clone()
-            };
-            let back = Scenario {
-                coords: best.coords[half..].to_vec(),
-                ..best.clone()
-            };
-            if attempt(front, &mut best, &mut best_mismatches, &mut evals)
-                || attempt(back, &mut best, &mut best_mismatches, &mut evals)
-            {
-                progress = true;
+    fn spent(&self) -> bool {
+        self.evals >= self.budget
+    }
+
+    /// The smallest failing scenario so far.
+    pub fn best(&self) -> &T {
+        &self.best
+    }
+
+    /// The mismatches of [`Shrinker::best`].
+    pub fn mismatches(&self) -> &[T::Mismatch] {
+        &self.mismatches
+    }
+
+    /// Runs the oracle on `cand` and adopts it iff it still fails.
+    /// Returns whether it was adopted; always `false` once the budget is
+    /// spent.
+    pub fn attempt(&mut self, cand: T) -> bool {
+        if self.spent() {
+            return false;
+        }
+        self.evals += 1;
+        let mismatches = cand.run();
+        if mismatches.is_empty() {
+            return false;
+        }
+        self.best = cand;
+        self.mismatches = mismatches;
+        true
+    }
+
+    /// Attempts the best scenario with `edit` applied, unless the edit
+    /// leaves it unchanged.
+    pub fn edit(&mut self, edit: impl FnOnce(&mut T)) -> bool {
+        let mut cand = self.best.clone();
+        edit(&mut cand);
+        cand != self.best && self.attempt(cand)
+    }
+
+    /// [`Shrinker::edit`] with each of `edits` in turn; returns whether
+    /// any was adopted.
+    pub fn edits(&mut self, edits: &[fn(&mut T)]) -> bool {
+        edits
+            .iter()
+            .fold(false, |adopted, &f| self.edit(f) | adopted)
+    }
+
+    /// Shrinks the list `field` selects: halves it while either half
+    /// still fails, then [`drops`](Shrinker::drop_each) single elements
+    /// down to one. Returns whether anything was adopted.
+    pub fn halve_then_drop<E: Clone>(&mut self, field: impl Fn(&mut T) -> &mut Vec<E>) -> bool {
+        let mut adopted = false;
+        while field(&mut self.best).len() > 1 && !self.spent() {
+            let half = field(&mut self.best).len() / 2;
+            let mut front = self.best.clone();
+            field(&mut front).truncate(half);
+            let mut back = self.best.clone();
+            field(&mut back).drain(..half);
+            if self.attempt(front) || self.attempt(back) {
+                adopted = true;
             } else {
                 break;
             }
         }
+        self.drop_each(1, field) | adopted
+    }
 
-        // Greedy single-point drops mop up what bisection missed.
+    /// Tries dropping each element of the list `field` selects, front to
+    /// back, while it holds more than `keep`. Returns whether any drop
+    /// was adopted.
+    pub fn drop_each<E>(&mut self, keep: usize, field: impl Fn(&mut T) -> &mut Vec<E>) -> bool {
+        let mut adopted = false;
         let mut i = 0;
-        while i < best.coords.len() && best.coords.len() > 1 && evals < SHRINK_BUDGET {
-            let mut cand = best.clone();
-            cand.coords.remove(i);
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true; // same index now holds the next point
+        while i < field(&mut self.best).len() && field(&mut self.best).len() > keep && !self.spent()
+        {
+            let mut cand = self.best.clone();
+            field(&mut cand).remove(i);
+            if self.attempt(cand) {
+                adopted = true; // the same index now holds the next element
             } else {
                 i += 1;
             }
         }
-
-        // Collapse channels toward 1.
-        for f in [
-            |s: &mut Scenario| s.c_in = 1,
-            |s: &mut Scenario| s.c_in /= 2,
-            |s: &mut Scenario| s.c_out = 1,
-            |s: &mut Scenario| s.c_out /= 2,
-        ] {
-            let mut cand = best.clone();
-            f(&mut cand);
-            cand.c_in = cand.c_in.max(1);
-            cand.c_out = cand.c_out.max(1);
-            if cand != best && attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            }
-        }
-
-        // Shrink the kernel (drops whole offset planes).
-        if best.kernel_size > 1 {
-            let mut cand = best.clone();
-            cand.kernel_size -= 1;
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            }
-        }
+        adopted
     }
-    (best, best_mismatches)
 }
 
 /// Writes a counterexample as pretty JSON under `dir`, named by its
-/// seed. Returns the written path.
-pub fn write_repro(dir: &Path, ce: &Counterexample) -> io::Result<PathBuf> {
+/// tier's [`Tier::REPRO_PREFIX`] and seed. Returns the written path.
+pub fn write_repro<T: Tier>(dir: &Path, ce: &Counterexample<T>) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let path = dir.join(format!("repro-seed-{}.json", ce.scenario.seed));
+    let path = dir.join(format!("{}{}.json", T::REPRO_PREFIX, ce.scenario.seed()));
     let json = serde_json::to_string_pretty(ce)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     fs::write(&path, json)?;
@@ -215,33 +256,22 @@ pub fn write_repro(dir: &Path, ce: &Counterexample) -> io::Result<PathBuf> {
 pub struct CorpusResult {
     /// The replayed file.
     pub path: PathBuf,
-    /// Differential mismatches on replay (empty = conformant now).
-    pub mismatches: Vec<Mismatch>,
-    /// Structural violations of the scenario's kernel maps.
-    pub violations: Vec<crate::Violation>,
-    /// Incremental-vs-rebuild divergences, for stream-scenario files.
-    pub stream_mismatches: Vec<crate::StreamMismatch>,
-    /// Whole-training-step divergences, for train-scenario files.
-    pub train_mismatches: Vec<Mismatch>,
+    /// Everything the replay found, rendered (empty = conformant now).
+    pub failures: Vec<String>,
 }
 
 impl CorpusResult {
     /// Whether the replay was clean.
     pub fn passed(&self) -> bool {
-        self.mismatches.is_empty()
-            && self.violations.is_empty()
-            && self.stream_mismatches.is_empty()
-            && self.train_mismatches.is_empty()
+        self.failures.is_empty()
     }
 }
 
-/// Replays every `*.json` counterexample under `dir` through the
-/// invariant checker and differential engine. Stream-scenario files
-/// (recognized by a `scenario.frames` field) replay through the
-/// incremental kernel-map engine, training-scenario files (recognized
-/// by a `scenario.micro_batches` field) through the whole-training-step
-/// engine. Checked-in repros record *fixed* bugs, so a healthy corpus
-/// replays clean.
+/// Replays every `*.json` counterexample under `dir` through its tier:
+/// the first whose [`Tier::MARKER`] field the file's scenario carries
+/// (`frames`: stream, `micro_batches`: train), else the kernel tier.
+/// Checked-in repros record *fixed* bugs, so a healthy corpus replays
+/// clean.
 ///
 /// # Errors
 ///
@@ -253,146 +283,186 @@ pub fn replay_corpus(dir: &Path) -> io::Result<Vec<CorpusResult>> {
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     files.sort();
-    let mut results = Vec::new();
-    for path in files {
-        let text = fs::read_to_string(&path)?;
-        let bad = |e: String| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: {e}", path.display()),
-            )
-        };
-        let value: serde_json::Value =
-            serde_json::from_str(&text).map_err(|e| bad(e.to_string()))?;
-        // Dispatch on shape: temporal stream scenarios carry a frame
-        // sequence; differential scenarios carry channel counts.
-        if value
-            .get("scenario")
-            .and_then(|s| s.get("frames"))
-            .is_some()
-        {
-            let ce: crate::StreamCounterexample =
-                serde_json::from_str(&text).map_err(|e| bad(e.to_string()))?;
-            let stream_mismatches = crate::run_stream_scenario(&ce.scenario);
-            results.push(CorpusResult {
-                path,
-                mismatches: Vec::new(),
-                violations: Vec::new(),
-                stream_mismatches,
-                train_mismatches: Vec::new(),
-            });
-        } else if value
-            .get("scenario")
-            .and_then(|s| s.get("micro_batches"))
-            .is_some()
-        {
-            let ce: crate::TrainCounterexample =
-                serde_json::from_str(&text).map_err(|e| bad(e.to_string()))?;
-            let train_mismatches = crate::run_train_scenario(&ce.scenario);
-            results.push(CorpusResult {
-                path,
-                mismatches: Vec::new(),
-                violations: Vec::new(),
-                stream_mismatches: Vec::new(),
-                train_mismatches,
-            });
-        } else {
-            let ce: Counterexample = serde_json::from_str(&text).map_err(|e| bad(e.to_string()))?;
-            let violations = crate::check_scenario_maps(&ce.scenario);
-            let mismatches = run_scenario(&ce.scenario);
-            results.push(CorpusResult {
-                path,
-                mismatches,
-                violations,
-                stream_mismatches: Vec::new(),
-                train_mismatches: Vec::new(),
-            });
-        }
-    }
-    Ok(results)
+    files
+        .into_iter()
+        .map(|path| {
+            let bad = |e: serde::Error| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}: {e}", path.display()),
+                )
+            };
+            let value: Value = serde_json::from_str(&fs::read_to_string(&path)?).map_err(bad)?;
+            let failures = replay::<StreamScenario>(&value)
+                .or_else(|| replay::<TrainScenario>(&value))
+                .or_else(|| replay::<Scenario>(&value))
+                .expect("the kernel tier replays every unmarked file")
+                .map_err(bad)?;
+            Ok(CorpusResult { path, failures })
+        })
+        .collect()
+}
+
+/// Replays a parsed corpus file through tier `T`, or `None` when the
+/// file lacks the tier's marker.
+fn replay<T: Tier>(value: &Value) -> Option<Result<Vec<String>, serde::Error>> {
+    let marked = T::MARKER.is_none_or(|m| value.get("scenario").and_then(|s| s.get(m)).is_some());
+    marked.then(|| Counterexample::<T>::deserialize_value(value).map(|ce| ce.scenario.replay()))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use serde::{Deserialize, Serialize};
 
-    #[test]
-    fn generation_is_deterministic() {
-        assert_eq!(generate_scenario(123), generate_scenario(123));
-        assert_ne!(generate_scenario(123), generate_scenario(124));
+    use super::*;
+    use crate::{Mismatch, Pass, StreamMismatch};
+
+    /// A toy tier: fails while it holds points 5 and 30 at width >= 2.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct Toy {
+        points: Vec<i32>,
+        width: u32,
     }
 
-    #[test]
-    fn generated_scenarios_are_well_formed() {
-        for seed in 0..20 {
-            let s = generate_scenario(seed);
-            assert!(!s.coords.is_empty());
-            assert!((1..=8).contains(&s.c_in));
-            assert!((1..=8).contains(&s.c_out));
-            assert!((2..=3).contains(&s.kernel_size));
+    impl Tier for Toy {
+        type Mismatch = StreamMismatch;
+        const NAME: &'static str = "toy";
+        const REPRO_PREFIX: &'static str = "repro-toy-seed-";
+        const MARKER: Option<&'static str> = Some("width");
+        const SHRINK_BUDGET: usize = 300;
+
+        fn generate(_seed: u64) -> Self {
+            Toy {
+                points: (0..40).collect(),
+                width: 8,
+            }
+        }
+        fn seed(&self) -> u64 {
+            0
+        }
+        fn run(&self) -> Vec<StreamMismatch> {
+            let fails = self.points.contains(&5) && self.points.contains(&30) && self.width >= 2;
+            let planted = StreamMismatch {
+                frame: 0,
+                detail: "planted".to_owned(),
+            };
+            fails.then_some(planted).into_iter().collect()
+        }
+        fn describe(&self) -> String {
+            format!("{} point(s), width {}", self.points.len(), self.width)
+        }
+        fn shrink_start(_: &mut Shrinker<Self>) {}
+        fn shrink_round(s: &mut Shrinker<Self>) -> bool {
+            s.halve_then_drop(|t| &mut t.points) | s.edit(|t| t.width /= 2)
         }
     }
 
-    #[test]
-    fn clean_dataflows_survive_a_short_fuzz_burst() {
-        let report = fuzz(0xBEEF, 4);
-        assert_eq!(report.iterations, 4);
-        assert!(
-            report.counterexample.is_none(),
-            "unexpected counterexample: {:#?}",
-            report.counterexample
-        );
+    fn shrunk(budget: usize) -> Shrinker<Toy> {
+        let toy = Toy::generate(0);
+        let mismatches = toy.run();
+        let mut s = Shrinker::new(toy, mismatches, budget);
+        s.run();
+        s
     }
 
     #[test]
-    fn counterexample_json_round_trip() {
+    fn shrinker_reaches_the_two_failing_points_at_the_least_failing_width() {
+        let s = shrunk(Toy::SHRINK_BUDGET);
+        assert_eq!(
+            s.best,
+            Toy {
+                points: vec![5, 30],
+                width: 2
+            }
+        );
+        assert_eq!(s.mismatches, s.best.run());
+        // Round 1: two halves, 40 single drops, width 8 -> 4. Round 2:
+        // two halves, two drops, width 4 -> 2. Round 3 adopts nothing:
+        // two halves, two drops, width 2 -> 1.
+        assert_eq!(s.evals, 53);
+    }
+
+    #[test]
+    fn shrinker_stops_at_its_budget() {
+        let s = shrunk(10);
+        assert_eq!(s.evals, 10);
+        assert!(!s.best.run().is_empty(), "the best scenario still fails");
+        // Two halves, then eight drops: 0-4 and 6-7 adopted, 5 kept.
+        assert_eq!(s.best.points.len(), 33);
+        assert_eq!(s.best.width, 8);
+    }
+
+    fn round_trips<T: Tier>(mismatches: Vec<T::Mismatch>) {
         let ce = Counterexample {
-            scenario: generate_scenario(5),
-            mismatches: Vec::new(),
+            scenario: T::generate(5),
+            mismatches,
         };
         let json = serde_json::to_string_pretty(&ce).expect("serializes");
-        let back: Counterexample = serde_json::from_str(&json).expect("deserializes");
+        let back: Counterexample<T> = serde_json::from_str(&json).expect("deserializes");
         assert_eq!(ce, back);
     }
 
     #[test]
-    fn corpus_dispatches_stream_train_and_differential_files() {
+    fn counterexamples_of_every_tier_round_trip_through_json() {
+        let mismatch = Mismatch {
+            config: crate::all_configs()[0],
+            pass: Pass::Wgrad,
+            precision: ts_tensor::Precision::Tf32,
+            worst_normalized_error: 2.5,
+            rel_tol: 1e-3,
+            expected: 1.0,
+            actual: -1.0,
+            location: "dw[0][0, 0]".to_owned(),
+        };
+        round_trips::<Scenario>(vec![mismatch.clone()]);
+        round_trips::<StreamScenario>(vec![StreamMismatch {
+            frame: 2,
+            detail: "x".into(),
+        }]);
+        round_trips::<TrainScenario>(vec![mismatch]);
+    }
+
+    #[test]
+    fn corpus_replays_each_tier_from_its_repro_file() {
         let dir = std::env::temp_dir().join(format!("ts-verify-mixed-{}", std::process::id()));
-        let diff = Counterexample {
-            scenario: generate_scenario(11),
-            mismatches: Vec::new(),
-        };
-        let stream = crate::StreamCounterexample {
-            scenario: crate::generate_stream_scenario(11),
-            mismatches: Vec::new(),
-        };
-        let train = crate::TrainCounterexample {
-            scenario: crate::generate_train_scenario(11),
-            mismatches: Vec::new(),
-        };
-        write_repro(&dir, &diff).expect("writes differential");
-        crate::write_stream_repro(&dir, &stream).expect("writes stream");
-        crate::write_train_repro(&dir, &train).expect("writes train");
+        let paths = [
+            write_repro(
+                &dir,
+                &Counterexample::<Scenario> {
+                    scenario: Scenario::generate(11),
+                    mismatches: Vec::new(),
+                },
+            ),
+            write_repro(
+                &dir,
+                &Counterexample::<StreamScenario> {
+                    scenario: StreamScenario::generate(11),
+                    mismatches: Vec::new(),
+                },
+            ),
+            write_repro(
+                &dir,
+                &Counterexample::<TrainScenario> {
+                    scenario: TrainScenario::generate(11),
+                    mismatches: Vec::new(),
+                },
+            ),
+        ]
+        .map(|p| p.expect("writes"));
+        let names = paths.map(|p| p.file_name().expect("a file").to_owned());
+        assert_eq!(
+            names,
+            [
+                "repro-seed-11.json",
+                "repro-stream-seed-11.json",
+                "repro-train-seed-11.json"
+            ]
+        );
         let results = replay_corpus(&dir).expect("replays");
         assert_eq!(results.len(), 3);
         for r in &results {
             assert!(r.passed(), "{r:#?}");
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn repro_write_and_replay() {
-        let dir = std::env::temp_dir().join(format!("ts-verify-test-{}", std::process::id()));
-        let ce = Counterexample {
-            scenario: generate_scenario(7),
-            mismatches: Vec::new(),
-        };
-        let path = write_repro(&dir, &ce).expect("writes");
-        assert!(path.exists());
-        let results = replay_corpus(&dir).expect("replays");
-        assert_eq!(results.len(), 1);
-        assert!(results[0].passed(), "{:#?}", results[0]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

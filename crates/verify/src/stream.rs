@@ -12,10 +12,6 @@
 //! minimal frame sequence (fewest frames, then fewest points and ops)
 //! before serializing them for `tests/repros/`.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
-
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -25,12 +21,7 @@ use ts_kernelmap::{
 };
 use ts_tensor::rng_from_seed;
 
-use crate::ReproCoord;
-
-/// Evaluation budget for one stream shrink (each evaluation replays the
-/// whole frame sequence; structural checks only, so this is cheap
-/// relative to the differential matrix).
-const SHRINK_BUDGET: usize = 400;
+use crate::{ReproCoord, Shrinker, Tier};
 
 /// One frame's delta, applied to the running coordinate set: `drop`
 /// removes by index (modulo the current length, so shrinking the cloud
@@ -77,27 +68,6 @@ impl std::fmt::Display for StreamMismatch {
     }
 }
 
-/// A shrunken failing stream scenario plus its mismatches. Serializes
-/// alongside [`crate::Counterexample`] files in the same corpus
-/// directory (`replay_corpus` tells them apart by the `frames` field).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StreamCounterexample {
-    /// The minimal failing scenario.
-    pub scenario: StreamScenario,
-    /// Mismatches observed when it was produced. Empty for checked-in
-    /// conformance scenarios.
-    pub mismatches: Vec<StreamMismatch>,
-}
-
-/// Outcome of a stream fuzz run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamFuzzReport {
-    /// Scenarios generated and executed.
-    pub iterations: usize,
-    /// First failure, already shrunken; `None` = all conformant.
-    pub counterexample: Option<StreamCounterexample>,
-}
-
 fn apply_ops(frame: &mut Vec<Coord>, ops: &FrameOps) {
     for &idx in &ops.drop {
         if !frame.is_empty() {
@@ -141,7 +111,7 @@ fn check_state(inc: &IncrementalMap, frame: &[Coord], t: usize, out: &mut Vec<St
 /// Replays a stream scenario, returning every structural divergence
 /// between the incremental state and the reference (empty =
 /// conformant).
-pub fn run_stream_scenario(s: &StreamScenario) -> Vec<StreamMismatch> {
+fn run_stream_scenario(s: &StreamScenario) -> Vec<StreamMismatch> {
     let mut mismatches = Vec::new();
     let kernel = s.kernel_size.max(1) | 1; // odd, as IncrementalMap requires
     let mut frame = unique_coords(
@@ -175,192 +145,90 @@ pub fn run_stream_scenario(s: &StreamScenario) -> Vec<StreamMismatch> {
     mismatches
 }
 
-/// Deterministically generates the `i`-th stream scenario of a fuzz
-/// run: a small cloud plus 1–6 frame deltas at a randomly drawn churn
-/// threshold (including the degenerate 0.0 always-rebuild and >1.0
-/// always-patch corners).
-pub fn generate_stream_scenario(seed: u64) -> StreamScenario {
-    let mut rng = rng_from_seed(seed ^ 0x57_0EA4);
-    let n: usize = rng.gen_range(4..=40);
-    let batches: i32 = rng.gen_range(1..=2);
-    let coord = |rng: &mut rand_chacha::ChaCha8Rng| ReproCoord {
-        b: rng.gen_range(0..batches),
-        x: rng.gen_range(-6..=6),
-        y: rng.gen_range(-6..=6),
-        z: rng.gen_range(-2..=2),
-    };
-    let base = (0..n).map(|_| coord(&mut rng)).collect();
-    let frames = (0..rng.gen_range(1..=6usize))
-        .map(|_| FrameOps {
-            drop: (0..rng.gen_range(0..=6usize))
-                .map(|_| rng.gen_range(0..4096usize))
-                .collect(),
-            add: (0..rng.gen_range(0..=6usize))
-                .map(|_| coord(&mut rng))
-                .collect(),
-        })
-        .collect();
-    StreamScenario {
-        seed,
-        base,
-        frames,
-        churn_threshold: [0.0f32, 0.15, 0.35, 0.7, 1.2][rng.gen_range(0..5usize)],
-        kernel_size: [1, 3][rng.gen_range(0..2usize)],
-        split_count: rng.gen_range(1..=3),
-    }
-}
+impl Tier for StreamScenario {
+    type Mismatch = StreamMismatch;
+    const NAME: &'static str = "stream";
+    const REPRO_PREFIX: &'static str = "repro-stream-seed-";
+    const MARKER: Option<&'static str> = Some("frames");
+    /// Each evaluation replays the whole frame sequence, with structural
+    /// checks only: cheap next to the differential matrix.
+    const SHRINK_BUDGET: usize = 400;
 
-/// Runs `iters` seeded stream scenarios starting at `seed`; stops at
-/// (and shrinks) the first failure.
-pub fn fuzz_stream(seed: u64, iters: usize) -> StreamFuzzReport {
-    for i in 0..iters {
-        let scenario = generate_stream_scenario(seed.wrapping_add(i as u64));
-        let mismatches = run_stream_scenario(&scenario);
-        if !mismatches.is_empty() {
-            let (scenario, mismatches) = shrink_stream(&scenario, mismatches);
-            return StreamFuzzReport {
-                iterations: i + 1,
-                counterexample: Some(StreamCounterexample {
-                    scenario,
-                    mismatches,
-                }),
-            };
+    /// A small cloud plus 1–6 frame deltas at a randomly drawn churn
+    /// threshold (including the degenerate 0.0 always-rebuild and >1.0
+    /// always-patch corners).
+    fn generate(seed: u64) -> Self {
+        let mut rng = rng_from_seed(seed ^ 0x57_0EA4);
+        let n: usize = rng.gen_range(4..=40);
+        let batches: i32 = rng.gen_range(1..=2);
+        let coord = |rng: &mut rand_chacha::ChaCha8Rng| ReproCoord {
+            b: rng.gen_range(0..batches),
+            x: rng.gen_range(-6..=6),
+            y: rng.gen_range(-6..=6),
+            z: rng.gen_range(-2..=2),
+        };
+        let base = (0..n).map(|_| coord(&mut rng)).collect();
+        let frames = (0..rng.gen_range(1..=6usize))
+            .map(|_| FrameOps {
+                drop: (0..rng.gen_range(0..=6usize))
+                    .map(|_| rng.gen_range(0..4096usize))
+                    .collect(),
+                add: (0..rng.gen_range(0..=6usize))
+                    .map(|_| coord(&mut rng))
+                    .collect(),
+            })
+            .collect();
+        StreamScenario {
+            seed,
+            base,
+            frames,
+            churn_threshold: [0.0f32, 0.15, 0.35, 0.7, 1.2][rng.gen_range(0..5usize)],
+            kernel_size: [1, 3][rng.gen_range(0..2usize)],
+            split_count: rng.gen_range(1..=3),
         }
     }
-    StreamFuzzReport {
-        iterations: iters,
-        counterexample: None,
-    }
-}
 
-/// Shrinks a failing stream scenario to a local minimum. Frames first —
-/// the point of the mode is a *minimal frame sequence* — then base
-/// points, then the ops inside the surviving frames.
-pub fn shrink_stream(
-    scenario: &StreamScenario,
-    mismatches: Vec<StreamMismatch>,
-) -> (StreamScenario, Vec<StreamMismatch>) {
-    let mut best = scenario.clone();
-    let mut best_mismatches = mismatches;
-    let mut evals = 0usize;
-
-    let attempt = |cand: StreamScenario,
-                   best: &mut StreamScenario,
-                   best_mismatches: &mut Vec<StreamMismatch>,
-                   evals: &mut usize|
-     -> bool {
-        if *evals >= SHRINK_BUDGET {
-            return false;
-        }
-        *evals += 1;
-        let m = run_stream_scenario(&cand);
-        if m.is_empty() {
-            return false;
-        }
-        *best = cand;
-        *best_mismatches = m;
-        true
-    };
-
-    // Truncate to the first failing frame: everything after it is noise.
-    let first_bad = best_mismatches.iter().map(|m| m.frame).min().unwrap_or(0);
-    if first_bad < best.frames.len() {
-        let mut cand = best.clone();
-        cand.frames.truncate(first_bad.max(1));
-        attempt(cand, &mut best, &mut best_mismatches, &mut evals);
+    fn seed(&self) -> u64 {
+        self.seed
     }
 
-    let mut progress = true;
-    while progress && evals < SHRINK_BUDGET {
-        progress = false;
+    fn run(&self) -> Vec<StreamMismatch> {
+        run_stream_scenario(self)
+    }
 
-        // Drop whole frames.
-        let mut i = 0;
-        while i < best.frames.len() && best.frames.len() > 1 && evals < SHRINK_BUDGET {
-            let mut cand = best.clone();
-            cand.frames.remove(i);
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            } else {
-                i += 1;
-            }
-        }
+    fn describe(&self) -> String {
+        format!(
+            "{} base point(s), {} frame(s), threshold {}, kernel {}",
+            self.base.len(),
+            self.frames.len(),
+            self.churn_threshold,
+            self.kernel_size
+        )
+    }
 
-        // Halve, then singly drop, base points.
-        while best.base.len() > 1 && evals < SHRINK_BUDGET {
-            let half = best.base.len() / 2;
-            let front = StreamScenario {
-                base: best.base[..half].to_vec(),
-                ..best.clone()
-            };
-            let back = StreamScenario {
-                base: best.base[half..].to_vec(),
-                ..best.clone()
-            };
-            if attempt(front, &mut best, &mut best_mismatches, &mut evals)
-                || attempt(back, &mut best, &mut best_mismatches, &mut evals)
-            {
-                progress = true;
-            } else {
-                break;
-            }
-        }
-        let mut i = 0;
-        while i < best.base.len() && best.base.len() > 1 && evals < SHRINK_BUDGET {
-            let mut cand = best.clone();
-            cand.base.remove(i);
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            } else {
-                i += 1;
-            }
-        }
-
-        // Thin out each surviving frame's ops.
-        for f in 0..best.frames.len() {
-            let mut op = 0;
-            while op < best.frames[f].drop.len() && evals < SHRINK_BUDGET {
-                let mut cand = best.clone();
-                cand.frames[f].drop.remove(op);
-                if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                    progress = true;
-                } else {
-                    op += 1;
-                }
-            }
-            let mut op = 0;
-            while op < best.frames[f].add.len() && evals < SHRINK_BUDGET {
-                let mut cand = best.clone();
-                cand.frames[f].add.remove(op);
-                if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                    progress = true;
-                } else {
-                    op += 1;
-                }
-            }
-        }
-
-        // Simplify the plan.
-        if best.split_count > 1 && evals < SHRINK_BUDGET {
-            let mut cand = best.clone();
-            cand.split_count = 1;
-            if attempt(cand, &mut best, &mut best_mismatches, &mut evals) {
-                progress = true;
-            }
+    /// Truncates to the first failing frame: everything after it is
+    /// noise.
+    fn shrink_start(s: &mut Shrinker<Self>) {
+        let first_bad = s.mismatches().iter().map(|m| m.frame).min().unwrap_or(0);
+        if first_bad < s.best().frames.len() {
+            let mut cand = s.best().clone();
+            cand.frames.truncate(first_bad.max(1));
+            s.attempt(cand);
         }
     }
-    (best, best_mismatches)
-}
 
-/// Writes a stream counterexample as pretty JSON under `dir`, named by
-/// its seed. Returns the written path.
-pub fn write_stream_repro(dir: &Path, ce: &StreamCounterexample) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("repro-stream-seed-{}.json", ce.scenario.seed));
-    let json = serde_json::to_string_pretty(ce)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    fs::write(&path, json)?;
-    Ok(path)
+    /// Frames first — the point of the tier is a *minimal frame
+    /// sequence* — then base points, then the ops inside the surviving
+    /// frames, then the plan.
+    fn shrink_round(s: &mut Shrinker<Self>) -> bool {
+        let mut adopted = s.drop_each(1, |t| &mut t.frames);
+        adopted |= s.halve_then_drop(|t| &mut t.base);
+        for f in 0..s.best().frames.len() {
+            adopted |= s.drop_each(0, |t| &mut t.frames[f].drop);
+            adopted |= s.drop_each(0, |t| &mut t.frames[f].add);
+        }
+        adopted | s.edit(|t| t.split_count = t.split_count.min(1))
+    }
 }
 
 #[cfg(test)]
@@ -397,9 +265,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_and_well_formed() {
-        assert_eq!(generate_stream_scenario(9), generate_stream_scenario(9));
+        assert_eq!(StreamScenario::generate(9), StreamScenario::generate(9));
         for seed in 0..20 {
-            let s = generate_stream_scenario(seed);
+            let s = StreamScenario::generate(seed);
             assert!(!s.base.is_empty());
             assert!(!s.frames.is_empty());
             assert!(s.kernel_size % 2 == 1);
@@ -409,27 +277,13 @@ mod tests {
 
     #[test]
     fn clean_incremental_maps_survive_a_fuzz_burst() {
-        let report = fuzz_stream(0xFEED, 24);
+        let report = crate::fuzz::<StreamScenario>(0xFEED, 24);
         assert_eq!(report.iterations, 24);
         assert!(
             report.counterexample.is_none(),
             "unexpected counterexample: {:#?}",
             report.counterexample
         );
-    }
-
-    #[test]
-    fn stream_counterexample_json_round_trip() {
-        let ce = StreamCounterexample {
-            scenario: generate_stream_scenario(3),
-            mismatches: vec![StreamMismatch {
-                frame: 2,
-                detail: "x".into(),
-            }],
-        };
-        let json = serde_json::to_string_pretty(&ce).expect("serializes");
-        let back: StreamCounterexample = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(ce, back);
     }
 
     #[test]
@@ -446,7 +300,7 @@ mod tests {
             frame: 1,
             detail: "planted".into(),
         }];
-        let (shrunk, kept) = shrink_stream(&s, fake.clone());
+        let (shrunk, kept) = crate::shrink(&s, fake.clone());
         assert_eq!(shrunk, s);
         assert_eq!(kept, fake);
     }

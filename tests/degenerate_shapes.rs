@@ -123,11 +123,4 @@ fn engine_rejects_empty_and_duplicate_inputs_with_typed_errors() {
             unique: 1
         })
     ));
-    // The duplicate is also what the verify invariant checker reports.
-    let violations = ts_verify::check_sparse_tensor(&dup);
-    assert_eq!(violations.len(), 1);
-    assert!(matches!(
-        violations[0],
-        ts_verify::Violation::DuplicateCoord { count: 2, .. }
-    ));
 }

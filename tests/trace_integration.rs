@@ -10,11 +10,15 @@ use serde_json::Value;
 use torchsparse::autotune::{tune_inference, TunerOptions};
 use torchsparse::core::{Engine, NetworkBuilder, Session, SparseTensor};
 use torchsparse::dataflow::ExecCtx;
+use torchsparse::fleet::{
+    frame_bank, heterogeneous_specs, FleetSim, KillEvent, RouterConfig, SimConfig,
+};
 use torchsparse::gpusim::Device;
 use torchsparse::kernelmap::{unique_coords, Coord};
 use torchsparse::serve::{ServeConfig, Server};
 use torchsparse::tensor::{rng_from_seed, uniform_matrix, Precision};
 use torchsparse::trace::{uninstall, Subsystem, Tracer};
+use torchsparse::workloads::{ArrivalConfig, ArrivalTrace};
 
 fn frame(seed: u64) -> SparseTensor {
     let coords: Vec<Coord> = (0..40)
@@ -148,4 +152,60 @@ fn one_tracer_observes_all_five_subsystems() {
     assert!(tracer.counter("core.prepare_cache.miss") > 0);
     assert!(tracer.counter("serve.requests.completed") == 2);
     assert!(tracer.counter("kernelgen.kernels.generated") > 0);
+}
+
+#[test]
+fn a_traced_fleet_sim_splits_every_routed_request_by_placement() {
+    let mut b = NetworkBuilder::new("trace-fleet", 4);
+    let c = b.conv_block("stem", NetworkBuilder::INPUT, 8, 3, 1);
+    let _ = b.conv("head", c, 2, 1, 1);
+    let net = b.build();
+    let specs = heterogeneous_specs(3, Precision::Fp16, &net, &ServeConfig::default());
+    let trace = ArrivalTrace::generate(
+        ArrivalConfig {
+            streams: 6,
+            rate_per_s: 200_000.0,
+            count: 36,
+        },
+        9,
+    );
+    let frames = frame_bank(
+        6,
+        trace.frames_per_stream().into_iter().max().unwrap_or(0),
+        0.15,
+        5,
+    );
+    // A tight spill bound makes the burst spill; a mid-trace kill makes
+    // its streams re-hash to new homes.
+    let router = RouterConfig {
+        spill_wait_us: 200.0,
+        ..RouterConfig::default()
+    };
+    let cfg = SimConfig {
+        kills: vec![KillEvent {
+            node: 0,
+            at_us: trace.arrivals[18].at_us,
+            restart_at_us: None,
+        }],
+        ..SimConfig::default()
+    };
+
+    let tracer = Tracer::new();
+    tracer.install();
+    let report =
+        FleetSim::new(&net, &net.init_weights(1), &specs, router, cfg).run(&trace, &frames);
+    uninstall();
+
+    let c = report.counters;
+    let counter = |name: &str| u64::try_from(tracer.counter(name)).expect("counters only grow");
+    assert_eq!(counter("fleet.requests.routed"), c.routed);
+    assert_eq!(counter("fleet.requests.affinity"), c.affinity);
+    assert_eq!(counter("fleet.requests.hashed"), c.hashed);
+    assert_eq!(counter("fleet.requests.spilled"), c.spilled);
+    assert_eq!(c.affinity + c.hashed + c.spilled, c.routed);
+    assert_eq!(c.routed, 36);
+    assert!(
+        c.affinity > 0 && c.hashed > 0 && c.spilled > 0,
+        "every placement arm fires: {c:?}"
+    );
 }

@@ -1,9 +1,10 @@
 //! Replays the checked-in differential corpus under `tests/repros/`.
 //!
-//! Every file there is a [`ts_verify::Counterexample`]: either a seed
-//! conformance scenario or a shrunken repro of a since-fixed bug. Both
-//! must replay clean — a failure here means a dataflow regressed on a
-//! case the harness has already seen.
+//! Every file there is a [`ts_verify::Counterexample`] of one tier
+//! (kernel, stream or train): either a seed conformance scenario or a
+//! shrunken repro of a since-fixed bug. All must replay clean — a
+//! failure here means the code under test regressed on a case the
+//! harness has already seen.
 
 use std::path::PathBuf;
 
@@ -20,10 +21,9 @@ fn corpus_replays_clean() {
     for r in &results {
         assert!(
             r.passed(),
-            "{} regressed:\nviolations: {:#?}\nmismatches: {:#?}",
+            "{} regressed:\n{:#?}",
             r.path.display(),
-            r.violations,
-            r.mismatches
+            r.failures
         );
     }
 }
