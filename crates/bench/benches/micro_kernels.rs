@@ -27,7 +27,11 @@ fn bench_hash(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0u32;
             for co in &coords {
-                if table.get(co.offset((1, 0, 0)).key()).is_some() {
+                if co
+                    .offset_key((1, 0, 0))
+                    .and_then(|k| table.get(k))
+                    .is_some()
+                {
                     hits += 1;
                 }
             }

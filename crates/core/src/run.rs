@@ -131,7 +131,7 @@ pub(crate) fn forward(
         let y = match node.op {
             Op::Input => unreachable!(),
             Op::Conv(_) => {
-                let (map, _, group) = session.conv_maps(i).expect("conv node has a compiled map");
+                let (map, group) = session.conv_map(i).expect("conv node has a compiled map");
                 let w = weights.convs[i].as_ref().expect("conv weights initialised");
                 let cfg = cfgs.for_group(group);
                 let plan = session.conv_plan(i, false, &cfg, ctx);

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
@@ -158,16 +158,16 @@ pub struct GroupSignature {
     pub effective_macs: u64,
 }
 
-/// One layer group: its shared map (built once) and instrumentation.
+/// One layer group: its shared map (built once), its transpose (built
+/// when first read) and instrumentation.
 #[derive(Debug, Clone)]
 pub struct GroupInfo {
     /// Group identity.
     pub key: GroupKey,
     /// The shared kernel map, oriented fine -> coarse.
     pub map: Arc<KernelMap>,
-    /// Transposed map, built with the group: transposed-conv layers
-    /// and dgrad passes walk it.
-    pub map_t: Arc<KernelMap>,
+    /// The transpose of `map`, once [`GroupInfo::map_t`] has built it.
+    map_t: OnceLock<Arc<KernelMap>>,
     /// Hash build/query statistics of the base map construction.
     pub build_stats: MapStats,
     /// Number of conv layers in this group.
@@ -175,10 +175,40 @@ pub struct GroupInfo {
 }
 
 impl GroupInfo {
+    fn new(key: GroupKey, map: Arc<KernelMap>, build_stats: MapStats, layer_count: usize) -> Self {
+        Self {
+            key,
+            map,
+            map_t: OnceLock::new(),
+            build_stats,
+            layer_count,
+        }
+    }
+
+    /// The transposed map, coarse -> fine. Transposed-conv layers, dgrad
+    /// and training pricing walk it, so an inference session builds it
+    /// only for groups with a transposed-conv layer: it is built on the
+    /// first call (and checked then, in debug builds) and kept.
+    pub fn map_t(&self) -> &Arc<KernelMap> {
+        self.map_t.get_or_init(|| {
+            let map_t = self.map.transposed();
+            #[cfg(debug_assertions)]
+            {
+                let violations = ts_kernelmap::check_map(&map_t);
+                debug_assert!(
+                    violations.is_empty(),
+                    "group {:?} map_t violates kernel-map invariants: {violations:?}",
+                    self.key
+                );
+            }
+            Arc::new(map_t)
+        })
+    }
+
     /// The map in one orientation: fine -> coarse, or transposed.
     fn oriented(&self, transposed: bool) -> &Arc<KernelMap> {
         if transposed {
-            &self.map_t
+            self.map_t()
         } else {
             &self.map
         }
@@ -525,8 +555,10 @@ impl Session {
     }
 
     /// The session over the rows of batch indices `batches` alone: every
-    /// node keeps those rows in order, and each group's `map` and `map_t`
-    /// keep the pairs between kept rows, in order, re-indexed. Sparse
+    /// node keeps those rows in order, and each group's `map` keeps the
+    /// pairs between kept rows, in order, re-indexed (its transpose, when
+    /// read, is that map's, which has the same pairs in the same order
+    /// as the selected full transpose). Sparse
     /// convolution never pairs two batch indices, so walking the result
     /// gives the kept rows exactly what walking `self` gives them; the
     /// other rows are not walked at all.
@@ -568,12 +600,8 @@ impl Session {
             .zip(ends)
             .map(|(g, ends)| {
                 let (fine, coarse) = ends.expect("every group has a conv layer");
-                let (fine, coarse) = (&lists[fine], &lists[coarse]);
-                GroupInfo {
-                    map: Arc::new(select_pairs(&g.map, fine, coarse)),
-                    map_t: Arc::new(select_pairs(&g.map_t, coarse, fine)),
-                    ..g.clone()
-                }
+                let map = select_pairs(&g.map, &lists[fine], &lists[coarse]);
+                GroupInfo::new(g.key, Arc::new(map), g.build_stats, g.layer_count)
             })
             .collect();
         Session {
@@ -665,22 +693,20 @@ impl Session {
             .count()
     }
 
-    /// Checks every group's kernel maps against their structural
+    /// Checks every group's kernel map against its structural
     /// invariants. Cheap relative to map construction but quadratic-ish
     /// on the dense views, so debug builds only — release trusts map
-    /// construction.
+    /// construction. A transpose is checked when [`GroupInfo::map_t`]
+    /// builds it.
     pub(crate) fn debug_check_maps(&self) {
         #[cfg(debug_assertions)]
         for group in &self.groups {
-            for (label, map) in [("map", &group.map), ("map_t", &group.map_t)] {
-                let violations = ts_kernelmap::check_map(map);
-                debug_assert!(
-                    violations.is_empty(),
-                    "group {:?} {label} violates kernel-map invariants: {:?}",
-                    group.key,
-                    violations
-                );
-            }
+            let violations = ts_kernelmap::check_map(&group.map);
+            debug_assert!(
+                violations.is_empty(),
+                "group {:?} map violates kernel-map invariants: {violations:?}",
+                group.key
+            );
         }
     }
 
@@ -692,8 +718,19 @@ impl Session {
         })
     }
 
+    /// A conv node's map in the orientation its layer walks, and its
+    /// group: the group map, or for a transposed conv its transpose.
+    pub(crate) fn conv_map(&self, node: usize) -> Option<(Arc<KernelMap>, usize)> {
+        let c = self.conv_layer(node)?;
+        let map = self.groups[c.group].oriented(c.transposed);
+        Some((Arc::clone(map), c.group))
+    }
+
     /// Both orientations of a conv node's map: `(layer_map, grad_map,
-    /// group)`, where `grad_map` is the transpose used by dgrad.
+    /// group)`, where `grad_map` is the one dgrad walks. The group's
+    /// transpose is one of the two, so the first call builds it
+    /// ([`GroupInfo::map_t`]); the program's forward walk asks for
+    /// its layer's orientation alone.
     pub fn conv_maps(&self, node: usize) -> Option<(Arc<KernelMap>, Arc<KernelMap>, usize)> {
         let c = self.conv_layer(node)?;
         let g = &self.groups[c.group];
@@ -1127,9 +1164,9 @@ fn group_key_for(spec: &ConvSpec, in_stride: i32) -> (GroupKey, bool) {
     }
 }
 
-/// Builds a layer group's maps. A strided group also leaves its coarse
-/// coordinates in `stride_cache` at its high stride, unless a list is
-/// already there.
+/// Builds a layer group's map; its transpose waits for its first read.
+/// A strided group also leaves its coarse coordinates in `stride_cache`
+/// at its high stride, unless a list is already there.
 fn build_group(
     key: GroupKey,
     spec: &ConvSpec,
@@ -1149,26 +1186,11 @@ fn build_group(
                     in_coords.len(),
                     "reused submanifold map must cover the input coordinates"
                 );
-                let map_t = Arc::new(r.map.transposed());
-                return Some(GroupInfo {
-                    key,
-                    map: Arc::clone(&r.map),
-                    map_t,
-                    build_stats: r.stats,
-                    layer_count: 0,
-                });
+                return Some(GroupInfo::new(key, Arc::clone(&r.map), r.stats, 0));
             }
         }
         let (map, stats) = build_submanifold_map_with_stats(in_coords, &offsets);
-        let map = Arc::new(map);
-        let map_t = Arc::new(map.transposed());
-        Some(GroupInfo {
-            key,
-            map,
-            map_t,
-            build_stats: stats,
-            layer_count: 0,
-        })
+        Some(GroupInfo::new(key, Arc::new(map), stats, 0))
     } else {
         // Strided: always build fine -> coarse. For a transposed first
         // use, the fine coords come from the stride cache.
@@ -1182,15 +1204,7 @@ fn build_group(
         stride_cache
             .entry(key.hi_stride)
             .or_insert_with(|| Arc::new(coarse));
-        let map = Arc::new(map);
-        let map_t = Arc::new(map.transposed());
-        Some(GroupInfo {
-            key,
-            map,
-            map_t,
-            build_stats: stats,
-            layer_count: 0,
-        })
+        Some(GroupInfo::new(key, Arc::new(map), stats, 0))
     }
 }
 
@@ -1554,6 +1568,40 @@ mod tests {
                 assert_eq!(prices(&reused), prices(&fresh), "{cfg} under {label}");
             }
         }
+    }
+
+    impl GroupInfo {
+        fn holds_transpose(&self) -> bool {
+            self.map_t.get().is_some()
+        }
+    }
+
+    /// Compiling builds no transpose; inference pricing builds those of
+    /// the groups with a transposed-conv layer, training pricing every
+    /// group's.
+    #[test]
+    fn transposes_are_built_when_first_read() {
+        let held = |s: &Session| -> Vec<bool> {
+            s.groups().iter().map(GroupInfo::holds_transpose).collect()
+        };
+        let c = ctx();
+        let inference = GroupConfigs::uniform(DataflowConfig::implicit_gemm(1));
+        let s = Session::try_new(&unet(), &grid_coords(12)).unwrap();
+        assert_eq!(held(&s), vec![false; s.groups().len()]);
+        s.simulate_inference(&inference, &c);
+        assert_eq!(held(&s), s.group_used_transposed);
+        assert!(s.group_used_transposed.contains(&false));
+        assert!(s.group_used_transposed.contains(&true));
+        s.simulate_training(&TrainConfigs::bound(DataflowConfig::implicit_gemm(1)), &c);
+        assert_eq!(held(&s), vec![true; s.groups().len()]);
+
+        let mut b = NetworkBuilder::new("encoder", 4);
+        let c1 = b.conv_block("enc1", NetworkBuilder::INPUT, 8, 3, 1);
+        let d1 = b.conv_block("down1", c1, 16, 2, 2);
+        let _ = b.conv_block("enc2", d1, 16, 3, 1);
+        let s = Session::try_new(&b.build(), &grid_coords(12)).unwrap();
+        s.simulate_inference(&inference, &c);
+        assert_eq!(held(&s), vec![false; s.groups().len()]);
     }
 
     #[test]

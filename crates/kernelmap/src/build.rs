@@ -1,16 +1,36 @@
 //! Kernel-map builders for submanifold and strided sparse convolution.
+//!
+//! Every builder fills the output-stationary neighbor matrix and hands
+//! it to [`KernelMap::from_neighbors`], which derives the bitmasks and
+//! the per-offset pair lists in output order. Each builder asks the
+//! coordinate table only what it cannot know otherwise:
+//!
+//! * a submanifold map over an odd kernel and duplicate-free coordinates
+//!   queries only the offsets below the center. `(p, q) ∈ M_δ ⟺ (q, p)
+//!   ∈ M_{-δ}`, so each hit also fills the mirrored slot of its
+//!   neighbor's row, and the center pairs every point with itself;
+//! * a strided map scatters from the fine side: one hash pass finds the
+//!   coarse outputs and each fine voxel's floor output, and each fine
+//!   voxel then feeds every output whose window holds it, querying the
+//!   coarse table only for outputs other than its floor one.
+//!
+//! [`MapStats`] describes the mapping of the *simulated* GPU, which
+//! queries every offset of every output, so it is the same whichever
+//! path built the map.
 
 use serde::{Deserialize, Serialize};
 
 use crate::{Coord, CoordHashMap, KernelMap, KernelOffsets};
 
-/// Instrumentation gathered while building a map, used by the layer
-/// runner to price mapping kernels on the simulated GPU.
+/// Instrumentation of a map build, used by the layer runner to price
+/// mapping kernels on the simulated GPU. It counts the work of the
+/// GPU's builder (one query per offset per output), not the host's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MapStats {
     /// Number of hash-table insertions performed.
     pub inserts: u64,
-    /// Number of hash-table queries performed.
+    /// Number of hash-table queries performed: `n_out · K³` for a full
+    /// build.
     pub queries: u64,
     /// Number of (input, output) pairs produced.
     pub pairs: u64,
@@ -21,6 +41,12 @@ pub struct MapStats {
 /// This is the `unique` step applied after coordinate quantization
 /// (Section 2 of the paper).
 pub fn unique_coords(coords: &[Coord]) -> Vec<Coord> {
+    unique_with_table(coords).0
+}
+
+/// [`unique_coords`] plus the table it fills, which maps each key to its
+/// index in the unique list.
+pub(crate) fn unique_with_table(coords: &[Coord]) -> (Vec<Coord>, CoordHashMap) {
     let mut table = CoordHashMap::with_capacity(coords.len());
     let mut out = Vec::new();
     for &c in coords {
@@ -28,15 +54,49 @@ pub fn unique_coords(coords: &[Coord]) -> Vec<Coord> {
             out.push(c);
         }
     }
-    out
+    (out, table)
 }
 
 /// Downsamples coordinates by `stride` (floor division) and deduplicates.
 ///
 /// Produces the output coordinate set of a strided sparse convolution.
 pub fn downsample_coords(coords: &[Coord], stride: i32) -> Vec<Coord> {
-    let scaled: Vec<Coord> = coords.iter().map(|c| c.downsample(stride)).collect();
-    unique_coords(&scaled)
+    Downsample::new(coords, stride).coarse
+}
+
+/// One hash pass over fine coordinates at a stride.
+struct Downsample {
+    /// The distinct floor-divided coordinates, in first-occurrence order.
+    coarse: Vec<Coord>,
+    /// Each coarse coordinate's key to its index in `coarse`.
+    table: CoordHashMap,
+    /// Each fine coordinate's floor output: its index in `coarse`.
+    floor: Vec<u32>,
+}
+
+impl Downsample {
+    fn new(coords: &[Coord], stride: i32) -> Self {
+        let mut table = CoordHashMap::with_capacity(coords.len());
+        let mut coarse = Vec::new();
+        let floor = coords
+            .iter()
+            .map(|c| {
+                let d = c.downsample(stride);
+                match table.insert(d.key(), coarse.len() as i32) {
+                    Some(o) => o as u32,
+                    None => {
+                        coarse.push(d);
+                        (coarse.len() - 1) as u32
+                    }
+                }
+            })
+            .collect();
+        Self {
+            coarse,
+            table,
+            floor,
+        }
+    }
 }
 
 /// Builds the kernel map of a *submanifold* convolution: outputs sit at
@@ -62,25 +122,52 @@ pub fn build_submanifold_map_with_stats(
     coords: &[Coord],
     offsets: &KernelOffsets,
 ) -> (KernelMap, MapStats) {
-    let table = CoordHashMap::build(coords);
-    let mut pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); offsets.volume()];
-    let mut stats = MapStats {
-        inserts: coords.len() as u64,
-        ..MapStats::default()
-    };
-    for (out_idx, &q) in coords.iter().enumerate() {
-        for (k, &delta) in offsets.deltas().iter().enumerate() {
-            stats.queries += 1;
-            if let Some(in_idx) = table.get(q.offset(delta).key()) {
-                pairs[k].push((in_idx as u32, out_idx as u32));
+    submanifold_with_table(coords, &CoordHashMap::build(coords), offsets)
+}
+
+/// The submanifold builder over `table`, which maps each key of
+/// `coords` to its first index there.
+pub(crate) fn submanifold_with_table(
+    coords: &[Coord],
+    table: &CoordHashMap,
+    offsets: &KernelOffsets,
+) -> (KernelMap, MapStats) {
+    let (n, kvol) = (coords.len(), offsets.volume());
+    let deltas = offsets.deltas();
+    let mut neighbors = vec![-1i32; n * kvol];
+    let query =
+        |q: Coord, delta: (i32, i32, i32)| q.offset_key(delta).and_then(|key| table.get(key));
+    if offsets.kernel_size() % 2 == 1 && table.len() == n {
+        // Odd kernel, no duplicates: the offsets below the center find
+        // every pair once, from one end or the other.
+        let center = offsets.center().expect("an odd kernel has a center");
+        for (o, &q) in coords.iter().enumerate() {
+            neighbors[o * kvol + center] = o as i32;
+            for (k, &delta) in deltas[..center].iter().enumerate() {
+                if let Some(i) = query(q, delta) {
+                    neighbors[o * kvol + k] = i;
+                    neighbors[i as usize * kvol + offsets.mirror(k)] = o as i32;
+                }
+            }
+        }
+    } else {
+        // Even kernels and duplicated coordinates (whose table answers
+        // the first copy only) ask every offset of every output.
+        for (row, &q) in neighbors.chunks_exact_mut(kvol).zip(coords) {
+            for (slot, &delta) in row.iter_mut().zip(deltas) {
+                if let Some(i) = query(q, delta) {
+                    *slot = i;
+                }
             }
         }
     }
-    stats.pairs = pairs.iter().map(|p| p.len() as u64).sum();
-    (
-        KernelMap::from_pairs(coords.len(), coords.len(), pairs),
-        stats,
-    )
+    let map = KernelMap::from_neighbors(n, kvol, neighbors);
+    let stats = MapStats {
+        inserts: n as u64,
+        queries: (n * kvol) as u64,
+        pairs: map.total_pairs(),
+    };
+    (map, stats)
 }
 
 /// Builds the kernel map of a *strided* convolution: outputs are the
@@ -98,30 +185,65 @@ pub fn build_strided_map(
 }
 
 /// [`build_strided_map`] plus mapping-cost instrumentation.
+///
+/// Each fine voxel `p` feeds output `q` at offset `d = p - s*q` for every
+/// `d` in the kernel range. On one axis, with `r = p mod s` and floor
+/// output `f`, those are the `d = r + m*s` in range, feeding `q = f - m`.
+/// The floor output (`m = 0` on every axis) is known from the
+/// downsample pass; any other costs one query of the coarse table. When
+/// duplicated fine voxels claim the same slot, the first one keeps it.
 pub fn build_strided_map_with_stats(
     coords: &[Coord],
     offsets: &KernelOffsets,
     stride: i32,
 ) -> (KernelMap, Vec<Coord>, MapStats) {
-    let out_coords = downsample_coords(coords, stride);
-    let in_table = CoordHashMap::build(coords);
-    let mut pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); offsets.volume()];
-    let mut stats = MapStats {
-        inserts: (coords.len() + out_coords.len()) as u64,
-        ..MapStats::default()
-    };
-    for (out_idx, &q) in out_coords.iter().enumerate() {
-        let base = q.upscale(stride);
-        for (k, &delta) in offsets.deltas().iter().enumerate() {
-            stats.queries += 1;
-            if let Some(in_idx) = in_table.get(base.offset(delta).key()) {
-                pairs[k].push((in_idx as u32, out_idx as u32));
+    let Downsample {
+        coarse,
+        table,
+        floor,
+    } = Downsample::new(coords, stride);
+    let kvol = offsets.volume();
+    let ks = offsets.kernel_size() as usize;
+    let lo = offsets.delta(0).0;
+    // Per remainder r: each in-range window position d as (axis index
+    // d - lo, output shift -m).
+    let axis: Vec<Vec<(usize, i32)>> = (0..stride)
+        .map(|r| {
+            (lo..lo + ks as i32)
+                .filter(|d| (d - r).rem_euclid(stride) == 0)
+                .map(|d| ((d - lo) as usize, (r - d) / stride))
+                .collect()
+        })
+        .collect();
+    let r = |v: i32| v.rem_euclid(stride) as usize;
+    let mut neighbors = vec![-1i32; coarse.len() * kvol];
+    for (i, (&p, &f)) in coords.iter().zip(&floor).enumerate() {
+        let base = coarse[f as usize];
+        for &(ix, ex) in &axis[r(p.x)] {
+            for &(iy, ey) in &axis[r(p.y)] {
+                for &(iz, ez) in &axis[r(p.z)] {
+                    let out = if (ex, ey, ez) == (0, 0, 0) {
+                        Some(f as i32)
+                    } else {
+                        base.offset_key((ex, ey, ez)).and_then(|key| table.get(key))
+                    };
+                    if let Some(o) = out {
+                        let slot = &mut neighbors[o as usize * kvol + (ix * ks + iy) * ks + iz];
+                        if *slot < 0 {
+                            *slot = i as i32;
+                        }
+                    }
+                }
             }
         }
     }
-    stats.pairs = pairs.iter().map(|p| p.len() as u64).sum();
-    let map = KernelMap::from_pairs(coords.len(), out_coords.len(), pairs);
-    (map, out_coords, stats)
+    let map = KernelMap::from_neighbors(coords.len(), kvol, neighbors);
+    let stats = MapStats {
+        inserts: (coords.len() + coarse.len()) as u64,
+        queries: (coarse.len() * kvol) as u64,
+        pairs: map.total_pairs(),
+    };
+    (map, coarse, stats)
 }
 
 #[cfg(test)]
@@ -231,6 +353,20 @@ mod tests {
         let coords = vec![Coord::new(0, 0, 0, 0), Coord::new(1, 1, 0, 0)];
         let map = build_submanifold_map(&coords, &KernelOffsets::cube(3));
         assert_eq!(map.total_pairs(), 2); // center offsets only
+    }
+
+    #[test]
+    fn neighbors_across_the_16_bit_edge_do_not_alias() {
+        // x = 32767 + 1 must not carry into the batch field and find the
+        // batch-1 point at x = -32768.
+        let coords = vec![Coord::new(0, 32767, 0, 0), Coord::new(1, -32768, 0, 0)];
+        for k in [2, 3] {
+            let offsets = KernelOffsets::cube(k);
+            let map = build_submanifold_map(&coords, &offsets);
+            let center = offsets.center().unwrap();
+            assert_eq!(map.total_pairs(), 2, "kernel {k}");
+            assert_eq!(map.pairs(center), &[(0, 0), (1, 1)]);
+        }
     }
 
     #[test]

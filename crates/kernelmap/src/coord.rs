@@ -69,6 +69,31 @@ impl Coord {
         }
     }
 
+    /// The key of the neighbour `self.offset(delta)`, or `None` when a
+    /// component of that neighbour leaves `[-32768, 32767]`: no
+    /// coordinate lives there, and its unchecked key would carry into
+    /// the next field and alias another coordinate. Every neighbour
+    /// query forms its key here.
+    ///
+    /// ```
+    /// use ts_kernelmap::Coord;
+    ///
+    /// let edge = Coord::new(0, 32767, 0, 0);
+    /// assert_eq!(edge.offset_key((-1, 0, 0)), Some(Coord::new(0, 32766, 0, 0).key()));
+    /// assert_eq!(edge.offset_key((1, 0, 0)), None);
+    /// ```
+    #[inline]
+    pub fn offset_key(self, (dx, dy, dz): (i32, i32, i32)) -> Option<u64> {
+        // A biased component outside [0, 2^16) wraps to a large u64.
+        let field = |v: i32, d: i32| (v as i64 + d as i64 + BIAS) as u64;
+        let (x, y, z) = (field(self.x, dx), field(self.y, dy), field(self.z, dz));
+        if (x | y | z) >= RANGE as u64 {
+            return None;
+        }
+        let b = (self.batch as i64 + BIAS) as u64;
+        Some((b << 48) | (x << 32) | (y << 16) | z)
+    }
+
     /// Translates the spatial components by `(dx, dy, dz)`.
     pub fn offset(self, (dx, dy, dz): (i32, i32, i32)) -> Self {
         Self {
@@ -147,6 +172,18 @@ mod tests {
         let c = Coord::new(0, 5, -5, 7);
         let back = c.downsample(2).upscale(2);
         assert_eq!(back, Coord::new(0, 4, -6, 6));
+    }
+
+    #[test]
+    fn offset_key_is_the_neighbour_key_inside_the_range_and_none_outside() {
+        for c in [Coord::new(2, 32767, -32768, 0), Coord::new(0, -5, 3, 12)] {
+            for d in [(1, 0, 0), (-1, 0, 0), (0, 1, -1), (0, -1, 1), (2, 2, 2)] {
+                let n = c.offset(d);
+                let inside = [n.x, n.y, n.z].iter().all(|v| (-32768..=32767).contains(v));
+                let want = inside.then(|| n.key());
+                assert_eq!(c.offset_key(d), want, "{c:?} + {d:?}");
+            }
+        }
     }
 
     #[test]

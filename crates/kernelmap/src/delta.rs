@@ -24,7 +24,7 @@
 
 use std::collections::HashSet;
 
-use crate::build::{build_submanifold_map_with_stats, MapStats};
+use crate::build::{submanifold_with_table, unique_with_table, MapStats};
 use crate::{check_map, Coord, CoordHashMap, KernelMap, KernelOffsets, SplitPlan};
 
 /// Policy knobs for [`IncrementalMap::update`].
@@ -116,10 +116,9 @@ impl IncrementalMap {
             "incremental maps require an odd (centered) kernel, got {}",
             offsets.kernel_size()
         );
-        let coords = crate::unique_coords(frame);
-        let (map, _) = build_submanifold_map_with_stats(&coords, &offsets);
+        let (coords, table) = unique_with_table(frame);
+        let (map, _) = submanifold_with_table(&coords, &table, &offsets);
         let plan = SplitPlan::from_split_count(&map, split_count);
-        let table = CoordHashMap::build(&coords);
         Self {
             coords,
             table,
@@ -204,10 +203,10 @@ impl IncrementalMap {
         };
 
         if churn > cfg.churn_threshold {
-            let coords = crate::unique_coords(frame);
-            let (map, build_stats) = build_submanifold_map_with_stats(&coords, &self.offsets);
+            let (coords, table) = unique_with_table(frame);
+            let (map, build_stats) = submanifold_with_table(&coords, &table, &self.offsets);
             self.plan = SplitPlan::from_split_count(&map, self.split_count);
-            self.table = CoordHashMap::build(&coords);
+            self.table = table;
             self.map = map;
             self.coords = coords;
             return outcome(MapUpdate::Rebuilt, build_stats);
@@ -229,24 +228,25 @@ impl IncrementalMap {
     /// Applies an (entered, exited) delta to the map, hash table and
     /// coordinate list.
     ///
-    /// All structural edits happen on the *neighbor table* and bitmasks
-    /// only — `O((entered + exited) · K³)` work — in three phases:
+    /// All structural edits happen on the *neighbor table* only —
+    /// `O((entered + exited) · K³)` work — in three phases:
     /// unlink every pair touching an exited coordinate (enumerated from
     /// its own neighbor row, no hash traffic), swap-fill the holes so
     /// surviving indices stay dense (re-pointing only the moved rows),
     /// then append the entered coordinates and discover their neighbors
-    /// with `K³` hash queries each. The per-offset pair lists are then
-    /// **regenerated** from the neighbor table in one linear pass:
-    /// every entry `neighbors[a·K³ + k] = i ≥ 0` is exactly the pair
-    /// `(i, a) ∈ M_k`, and walking outputs in ascending order
-    /// reproduces the from-scratch builder's pair order bit-for-bit.
+    /// with `K³` hash queries each. The map is then rebuilt from the
+    /// neighbor table by [`KernelMap::from_neighbors`], the call the
+    /// from-scratch builder ends with: every entry
+    /// `neighbors[a·K³ + k] = i ≥ 0` is exactly the pair `(i, a) ∈ M_k`,
+    /// so the result is bit-identical to
+    /// `build_submanifold_map(self.coords(), &self.offsets)`.
     /// Editing the sorted pair lists in place instead would cost an
     /// `O(n)` memmove per touched pair, which at realistic deltas is
     /// slower than a full rebuild.
     fn patch(&mut self, entered: &[Coord], exited_idx: &[usize], stats: &mut MapStats) {
         let kvol = self.offsets.volume();
         let n_old = self.coords.len();
-        let (pairs, neighbors, bitmasks) = self.map.parts_mut();
+        let mut neighbors = self.map.take_neighbors();
 
         let mut is_hole = vec![false; n_old];
         for &e in exited_idx {
@@ -270,7 +270,6 @@ impl IncrementalMap {
                 if j >= 0 && j as usize != e && !is_hole[j as usize] {
                     stats.pairs += 1;
                     neighbors[j as usize * kvol + k] = -1;
-                    bitmasks[j as usize] &= !(1u32 << k);
                 }
             }
             self.table.remove(self.coords[e].key());
@@ -296,10 +295,7 @@ impl IncrementalMap {
             self.coords[t] = moved;
             self.table.set(moved.key(), t as i32);
             stats.queries += 1;
-            for k in 0..kvol {
-                neighbors[t * kvol + k] = neighbors[f * kvol + k];
-            }
-            bitmasks[t] = bitmasks[f];
+            neighbors.copy_within(f * kvol..(f + 1) * kvol, t * kvol);
             for k in 0..kvol {
                 let m = self.offsets.mirror(k);
                 // Center self-pair: both endpoints move with the row.
@@ -315,13 +311,11 @@ impl IncrementalMap {
         }
         self.coords.truncate(n_sur);
         neighbors.truncate(n_sur * kvol);
-        bitmasks.truncate(n_sur);
 
         // Phase C — append entered coordinates and discover their
         // neighbors.
         let n_final = n_sur + entered.len();
         neighbors.resize(n_final * kvol, -1);
-        bitmasks.resize(n_final, 0);
         self.table.reserve(entered.len());
         for (off, &c) in entered.iter().enumerate() {
             self.table.insert(c.key(), (n_sur + off) as i32);
@@ -332,41 +326,22 @@ impl IncrementalMap {
             let q = self.coords[a];
             for (k, &delta) in self.offsets.deltas().iter().enumerate() {
                 stats.queries += 1;
-                let Some(i) = self.table.get(q.offset(delta).key()) else {
+                let Some(i) = q.offset_key(delta).and_then(|key| self.table.get(key)) else {
                     continue;
                 };
                 let iu = i as usize;
                 neighbors[a * kvol + k] = i;
-                bitmasks[a] |= 1 << k;
                 stats.pairs += 1;
                 // The mirrored pair (a, i): materialize it now only for
                 // survivors — entered neighbors discover it from their
                 // own row when their turn comes.
                 if iu < n_sur {
-                    let m = self.offsets.mirror(k);
-                    neighbors[iu * kvol + m] = a as i32;
-                    bitmasks[iu] |= 1 << m;
+                    neighbors[iu * kvol + self.offsets.mirror(k)] = a as i32;
                     stats.pairs += 1;
                 }
             }
         }
-
-        // Regenerate the pair lists from the patched neighbor table.
-        // Ascending-output order with the row's input is exactly what
-        // the from-scratch builder emits, so the result is bit-identical
-        // to `build_submanifold_map(self.coords(), &self.offsets)`.
-        for list in pairs.iter_mut() {
-            list.clear();
-        }
-        for a in 0..n_final {
-            let mut mask = bitmasks[a];
-            while mask != 0 {
-                let k = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                pairs[k].push((neighbors[a * kvol + k] as u32, a as u32));
-            }
-        }
-        self.map.set_point_count(n_final);
+        self.map = KernelMap::from_neighbors(n_final, kvol, neighbors);
     }
 }
 

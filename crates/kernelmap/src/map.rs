@@ -14,10 +14,10 @@ use serde::{Deserialize, Serialize};
 ///   (`-1` = no neighbor) plus a per-output bitmask, used by implicit
 ///   GEMM.
 ///
-/// Both are built eagerly from the same pair stream; the *cost* of
-/// building each on the simulated GPU is charged separately by the layer
-/// runner, which is what makes intra-group heterogeneous dataflows
-/// expensive exactly as the paper describes.
+/// Both are built eagerly, one from the other; the *cost* of building
+/// each on the simulated GPU is charged separately by the layer runner,
+/// which is what makes intra-group heterogeneous dataflows expensive
+/// exactly as the paper describes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelMap {
     n_in: usize,
@@ -41,10 +41,7 @@ impl KernelMap {
     /// [`KernelMap::from_relational_pairs`]).
     pub fn from_pairs(n_in: usize, n_out: usize, pairs: Vec<Vec<(u32, u32)>>) -> Self {
         let kvol = pairs.len();
-        assert!(
-            kvol <= 32,
-            "kernel volume {kvol} exceeds 32-bit bitmask capacity"
-        );
+        assert_bitmask_capacity(kvol);
         let mut neighbors = vec![-1i32; n_out * kvol];
         let mut bitmasks = vec![0u32; n_out];
         let mut multi_edges = false;
@@ -71,6 +68,76 @@ impl KernelMap {
             neighbors,
             bitmasks,
             multi_edges,
+            dense_repr: true,
+        }
+    }
+
+    /// Builds a map from its output-stationary neighbor matrix: row-major
+    /// `N_out x kvol` (so `N_out = neighbors.len() / kvol`), entry `-1`
+    /// for "no neighbor". The bitmasks and the per-offset pair lists are
+    /// derived from it, each list in ascending output order — the order
+    /// every builder emits — so a builder that fills the matrix never
+    /// collects pair lists of its own.
+    ///
+    /// ```
+    /// use ts_kernelmap::KernelMap;
+    ///
+    /// // Two outputs over two offsets; output 1 has no neighbor at offset 0.
+    /// let m = KernelMap::from_neighbors(3, 2, vec![0, 2, -1, 1]);
+    /// assert_eq!(m.all_pairs(), &[vec![(0, 0)], vec![(2, 0), (1, 1)]]);
+    /// assert_eq!(m, KernelMap::from_pairs(3, 2, m.all_pairs().to_vec()));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kvol` is 0 or above 32, if the matrix length is not a
+    /// multiple of `kvol`, or if an entry is below `-1` or not below
+    /// `n_in`.
+    pub fn from_neighbors(n_in: usize, kvol: usize, neighbors: Vec<i32>) -> Self {
+        assert!(kvol > 0, "kernel volume must be positive");
+        assert_bitmask_capacity(kvol);
+        assert_eq!(
+            neighbors.len() % kvol,
+            0,
+            "neighbor matrix length is not a multiple of the kernel volume {kvol}"
+        );
+        let n_out = neighbors.len() / kvol;
+        let mut bitmasks = Vec::with_capacity(n_out);
+        let mut counts = vec![0usize; kvol];
+        let (mut lo, mut hi) = (-1i32, -1i32);
+        for row in neighbors.chunks_exact(kvol) {
+            let mut mask = 0u32;
+            for (k, (&i, count)) in row.iter().zip(counts.iter_mut()).enumerate() {
+                let hit = i >= 0;
+                mask |= (hit as u32) << k;
+                *count += hit as usize;
+                lo = lo.min(i);
+                hi = hi.max(i);
+            }
+            bitmasks.push(mask);
+        }
+        assert!(lo >= -1, "neighbor entry {lo} is neither -1 nor an input");
+        assert!(
+            hi < 0 || (hi as usize) < n_in,
+            "input index {hi} out of range {n_in}"
+        );
+        let mut pairs: Vec<Vec<(u32, u32)>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (o, (row, &mask)) in neighbors.chunks_exact(kvol).zip(&bitmasks).enumerate() {
+            let mut m = mask;
+            while m != 0 {
+                let k = m.trailing_zeros() as usize;
+                m &= m - 1;
+                pairs[k].push((row[k] as u32, o as u32));
+            }
+        }
+        Self {
+            n_in,
+            n_out,
+            kvol,
+            pairs,
+            neighbors,
+            bitmasks,
+            multi_edges: false,
             dense_repr: true,
         }
     }
@@ -230,29 +297,17 @@ impl KernelMap {
         pairs + dense
     }
 
-    /// Mutable access to the pair lists, neighbor matrix and bitmasks,
-    /// for the incremental delta engine (`crate::delta`) only. Callers
-    /// must leave the three views consistent (checked by
-    /// [`crate::check_map`] in debug builds after every patch) and may
-    /// not introduce multi-edges.
+    /// Takes the neighbor matrix out of the map, for the incremental
+    /// delta engine (`crate::delta`) only: it patches the matrix and
+    /// replaces the map with [`KernelMap::from_neighbors`] of the result.
     ///
     /// # Panics
     ///
     /// Panics if the map has no dense representation — relational maps
     /// cannot be patched.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (&mut Vec<Vec<(u32, u32)>>, &mut Vec<i32>, &mut Vec<u32>) {
+    pub(crate) fn take_neighbors(&mut self) -> Vec<i32> {
         assert!(self.dense_repr, "cannot patch a relational map in place");
-        (&mut self.pairs, &mut self.neighbors, &mut self.bitmasks)
-    }
-
-    /// Sets the point count after an in-place patch (submanifold maps
-    /// have `n_in == n_out`).
-    pub(crate) fn set_point_count(&mut self, n: usize) {
-        self.n_in = n;
-        self.n_out = n;
+        std::mem::take(&mut self.neighbors)
     }
 
     /// The transposed map: every pair `(p, q)` becomes `(q, p)` under the
@@ -277,6 +332,14 @@ impl KernelMap {
     }
 }
 
+/// Bitmasks are 32-bit: the paper's largest kernel is 3³ = 27.
+fn assert_bitmask_capacity(kvol: usize) {
+    assert!(
+        kvol <= 32,
+        "kernel volume {kvol} exceeds 32-bit bitmask capacity"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +358,20 @@ mod tests {
         assert_eq!(m.neighbor(0, 2), None);
         assert_eq!(m.neighbor(1, 0), Some(1));
         assert_eq!(m.bitmasks(), &[0b011, 0b001]);
+    }
+
+    #[test]
+    fn from_neighbors_rebuilds_the_pair_built_map() {
+        let m = sample_map();
+        let rebuilt =
+            KernelMap::from_neighbors(m.n_in(), m.kernel_volume(), m.neighbors().to_vec());
+        assert_eq!(rebuilt, m);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_neighbors_rejects_out_of_range_inputs() {
+        let _ = KernelMap::from_neighbors(2, 1, vec![0, 2]);
     }
 
     #[test]
