@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use ts_autotune::BindingScheme;
-use ts_core::{sanitize_configs, Downgrade, GroupConfigs, ScheduleArtifact, TrainConfigs};
+use ts_core::{sanitize_configs, Downgrade, GroupConfigs, TrainConfigs};
 
 use crate::digest::{census_distance, drifted_groups, ScheduleKey};
 
@@ -84,21 +84,6 @@ impl CacheEntry {
     /// The entry's primary key ([`ScheduleKey::digest`]).
     pub fn digest(&self) -> String {
         self.key.digest()
-    }
-
-    /// Converts the entry into a loadable [`ScheduleArtifact`] for
-    /// `network_name`. The caller supplies the name because the cache
-    /// is content-addressed — topology-equal networks hit the same
-    /// entry whatever they are called, but `Engine::load_schedule`
-    /// validates artifacts by name.
-    pub fn to_artifact(&self, network_name: &str) -> ScheduleArtifact {
-        ScheduleArtifact::new(
-            network_name,
-            &self.key.device,
-            self.key.precision,
-            self.configs.clone(),
-        )
-        .with_tuned_latency(self.tuned_latency_us)
     }
 }
 

@@ -5,11 +5,12 @@
 //! delta, yet [`Engine::try_infer`] rebuilds every kernel map from
 //! scratch per frame. [`compile_stream`] instead threads a
 //! [`StreamState`] across frames: the stride-1 submanifold map is
-//! patched incrementally ([`ts_kernelmap::IncrementalMap`]) and injected
-//! into session compilation, so the simulated mapping cost shrinks to
-//! the delta while the computed features stay bit-identical per
-//! coordinate to the from-scratch path. [`Engine::infer_stream`] and
-//! `ts_train::Trainer::step` both compile through it.
+//! patched incrementally ([`ts_kernelmap::IncrementalMap`]) and shared
+//! with every frame's session, the seeding one included, so the
+//! simulated mapping cost shrinks to the delta while the computed
+//! features stay bit-identical per coordinate to the from-scratch path.
+//! [`Engine::infer_stream`] and `ts_train::Trainer::step` both compile
+//! through it.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -41,13 +42,17 @@ pub struct StreamState {
 }
 
 impl StreamState {
-    fn new(coords: &[Coord], kernel_size: u32, split_count: u32) -> Self {
-        Self {
-            inc: IncrementalMap::new(coords, KernelOffsets::cube(kernel_size), split_count),
+    /// Seeds a state from a frame; also returns the initial build's work.
+    fn new(coords: &[Coord], kernel_size: u32, split_count: u32) -> (Self, MapStats) {
+        let offsets = KernelOffsets::cube(kernel_size);
+        let (inc, stats) = IncrementalMap::with_stats(coords, offsets, split_count);
+        let state = Self {
+            inc,
             frames: 1,
             patched: 0,
             rebuilt: 1,
-        }
+        };
+        (state, stats)
     }
 
     /// The current frame's coordinates in the state's canonical order
@@ -141,7 +146,8 @@ fn stream_kernel_size(net: &Network) -> Option<u32> {
 ///
 /// [`CompileError::ChannelMismatch`] / [`CompileError::DuplicateCoords`]
 /// on a malformed frame, which leaves the state unchanged (a malformed
-/// frame does not poison the stream), or any session compilation error.
+/// frame does not poison the stream), or any session compilation error,
+/// after which a stream that had no state still has none.
 pub fn compile_stream<'a>(
     network: &Network,
     state: &mut Option<StreamState>,
@@ -150,15 +156,11 @@ pub fn compile_stream<'a>(
     default: &DataflowConfig,
 ) -> Result<(Session, Cow<'a, SparseTensor>, UpdateOutcome), CompileError> {
     check_input(network, input)?;
-    let fresh = || {
+    let Some(ks) = stream_kernel_size(network) else {
         let session = Session::try_new(network, input.coords())?;
         session.debug_check_maps();
-        Ok::<_, CompileError>(session)
-    };
-
-    let Some(ks) = stream_kernel_size(network) else {
         let outcome = full_outcome(input.num_points(), MapStats::default());
-        return Ok((fresh()?, Cow::Borrowed(input), outcome));
+        return Ok((session, Cow::Borrowed(input), outcome));
     };
 
     // A state maintained for a different kernel (engine swap) is stale;
@@ -167,58 +169,28 @@ pub fn compile_stream<'a>(
         *state = None;
     }
 
-    let Some(st) = state.as_mut() else {
-        // Seeding frame: a full compile prices the full build, and the
-        // state is built from the same canonical order (`unique_coords`
-        // of the frame).
-        let session = fresh()?;
-        let stats = session
-            .groups()
-            .iter()
-            .find(|g| g.key.lo_stride == 1 && g.key.hi_stride == 1 && g.key.kernel_size == ks)
-            .map(|g| g.build_stats)
-            .unwrap_or_default();
-        let split_count = match default.kind {
-            DataflowKind::ImplicitGemm { splits } => splits.max(1),
-            _ => 1,
-        };
-        *state = Some(StreamState::new(input.coords(), ks, split_count));
-        let outcome = full_outcome(input.num_points(), stats);
-        return Ok((session, Cow::Borrowed(input), outcome));
+    // A seeding frame's state is kept only once its session compiles, so
+    // a rejected frame leaves `state` as it was.
+    let mut seed = None;
+    let (st, outcome) = match state.as_mut() {
+        Some(st) => {
+            let outcome = advance(st, input, delta);
+            (st, outcome)
+        }
+        None => {
+            let split_count = match default.kind {
+                DataflowKind::ImplicitGemm { splits } => splits.max(1),
+                _ => 1,
+            };
+            let (st, stats) = StreamState::new(input.coords(), ks, split_count);
+            (seed.insert(st), full_outcome(input.num_points(), stats))
+        }
     };
 
-    let outcome = {
-        let mut span = ts_trace::span(ts_trace::Subsystem::Core, "engine.stream_update");
-        let outcome = st.inc.update(input.coords(), delta);
-        st.frames += 1;
-        match outcome.kind {
-            MapUpdate::Patched => st.patched += 1,
-            MapUpdate::Rebuilt => st.rebuilt += 1,
-        }
-        if span.active() {
-            span.arg(
-                "kind",
-                match outcome.kind {
-                    MapUpdate::Patched => "patched",
-                    MapUpdate::Rebuilt => "rebuilt",
-                },
-            );
-            span.arg("entered", outcome.entered);
-            span.arg("exited", outcome.exited);
-            span.arg("churn", outcome.churn as f64);
-        }
-        outcome
-    };
-
-    // The state's plan is re-derived after every patch; in debug builds
-    // re-check both structures before trusting them for compilation.
+    // The state's plan is re-derived after every update; in debug builds
+    // re-check it before trusting it for compilation.
     #[cfg(debug_assertions)]
     {
-        let violations = ts_kernelmap::check_map(st.inc.map());
-        debug_assert!(
-            violations.is_empty(),
-            "incremental map violates invariants: {violations:?}"
-        );
         let plan_violations = ts_kernelmap::check_plan(st.inc.map(), st.inc.plan(), 128);
         debug_assert!(
             plan_violations.is_empty(),
@@ -228,12 +200,45 @@ pub fn compile_stream<'a>(
 
     let reuse = SubmanifoldReuse {
         kernel_size: ks,
-        map: Arc::new(st.inc.map().clone()),
+        map: Arc::clone(st.inc.shared_map()),
         stats: outcome.stats,
     };
-    let permuted = permute_to(input, st.coords());
     let session = Session::try_new_with_reuse(network, st.coords(), Some(&reuse))?;
-    Ok((session, Cow::Owned(permuted), outcome))
+    session.debug_check_maps();
+    let frame = if input.coords() == st.coords() {
+        Cow::Borrowed(input)
+    } else {
+        Cow::Owned(permute_to(input, st.coords()))
+    };
+    if seed.is_some() {
+        *state = seed;
+    }
+    Ok((session, frame, outcome))
+}
+
+/// Advances `st` to the frame's coordinates: an in-place patch or a
+/// rebuild, counted and traced.
+fn advance(st: &mut StreamState, input: &SparseTensor, delta: &DeltaConfig) -> UpdateOutcome {
+    let mut span = ts_trace::span(ts_trace::Subsystem::Core, "engine.stream_update");
+    let outcome = st.inc.update(input.coords(), delta);
+    st.frames += 1;
+    match outcome.kind {
+        MapUpdate::Patched => st.patched += 1,
+        MapUpdate::Rebuilt => st.rebuilt += 1,
+    }
+    if span.active() {
+        span.arg(
+            "kind",
+            match outcome.kind {
+                MapUpdate::Patched => "patched",
+                MapUpdate::Rebuilt => "rebuilt",
+            },
+        );
+        span.arg("entered", outcome.entered);
+        span.arg("exited", outcome.exited);
+        span.arg("churn", outcome.churn as f64);
+    }
+    outcome
 }
 
 impl Engine {
@@ -438,6 +443,64 @@ mod tests {
             .infer_stream(&mut state, &frame(1, 6), &DeltaConfig::default())
             .unwrap();
         assert_eq!(o.kind, MapUpdate::Patched);
+    }
+
+    #[test]
+    fn every_frame_compiles_around_the_state_map() {
+        let e = engine();
+        let mut state = None;
+        for t in 0..4 {
+            let f = frame(t, 20 + t as u64);
+            let (session, canon, _) = compile_stream(
+                e.network(),
+                &mut state,
+                &f,
+                &DeltaConfig::default(),
+                &e.configs().default,
+            )
+            .unwrap();
+            let st = state.as_ref().expect("seeded");
+            let group = session
+                .groups()
+                .iter()
+                .find(|g| g.key.lo_stride == 1 && g.key.hi_stride == 1 && g.key.kernel_size == 3)
+                .expect("a stride-1 submanifold group");
+            assert!(
+                Arc::ptr_eq(&group.map, st.inc.shared_map()),
+                "frame {t}: the session holds the state's map"
+            );
+            assert_eq!(canon.coords(), st.coords());
+        }
+        assert_eq!(state.expect("seeded").patched(), 3);
+    }
+
+    #[test]
+    fn a_rejected_seeding_frame_leaves_no_state() {
+        let e = engine();
+        let mut state = None;
+        let bad = SparseTensor::new(vec![Coord::new(0, 0, 0, 0)], Matrix::zeros(1, 9));
+        assert!(e
+            .infer_stream(&mut state, &bad, &DeltaConfig::default())
+            .is_err());
+        assert!(state.is_none());
+
+        // A stride-1 group to stream, then a decoder with no encoder at
+        // its target stride: every frame fails to compile.
+        let mut b = NetworkBuilder::new("orphan", 4);
+        let c = b.conv("enc", NetworkBuilder::INPUT, 8, 3, 1);
+        let d = b.conv("down_x4", c, 8, 3, 4);
+        let _ = b.conv_transposed("up_to_2", d, 8, 2, 2);
+        let net = b.build();
+        let err = compile_stream(
+            &net,
+            &mut state,
+            &frame(0, 9),
+            &DeltaConfig::default(),
+            &DataflowConfig::implicit_gemm(1),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CompileError::TransposedWithoutEncoder { .. }));
+        assert!(state.is_none());
     }
 
     #[test]

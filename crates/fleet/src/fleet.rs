@@ -241,16 +241,6 @@ impl Fleet {
             .unwrap_or_default()
     }
 
-    /// Whether node `id`'s map cache currently holds `stream`'s maps
-    /// (advisory; see [`Server::has_cached_stream`]). `false` for dead
-    /// or unknown nodes.
-    pub fn node_has_cached_stream(&self, id: usize, stream: u64) -> bool {
-        self.nodes
-            .get(id)
-            .and_then(|n| n.server.as_ref())
-            .is_some_and(|s| s.has_cached_stream(stream))
-    }
-
     /// Kills a node: halts its server (backlog shed with typed
     /// rejections, in-flight batches drained — see [`Server::halt`]),
     /// retires its report, and displaces its streams so their next

@@ -197,11 +197,6 @@ impl CostModel {
         trace.push(kernel, t);
         t
     }
-
-    /// Convenience: total time of a batch of kernels.
-    pub fn total_time_us<'a>(&self, kernels: impl IntoIterator<Item = &'a KernelDesc>) -> f64 {
-        kernels.into_iter().map(|k| self.kernel_time_us(k)).sum()
-    }
 }
 
 /// Returns the best tile (and its utilization) for a GEMM shape by

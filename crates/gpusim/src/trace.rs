@@ -102,34 +102,6 @@ impl KernelTrace {
         self.entries.is_empty()
     }
 
-    /// Exports the trace in Chrome tracing (`chrome://tracing` /
-    /// Perfetto) JSON format: each kernel becomes a complete event on a
-    /// per-class track, laid out sequentially in launch order.
-    pub fn to_chrome_trace(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("[");
-        let mut t = 0.0f64;
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let name = e.desc.name.replace('"', "'");
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},                 \"pid\":1,\"tid\":\"{}\",\"args\":{{\"macs\":{},\"bytes\":{},\"launches\":{}}}}}",
-                t,
-                e.time_us,
-                e.desc.class.label(),
-                e.desc.macs,
-                e.desc.total_bytes(),
-                e.desc.launches,
-            );
-            t += e.time_us;
-        }
-        out.push(']');
-        out
-    }
-
     /// Emits every entry as a `ts-trace` simulated-kernel span
     /// (subsystem `gpusim`, per-thread `gpu#tid` lane) carrying kernel
     /// class, MAC count and the occupancy `cost` attributes to it.
@@ -234,21 +206,6 @@ mod tests {
         let s = t.summary();
         assert!(s.contains("mapping"));
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_all_events() {
-        let mut t = KernelTrace::new();
-        t.push(KernelDesc::mapping("hash \"build\"", 10, 10), 5.0);
-        t.push(KernelDesc::gemm("conv", 8, 8, 8, Precision::Fp32), 7.5);
-        let json = t.to_chrome_trace();
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        let events = parsed.as_array().expect("array");
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[1]["ts"], 5.0);
-        assert_eq!(events[1]["dur"], 7.5);
-        assert_eq!(events[0]["tid"], "mapping");
-        assert_eq!(events[1]["tid"], "compute");
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! tests in `tests/` compare against the reference builder exactly.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use crate::build::{submanifold_with_table, unique_with_table, MapStats};
 use crate::{check_map, Coord, CoordHashMap, KernelMap, KernelOffsets, SplitPlan};
@@ -76,7 +77,9 @@ pub struct UpdateOutcome {
 ///
 /// Owns the coordinate list (in canonical order), the coordinate hash
 /// table, the [`KernelMap`] and a [`SplitPlan`], all kept mutually
-/// consistent by [`Self::update`].
+/// consistent by [`Self::update`]. The map sits behind an [`Arc`]
+/// ([`Self::shared_map`]) so a session compiled around it can hold it
+/// without a copy.
 ///
 /// # Examples
 ///
@@ -96,7 +99,7 @@ pub struct IncrementalMap {
     coords: Vec<Coord>,
     table: CoordHashMap,
     offsets: KernelOffsets,
-    map: KernelMap,
+    map: Arc<KernelMap>,
     plan: SplitPlan,
     split_count: u32,
 }
@@ -111,22 +114,38 @@ impl IncrementalMap {
     /// the mirrored-offset symmetry of submanifold convolutions, which
     /// only odd (centered) kernels have.
     pub fn new(frame: &[Coord], offsets: KernelOffsets, split_count: u32) -> Self {
+        Self::with_stats(frame, offsets, split_count).0
+    }
+
+    /// [`Self::new`] plus the work of the initial build: the stats
+    /// [`build_submanifold_map_with_stats`](crate::build_submanifold_map_with_stats)
+    /// reports for [`Self::coords`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`].
+    pub fn with_stats(
+        frame: &[Coord],
+        offsets: KernelOffsets,
+        split_count: u32,
+    ) -> (Self, MapStats) {
         assert!(
             offsets.kernel_size() % 2 == 1,
             "incremental maps require an odd (centered) kernel, got {}",
             offsets.kernel_size()
         );
         let (coords, table) = unique_with_table(frame);
-        let (map, _) = submanifold_with_table(&coords, &table, &offsets);
+        let (map, stats) = submanifold_with_table(&coords, &table, &offsets);
         let plan = SplitPlan::from_split_count(&map, split_count);
-        Self {
+        let inc = Self {
             coords,
             table,
             offsets,
-            map,
+            map: Arc::new(map),
             plan,
             split_count,
-        }
+        };
+        (inc, stats)
     }
 
     /// The current frame's coordinates in canonical order (the order a
@@ -137,6 +156,13 @@ impl IncrementalMap {
 
     /// The current kernel map.
     pub fn map(&self) -> &KernelMap {
+        &self.map
+    }
+
+    /// The current kernel map, to share: while a clone of this `Arc` is
+    /// alive, the next [`Self::update`] that patches copies the map's
+    /// neighbor matrix instead of moving it.
+    pub fn shared_map(&self) -> &Arc<KernelMap> {
         &self.map
     }
 
@@ -207,7 +233,7 @@ impl IncrementalMap {
             let (map, build_stats) = submanifold_with_table(&coords, &table, &self.offsets);
             self.plan = SplitPlan::from_split_count(&map, self.split_count);
             self.table = table;
-            self.map = map;
+            self.map = Arc::new(map);
             self.coords = coords;
             return outcome(MapUpdate::Rebuilt, build_stats);
         }
@@ -246,7 +272,11 @@ impl IncrementalMap {
     fn patch(&mut self, entered: &[Coord], exited_idx: &[usize], stats: &mut MapStats) {
         let kvol = self.offsets.volume();
         let n_old = self.coords.len();
-        let mut neighbors = self.map.take_neighbors();
+        let mut neighbors = match Arc::get_mut(&mut self.map) {
+            Some(map) => map.take_neighbors(),
+            // A session still holds the previous frame's map.
+            None => self.map.neighbors().to_vec(),
+        };
 
         let mut is_hole = vec![false; n_old];
         for &e in exited_idx {
@@ -341,7 +371,7 @@ impl IncrementalMap {
                 }
             }
         }
-        self.map = KernelMap::from_neighbors(n_final, kvol, neighbors);
+        self.map = Arc::new(KernelMap::from_neighbors(n_final, kvol, neighbors));
     }
 }
 
@@ -387,6 +417,20 @@ mod tests {
         assert_eq!((out.entered, out.exited), (0, 0));
         assert_eq!(out.stats.inserts, 0);
         assert_eq!(inc.map(), &before);
+    }
+
+    #[test]
+    fn a_shared_map_is_copied_and_left_intact() {
+        let mut f = grid(5);
+        let mut inc = IncrementalMap::new(&f, KernelOffsets::cube(3), 1);
+        let held = Arc::clone(inc.shared_map());
+        let before = KernelMap::clone(&held);
+        f.push(Coord::new(0, 5, 0, 0));
+        let out = inc.update(&f, &DeltaConfig::default());
+        assert_eq!(out.kind, MapUpdate::Patched);
+        assert_eq!(*held, before, "the holder's map is untouched");
+        assert!(!Arc::ptr_eq(&held, inc.shared_map()));
+        assert_matches_fresh(&inc);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl ObsConfig {
         self.postmortem_dir = Some(dir.into());
         self
     }
-
-    /// Sets (or disables, with `None`) the SLO policy.
-    pub fn with_slo(mut self, slo: Option<SloPolicy>) -> Self {
-        self.slo = slo;
-        self
-    }
 }
 
 /// Per-stream latency health inside a [`HealthSnapshot`].

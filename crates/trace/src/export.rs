@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use crate::real::{Event, LaneId, SpanRecord, Tracer};
+use crate::tracer::{Event, LaneId, SpanRecord, Tracer};
 use crate::{escape_json, ArgValue, Subsystem};
 
 /// Offset applied to named-lane indices so virtual lanes never collide

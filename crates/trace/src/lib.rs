@@ -32,8 +32,11 @@
 //! autotuner's sweep threads do. With no tracer installed every
 //! instrumentation site is one thread-local flag check.
 //!
-//! Compiling with `default-features = false` (feature `enabled` off)
-//! replaces the entire API with inline no-ops.
+//! Whether tracing is compiled in at all is one constant, [`ENABLED`]
+//! (feature `enabled`). Built with `default-features = false`, the same
+//! implementation compiles, but [`install`] does nothing and [`active`]
+//! is constantly false: each site folds away, and the thread-local
+//! state is never referenced.
 //!
 //! # Counter vocabulary
 //!
@@ -307,21 +310,18 @@ macro_rules! span {
     }};
 }
 
-#[cfg(feature = "enabled")]
-mod export;
-#[cfg(feature = "enabled")]
-mod real;
-#[cfg(feature = "enabled")]
-pub use real::{
-    active, counter_add, current, gauge_set, install, install_opt, record_span_at, sim_kernel,
-    sim_span, span, suppress_sim_kernels, uninstall, Lane, SimKernelSuppression, SpanGuard,
-    SpanRecord, Tracer,
-};
+/// Whether tracing is compiled in: this crate's `enabled` feature,
+/// which the workspace's root `trace` feature turns on.
+///
+/// When it is off, [`install`] does nothing and [`active`] is constantly
+/// false, so every instrumentation site folds away and the thread-local
+/// state is never touched. The API is the same either way; a [`Tracer`]
+/// handle still works, but no instrumentation reaches it.
+pub const ENABLED: bool = cfg!(feature = "enabled");
 
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
+mod export;
+mod tracer;
+pub use tracer::{
     active, counter_add, current, gauge_set, install, install_opt, record_span_at, sim_kernel,
     sim_span, span, suppress_sim_kernels, uninstall, Lane, SimKernelSuppression, SpanGuard,
     SpanRecord, Tracer,

@@ -1,4 +1,6 @@
-//! The real tracer implementation (feature `enabled`).
+//! The tracer: the collector, its thread-local installation and the
+//! guard-based spans. [`ENABLED`] gates the installation, so with
+//! tracing compiled out nothing below reaches a tracer.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -7,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
 
-use crate::{ArgValue, Subsystem};
+use crate::{ArgValue, Subsystem, ENABLED};
 
 /// Where a span is rendered: a real OS thread's track, or a named
 /// virtual lane (simulated-GPU timelines, per-request tracks).
@@ -434,15 +436,19 @@ thread_local! {
 }
 
 fn with_slot<R>(f: impl FnOnce(&mut ThreadSlot) -> R) -> Option<R> {
-    if !ACTIVE.with(|a| a.get()) {
+    if !active() {
         return None;
     }
     SLOT.with(|s| s.borrow_mut().as_mut().map(f))
 }
 
 /// Installs `tracer` as the current thread's collector. Replaces any
-/// previously installed tracer on this thread.
+/// previously installed tracer on this thread. Does nothing when
+/// tracing is compiled out ([`ENABLED`] false).
 pub fn install(tracer: &Tracer) {
+    if !ENABLED {
+        return;
+    }
     let tid = tracer.register_thread();
     SLOT.with(|s| {
         *s.borrow_mut() = Some(ThreadSlot {
@@ -457,6 +463,7 @@ pub fn install(tracer: &Tracer) {
 
 /// [`install`] if `Some`; the no-tracer-propagation helper for spawned
 /// threads: `let t = ts_trace::current(); thread::spawn(move || { ts_trace::install_opt(t.as_ref()); ... })`.
+#[inline]
 pub fn install_opt(tracer: Option<&Tracer>) {
     if let Some(t) = tracer {
         install(t);
@@ -466,27 +473,29 @@ pub fn install_opt(tracer: Option<&Tracer>) {
 /// Removes the current thread's tracer (open guards still close into
 /// the tracer they were started on).
 pub fn uninstall() {
+    if !ENABLED {
+        return;
+    }
     ACTIVE.with(|a| a.set(false));
     SLOT.with(|s| *s.borrow_mut() = None);
 }
 
 /// The tracer installed on this thread, if any.
+#[inline]
 pub fn current() -> Option<Tracer> {
     with_slot(|slot| slot.tracer.clone())
 }
 
-/// Whether a tracer is installed on this thread (one TLS read).
+/// Whether a tracer is installed on this thread (one TLS read; always
+/// false when tracing is compiled out).
 #[inline]
 pub fn active() -> bool {
-    ACTIVE.with(|a| a.get())
+    ENABLED && ACTIVE.with(|a| a.get())
 }
 
 /// Adds to a counter on the current thread's tracer (no-op when none).
 #[inline]
 pub fn counter_add(name: &str, delta: i64) {
-    if !active() {
-        return;
-    }
     if let Some(tracer) = current() {
         tracer.counter_add(name, delta);
     }
@@ -495,9 +504,6 @@ pub fn counter_add(name: &str, delta: i64) {
 /// Sets a gauge on the current thread's tracer (no-op when none).
 #[inline]
 pub fn gauge_set(name: &str, value: f64) {
-    if !active() {
-        return;
-    }
     if let Some(tracer) = current() {
         tracer.gauge_set(name, value);
     }
@@ -557,11 +563,7 @@ pub fn sim_span(
 /// name, kernel class, MAC count, occupancy (0..1) and simulated
 /// duration. Subject to [`Tracer::set_sim_kernels`] filtering.
 pub fn sim_kernel(name: &str, class: &'static str, macs: u64, occupancy: f64, dur_us: f64) {
-    if !active() {
-        return;
-    }
-    let record = with_slot(|slot| slot.tracer.sim_kernels()).unwrap_or(false);
-    if !record {
+    if !with_slot(|slot| slot.tracer.sim_kernels()).unwrap_or(false) {
         return;
     }
     sim_span(
@@ -583,6 +585,7 @@ pub fn sim_kernel(name: &str, class: &'static str, macs: u64, occupancy: f64, du
 /// The autotuner uses this: its thousands of candidate simulations would
 /// otherwise flood the trace with one event per priced kernel.
 #[must_use = "sim-kernel emission resumes when the guard drops"]
+#[inline]
 pub fn suppress_sim_kernels() -> SimKernelSuppression {
     SimKernelSuppression(current().map(|t| {
         let prev = t.sim_kernels();
@@ -595,6 +598,7 @@ pub fn suppress_sim_kernels() -> SimKernelSuppression {
 pub struct SimKernelSuppression(Option<(Tracer, bool)>);
 
 impl Drop for SimKernelSuppression {
+    #[inline]
     fn drop(&mut self) {
         if let Some((t, prev)) = self.0.take() {
             t.set_sim_kernels(prev);
@@ -621,16 +625,19 @@ pub struct SpanGuard(Option<GuardInner>);
 impl SpanGuard {
     /// Whether this guard records anywhere (false = no tracer installed,
     /// everything below is a no-op).
+    #[inline]
     pub fn active(&self) -> bool {
         self.0.is_some()
     }
 
     /// The span id, for explicit parenting of cross-thread children.
+    #[inline]
     pub fn id(&self) -> Option<u64> {
         self.0.as_ref().map(|g| g.id)
     }
 
     /// Attaches a typed argument (exported on the span's end event).
+    #[inline]
     pub fn arg(&mut self, key: &str, value: impl Into<ArgValue>) {
         if let Some(g) = self.0.as_mut() {
             g.args.push((key.to_string(), value.into()));
@@ -639,38 +646,19 @@ impl SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
+        if !ENABLED {
+            return;
+        }
         if let Some(g) = self.0.take() {
-            // Best-effort stack maintenance: the top entry is ours unless
-            // guards were dropped out of order.
-            SLOT.with(|s| {
-                if let Some(slot) = s.borrow_mut().as_mut() {
-                    if slot.tracer.same_as(&g.tracer) {
-                        if slot.stack.last() == Some(&g.id) {
-                            slot.stack.pop();
-                        } else {
-                            slot.stack.retain(|&x| x != g.id);
-                        }
-                    }
-                }
-            });
-            let ts = g.tracer.now_us();
-            g.tracer.push(Event::End {
-                id: g.id,
-                subsystem: g.subsystem,
-                tid: g.tid,
-                ts_us: ts,
-                args: g.args,
-            });
+            g.close();
         }
     }
 }
 
-/// Opens a guard-based span on the current thread's tracer, parented to
-/// the innermost open span of this thread. Returns an inactive guard
-/// when no tracer is installed.
-pub fn span(subsystem: Subsystem, name: &str) -> SpanGuard {
-    let inner = with_slot(|slot| {
+impl GuardInner {
+    fn open(slot: &mut ThreadSlot, subsystem: Subsystem, name: &str) -> Self {
         let tracer = slot.tracer.clone();
         let id = tracer.alloc_span_id();
         let parent = slot.stack.last().copied();
@@ -691,6 +679,37 @@ pub fn span(subsystem: Subsystem, name: &str) -> SpanGuard {
             tid: slot.tid,
             args: Vec::new(),
         }
-    });
-    SpanGuard(inner)
+    }
+
+    fn close(self) {
+        // Best-effort stack maintenance: the top entry is ours unless
+        // guards were dropped out of order.
+        SLOT.with(|s| {
+            if let Some(slot) = s.borrow_mut().as_mut() {
+                if slot.tracer.same_as(&self.tracer) {
+                    if slot.stack.last() == Some(&self.id) {
+                        slot.stack.pop();
+                    } else {
+                        slot.stack.retain(|&x| x != self.id);
+                    }
+                }
+            }
+        });
+        let ts = self.tracer.now_us();
+        self.tracer.push(Event::End {
+            id: self.id,
+            subsystem: self.subsystem,
+            tid: self.tid,
+            ts_us: ts,
+            args: self.args,
+        });
+    }
+}
+
+/// Opens a guard-based span on the current thread's tracer, parented to
+/// the innermost open span of this thread. Returns an inactive guard
+/// when no tracer is installed.
+#[inline]
+pub fn span(subsystem: Subsystem, name: &str) -> SpanGuard {
+    SpanGuard(with_slot(|slot| GuardInner::open(slot, subsystem, name)))
 }

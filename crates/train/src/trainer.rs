@@ -276,11 +276,6 @@ impl Trainer {
         &self.weights
     }
 
-    /// Consumes the trainer, returning the trained weights.
-    pub fn into_weights(self) -> NetworkWeights {
-        self.weights
-    }
-
     /// The loss-scaler state (when AMP is enabled).
     pub fn scaler(&self) -> Option<&LossScaler> {
         self.amp.as_ref()

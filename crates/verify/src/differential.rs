@@ -358,21 +358,17 @@ impl Tier for Scenario {
         }
     }
 
-    /// Points, then channels toward 1, then the kernel (which drops
-    /// whole offset planes).
+    /// Points, then each channel count ([`Shrinker::count`]), then the
+    /// kernel (which drops whole offset planes).
     fn shrink_round(s: &mut Shrinker<Self>) -> bool {
         s.halve_then_drop(|t| &mut t.coords)
-            | s.edits(&[
-                |t| t.c_in = 1,
-                |t| t.c_in = (t.c_in / 2).max(1),
-                |t| t.c_out = 1,
-                |t| t.c_out = (t.c_out / 2).max(1),
-                |t| {
-                    if t.kernel_size > 1 {
-                        t.kernel_size -= 1;
-                    }
-                },
-            ])
+            | s.count(|t| &mut t.c_in)
+            | s.count(|t| &mut t.c_out)
+            | s.edit(|t| {
+                if t.kernel_size > 1 {
+                    t.kernel_size -= 1;
+                }
+            })
     }
 
     /// The oracle's mismatches, after the structural invariants of the

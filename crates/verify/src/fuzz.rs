@@ -192,12 +192,18 @@ impl<T: Tier> Shrinker<T> {
         cand != self.best && self.attempt(cand)
     }
 
-    /// [`Shrinker::edit`] with each of `edits` in turn; returns whether
-    /// any was adopted.
-    pub fn edits(&mut self, edits: &[fn(&mut T)]) -> bool {
-        edits
-            .iter()
-            .fold(false, |adopted, &f| self.edit(f) | adopted)
+    /// Shrinks the count `field` selects: sets it to 1, then halves it,
+    /// then takes one off, each on the best scenario so far (never below
+    /// 1). A defect that needs a count of at least `m` therefore stops at
+    /// exactly `m`. Returns whether any step was adopted.
+    pub fn count(&mut self, field: impl Fn(&mut T) -> &mut usize) -> bool {
+        let steps: [fn(usize) -> usize; 3] = [|_| 1, |n| n / 2, |n| n.saturating_sub(1)];
+        steps.iter().fold(false, |adopted, step| {
+            self.edit(|t| {
+                let n = field(t);
+                *n = step(*n).max(1);
+            }) | adopted
+        })
     }
 
     /// Shrinks the list `field` selects: halves it while either half
@@ -321,7 +327,7 @@ mod tests {
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
     struct Toy {
         points: Vec<i32>,
-        width: u32,
+        width: usize,
     }
 
     impl Tier for Toy {
@@ -380,6 +386,20 @@ mod tests {
         // two halves, two drops, width 4 -> 2. Round 3 adopts nothing:
         // two halves, two drops, width 2 -> 1.
         assert_eq!(s.evals, 53);
+    }
+
+    #[test]
+    fn a_count_shrinks_to_the_least_failing_value() {
+        // Halving alone would stop at 3: 7 -> 3 -> 1 no longer fails.
+        let toy = Toy {
+            points: vec![5, 30],
+            width: 7,
+        };
+        let mut s = Shrinker::new(toy.clone(), toy.run(), Toy::SHRINK_BUDGET);
+        while s.count(|t| &mut t.width) {}
+        assert_eq!(s.best.width, 2);
+        // 7: 1 passes, 3 and then 2 fail. 2: 1, 1 and 1 all pass.
+        assert_eq!(s.evals, 6);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! One loop serves all three: [`fuzz`] draws seeded scenarios and stops
 //! at the first failure, [`shrink`] minimizes it under the tier's
 //! evaluation budget with the tier's shrink round (drop points, frames
-//! or micro-batches, collapse channels, shrink the kernel, pin the
+//! or micro-batches, shrink channel counts, shrink the kernel, pin the
 //! config), [`write_repro`] saves it as a JSON [`Counterexample`] for
 //! `tests/repros/`, and [`replay_corpus`] replays every checked-in
 //! repro through the tier its fields name. A kernel-tier replay also

@@ -300,8 +300,8 @@ impl Tier for TrainScenario {
     }
 
     /// Fewer micro-batches first: a one-chunk repro rules out the
-    /// accumulation plumbing as the culprit. Then points, channels
-    /// toward 1 and the kernel.
+    /// accumulation plumbing as the culprit. Then points, each channel
+    /// count ([`Shrinker::count`]) and the kernel.
     fn shrink_round(s: &mut Shrinker<Self>) -> bool {
         let mut adopted = false;
         while s.edit(|t| {
@@ -313,19 +313,14 @@ impl Tier for TrainScenario {
         }
         adopted |= s.halve_then_drop(|t| &mut t.coords);
         adopted
-            | s.edits(&[
-                |t| t.c_in = 1,
-                |t| t.c_in = (t.c_in / 2).max(1),
-                |t| t.c_mid = 1,
-                |t| t.c_mid = (t.c_mid / 2).max(1),
-                |t| t.c_out = 1,
-                |t| t.c_out = (t.c_out / 2).max(1),
-                |t| {
-                    if t.kernel_size > 1 {
-                        t.kernel_size -= 1;
-                    }
-                },
-            ])
+            | s.count(|t| &mut t.c_in)
+            | s.count(|t| &mut t.c_mid)
+            | s.count(|t| &mut t.c_out)
+            | s.edit(|t| {
+                if t.kernel_size > 1 {
+                    t.kernel_size -= 1;
+                }
+            })
     }
 }
 

@@ -36,11 +36,6 @@ impl HeteroGraph {
         self.edges.iter().map(Vec::len).sum()
     }
 
-    /// Mean in-degree.
-    pub fn avg_degree(&self) -> f64 {
-        self.n_edges() as f64 / self.n_nodes.max(1) as f64
-    }
-
     /// Generates a graph with a skewed relation-size distribution
     /// (Zipf-like over relations) and preferential-attachment-flavoured
     /// endpoints.

@@ -1,6 +1,7 @@
 //! Export artifacts for external tools: the network as Graphviz DOT and
 //! the simulated kernel timeline as Chrome-tracing JSON (open in
-//! `chrome://tracing` or Perfetto).
+//! `chrome://tracing` or Perfetto), written by `ts-trace`. Built with
+//! tracing compiled out (`--no-default-features`), the timeline is empty.
 //!
 //! ```sh
 //! cargo run --release --example visualize
@@ -11,6 +12,7 @@ use torchsparse::core::{GroupConfigs, Session};
 use torchsparse::dataflow::{DataflowConfig, ExecCtx};
 use torchsparse::gpusim::Device;
 use torchsparse::tensor::Precision;
+use torchsparse::trace::Tracer;
 use torchsparse::workloads::Workload;
 
 fn main() {
@@ -28,17 +30,21 @@ fn main() {
         net.param_count()
     );
 
-    // 2. Simulated kernel timeline as a Chrome trace.
+    // 2. Simulated kernel timeline as a Chrome trace: the installed
+    // tracer receives each priced kernel on its `gpu#tid` lane.
     let device = Device::rtx3090();
     println!("device: {device}");
     let session = Session::new(&net, scene.coords());
     let ctx = ExecCtx::simulate(device, Precision::Fp16);
+    let tracer = Tracer::new();
+    tracer.install();
     let report = session.simulate_inference(
         &GroupConfigs::uniform(DataflowConfig::implicit_gemm(0)),
         &ctx,
     );
+    torchsparse::trace::uninstall();
     let trace_path = std::env::temp_dir().join("torchsparse_trace.json");
-    std::fs::write(&trace_path, report.trace().to_chrome_trace()).expect("write trace");
+    tracer.write_chrome_trace(&trace_path).expect("write trace");
     println!(
         "wrote {} ({} kernel launches, {:.2} ms simulated)",
         trace_path.display(),
