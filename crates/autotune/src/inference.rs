@@ -125,24 +125,6 @@ impl TuneResult {
     pub fn group_configs(&self) -> Option<&GroupConfigs> {
         self.configs.as_ref()
     }
-
-    /// Serialises the full result (including the schedule) to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `serde_json` error on failure.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Restores a result saved with [`TuneResult::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `serde_json` error on malformed input.
-    pub fn from_json(json: &str) -> Result<TuneResult, serde_json::Error> {
-        serde_json::from_str(json)
-    }
 }
 
 /// Runs the group-based greedy exhaustive search over `sessions`
@@ -303,22 +285,6 @@ mod tests {
         let ctx = ExecCtx::simulate(Device::rtx2080ti(), Precision::Fp16);
         let r = tune_inference(&sessions, &ctx, &TunerOptions::default());
         assert!(r.tuned_latency_us > 0.0);
-    }
-
-    #[test]
-    fn tune_results_round_trip_through_json() {
-        let s = session(0.05);
-        let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-        let r = tune_inference(&[s], &ctx, &TunerOptions::default());
-        let json = r.to_json().expect("serializes");
-        let back = TuneResult::from_json(&json).expect("deserializes");
-        assert_eq!(back.per_group_choice, r.per_group_choice);
-        assert_eq!(
-            back.group_configs().expect("configs present").for_group(0),
-            r.group_configs().expect("configs present").for_group(0)
-        );
-        assert_eq!(back.tuned_latency_us, r.tuned_latency_us);
-        assert_eq!(back.stats, r.stats);
     }
 
     /// The tentpole equivalence claim: incremental pricing picks the

@@ -66,21 +66,20 @@ fn network() -> Network {
     b.build()
 }
 
-fn single_standard(network: &Network) -> Vec<NodeSpec> {
+fn single_standard() -> Vec<NodeSpec> {
     vec![NodeSpec::untuned(
         0,
         DeviceTier::Standard,
         Precision::Fp16,
-        network,
         ServeConfig::default(),
     )]
 }
 
-fn specs_for(n: usize, network: &Network) -> Vec<NodeSpec> {
+fn specs_for(n: usize) -> Vec<NodeSpec> {
     if n == 1 {
-        single_standard(network)
+        single_standard()
     } else {
-        heterogeneous_specs(n, Precision::Fp16, network, &ServeConfig::default())
+        heterogeneous_specs(n, Precision::Fp16, &ServeConfig::default())
     }
 }
 
@@ -137,7 +136,7 @@ fn main() {
     let cap1 = run_sim(
         &network,
         &weights,
-        &single_standard(&network),
+        &single_standard(),
         &calib_trace,
         &calib_frames,
         Vec::new(),
@@ -167,7 +166,7 @@ fn main() {
         let r = run_sim(
             &network,
             &weights,
-            &specs_for(n, &network),
+            &specs_for(n),
             &trace,
             &frames,
             Vec::new(),
@@ -188,7 +187,7 @@ fn main() {
     let killed = run_sim(
         &network,
         &weights,
-        &specs_for(8, &network),
+        &specs_for(8),
         &trace,
         &frames,
         vec![kill],

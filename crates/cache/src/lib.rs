@@ -20,6 +20,10 @@
 //! * **Miss** — nothing compatible: cold-tune (or, on the serving boot
 //!   path, fall back to the safe dataflow and stay up).
 //!
+//! A store entry is the one persisted form of a tuned schedule, and
+//! [`warm_boot`] ([`boot_schedule`] plus [`Engine::new`]) the one path
+//! from a store to an engine.
+//!
 //! # Examples
 //!
 //! ```
@@ -262,22 +266,24 @@ pub fn tune_training_cached(
     )
 }
 
-/// Where a [`warm_boot`] engine's schedule came from.
+/// Where a [`boot_schedule`] table came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BootOrigin {
     /// Exact digest hit: the cached tuned schedule, as-is.
     Cached,
     /// Structural match: a nearby workload's tuned schedule,
     /// transferred without re-tuning (some groups may be marked
-    /// drifted — re-tune them offline via [`tune_cached`]).
+    /// drifted — re-tune them offline via [`tune_cached`]). An exact
+    /// entry with slots that fail validation boots here too, and its
+    /// engine runs those slots on the safe fallback.
     Transferred,
     /// No compatible entry: the safe fallback dataflow everywhere.
     /// The node boots and serves; it is just untuned.
     Fallback,
 }
 
-/// A [`warm_boot`] report: what the engine is running and how stale it
-/// might be.
+/// A [`boot_schedule`] (and [`warm_boot`]) report: where the schedule
+/// came from and how stale it might be.
 #[derive(Debug, Clone)]
 pub struct WarmBoot {
     /// Schedule provenance.
@@ -291,13 +297,55 @@ pub struct WarmBoot {
     pub distance: f64,
 }
 
-/// Boots a serving engine from the cache: probes with `sample_coords`
-/// (a representative scene for the node's workload), loads the cached
-/// schedule on a hit, transfers the nearest structurally compatible
-/// schedule on a near-miss, and falls back to the safe dataflow on a
-/// miss. Never fails and never tunes — this is the node-boot path,
-/// where availability beats optimality; re-tune drifted groups
-/// offline with [`tune_cached`] and restart.
+/// Resolves the schedule a node boots from `cache`: probes with
+/// `sample_coords` (a representative scene for the node's workload)
+/// under `ctx`'s device and precision, and returns the stored table of
+/// the exact hit, or of the nearest structurally compatible entry on a
+/// near-miss, or the uniform safe fallback on a miss, with its
+/// provenance. The table is returned as stored, unsanitized, so the
+/// [`Engine`] built from it records a [`ts_core::Downgrade`] for each
+/// slot that fails validation. Never tunes: this is the node-boot path,
+/// where availability beats optimality.
+pub fn boot_schedule(
+    cache: &mut ScheduleCache,
+    network: &Network,
+    ctx: &ExecCtx,
+    sample_coords: &[Coord],
+    policy: &DriftPolicy,
+) -> (GroupConfigs, WarmBoot) {
+    let key = ScheduleKey::of(&Session::new(network, sample_coords), ctx);
+    let (origin, digest, drifted, distance) = match cache.lookup(&key, policy) {
+        Lookup::Hit { digest, .. } => (BootOrigin::Cached, Some(digest), Vec::new(), 0.0),
+        Lookup::Warm {
+            digest,
+            drifted,
+            distance,
+            ..
+        } => (BootOrigin::Transferred, Some(digest), drifted, distance),
+        Lookup::Miss => (BootOrigin::Fallback, None, Vec::new(), 0.0),
+    };
+    let schedule = match &digest {
+        Some(d) => cache
+            .get(d)
+            .expect("a lookup names a stored entry")
+            .configs
+            .clone(),
+        None => GroupConfigs::uniform(DataflowConfig::safe_fallback()),
+    };
+    let boot = WarmBoot {
+        origin,
+        digest,
+        drifted,
+        distance,
+    };
+    (schedule, boot)
+}
+
+/// Boots a serving engine from the cache: [`boot_schedule`] under
+/// `ctx`, then [`Engine::new`], which runs any slot of the stored table
+/// that fails validation on the safe fallback. Never fails and never
+/// tunes; re-tune drifted groups offline with [`tune_cached`] and
+/// restart.
 pub fn warm_boot(
     cache: &mut ScheduleCache,
     network: Network,
@@ -306,47 +354,6 @@ pub fn warm_boot(
     sample_coords: &[Coord],
     policy: &DriftPolicy,
 ) -> (Engine, WarmBoot) {
-    let session = Session::new(&network, sample_coords);
-    let key = ScheduleKey::of(&session, &ctx);
-    match cache.lookup(&key, policy) {
-        Lookup::Hit {
-            digest, configs, ..
-        } => (
-            Engine::new(network, weights, configs, ctx),
-            WarmBoot {
-                origin: BootOrigin::Cached,
-                digest: Some(digest),
-                drifted: Vec::new(),
-                distance: 0.0,
-            },
-        ),
-        Lookup::Warm {
-            digest,
-            seed,
-            drifted,
-            distance,
-        } => (
-            Engine::new(network, weights, seed, ctx),
-            WarmBoot {
-                origin: BootOrigin::Transferred,
-                digest: Some(digest),
-                drifted,
-                distance,
-            },
-        ),
-        Lookup::Miss => (
-            Engine::new(
-                network,
-                weights,
-                GroupConfigs::uniform(DataflowConfig::safe_fallback()),
-                ctx,
-            ),
-            WarmBoot {
-                origin: BootOrigin::Fallback,
-                digest: None,
-                drifted: Vec::new(),
-                distance: 0.0,
-            },
-        ),
-    }
+    let (schedule, boot) = boot_schedule(cache, &network, &ctx, sample_coords, policy);
+    (Engine::new(network, weights, schedule, ctx), boot)
 }

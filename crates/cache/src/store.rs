@@ -575,16 +575,14 @@ impl TrainScheduleCache {
 /// override exists.
 fn downgraded_groups(downgrades: &[Downgrade], n_groups: usize) -> Vec<usize> {
     let mut out = Vec::new();
-    for d in downgrades {
-        if let Downgrade::Group { group, .. } = d {
-            match group {
-                Some(g) => {
-                    if *g < n_groups {
-                        out.push(*g);
-                    }
+    for Downgrade::Group { group, .. } in downgrades {
+        match group {
+            Some(g) => {
+                if *g < n_groups {
+                    out.push(*g);
                 }
-                None => return (0..n_groups).collect(),
             }
+            None => return (0..n_groups).collect(),
         }
     }
     out.sort_unstable();

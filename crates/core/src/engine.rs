@@ -6,10 +6,10 @@
 //! applications" (Section 4.2). [`Engine`] is that deployment artifact:
 //! tune once, then call [`Engine::infer`] per frame.
 
-use ts_dataflow::{DataflowConfig, ExecCtx};
+use ts_dataflow::ExecCtx;
 
 use crate::run::{check_input, run_network_in_session};
-use crate::schedule::{sanitize_configs, Downgrade, ScheduleArtifact, ScheduleError};
+use crate::schedule::{sanitize_configs, Downgrade};
 use crate::{
     run_network, CompileError, GroupConfigs, Network, NetworkWeights, RunReport, Session,
     SparseTensor,
@@ -23,26 +23,63 @@ pub struct Engine {
     weights: NetworkWeights,
     configs: GroupConfigs,
     ctx: ExecCtx,
-    /// Degradations applied while loading the schedule leniently;
-    /// empty for engines built from in-process (trusted) configs.
+    /// The slots of the given schedule that run the safe fallback
+    /// instead; empty when every config validated.
     downgrades: Vec<Downgrade>,
 }
 
 impl Engine {
     /// Assembles an engine from its parts (typically `configs` comes from
-    /// `ts_autotune::tune_inference`).
+    /// `ts_autotune::tune_inference`, or a ts-cache store's boot path).
+    ///
+    /// Every engine boots leniently: each config of `configs` that
+    /// fails validation (say, a corrupted split count in a stored
+    /// schedule) drops to the known-safe fallback dataflow
+    /// ([`ts_dataflow::DataflowConfig::safe_fallback`], sorted implicit
+    /// GEMM), and the engine records one [`Downgrade`] per replaced
+    /// slot, counted on the ts-trace counter
+    /// `core.schedule.group_downgraded`. A server that cannot boot
+    /// because last week's schedule no longer validates is worse than
+    /// one running the safe dataflow at TorchSparse-MLSys'22 speed.
+    /// Inspect [`Engine::downgrades`] / [`Engine::is_degraded`] for what
+    /// happened.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ts_core::{Engine, GroupConfigs, NetworkBuilder};
+    /// use ts_dataflow::{DataflowConfig, ExecCtx, MAX_SPLITS};
+    /// use ts_gpusim::Device;
+    /// use ts_tensor::Precision;
+    ///
+    /// let mut b = NetworkBuilder::new("tiny", 2);
+    /// let _ = b.conv("c", NetworkBuilder::INPUT, 4, 3, 1);
+    /// let net = b.build();
+    /// let weights = net.init_weights(0);
+    /// let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp32);
+    ///
+    /// // A corrupted schedule still boots an engine: degraded, not dead.
+    /// let corrupt = GroupConfigs::uniform(DataflowConfig::implicit_gemm(MAX_SPLITS + 1));
+    /// let engine = Engine::new(net, weights, corrupt, ctx);
+    /// assert!(engine.is_degraded());
+    /// assert_eq!(engine.configs().default, DataflowConfig::safe_fallback());
+    /// ```
     pub fn new(
         network: Network,
         weights: NetworkWeights,
         configs: GroupConfigs,
         ctx: ExecCtx,
     ) -> Self {
+        let (configs, downgrades) = sanitize_configs(&configs);
+        if !downgrades.is_empty() {
+            ts_trace::counter_add("core.schedule.group_downgraded", downgrades.len() as i64);
+        }
         Self {
             network,
             weights,
             configs,
             ctx,
-            downgrades: Vec::new(),
+            downgrades,
         }
     }
 
@@ -155,116 +192,9 @@ impl Engine {
         session.simulate_inference(&self.configs, &self.ctx)
     }
 
-    /// Exports the tuned schedule as a versioned artifact keyed by
-    /// (network name, device name, precision) — the tune-once artifact
-    /// a server boots from instead of re-tuning.
-    pub fn save_schedule(&self) -> ScheduleArtifact {
-        ScheduleArtifact::new(
-            self.network.name(),
-            &self.ctx.device().name,
-            self.ctx.precision,
-            self.configs.clone(),
-        )
-    }
-
-    /// Assembles an engine from a persisted schedule, refusing (with a
-    /// typed error, never a panic) an artifact tuned for a different
-    /// network, device, precision or format version.
-    ///
-    /// # Errors
-    ///
-    /// The [`ScheduleError`] naming the mismatching key component.
-    pub fn load_schedule(
-        network: Network,
-        weights: NetworkWeights,
-        artifact: &ScheduleArtifact,
-        ctx: ExecCtx,
-    ) -> Result<Engine, ScheduleError> {
-        artifact.validate(network.name(), &ctx.device().name, ctx.precision)?;
-        Ok(Engine::new(network, weights, artifact.configs.clone(), ctx))
-    }
-
-    /// Lenient [`Engine::load_schedule`] from raw artifact JSON: instead
-    /// of failing, every unusable part of the schedule drops to the
-    /// known-safe fallback dataflow
-    /// ([`DataflowConfig::safe_fallback`], sorted implicit GEMM) and the
-    /// engine records one [`Downgrade`] per replacement. The tail
-    /// insight of the paper is that *schedules*, not kernels, are the
-    /// fragile artifact — a server that cannot boot because last week's
-    /// schedule no longer validates is worse than a server running the
-    /// safe dataflow at TorchSparse-MLSys'22 speed.
-    ///
-    /// * Unparsable JSON, or an artifact tuned for a different network,
-    ///   device, precision or format version: the whole table degrades
-    ///   ([`Downgrade::Artifact`]).
-    /// * A tuned group config rejected at schedule-compile time (e.g. a
-    ///   corrupted split count): only that slot degrades
-    ///   ([`Downgrade::Group`]).
-    ///
-    /// Never fails and never panics. Inspect
-    /// [`Engine::downgrades`] / [`Engine::is_degraded`] for what
-    /// happened; each downgrade is also counted on the ts-trace
-    /// counters `core.schedule.artifact_rejected` and
-    /// `core.schedule.group_downgraded`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ts_core::{Engine, GroupConfigs, NetworkBuilder};
-    /// use ts_dataflow::{DataflowConfig, ExecCtx};
-    /// use ts_gpusim::Device;
-    /// use ts_tensor::Precision;
-    ///
-    /// let mut b = NetworkBuilder::new("tiny", 2);
-    /// let _ = b.conv("c", NetworkBuilder::INPUT, 4, 3, 1);
-    /// let net = b.build();
-    /// let weights = net.init_weights(0);
-    /// let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp32);
-    ///
-    /// // A corrupted artifact still boots an engine — degraded, not dead.
-    /// let engine = Engine::load_schedule_lenient(net, weights, "{corrupt", ctx);
-    /// assert!(engine.is_degraded());
-    /// assert_eq!(engine.configs().default, DataflowConfig::safe_fallback());
-    /// ```
-    pub fn load_schedule_lenient(
-        network: Network,
-        weights: NetworkWeights,
-        artifact_json: &str,
-        ctx: ExecCtx,
-    ) -> Engine {
-        let rejected = |error: ScheduleError| {
-            ts_trace::counter_add("core.schedule.artifact_rejected", 1);
-            (
-                GroupConfigs::uniform(DataflowConfig::safe_fallback()),
-                vec![Downgrade::Artifact { error }],
-            )
-        };
-        let (configs, downgrades) = match ScheduleArtifact::from_json(artifact_json) {
-            Err(e) => rejected(e),
-            Ok(artifact) => {
-                match artifact.validate(network.name(), &ctx.device().name, ctx.precision) {
-                    Err(e) => rejected(e),
-                    Ok(()) => {
-                        let (configs, downgrades) = sanitize_configs(&artifact.configs);
-                        if !downgrades.is_empty() {
-                            ts_trace::counter_add(
-                                "core.schedule.group_downgraded",
-                                downgrades.len() as i64,
-                            );
-                        }
-                        (configs, downgrades)
-                    }
-                }
-            }
-        };
-        let mut engine = Engine::new(network, weights, configs, ctx);
-        engine.downgrades = downgrades;
-        engine
-    }
-
-    /// Degradations applied while loading the schedule; empty unless
-    /// the engine came from [`Engine::load_schedule_lenient`] and parts
-    /// of the artifact were rejected.
+    /// The slots of the schedule this engine was given that run the
+    /// safe fallback instead, one record each; empty when every config
+    /// validated.
     pub fn downgrades(&self) -> &[Downgrade] {
         &self.downgrades
     }
@@ -391,103 +321,18 @@ mod tests {
     }
 
     #[test]
-    fn schedule_save_load_round_trip_is_exact() {
+    fn new_degrades_single_corrupt_group() {
         let e = engine();
-        let artifact = e.save_schedule();
-        let json = artifact.to_json().expect("artifact serializes");
-        let restored = crate::ScheduleArtifact::from_json(&json).expect("artifact loads");
-        let net = e.network().clone();
-        let loaded = Engine::load_schedule(
-            net.clone(),
-            net.init_weights(1),
-            &restored,
-            ExecCtx::functional(Device::rtx3090(), Precision::Fp16),
-        )
-        .expect("matching artifact loads");
-        // The loaded schedule simulates bit-identically to the tuned one.
-        let s = scene(3);
-        assert_eq!(
-            e.simulate(&s).total_us().to_bits(),
-            loaded.simulate(&s).total_us().to_bits()
-        );
-    }
-
-    #[test]
-    fn schedule_load_rejects_wrong_device() {
-        let e = engine();
-        let artifact = e.save_schedule();
-        let net = e.network().clone();
-        let err = Engine::load_schedule(
-            net.clone(),
-            net.init_weights(1),
-            &artifact,
-            ExecCtx::functional(Device::jetson_orin(), Precision::Fp16),
-        )
-        .unwrap_err();
-        assert!(matches!(err, crate::ScheduleError::DeviceMismatch { .. }));
-    }
-
-    #[test]
-    fn lenient_load_of_a_clean_artifact_matches_strict_load() {
-        let e = engine();
-        let json = e.save_schedule().to_json().expect("serializes");
-        let net = e.network().clone();
-        let loaded = Engine::load_schedule_lenient(
-            net.clone(),
-            net.init_weights(1),
-            &json,
-            ExecCtx::functional(Device::rtx3090(), Precision::Fp16),
-        );
-        assert!(!loaded.is_degraded());
-        assert!(loaded.downgrades().is_empty());
-        assert_eq!(loaded.configs(), e.configs());
-        let s = scene(6);
-        assert_eq!(
-            e.simulate(&s).total_us().to_bits(),
-            loaded.simulate(&s).total_us().to_bits()
-        );
-    }
-
-    #[test]
-    fn lenient_load_degrades_whole_artifact_on_identity_mismatch() {
-        let e = engine();
-        let json = e.save_schedule().to_json().expect("serializes");
-        let net = e.network().clone();
-        // Wrong device: strict load errors, lenient load degrades.
-        let ctx = ExecCtx::functional(Device::jetson_orin(), Precision::Fp16);
-        let loaded = Engine::load_schedule_lenient(net.clone(), net.init_weights(1), &json, ctx);
-        assert!(loaded.is_degraded());
-        assert!(matches!(
-            loaded.downgrades()[0],
-            crate::Downgrade::Artifact {
-                error: crate::ScheduleError::DeviceMismatch { .. }
-            }
-        ));
-        assert_eq!(
-            loaded.configs().default,
-            ts_dataflow::DataflowConfig::safe_fallback()
-        );
-        // The degraded engine still serves scenes.
-        let (out, report) = loaded.infer(&scene(2));
-        assert_eq!(out.channels(), 2);
-        assert!(report.total_us() > 0.0);
-    }
-
-    #[test]
-    fn lenient_load_degrades_single_corrupt_group() {
-        let e = engine();
-        let mut artifact = e.save_schedule();
-        artifact.configs.set(
+        let mut configs = e.configs().clone();
+        configs.set(
             0,
             DataflowConfig::implicit_gemm(ts_dataflow::MAX_SPLITS + 1),
         );
-        let json = artifact.to_json().expect("serializes");
-        let net = e.network().clone();
-        let loaded = Engine::load_schedule_lenient(
-            net.clone(),
-            net.init_weights(1),
-            &json,
-            ExecCtx::functional(Device::rtx3090(), Precision::Fp16),
+        let loaded = Engine::new(
+            e.network().clone(),
+            e.weights.clone(),
+            configs,
+            e.ctx().clone(),
         );
         assert_eq!(loaded.downgrades().len(), 1);
         assert!(matches!(
@@ -496,10 +341,11 @@ mod tests {
         ));
         assert_eq!(
             loaded.configs().for_group(0),
-            ts_dataflow::DataflowConfig::safe_fallback()
+            DataflowConfig::safe_fallback()
         );
         // The untouched default slot survives.
         assert_eq!(loaded.configs().default, e.configs().default);
+        assert!(!e.is_degraded());
         let (out, _) = loaded.infer(&scene(8));
         assert_eq!(out.channels(), 2);
     }

@@ -59,9 +59,7 @@ pub use engine::Engine;
 pub use network::{ConvSpec, Network, NetworkBuilder, NetworkWeights, Node, Op};
 pub use report::{percentile_sorted, LayerTiming, RunReport};
 pub use run::{run_network, run_network_in_session};
-pub use schedule::{
-    check_configs, sanitize_configs, Downgrade, ScheduleArtifact, ScheduleError, SCHEDULE_VERSION,
-};
+pub use schedule::{check_configs, sanitize_configs, Downgrade};
 pub use session::{
     CompileError, GroupConfigs, GroupInfo, GroupKey, GroupSignature, PrepareCacheCounters, Session,
     SubmanifoldReuse, TrainConfigs,

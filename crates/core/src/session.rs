@@ -428,18 +428,24 @@ impl Session {
     /// submanifold map ([`SubmanifoldReuse`]): the matching group adopts
     /// the supplied map and charges the supplied (delta-sized) build
     /// stats instead of rebuilding. All other groups build normally.
+    /// With a map, `input_coords` are taken as given: the map's contract
+    /// already requires them deduplicated, in the map's order.
     ///
     /// # Panics
     ///
-    /// Panics if the reused map does not cover exactly the deduplicated
-    /// input coordinates (`map.n_out() != coords.len()`) — a mismatched
-    /// map would silently corrupt every downstream layer.
+    /// Panics if the reused map does not cover exactly the input
+    /// coordinates (`map.n_out() != input_coords.len()`, which a repeated
+    /// point trips too) — a mismatched map would silently corrupt every
+    /// downstream layer.
     pub fn try_new_with_reuse(
         network: &Network,
         input_coords: &[Coord],
         reuse: Option<&SubmanifoldReuse>,
     ) -> Result<Self, CompileError> {
-        let input = Arc::new(ts_kernelmap::unique_coords(input_coords));
+        let input = Arc::new(match reuse {
+            Some(_) => input_coords.to_vec(),
+            None => ts_kernelmap::unique_coords(input_coords),
+        });
         let mut coords = vec![Arc::clone(&input)];
         let mut stride_cache: HashMap<i32, Arc<Vec<Coord>>> = HashMap::new();
         stride_cache.insert(1, input);
@@ -1441,6 +1447,23 @@ mod tests {
         let d2 = b.conv("down2", d1, 8, 2, 2);
         let _ = b.conv_transposed("up", d2, 8, 2, 2);
         assert!(Session::try_new(&b.build(), &grid_coords(8)).is_ok());
+    }
+
+    /// A reuse compile takes its coordinates as given, so the map's
+    /// coverage check refuses a repeated point.
+    #[test]
+    #[should_panic(expected = "reused submanifold map must cover the input coordinates")]
+    fn a_reuse_compile_refuses_repeated_coordinates() {
+        let coords = grid_coords(6);
+        let (map, stats) = build_submanifold_map_with_stats(&coords, &KernelOffsets::cube(3));
+        let reuse = SubmanifoldReuse {
+            kernel_size: 3,
+            map: Arc::new(map),
+            stats,
+        };
+        let mut repeated = coords.clone();
+        repeated.push(coords[0]);
+        let _ = Session::try_new_with_reuse(&unet(), &repeated, Some(&reuse));
     }
 
     #[test]

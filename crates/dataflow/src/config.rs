@@ -131,7 +131,7 @@ impl DataflowConfig {
     /// Checks the config against the envelope a schedule is allowed to
     /// request. Tuner-produced configs always pass; this is the
     /// compile-time gate for configs read back from persisted (and
-    /// possibly corrupted) schedule artifacts.
+    /// possibly corrupted) schedules.
     ///
     /// # Errors
     ///

@@ -100,9 +100,9 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Boots one server per spec. Every node loads its artifact
-    /// leniently — a corrupt or mismatched schedule boots a degraded
-    /// node, never a missing one. The hash ring is capacity-weighted
+    /// Boots one server per spec. Every node boots its schedule
+    /// leniently — a corrupt schedule boots a degraded node, never a
+    /// missing one. The hash ring is capacity-weighted
     /// ([`NodeSpec::capacity_weight`]), so slower tiers home
     /// proportionally fewer streams.
     pub fn boot(

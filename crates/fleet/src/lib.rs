@@ -5,7 +5,7 @@
 //! of different classes behind one endpoint. This crate stands up N
 //! [`ts_serve::Server`] nodes — each simulating its own device
 //! (A100 / RTX 3090 / Jetson Orin) and booting its own per-device
-//! [`ts_core::ScheduleArtifact`] leniently — and routes streaming
+//! schedule leniently ([`NodeSpec`]) — and routes streaming
 //! point-cloud requests across them.
 //!
 //! # Why stream affinity

@@ -1,16 +1,16 @@
 //! Node specification: which device a fleet slot simulates, which
-//! schedule artifact it boots from, and how its server is configured.
+//! schedule it boots from, and how its server is configured.
 //!
 //! The paper's central observation is that the best dataflow is
 //! device-specific (its Sparse Autotuner re-tunes per device); a
-//! heterogeneous fleet therefore boots every node from its *own*
-//! [`ScheduleArtifact`] via [`Engine::load_schedule_lenient`] — an
-//! artifact tuned for an A100 is rejected (leniently, with typed
-//! downgrades) on an Orin rather than silently mispricing it.
+//! heterogeneous fleet therefore resolves every node's schedule from
+//! the ts-cache store under its *own* device model
+//! ([`NodeSpec::cached`]): a store tuned for an A100 gives an Orin node
+//! the safe fallback rather than a schedule that misprices it.
 
 use serde::{Deserialize, Serialize};
-use ts_cache::{BootOrigin, DriftPolicy, Lookup, ScheduleCache, ScheduleKey};
-use ts_core::{Engine, GroupConfigs, Network, NetworkWeights, ScheduleArtifact, Session};
+use ts_cache::{boot_schedule, BootOrigin, DriftPolicy, ScheduleCache};
+use ts_core::{Engine, GroupConfigs, Network, NetworkWeights};
 use ts_dataflow::{DataflowConfig, ExecCtx};
 use ts_gpusim::Device;
 use ts_kernelmap::Coord;
@@ -59,56 +59,34 @@ pub struct NodeSpec {
     pub tier: DeviceTier,
     /// Numeric precision the node serves at.
     pub precision: Precision,
-    /// Serialized [`ScheduleArtifact`] the node boots its engine from.
-    /// Always loaded leniently: a mismatched or corrupt artifact boots
-    /// a degraded node, never a dead one.
-    pub artifact_json: String,
+    /// The schedule the node boots its engine from. Booting is
+    /// lenient ([`Engine::new`]): a slot that fails validation runs the
+    /// safe fallback and the engine reports itself degraded, never dead.
+    pub schedule: GroupConfigs,
     /// Per-node server configuration.
     pub serve: ServeConfig,
 }
 
 impl NodeSpec {
-    /// A spec with an untuned (uniform implicit-GEMM) schedule artifact
-    /// keyed to this tier's device — the artifact a deployment would
-    /// ship before its first autotune pass. Callers with tuned
-    /// schedules set `artifact_json` from [`Engine::save_schedule`]
-    /// instead.
-    pub fn untuned(
-        id: usize,
-        tier: DeviceTier,
-        precision: Precision,
-        network: &Network,
-        serve: ServeConfig,
-    ) -> Self {
-        let artifact = ScheduleArtifact::new(
-            network.name(),
-            &tier.device().name,
-            precision,
-            GroupConfigs::uniform(DataflowConfig::implicit_gemm(1)),
-        );
+    /// A spec with the untuned schedule, the safe fallback dataflow
+    /// everywhere: what a deployment ships before its first autotune
+    /// pass, and what [`NodeSpec::cached`] gives a node the store has no
+    /// schedule for.
+    pub fn untuned(id: usize, tier: DeviceTier, precision: Precision, serve: ServeConfig) -> Self {
         Self {
             id,
             tier,
             precision,
-            artifact_json: artifact.to_json().expect("uniform artifact serializes"),
+            schedule: GroupConfigs::uniform(DataflowConfig::safe_fallback()),
             serve,
         }
     }
 
-    /// A spec booted through the content-addressed schedule cache
-    /// (`ts-cache`): probes with `sample_coords` (a representative
-    /// scene for this node's workload) under the tier's device model,
-    /// and builds `artifact_json` from the cached schedule on an exact
-    /// hit, from the nearest structurally compatible schedule on a
-    /// near-miss, or falls back to [`NodeSpec::untuned`] on a miss —
-    /// the lenient always-boots contract is unchanged, a cold cache
-    /// just boots untuned nodes. Returns the spec plus where its
-    /// schedule came from.
-    ///
-    /// The artifact is keyed to *this* network's name whatever the
-    /// cached schedule's network was called: the cache matches on
-    /// topology, and [`Engine::load_schedule`] validates by name, so
-    /// a topology-equal rename must still transfer.
+    /// A spec whose schedule is resolved from the content-addressed
+    /// schedule store by [`boot_schedule`], probing with `sample_coords`
+    /// (a representative scene for this node's workload) under the
+    /// tier's device model. A cold store just boots untuned nodes.
+    /// Returns the spec plus where its schedule came from.
     #[allow(clippy::too_many_arguments)]
     pub fn cached(
         id: usize,
@@ -120,59 +98,40 @@ impl NodeSpec {
         policy: &DriftPolicy,
         serve: ServeConfig,
     ) -> (Self, BootOrigin) {
-        let session = Session::new(network, sample_coords);
         let ctx = ExecCtx::simulate(tier.device(), precision);
-        let key = ScheduleKey::of(&session, &ctx);
-        let (configs, origin, tuned_latency_us) = match cache.lookup(&key, policy) {
-            Lookup::Hit {
-                configs,
-                tuned_latency_us,
-                ..
-            } => (configs, BootOrigin::Cached, tuned_latency_us),
-            Lookup::Warm { seed, .. } => (seed, BootOrigin::Transferred, 0.0),
-            Lookup::Miss => {
-                return (
-                    Self::untuned(id, tier, precision, network, serve),
-                    BootOrigin::Fallback,
-                )
-            }
-        };
-        let artifact =
-            ScheduleArtifact::new(network.name(), &tier.device().name, precision, configs)
-                .with_tuned_latency(tuned_latency_us);
+        let (schedule, boot) = boot_schedule(cache, network, &ctx, sample_coords, policy);
         (
             Self {
                 id,
                 tier,
                 precision,
-                artifact_json: artifact.to_json().expect("cached artifact serializes"),
+                schedule,
                 serve,
             },
-            origin,
+            boot.origin,
         )
     }
 
-    /// Boots this node's engine: lenient schedule load against the
-    /// tier's device model, so the node always comes up (possibly
-    /// degraded, with typed [`ts_core::Downgrade`] records).
+    /// Boots this node's engine under the tier's device model; possibly
+    /// degraded, with typed [`ts_core::Downgrade`] records, never dead.
     pub fn boot_engine(&self, network: &Network, weights: &NetworkWeights) -> Engine {
-        Engine::load_schedule_lenient(
+        Engine::new(
             network.clone(),
             weights.clone(),
-            &self.artifact_json,
+            self.schedule.clone(),
             ExecCtx::functional(self.tier.device(), self.precision),
         )
     }
 
-    /// Same lenient boot, but in simulate-only mode (no feature math):
-    /// what [`crate::FleetSim`] runs, where only the priced
+    /// Same boot, but in simulate-only mode (no feature math): what
+    /// [`crate::FleetSim`] runs, where only the priced
     /// [`ts_core::RunReport`] matters and functional execution would
     /// waste the bench's wall clock on outputs nobody reads.
     pub fn boot_sim_engine(&self, network: &Network, weights: &NetworkWeights) -> Engine {
-        Engine::load_schedule_lenient(
+        Engine::new(
             network.clone(),
             weights.clone(),
-            &self.artifact_json,
+            self.schedule.clone(),
             ExecCtx::simulate(self.tier.device(), self.precision),
         )
     }
@@ -189,26 +148,23 @@ impl NodeSpec {
     }
 }
 
+/// The tier cycle of the heterogeneous lineups.
+const CYCLE: [DeviceTier; 3] = [DeviceTier::Premium, DeviceTier::Standard, DeviceTier::Edge];
+
 /// The standard heterogeneous lineup for an `n`-node fleet: tiers
 /// cycle Premium, Standard, Edge, Premium, ... so an 8-node fleet gets
-/// 3 A100s, 3 RTX 3090s and 2 Orins. Every node gets an untuned
-/// artifact for its own device.
-pub fn heterogeneous_specs(
-    n: usize,
-    precision: Precision,
-    network: &Network,
-    serve: &ServeConfig,
-) -> Vec<NodeSpec> {
-    const CYCLE: [DeviceTier; 3] = [DeviceTier::Premium, DeviceTier::Standard, DeviceTier::Edge];
+/// 3 A100s, 3 RTX 3090s and 2 Orins. Every node gets the untuned
+/// schedule.
+pub fn heterogeneous_specs(n: usize, precision: Precision, serve: &ServeConfig) -> Vec<NodeSpec> {
     (0..n)
-        .map(|id| NodeSpec::untuned(id, CYCLE[id % 3], precision, network, serve.clone()))
+        .map(|id| NodeSpec::untuned(id, CYCLE[id % 3], precision, serve.clone()))
         .collect()
 }
 
 /// [`heterogeneous_specs`], but every node boots through the schedule
 /// cache ([`NodeSpec::cached`]): each tier probes with its own device
 /// model, so a store tuned per-tier warm-boots the whole lineup while
-/// tiers the store has never seen fall back to untuned specs. Returns
+/// tiers the store has never seen boot untuned. Returns
 /// the specs plus each node's schedule provenance, index-aligned.
 pub fn heterogeneous_specs_cached(
     n: usize,
@@ -219,7 +175,6 @@ pub fn heterogeneous_specs_cached(
     policy: &DriftPolicy,
     serve: &ServeConfig,
 ) -> (Vec<NodeSpec>, Vec<BootOrigin>) {
-    const CYCLE: [DeviceTier; 3] = [DeviceTier::Premium, DeviceTier::Standard, DeviceTier::Edge];
     (0..n)
         .map(|id| {
             NodeSpec::cached(
@@ -239,7 +194,7 @@ pub fn heterogeneous_specs_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_core::NetworkBuilder;
+    use ts_core::{NetworkBuilder, Session};
 
     fn net() -> Network {
         let mut b = NetworkBuilder::new("node-test", 2);
@@ -255,30 +210,11 @@ mod tests {
             0,
             DeviceTier::Standard,
             Precision::Fp16,
-            &network,
             ServeConfig::default(),
         );
         let engine = spec.boot_engine(&network, &weights);
-        assert!(!engine.is_degraded(), "matching artifact loads clean");
+        assert!(!engine.is_degraded(), "the untuned schedule boots clean");
         assert_eq!(engine.ctx().device().name, "RTX 3090");
-    }
-
-    #[test]
-    fn mismatched_artifact_boots_degraded_not_dead() {
-        let network = net();
-        let weights = network.init_weights(0);
-        // An artifact tuned for the Premium tier, booted on Edge.
-        let mut spec = NodeSpec::untuned(
-            1,
-            DeviceTier::Premium,
-            Precision::Fp16,
-            &network,
-            ServeConfig::default(),
-        );
-        spec.tier = DeviceTier::Edge;
-        let engine = spec.boot_engine(&network, &weights);
-        assert!(engine.is_degraded(), "wrong-device artifact downgrades");
-        assert_eq!(engine.ctx().device().name, "Jetson Orin");
     }
 
     #[test]
@@ -322,7 +258,7 @@ mod tests {
             ]
         );
         // Every node still boots, cached or not, and the cached one
-        // runs the transferred schedule without downgrades.
+        // runs the stored schedule without downgrades.
         for spec in &specs {
             let engine = spec.boot_engine(&network, &weights);
             assert!(!engine.is_degraded(), "node {} must boot clean", spec.id);
@@ -336,8 +272,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_lineup_cycles_tiers() {
-        let network = net();
-        let specs = heterogeneous_specs(8, Precision::Fp16, &network, &ServeConfig::default());
+        let specs = heterogeneous_specs(8, Precision::Fp16, &ServeConfig::default());
         let tiers: Vec<DeviceTier> = specs.iter().map(|s| s.tier).collect();
         assert_eq!(
             tiers,

@@ -20,7 +20,8 @@ pub struct NodeReport {
     pub tier: DeviceTier,
     /// Simulated device name (e.g. "A100").
     pub device: String,
-    /// Schedule slots the node booted degraded (lenient artifact load).
+    /// Schedule slots the node booted degraded (lenient boot,
+    /// [`ts_core::Engine::downgrades`]).
     pub schedule_downgrades: u64,
     /// Times the node was killed by fleet chaos.
     pub deaths: u64,

@@ -238,8 +238,8 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
-    /// Boots a virtual node per spec: the same lenient artifact load as
-    /// the live fleet, but in simulate-only mode (only the priced
+    /// Boots a virtual node per spec: the same lenient boot as the live
+    /// fleet, but in simulate-only mode (only the priced
     /// [`ts_core::RunReport`] matters here) and behind the same
     /// capacity-weighted ring. The [`ts_serve::ServeConfig`] inside
     /// each spec is unused — the sim has no batcher or worker pool.

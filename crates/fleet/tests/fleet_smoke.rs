@@ -30,7 +30,7 @@ fn serve_cfg() -> ServeConfig {
 fn four_node_fleet_survives_kill_and_restart() {
     let network = net();
     let weights = network.init_weights(1);
-    let specs = heterogeneous_specs(4, Precision::Fp16, &network, &serve_cfg());
+    let specs = heterogeneous_specs(4, Precision::Fp16, &serve_cfg());
     let mut fleet = Fleet::boot(
         network.clone(),
         weights.clone(),
@@ -147,7 +147,6 @@ fn fleet_health_snapshots_and_rehome_events() {
     let specs = heterogeneous_specs(
         3,
         Precision::Fp16,
-        &network,
         &serve_cfg().with_obs(ts_serve::ObsConfig::default()),
     );
     let mut fleet = Fleet::boot(
@@ -224,7 +223,7 @@ fn fleet_health_snapshots_and_rehome_events() {
 fn killing_every_node_yields_typed_no_capacity() {
     let network = net();
     let weights = network.init_weights(2);
-    let specs = heterogeneous_specs(2, Precision::Fp16, &network, &serve_cfg());
+    let specs = heterogeneous_specs(2, Precision::Fp16, &serve_cfg());
     let mut fleet = Fleet::boot(network, weights, specs, RouterConfig::default());
     let frames = frame_bank(1, 2, 0.15, 3);
 

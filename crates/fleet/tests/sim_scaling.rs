@@ -38,7 +38,7 @@ fn bank(trace: &ArrivalTrace, scale: f32) -> Vec<Vec<ts_core::SparseTensor>> {
 fn sim_is_deterministic() {
     let network = net();
     let weights = network.init_weights(1);
-    let specs = heterogeneous_specs(4, Precision::Fp16, &network, &ServeConfig::default());
+    let specs = heterogeneous_specs(4, Precision::Fp16, &ServeConfig::default());
     let t = trace(60);
     let frames = bank(&t, 0.15);
     let run = |_: ()| {
@@ -64,7 +64,7 @@ fn sim_is_deterministic() {
 fn kill_drains_and_rehomes_then_restart_recovers() {
     let network = net();
     let weights = network.init_weights(1);
-    let specs = heterogeneous_specs(4, Precision::Fp16, &network, &ServeConfig::default());
+    let specs = heterogeneous_specs(4, Precision::Fp16, &ServeConfig::default());
     let t = trace(80);
     let frames = bank(&t, 0.15);
     let kill_at = t.arrivals[40].at_us;
@@ -100,7 +100,7 @@ fn kill_drains_and_rehomes_then_restart_recovers() {
 fn all_nodes_dead_rejects_with_no_capacity() {
     let network = net();
     let weights = network.init_weights(1);
-    let specs = heterogeneous_specs(2, Precision::Fp16, &network, &ServeConfig::default());
+    let specs = heterogeneous_specs(2, Precision::Fp16, &ServeConfig::default());
     let t = trace(30);
     let frames = bank(&t, 0.15);
     let kill_at = t.arrivals[10].at_us;
@@ -151,16 +151,9 @@ fn mid_trace_kill_trips_fast_alert_and_restart_clears() {
             0,
             DeviceTier::Premium,
             Precision::Fp16,
-            &network,
             ServeConfig::default(),
         ),
-        NodeSpec::untuned(
-            1,
-            DeviceTier::Edge,
-            Precision::Fp16,
-            &network,
-            ServeConfig::default(),
-        ),
+        NodeSpec::untuned(1, DeviceTier::Edge, Precision::Fp16, ServeConfig::default()),
     ];
     let t = ArrivalTrace::generate(
         ArrivalConfig {
@@ -269,11 +262,10 @@ fn fleet_outpaces_single_node_under_load() {
                 0,
                 DeviceTier::Standard,
                 Precision::Fp16,
-                &network,
                 ServeConfig::default(),
             )]
         } else {
-            heterogeneous_specs(n, Precision::Fp16, &network, &ServeConfig::default())
+            heterogeneous_specs(n, Precision::Fp16, &ServeConfig::default())
         };
         let mut sim = FleetSim::new(&network, &weights, &specs, router, SimConfig::default());
         sim.run(&t, &frames)

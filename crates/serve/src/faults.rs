@@ -6,7 +6,7 @@
 //! chaos run is replayable: batch `n` panics (or stalls) on every run
 //! with the same seed, no matter which worker picks it up or how the
 //! OS schedules threads. The plan also packages the deterministic
-//! corruption helpers the chaos tests use against persisted schedules
+//! corruption helper the chaos tests use against persisted schedules
 //! and the burst-sizing helper for queue-overload scenarios.
 //!
 //! The plan type and its decision logic always compile (they are plain
@@ -133,12 +133,12 @@ impl FaultPlan {
         None
     }
 
-    /// Deterministically corrupts a schedule-artifact JSON string so it
-    /// no longer parses: truncates at a seeded offset strictly inside
-    /// the document (a prefix of a JSON object is never valid JSON).
-    /// Feeding the result to `ScheduleArtifact::from_json` yields a
-    /// typed `Parse` error; feeding it to
-    /// `Engine::load_schedule_lenient` yields a degraded engine.
+    /// Deterministically corrupts a JSON document, such as a schedule
+    /// store's entry file, so it no longer parses: truncates at a seeded
+    /// offset strictly inside the document (a prefix of a JSON object is
+    /// never valid JSON). A store opened over a truncated entry skips
+    /// it and records a load issue; the node then boots on the safe
+    /// fallback.
     pub fn corrupt_truncate(&self, json: &str) -> String {
         if json.len() < 2 {
             return String::new();
@@ -148,30 +148,6 @@ impl FaultPlan {
             cut -= 1;
         }
         json[..cut].to_string()
-    }
-
-    /// Deterministically corrupts a schedule-artifact JSON string while
-    /// keeping it parseable: rewrites the `"version"` field to a seeded
-    /// wrong value, so strict loads fail with a typed
-    /// `VersionMismatch` and lenient loads degrade the whole table.
-    pub fn corrupt_version(&self, json: &str) -> String {
-        let bogus = 1000 + (mix(self.seed ^ 0xC0) % 1000);
-        match json.find("\"version\"") {
-            None => self.corrupt_truncate(json),
-            Some(at) => {
-                let rest = &json[at..];
-                let colon = rest.find(':').map(|c| at + c + 1);
-                match colon {
-                    None => self.corrupt_truncate(json),
-                    Some(start) => {
-                        let end = json[start..]
-                            .find([',', '}', '\n'])
-                            .map_or(json.len(), |e| start + e);
-                        format!("{}{bogus}{}", &json[..start], &json[end..])
-                    }
-                }
-            }
-        }
     }
 
     /// Deterministic burst size for a queue-overload scenario: tick `t`
@@ -275,15 +251,6 @@ mod tests {
         let a = plan.corrupt_truncate(json);
         assert_eq!(a, plan.corrupt_truncate(json));
         assert!(!a.is_empty() && a.len() < json.len());
-    }
-
-    #[test]
-    fn version_corruption_keeps_json_parseable_but_wrong() {
-        let json = "{\n  \"version\": 1,\n  \"network\": \"n\"\n}";
-        let corrupted = FaultPlan::from_seed(5).corrupt_version(json);
-        assert!(corrupted.contains("\"version\""));
-        assert!(!corrupted.contains("\"version\": 1,"));
-        assert!(corrupted.contains("\"network\": \"n\""));
     }
 
     #[test]

@@ -21,12 +21,10 @@
 //!   the batcher dequeues earliest-deadline-first, expired requests
 //!   are shed unexecuted, and shutdown drains everything already
 //!   admitted.
-//! * **Schedule persistence** — servers boot from
-//!   [`ts_core::ScheduleArtifact`] (see
-//!   [`ts_core::Engine::save_schedule`] /
-//!   [`ts_core::Engine::load_schedule`]) instead of re-tuning, with
-//!   typed errors when an artifact was tuned for a different network,
-//!   device, precision or format version.
+//! * **Schedule persistence** — servers boot from the engine that
+//!   ts-cache's `warm_boot` resolves from a content-addressed schedule
+//!   store instead of re-tuning; a store with nothing for this
+//!   network, device and precision boots the safe fallback.
 //! * **SLO accounting** — per-stream wall-latency histograms (exact
 //!   count, mean, min, max and std; p50/p90/p99 at log-bucket
 //!   resolution), batch size and queue-depth histograms, throughput,
@@ -39,10 +37,9 @@
 //!   or sheds their in-flight requests with typed outcomes
 //!   ([`Rejected::WorkerCrashed`]); every submitted request resolves,
 //!   crash or not; [`Rejected::retryable`] tells a caller which
-//!   rejections are worth resubmitting. Engines that fail schedule
+//!   rejections are worth resubmitting. Engines whose schedules fail
 //!   validation boot degraded on the safe fallback dataflow instead of
-//!   refusing to serve (see
-//!   [`ts_core::Engine::load_schedule_lenient`]); responses carry a
+//!   refusing to serve (see [`ts_core::Engine::new`]); responses carry a
 //!   [`Response::degraded`] flag and the report counts the downgrades.
 //! * **Temporal map reuse** — with [`ServeConfig::with_map_reuse`],
 //!   workers service each frame through
@@ -55,10 +52,10 @@
 //!   reported via the `map_*` counters of [`ServeReport`] and the
 //!   `serve.map_cache.*` trace counters.
 //! * **Deterministic chaos testing** — with the `chaos` feature, a
-//!   seeded [`FaultPlan`] injects worker panics, stalls and artifact
-//!   corruption as a pure function of the batch sequence number, so a
-//!   failing chaos run replays bit-identically from its seed. Without
-//!   the feature the injection sites compile to no-ops.
+//!   seeded [`FaultPlan`] injects worker panics and stalls as a pure
+//!   function of the batch sequence number, so a failing chaos run
+//!   replays bit-identically from its seed. Without the feature the
+//!   injection sites compile to no-ops.
 //! * **Live telemetry** — with [`ServeConfig::with_obs`], every event
 //!   also feeds a [`ts_obs::Telemetry`] registry: rolling-window
 //!   health snapshots ([`Server::health_snapshot`]), multi-window

@@ -50,9 +50,10 @@ pub struct ServerLoad {
     /// Requests shed unexecuted past their deadline so far.
     pub shed_deadline: u64,
     /// Total simulated execution microseconds across completed
-    /// requests; `sim_us_total / completed` is the device's measured
-    /// mean service time, which a heterogeneous-fleet router needs to
-    /// turn queue depth into expected wait.
+    /// requests; `sim_us_total / completed` is the device's simulated
+    /// mean service time (the cost model's figure, not a wall-clock
+    /// measurement), which a heterogeneous-fleet router uses to turn
+    /// queue depth into expected wait.
     pub sim_us_total: f64,
 }
 
@@ -67,8 +68,9 @@ impl ServerLoad {
         (self.deadline_misses + self.shed_deadline) as f64 / finished as f64
     }
 
-    /// Measured mean simulated service time per completed request, in
-    /// microseconds; 0 before anything completes.
+    /// Simulated mean service time per completed request, in
+    /// microseconds (the cost model's figure, not a wall-clock
+    /// measurement); 0 before anything completes.
     pub fn est_service_us(&self) -> f64 {
         if self.completed == 0 {
             return 0.0;
@@ -124,9 +126,9 @@ pub struct ServeReport {
     pub worker_restarts: u64,
     /// Requests recovered from a dead or stuck worker and re-enqueued.
     pub requeued: u64,
-    /// Schedule slots downgraded to the safe fallback dataflow when the
-    /// engine booted leniently from a rejected artifact (see
-    /// [`ts_core::Engine::load_schedule_lenient`]).
+    /// Schedule slots the serving engine runs on the safe fallback
+    /// dataflow because their configs failed validation (see
+    /// [`ts_core::Engine::downgrades`]).
     pub schedule_downgrades: u64,
     /// Frames that found their stream's kernel map cached (temporal
     /// reuse; see [`crate::ServeConfig::with_map_reuse`]).
@@ -480,8 +482,10 @@ impl Metrics {
             self.release();
         }
         self.report.lock().expect("metrics lock").fold(&event);
-        if let Some(t) = &self.tracer {
-            trace_counters(&event, |name, delta| t.counter_add(name, delta));
+        if ts_trace::ENABLED {
+            if let Some(t) = &self.tracer {
+                trace_counters(&event, |name, delta| t.counter_add(name, delta));
+            }
         }
         if let Some(t) = &self.telemetry {
             t.observe(event);

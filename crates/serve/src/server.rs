@@ -37,11 +37,10 @@ pub struct Response {
     /// Whether the response was produced after the request's deadline
     /// (late responses are still delivered, but counted as SLO misses).
     pub missed_deadline: bool,
-    /// Whether the serving engine is running in degraded mode — some or
-    /// all of its tuned schedule was rejected at load and replaced by
-    /// the safe fallback dataflow (see
-    /// [`ts_core::Engine::load_schedule_lenient`]). The output is still
-    /// correct; only the tuned performance is lost.
+    /// Whether the serving engine is running in degraded mode — some
+    /// slots of its schedule failed validation and run the safe
+    /// fallback dataflow instead (see [`ts_core::Engine::new`]). The
+    /// output is still correct; only the tuned performance is lost.
     pub degraded: bool,
 }
 
@@ -270,7 +269,7 @@ impl Server {
     /// caller's [`ResponseHandle`].
     ///
     /// If the engine booted in degraded mode
-    /// ([`ts_core::Engine::load_schedule_lenient`]), the downgrade
+    /// ([`ts_core::Engine::is_degraded`]), the downgrade
     /// count is recorded in [`ServeReport::schedule_downgrades`] and
     /// every response is flagged [`Response::degraded`].
     ///
@@ -375,7 +374,11 @@ impl Server {
         let job = Job {
             stream,
             req: self.next_req.fetch_add(1, Ordering::Relaxed),
-            trace_root: self.tracer.as_ref().map(|t| t.alloc_span_id()),
+            trace_root: if ts_trace::ENABLED {
+                self.tracer.as_ref().map(|t| t.alloc_span_id())
+            } else {
+                None
+            },
             frame,
             submitted,
             deadline: deadline.map(|d| submitted + d),
@@ -448,9 +451,11 @@ impl Server {
     pub fn shutdown(mut self) -> ServeReport {
         self.join_threads();
         let mut report = self.metrics.report();
-        if let (Some(tracer), Some(path)) = (&self.tracer, &self.trace_path) {
-            if tracer.write_chrome_trace(path).is_ok() {
-                report.trace_path = Some(path.display().to_string());
+        if ts_trace::ENABLED {
+            if let (Some(tracer), Some(path)) = (&self.tracer, &self.trace_path) {
+                if tracer.write_chrome_trace(path).is_ok() {
+                    report.trace_path = Some(path.display().to_string());
+                }
             }
         }
         report

@@ -48,7 +48,7 @@
 //! |---|---|
 //! | `kernelgen.kernels.generated` | Kernels emitted by the Sparse Kernel Generator |
 //! | `core.prepare_cache.hit` / `.miss` | Per-layer prepared-kernel-map reuse in the engine |
-//! | `core.schedule.artifact_rejected` | Lenient schedule load rejected the whole artifact (fallback dataflow everywhere) |
+//! | `core.schedule.group_downgraded` | Schedule slots an engine runs on the safe fallback dataflow because their configs failed validation |
 //! | `core.stream.entered` / `.exited` / `.frames` | Streaming-session lifecycle and frames served |
 //! | `core.stream.patched` / `.rebuilt` | Incremental kernel-map updates: in-place patch vs full rebuild |
 //! | `core.walk.macs` | Multiply-adds the feature walk computes: `pairs × c_in × c_out` per forward, dgrad and wgrad kernel call |

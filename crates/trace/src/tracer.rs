@@ -600,6 +600,9 @@ pub struct SimKernelSuppression(Option<(Tracer, bool)>);
 impl Drop for SimKernelSuppression {
     #[inline]
     fn drop(&mut self) {
+        if !ENABLED {
+            return;
+        }
         if let Some((t, prev)) = self.0.take() {
             t.set_sim_kernels(prev);
         }

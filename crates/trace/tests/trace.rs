@@ -358,7 +358,7 @@ const EMITTED_COUNTERS: &[(&str, Subsystem)] = &[
     ("kernelgen.kernels.generated", Subsystem::Kernelgen),
     ("core.prepare_cache.hit", Subsystem::Core),
     ("core.prepare_cache.miss", Subsystem::Core),
-    ("core.schedule.artifact_rejected", Subsystem::Core),
+    ("core.schedule.group_downgraded", Subsystem::Core),
     ("core.stream.entered", Subsystem::Core),
     ("core.stream.exited", Subsystem::Core),
     ("core.stream.frames", Subsystem::Core),

@@ -29,8 +29,8 @@
 //! runs `ts_kernelmap::check_map` on the scenario's map and its
 //! transpose. The engine runs its own structural checks where they
 //! guard it: `Engine::compile` and `compile_stream` check every map (and
-//! the patched split plan) in debug builds, and `load_schedule_lenient`
-//! validates every config slot it loads.
+//! the patched split plan) in debug builds, and `Engine::new`
+//! validates every config slot of the schedule it is given.
 //!
 //! The `verify` binary drives them: `--corpus` replays checked-in
 //! repros (CI gate, every tier), `--fuzz --seed S --iters N` fuzzes the

@@ -36,7 +36,7 @@ fn main() {
         .with_queue_capacity(256)
         .with_supervisor_poll(Duration::from_millis(2))
         .with_obs(obs);
-    let specs = heterogeneous_specs(3, Precision::Fp16, &network, &serve);
+    let specs = heterogeneous_specs(3, Precision::Fp16, &serve);
     let mut fleet = Fleet::boot(network.clone(), weights, specs, RouterConfig::default());
 
     // Warm traffic: 6 streams, 6 frames each.

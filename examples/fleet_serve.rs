@@ -38,7 +38,7 @@ fn main() {
         .with_max_wait(Duration::from_millis(1))
         .with_queue_capacity(256)
         .with_supervisor_poll(Duration::from_millis(2));
-    let specs = heterogeneous_specs(8, Precision::Fp16, &network, &serve);
+    let specs = heterogeneous_specs(8, Precision::Fp16, &serve);
     for s in &specs {
         println!("node {}: {:?} ({})", s.id, s.tier, s.tier.device().name);
     }

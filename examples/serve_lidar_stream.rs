@@ -1,6 +1,7 @@
-//! Deployment loop: tune a schedule once, persist it, boot a serving
-//! pool from the artifact, and stream temporally-coherent LiDAR frames
-//! from several concurrent "vehicles" against latency deadlines.
+//! Deployment loop: tune a schedule once into a schedule store, boot a
+//! serving pool from the reopened store, and stream temporally-coherent
+//! LiDAR frames from several concurrent "vehicles" against latency
+//! deadlines.
 //!
 //! ```sh
 //! cargo run --release --example serve_lidar_stream
@@ -8,8 +9,9 @@
 
 use std::time::Duration;
 
-use torchsparse::autotune::{tune_inference, TunerOptions};
-use torchsparse::core::{Engine, ScheduleArtifact, Session};
+use torchsparse::autotune::TunerOptions;
+use torchsparse::cache::{tune_cached, warm_boot, BootOrigin, DriftPolicy, ScheduleCache};
+use torchsparse::core::Session;
 use torchsparse::dataflow::ExecCtx;
 use torchsparse::gpusim::Device;
 use torchsparse::serve::{ServeConfig, Server};
@@ -20,17 +22,25 @@ fn main() {
     let workload = Workload::NuScenesMinkUNet1f;
     let scale = 0.08;
     let device = Device::rtx3090();
+    let policy = DriftPolicy::default();
 
-    // --- Tune once -----------------------------------------------------
+    // --- Tune once, into a directory-backed schedule store -------------
     let net = workload.network();
     let tuning_scene = workload.scene_scaled(1, scale);
-    let session = Session::new(&net, tuning_scene.coords());
+    let sessions = [Session::new(&net, tuning_scene.coords())];
     let sim_ctx = ExecCtx::simulate(device.clone(), Precision::Fp16);
-    let result = tune_inference(
-        std::slice::from_ref(&session),
+    let store_dir = std::env::temp_dir().join("torchsparse_lidar_store");
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let mut store = ScheduleCache::open(&store_dir).expect("create schedule store");
+    let tuned = tune_cached(
+        &mut store,
+        &sessions,
         &sim_ctx,
         &TunerOptions::default(),
-    );
+        &policy,
+    )
+    .expect("store write");
+    let result = &tuned.result;
     println!(
         "tuned {} on {}: {:.2} ms -> {:.2} ms ({:.2}x)",
         workload.name(),
@@ -39,27 +49,20 @@ fn main() {
         result.tuned_latency_us / 1e3,
         result.speedup()
     );
+    println!("schedule entry {} in {}", tuned.digest, store_dir.display());
 
-    // --- Persist the schedule, as a fleet rollout would ----------------
-    let ctx = ExecCtx::functional(device.clone(), Precision::Fp16);
+    // --- Boot from the reopened store, as a restarted server would -----
+    let mut store = ScheduleCache::open(&store_dir).expect("reopen schedule store");
     let weights = net.init_weights(7);
-    let tuned = Engine::new(
-        net.clone(),
-        weights.clone(),
-        result
-            .group_configs()
-            .expect("tuner yields configs")
-            .clone(),
-        ctx.clone(),
+    let (engine, boot) = warm_boot(
+        &mut store,
+        net,
+        weights,
+        ExecCtx::functional(device.clone(), Precision::Fp16),
+        tuning_scene.coords(),
+        &policy,
     );
-    let json = tuned
-        .save_schedule()
-        .with_tuned_latency(result.tuned_latency_us)
-        .to_json()
-        .expect("schedule serializes");
-    println!("schedule artifact: {} bytes of JSON", json.len());
-    let artifact = ScheduleArtifact::from_json(&json).expect("schedule loads");
-    let engine = Engine::load_schedule(net, weights, &artifact, ctx).expect("artifact matches");
+    assert_eq!(boot.origin, BootOrigin::Cached);
 
     // --- Serve concurrent sensor streams -------------------------------
     // The functional path computes real features on the CPU, so wall

@@ -1,12 +1,12 @@
-//! Resilient deployment: boot a server leniently from a damaged
-//! schedule artifact (degraded mode on the safe fallback dataflow) and
-//! serve frames through it.
+//! Resilient deployment: boot a server from a damaged stored schedule
+//! (degraded mode: the damaged slot runs the safe fallback dataflow)
+//! and serve frames through it.
 //!
 //! The fleet-rollout story behind this: a tuned schedule is pushed to
-//! thousands of vehicles; some copies arrive truncated or were tuned
-//! for the wrong device. Refusing to serve would ground the vehicle —
-//! instead the engine boots degraded, the report says so, and the
-//! operator retunes at leisure (see OPERATIONS.md).
+//! thousands of vehicles; some copies arrive with a corrupted config.
+//! Refusing to serve would ground the vehicle — instead the engine
+//! boots degraded, the report says so, and the operator retunes at
+//! leisure (see OPERATIONS.md).
 //!
 //! ```sh
 //! cargo run --release --example serve_resilience
@@ -14,9 +14,10 @@
 
 use std::time::Duration;
 
-use torchsparse::autotune::{tune_inference, TunerOptions};
-use torchsparse::core::{Engine, Session};
-use torchsparse::dataflow::ExecCtx;
+use torchsparse::autotune::TunerOptions;
+use torchsparse::cache::{tune_cached, warm_boot, DriftPolicy, ScheduleCache};
+use torchsparse::core::Session;
+use torchsparse::dataflow::{DataflowConfig, ExecCtx, MAX_SPLITS};
 use torchsparse::gpusim::Device;
 use torchsparse::serve::{ServeConfig, Server};
 use torchsparse::tensor::Precision;
@@ -26,36 +27,39 @@ fn main() {
     let workload = Workload::NuScenesMinkUNet1f;
     let device = Device::rtx3090();
     let net = workload.network();
+    let policy = DriftPolicy::default();
 
-    // --- Tune and persist, as usual ------------------------------------
+    // --- Tune into the schedule store, as usual -------------------------
     let tuning_scene = workload.scene_scaled(1, 0.06);
-    let session = Session::new(&net, tuning_scene.coords());
+    let sessions = [Session::new(&net, tuning_scene.coords())];
     let sim_ctx = ExecCtx::simulate(device.clone(), Precision::Fp16);
-    let result = tune_inference(
-        std::slice::from_ref(&session),
+    let mut store = ScheduleCache::in_memory();
+    let tuned = tune_cached(
+        &mut store,
+        &sessions,
         &sim_ctx,
         &TunerOptions::default(),
-    );
-    let ctx = ExecCtx::functional(device.clone(), Precision::Fp16);
-    let weights = net.init_weights(7);
-    let tuned = Engine::new(
-        net.clone(),
-        weights.clone(),
-        result
-            .group_configs()
-            .expect("tuner yields configs")
-            .clone(),
-        ctx.clone(),
-    );
-    let artifact_json = tuned
-        .save_schedule()
-        .with_tuned_latency(result.tuned_latency_us)
-        .to_json()
-        .expect("artifact serializes");
+        &policy,
+    )
+    .expect("in-memory store");
 
     // --- The rollout delivers a damaged copy ---------------------------
-    let damaged = &artifact_json[..artifact_json.len() / 2];
-    let engine = Engine::load_schedule_lenient(net, weights, damaged, ctx);
+    // One group's split count arrives out of range.
+    let mut entry = store.get(&tuned.digest).expect("tuned entry").clone();
+    entry
+        .configs
+        .set(0, DataflowConfig::implicit_gemm(MAX_SPLITS + 1));
+    store.insert(entry).expect("in-memory store");
+    let weights = net.init_weights(7);
+    let (engine, boot) = warm_boot(
+        &mut store,
+        net,
+        weights,
+        ExecCtx::functional(device, Precision::Fp16),
+        tuning_scene.coords(),
+        &policy,
+    );
+    println!("boot origin: {:?}", boot.origin);
     println!(
         "lenient boot: degraded={} ({} downgrade(s))",
         engine.is_degraded(),

@@ -1,13 +1,14 @@
 //! Acceptance: the seeded chaos scenario from the robustness design —
-//! corrupt a persisted schedule, boot the server leniently from it,
-//! kill a worker mid-run — and require that the run completes with zero
-//! escaped panics, every request resolved to a typed outcome, and the
-//! report accounting for both the restarts and the downgrades.
+//! corrupt one group of a stored schedule, boot the server leniently
+//! from it, kill a worker mid-run — and require that the run completes
+//! with zero escaped panics, every request resolved to a typed outcome,
+//! and the report accounting for both the restarts and the downgrades.
 
 use std::time::Duration;
 
-use torchsparse::core::{Engine, GroupConfigs, NetworkBuilder, ScheduleArtifact, SparseTensor};
-use torchsparse::dataflow::{DataflowConfig, ExecCtx};
+use torchsparse::cache::{warm_boot, CacheEntry, DriftPolicy, ScheduleCache, ScheduleKey};
+use torchsparse::core::{Engine, GroupConfigs, NetworkBuilder, Session, SparseTensor};
+use torchsparse::dataflow::{DataflowConfig, ExecCtx, MAX_SPLITS};
 use torchsparse::gpusim::Device;
 use torchsparse::kernelmap::{unique_coords, Coord};
 use torchsparse::serve::{FaultPlan, Rejected, ServeConfig, Server};
@@ -42,27 +43,27 @@ fn seeded_chaos_run_degrades_and_recovers_without_panics() {
     let weights = net.init_weights(2);
     let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp16);
 
-    // A tuned engine persists its schedule; the artifact is then
-    // corrupted deterministically (seeded truncation).
-    let tuned = Engine::new(
-        net.clone(),
-        weights.clone(),
-        GroupConfigs::uniform(DataflowConfig::gather_scatter(true)),
-        ctx.clone(),
-    );
-    let json = tuned.save_schedule().to_json().expect("serializes");
-    let corrupted = plan.corrupt_truncate(&json);
-    assert!(
-        ScheduleArtifact::from_json(&corrupted).is_err(),
-        "truncation must break strict parsing"
-    );
+    // A tuned schedule sits in the store; one group of its entry is
+    // then corrupted with an out-of-range split count.
+    let sample = frame(100);
+    let mut store = ScheduleCache::in_memory();
+    let mut configs = GroupConfigs::uniform(DataflowConfig::gather_scatter(true));
+    configs.set(0, DataflowConfig::implicit_gemm(MAX_SPLITS + 1));
+    store
+        .insert(CacheEntry {
+            key: ScheduleKey::of(&Session::new(&net, sample.coords()), &ctx),
+            configs,
+            tuned_latency_us: 0.0,
+            default_latency_us: 0.0,
+        })
+        .expect("in-memory store");
 
-    // Lenient boot: the engine comes up degraded on the safe fallback
-    // instead of refusing to serve.
-    let engine = Engine::load_schedule_lenient(net, weights, &corrupted, ctx);
-    assert!(engine.is_degraded());
+    // Lenient boot: the engine comes up degraded in that group instead
+    // of refusing to serve.
+    let policy = DriftPolicy::default();
+    let (engine, _) = warm_boot(&mut store, net, weights, ctx, sample.coords(), &policy);
     let downgrades = engine.downgrades().len();
-    assert!(downgrades >= 1);
+    assert_eq!(downgrades, 1);
 
     // Serve a stream of frames while the fault plan kills the worker
     // handling batch 1.

@@ -387,8 +387,7 @@ fn warm_boot_serves_cached_schedule_or_safe_fallback() {
 
 /// The cache is content-addressed, not name-addressed: the same
 /// topology under a different network name boots the cached schedule,
-/// and the engine it boots is keyed to its *own* name (so its
-/// save/load artifacts stay self-consistent).
+/// and the engine it boots runs the network under its *own* name.
 #[test]
 fn warm_boot_transfers_across_network_renames() {
     use ts_core::NetworkBuilder;
@@ -419,7 +418,7 @@ fn warm_boot_transfers_across_network_renames() {
     let (engine, boot) = warm_boot(&mut cache, renamed, weights, ctx, &coords, &policy);
     assert_eq!(boot.origin, BootOrigin::Cached, "rename must still hit");
     assert_eq!(Some(engine.configs()), tuned.result.configs.as_ref());
-    assert_eq!(engine.save_schedule().network, "production");
+    assert_eq!(engine.network().name(), "production");
 }
 
 /// Cache activity is observable: lookups and inserts emit `cache.*`

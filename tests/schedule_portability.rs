@@ -1,59 +1,82 @@
-//! Integration: tuned schedules survive serialization and drive the
-//! deployment engine across devices — and every way a persisted
-//! artifact can be wrong surfaces as a typed error (strict load) or a
-//! recorded downgrade (lenient load), never a panic.
+//! Integration: a tuned schedule persists as a ts-cache store entry and
+//! drives the deployment engine across scenes and devices — and a
+//! damaged entry boots a degraded or untuned engine, never a panic.
 
-use torchsparse::autotune::{tune_inference, TuneResult, TunerOptions};
-use torchsparse::core::{Downgrade, Engine, ScheduleArtifact, ScheduleError, Session};
-use torchsparse::dataflow::ExecCtx;
+use std::path::PathBuf;
+
+use torchsparse::autotune::{tune_inference, TunerOptions};
+use torchsparse::cache::{
+    tune_cached, warm_boot, BootOrigin, CacheEntry, CachedTune, DriftPolicy, ScheduleCache,
+};
+use torchsparse::core::{
+    sanitize_configs, Downgrade, Engine, GroupConfigs, Network, Session, SparseTensor,
+};
+use torchsparse::dataflow::{DataflowConfig, ExecCtx, MAX_SPLITS};
+use torchsparse::fleet::{DeviceTier, NodeSpec};
 use torchsparse::gpusim::Device;
-use torchsparse::serve::FaultPlan;
+use torchsparse::serve::{FaultPlan, ServeConfig};
 use torchsparse::tensor::Precision;
 use torchsparse::workloads::Workload;
 
+const WORKLOAD: Workload = Workload::NuScenesMinkUNet1f;
+
+fn ctx() -> ExecCtx {
+    ExecCtx::functional(Device::rtx3090(), Precision::Fp16)
+}
+
+/// An empty directory for one test's store.
+fn store_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ts_portability_{test}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Tunes a sample scene of [`WORKLOAD`] into `store`, returning the
+/// network, the scene and the tune.
+fn tune_into(store: &mut ScheduleCache) -> (Network, SparseTensor, CachedTune) {
+    let net = WORKLOAD.network();
+    let scene = WORKLOAD.scene_scaled(3, 0.04);
+    let sessions = [Session::new(&net, scene.coords())];
+    let sim_ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
+    let opts = TunerOptions::default();
+    let tuned = tune_cached(store, &sessions, &sim_ctx, &opts, &DriftPolicy::default())
+        .expect("store write");
+    (net, scene, tuned)
+}
+
+/// Tune into a directory store, reopen it as a restarted node would,
+/// and boot: the engine runs the tuned schedule and times every scene
+/// bit-identically to an engine built from the tuner's own result.
 #[test]
-fn tune_save_load_deploy() {
-    let w = Workload::NuScenesMinkUNet1f;
-    let net = w.network();
-    let tuning_scene = w.scene_scaled(1, 0.05);
-    let session = Session::new(&net, tuning_scene.coords());
-    let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
+fn tuned_store_reopens_and_boots_the_tuned_schedule() {
+    let dir = store_dir("reopen");
+    let mut store = ScheduleCache::open(&dir).expect("create store");
+    let (net, sample, tuned) = tune_into(&mut store);
+    drop(store);
 
-    // Tune once, persist the schedule.
-    let result = tune_inference(
-        std::slice::from_ref(&session),
-        &ctx,
-        &TunerOptions::default(),
-    );
-    let json = result.to_json().expect("schedule serializes");
-
-    // "Deploy" from the serialized schedule on fresh scenes.
-    let restored = TuneResult::from_json(&json).expect("schedule loads");
     let weights = net.init_weights(5);
-    let engine = Engine::new(
-        net.clone(),
-        weights,
-        restored
-            .group_configs()
-            .expect("restored schedule carries configs")
-            .clone(),
-        ExecCtx::functional(Device::rtx3090(), Precision::Fp16),
-    );
-    for seed in 10..13 {
-        let scene = w.scene_scaled(seed, 0.05);
-        let (out, report) = engine.infer(&scene);
-        assert_eq!(out.num_points(), scene.num_points());
-        assert!(report.total_us() > 0.0);
-    }
+    let configs = tuned.result.group_configs().expect("tuner yields configs");
+    let tuned_engine = Engine::new(net.clone(), weights.clone(), configs.clone(), ctx());
 
-    // The restored schedule must time identically to the fresh one.
-    let fresh = session
-        .simulate_inference(result.group_configs().expect("configs"), &ctx)
-        .total_us();
-    let loaded = session
-        .simulate_inference(restored.group_configs().expect("configs"), &ctx)
-        .total_us();
-    assert_eq!(fresh.to_bits(), loaded.to_bits());
+    let mut store = ScheduleCache::open(&dir).expect("reopen store");
+    assert!(store.load_issues().is_empty(), "{:?}", store.load_issues());
+    let policy = DriftPolicy::default();
+    let (engine, boot) = warm_boot(&mut store, net, weights, ctx(), sample.coords(), &policy);
+    assert_eq!(boot.origin, BootOrigin::Cached);
+    assert_eq!(boot.digest.as_deref(), Some(tuned.digest.as_str()));
+    assert!(!engine.is_degraded());
+    for seed in 10..12 {
+        let scene = WORKLOAD.scene_scaled(seed, 0.05);
+        assert_eq!(
+            tuned_engine.simulate(&scene).total_us().to_bits(),
+            engine.simulate(&scene).total_us().to_bits()
+        );
+    }
+    let scene = WORKLOAD.scene_scaled(12, 0.05);
+    let (out, report) = engine.infer(&scene);
+    assert_eq!(out.num_points(), scene.num_points());
+    assert!(report.total_us() > 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -91,125 +114,122 @@ fn schedules_transfer_across_devices_with_degradation() {
     );
 }
 
-/// A tuned artifact for the error-path tests below.
-fn saved_artifact() -> (torchsparse::core::Network, String) {
-    let w = Workload::NuScenesMinkUNet1f;
-    let net = w.network();
-    let scene = w.scene_scaled(3, 0.04);
-    let session = Session::new(&net, scene.coords());
-    let ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-    let result = tune_inference(
-        std::slice::from_ref(&session),
-        &ctx,
-        &TunerOptions::default(),
-    );
-    let weights = net.init_weights(5);
-    let engine = Engine::new(
-        net.clone(),
-        weights,
-        result.group_configs().expect("configs").clone(),
-        ExecCtx::functional(Device::rtx3090(), Precision::Fp16),
-    );
-    let json = engine.save_schedule().to_json().expect("serializes");
-    (net, json)
+/// The config [`poisoned_store`] writes into group 2: a split count
+/// out of range.
+fn poison() -> DataflowConfig {
+    DataflowConfig::implicit_gemm(MAX_SPLITS + 1)
 }
 
-/// Corrupted JSON (seeded truncation): strict parsing yields the typed
-/// `Parse` error and a lenient boot degrades rather than panicking.
+/// A store holding one tuned entry with [`poison`] in group 2, plus the
+/// network, the sample scene and the entry as stored.
+fn poisoned_store() -> (Network, SparseTensor, ScheduleCache, CacheEntry) {
+    let mut store = ScheduleCache::in_memory();
+    let (net, sample, tuned) = tune_into(&mut store);
+    let mut entry = store.get(&tuned.digest).expect("tuned entry").clone();
+    entry.configs.set(2, poison());
+    store.insert(entry.clone()).expect("in-memory store");
+    (net, sample, store, entry)
+}
+
+/// One stored group with an out-of-range split count boots an engine
+/// degraded in exactly that group, which computes what an engine built
+/// from the sanitized table computes.
 #[test]
-fn corrupted_artifact_json_is_a_typed_error_then_a_downgrade() {
-    let (net, json) = saved_artifact();
-    let corrupted = FaultPlan::from_seed(21).corrupt_truncate(&json);
-    match ScheduleArtifact::from_json(&corrupted) {
-        Err(ScheduleError::Parse(_)) => {}
-        other => panic!("expected Parse error, got {other:?}"),
-    }
-    let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp16);
+fn poisoned_entry_boots_degraded_in_that_group() {
+    let (net, sample, mut store, entry) = poisoned_store();
     let weights = net.init_weights(5);
-    let engine = Engine::load_schedule_lenient(net, weights, &corrupted, ctx);
-    assert!(engine.is_degraded());
-    assert!(matches!(
-        engine.downgrades()[0],
-        Downgrade::Artifact {
-            error: ScheduleError::Parse(_)
-        }
-    ));
-    // Degraded does not mean broken: the safe fallback still serves.
-    let scene = Workload::NuScenesMinkUNet1f.scene_scaled(8, 0.03);
+    let policy = DriftPolicy::default();
+    let (engine, boot) = warm_boot(
+        &mut store,
+        net.clone(),
+        weights.clone(),
+        ctx(),
+        sample.coords(),
+        &policy,
+    );
+    assert_eq!(boot.origin, BootOrigin::Transferred);
+    assert_eq!(boot.drifted, vec![2]);
+    match engine.downgrades() {
+        [Downgrade::Group {
+            group: Some(2),
+            from,
+            ..
+        }] => assert_eq!(*from, poison()),
+        other => panic!("expected one group-2 downgrade, got {other:?}"),
+    }
+
+    let (sanitized, _) = sanitize_configs(&entry.configs);
+    let reference = Engine::new(net, weights, sanitized, ctx());
+    assert!(!reference.is_degraded());
+    let scene = WORKLOAD.scene_scaled(8, 0.03);
+    let (out, report) = engine.infer(&scene);
+    let (want, want_report) = reference.infer(&scene);
+    assert_eq!(out.coords(), want.coords());
+    let bits = |t: &SparseTensor| -> Vec<u32> {
+        t.feats().as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&out), bits(&want));
+    assert_eq!(
+        report.total_us().to_bits(),
+        want_report.total_us().to_bits()
+    );
+}
+
+/// A truncated entry file is skipped when the store opens — it shows in
+/// `load_issues` and `cache.rejected` — and the node boots the untuned
+/// safe fallback, which is not a degraded engine.
+#[test]
+fn truncated_entry_file_boots_the_fallback() {
+    let dir = store_dir("truncated");
+    let mut store = ScheduleCache::open(&dir).expect("create store");
+    let (net, sample, tuned) = tune_into(&mut store);
+    drop(store);
+
+    let path = dir.join(format!("{}.json", tuned.digest));
+    let json = std::fs::read_to_string(&path).expect("entry written");
+    let truncated = FaultPlan::from_seed(21).corrupt_truncate(&json);
+    std::fs::write(&path, truncated).expect("entry overwritten");
+
+    let mut store = ScheduleCache::open(&dir).expect("reopen store");
+    assert!(!store.load_issues().is_empty());
+    assert_eq!(store.counters().rejected, 1);
+    let weights = net.init_weights(5);
+    let policy = DriftPolicy::default();
+    let (engine, boot) = warm_boot(&mut store, net, weights, ctx(), sample.coords(), &policy);
+    assert_eq!(boot.origin, BootOrigin::Fallback);
+    assert!(!engine.is_degraded());
+    assert_eq!(
+        engine.configs(),
+        &GroupConfigs::uniform(DataflowConfig::safe_fallback())
+    );
+    let scene = WORKLOAD.scene_scaled(8, 0.03);
     let (out, _) = engine.infer(&scene);
     assert_eq!(out.num_points(), scene.num_points());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A format-version bump (still-parseable JSON) is rejected with the
-/// version pair, strict and lenient alike.
+/// A fleet node resolves its schedule through the same path: booted
+/// from the poisoned store on the tier the entry was tuned for, it runs
+/// the `warm_boot` engine's table with the same downgrade.
 #[test]
-fn version_mismatch_is_a_typed_error_then_a_downgrade() {
-    let (net, json) = saved_artifact();
-    let bumped = FaultPlan::from_seed(4).corrupt_version(&json);
-    match ScheduleArtifact::from_json(&bumped) {
-        Err(ScheduleError::VersionMismatch { found, expected }) => {
-            assert_eq!(expected, torchsparse::core::SCHEDULE_VERSION);
-            assert_ne!(found, expected);
-        }
-        other => panic!("expected VersionMismatch, got {other:?}"),
-    }
-    let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp16);
+fn fleet_nodes_boot_a_poisoned_entry_degraded() {
+    let (net, sample, mut store, _) = poisoned_store();
+    let policy = DriftPolicy::default();
+    let (spec, origin) = NodeSpec::cached(
+        0,
+        DeviceTier::Standard,
+        Precision::Fp16,
+        &net,
+        sample.coords(),
+        &mut store,
+        &policy,
+        ServeConfig::default(),
+    );
+    assert_eq!(origin, BootOrigin::Transferred);
     let weights = net.init_weights(5);
-    let engine = Engine::load_schedule_lenient(net, weights, &bumped, ctx);
-    assert!(matches!(
-        engine.downgrades()[0],
-        Downgrade::Artifact {
-            error: ScheduleError::VersionMismatch { .. }
-        }
-    ));
-}
-
-/// Identity mismatches — wrong network, device or precision — each
-/// surface as their own typed error from the strict loader.
-#[test]
-fn identity_mismatches_are_typed_errors() {
-    let (net, json) = saved_artifact();
-    let artifact = ScheduleArtifact::from_json(&json).expect("intact artifact parses");
-    let weights = net.init_weights(5);
-
-    let other_net = Workload::WaymoCenterPoint1f.network();
-    match Engine::load_schedule(
-        other_net.clone(),
-        other_net.init_weights(1),
-        &artifact,
-        ExecCtx::functional(Device::rtx3090(), Precision::Fp16),
-    ) {
-        Err(ScheduleError::NetworkMismatch { .. }) => {}
-        other => panic!("expected NetworkMismatch, got {other:?}"),
-    }
-
-    match Engine::load_schedule(
-        net.clone(),
-        weights.clone(),
-        &artifact,
-        ExecCtx::functional(Device::jetson_orin(), Precision::Fp16),
-    ) {
-        Err(ScheduleError::DeviceMismatch { .. }) => {}
-        other => panic!("expected DeviceMismatch, got {other:?}"),
-    }
-
-    match Engine::load_schedule(
-        net.clone(),
-        weights.clone(),
-        &artifact,
-        ExecCtx::functional(Device::rtx3090(), Precision::Fp32),
-    ) {
-        Err(ScheduleError::PrecisionMismatch { .. }) => {}
-        other => panic!("expected PrecisionMismatch, got {other:?}"),
-    }
-
-    // The same artifact loads cleanly against the matching identity.
-    let engine = Engine::load_schedule(
-        net,
-        weights,
-        &artifact,
-        ExecCtx::functional(Device::rtx3090(), Precision::Fp16),
-    )
-    .expect("matching identity loads");
-    assert!(!engine.is_degraded());
+    let node = spec.boot_engine(&net, &weights);
+    let (engine, _) = warm_boot(&mut store, net, weights, ctx(), sample.coords(), &policy);
+    assert!(node.is_degraded());
+    assert_eq!(node.configs(), engine.configs());
+    assert_eq!(node.downgrades(), engine.downgrades());
 }

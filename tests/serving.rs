@@ -6,7 +6,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use torchsparse::autotune::{tune_inference, TunerOptions};
+use torchsparse::autotune::TunerOptions;
+use torchsparse::cache::{tune_cached, warm_boot, BootOrigin, DriftPolicy, ScheduleCache};
 use torchsparse::core::{
     percentile_sorted, Engine, GroupConfigs, NetworkBuilder, Session, SparseTensor,
 };
@@ -103,21 +104,24 @@ proptest! {
     }
 }
 
-/// Tune once, persist the schedule, boot a server from the persisted
-/// artifact: the restored engine serves the same outputs and simulates
-/// bit-identical latency.
+/// Tune once into a directory store, reopen it as a restarted server
+/// would and boot from it: the restored engine serves the same outputs
+/// and simulates bit-identical latency.
 #[test]
 fn server_boots_from_persisted_schedule() {
     let w = Workload::NuScenesMinkUNet1f;
     let net = w.network();
     let tuning_scene = w.scene_scaled(1, 0.05);
-    let session = Session::new(&net, tuning_scene.coords());
+    let sessions = [Session::new(&net, tuning_scene.coords())];
     let sim_ctx = ExecCtx::simulate(Device::rtx3090(), Precision::Fp16);
-    let result = tune_inference(
-        std::slice::from_ref(&session),
-        &sim_ctx,
-        &TunerOptions::default(),
-    );
+    let policy = DriftPolicy::default();
+    let dir = std::env::temp_dir().join(format!("ts_serving_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = ScheduleCache::open(&dir).expect("create store");
+    let opts = TunerOptions::default();
+    let result = tune_cached(&mut store, &sessions, &sim_ctx, &opts, &policy)
+        .expect("store write")
+        .result;
     let configs = result
         .group_configs()
         .expect("tuner yields configs")
@@ -127,15 +131,18 @@ fn server_boots_from_persisted_schedule() {
     let weights = net.init_weights(5);
     let tuned = Engine::new(net.clone(), weights.clone(), configs, ctx.clone());
 
-    // Persist and restore, as a server restart would.
-    let json = tuned
-        .save_schedule()
-        .with_tuned_latency(result.tuned_latency_us)
-        .to_json()
-        .expect("artifact serializes");
-    let artifact = torchsparse::core::ScheduleArtifact::from_json(&json).expect("artifact loads");
-    let restored =
-        Engine::load_schedule(net, weights, &artifact, ctx).expect("matching artifact loads");
+    // Reopen the store and boot from it, as a server restart would.
+    let mut store = ScheduleCache::open(&dir).expect("reopen store");
+    let (restored, boot) = warm_boot(
+        &mut store,
+        net,
+        weights,
+        ctx,
+        tuning_scene.coords(),
+        &policy,
+    );
+    assert_eq!(boot.origin, BootOrigin::Cached);
+    let _ = std::fs::remove_dir_all(&dir);
 
     let scene = w.scene_scaled(9, 0.04);
     assert_eq!(

@@ -160,7 +160,7 @@ fn a_traced_fleet_sim_splits_every_routed_request_by_placement() {
     let c = b.conv_block("stem", NetworkBuilder::INPUT, 8, 3, 1);
     let _ = b.conv("head", c, 2, 1, 1);
     let net = b.build();
-    let specs = heterogeneous_specs(3, Precision::Fp16, &net, &ServeConfig::default());
+    let specs = heterogeneous_specs(3, Precision::Fp16, &ServeConfig::default());
     let trace = ArrivalTrace::generate(
         ArrivalConfig {
             streams: 6,
