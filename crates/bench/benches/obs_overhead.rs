@@ -1,10 +1,12 @@
 //! Telemetry overhead: the same serving run with live telemetry off
 //! versus on, plus a microbenchmark of the hot observation path.
 //!
-//! The obs design claim is near-zero steady-state cost: every metrics
-//! hook forwards into lock-free rolling windows and a fixed-size ring,
-//! so enabling [`ts_serve::ServeConfig::with_obs`] must not change what
-//! the server computes and must not meaningfully slow it down. Both
+//! The obs design claim is near-zero steady-state cost: each serve
+//! event is folded once, under the server's one metrics lock, into the
+//! report, the counters and (with obs on) the rolling windows and a
+//! bounded ring, so enabling [`ts_serve::ServeConfig::with_obs`] must
+//! not change what the server computes and must not meaningfully slow
+//! it down. Both
 //! runs use one worker and batch size 1, so the batch schedule — and
 //! therefore every simulated-GPU microsecond — is identical by
 //! construction; any divergence in `fps_sim_ratio` is a behavioural
@@ -22,7 +24,7 @@ use ts_bench::{bench_scale, print_table, write_json};
 use ts_core::{Engine, GroupConfigs, SparseTensor};
 use ts_dataflow::{DataflowConfig, ExecCtx};
 use ts_gpusim::Device;
-use ts_serve::{ObsConfig, ObsEvent, ServeConfig, Server, Telemetry};
+use ts_serve::{ObsConfig, ObsEvent, ServeConfig, ServeRecord, Server};
 use ts_tensor::Precision;
 use ts_workloads::Workload;
 
@@ -90,18 +92,19 @@ fn main() {
     let fps_sim_ratio = on_fps_sim / off_fps_sim;
     let wall_overhead_pct = (on_wall_s / off_wall_s - 1.0) * 100.0;
 
-    // Hot-path microbenchmark: the full per-completion observation
-    // (windowed counters + rolling histogram + SLO wheel), off the
-    // serving loop so the number isn't buried in inference cost.
-    let telemetry = Telemetry::new(ObsConfig::default());
+    // Hot-path microbenchmark: the full per-completion fold with obs on
+    // (report, windows, stream window, SLO wheel), off the serving loop
+    // so the number isn't buried in inference cost.
+    let mut record = ServeRecord::new(true);
     const OPS: u64 = 200_000;
     let t0 = Instant::now();
     for i in 0..OPS {
-        telemetry.observe(ObsEvent::Completed {
+        let event = ObsEvent::Completed {
             stream: i % STREAMS,
             latency_us: (100 + i % 400) as f64,
             missed: i % 97 == 0,
-        });
+        };
+        record.record(event, |_, _| {});
     }
     let ns_per_completion = t0.elapsed().as_nanos() as f64 / OPS as f64;
 

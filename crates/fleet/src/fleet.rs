@@ -5,7 +5,7 @@
 use std::fmt;
 
 use ts_core::{Network, NetworkWeights, SparseTensor};
-use ts_obs::{Alert, HealthSnapshot, ObsEvent, RecordedEvent};
+use ts_obs::{Alert, HealthSnapshot, RecordedEvent};
 use ts_serve::{Rejected, ResponseHandle, ServeReport, Server};
 
 use crate::node::NodeSpec;
@@ -203,12 +203,8 @@ impl Fleet {
         // A home movement is exactly the event a post-mortem reader
         // wants in the ring: record it on the node that *gained* the
         // stream (where the map rebuild cost will land).
-        if let (Some(kind), Some(t)) = (decision.movement_kind(), server.telemetry()) {
-            t.observe(ObsEvent::Migration {
-                stream,
-                node: decision.node as u64,
-                kind,
-            });
+        if let Some(kind) = decision.movement_kind() {
+            server.record_migration(stream, decision.node as u64, kind);
         }
         Ok(server.submit(stream, frame)?)
     }
@@ -237,7 +233,7 @@ impl Fleet {
         self.nodes
             .get(id)
             .and_then(|n| n.server.as_ref())
-            .and_then(|s| s.telemetry().map(|t| t.recent_events()))
+            .map(Server::recent_events)
             .unwrap_or_default()
     }
 

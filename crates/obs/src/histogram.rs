@@ -3,15 +3,11 @@
 //! Values (microseconds) land in one of [`BUCKETS`] fixed buckets: four
 //! sub-buckets per power-of-two octave, so relative bucket width — and
 //! therefore percentile error — is bounded at ~±12.5% everywhere from
-//! 1us to ~2000s. A [`RollingHistogram`] keeps plain atomic buckets on
-//! the same time wheel as [`WindowedCounter`](crate::WindowedCounter):
-//! recording is lock-free, and a read merges the live slots into an
-//! owned [`HistogramSnapshot`] that percentiles are computed from. A
-//! [`LatencyHistogram`] is the cumulative, mergeable form a serve
-//! report keeps per stream: the same buckets plus exact moments and
-//! extrema.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! 1us to ~2000s. A [`LatencyHistogram`] is the one latency
+//! distribution in the crate: the same buckets plus exact moments and
+//! extrema, mergeable. A serve report keeps one per stream and one
+//! overall, and each slot of a rolling latency window holds one, so
+//! the cumulative and the windowed percentiles follow one rule.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,146 +42,6 @@ pub fn bucket_upper_us(index: usize) -> u64 {
     let base = 1u64 << octave;
     let width = (base / SUBS as u64).max(1);
     base + (sub + 1) * width
-}
-
-/// One wheel slot: epoch tag plus the bucket array it accumulates.
-struct Slot {
-    epoch: AtomicU64,
-    count: AtomicU64,
-    sum_us: AtomicU64,
-    buckets: Vec<AtomicU64>,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Self {
-            epoch: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_us.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A log-bucketed histogram over a rolling time window, with the same
-/// wheel/epoch mechanics (and the same transient-reset imprecision
-/// contract) as [`WindowedCounter`](crate::WindowedCounter).
-pub struct RollingHistogram {
-    slot_us: u64,
-    slots: Vec<Slot>,
-}
-
-impl RollingHistogram {
-    /// A wheel of `slots` slots of `slot_us` microseconds each.
-    pub fn new(slot_us: u64, slots: usize) -> Self {
-        Self {
-            slot_us: slot_us.max(1),
-            slots: (0..slots.max(1)).map(|_| Slot::new()).collect(),
-        }
-    }
-
-    /// Records one `value_us` sample at `now_us`.
-    pub fn record_at(&self, now_us: u64, value_us: u64) {
-        let epoch = now_us / self.slot_us + 1;
-        let idx = (epoch % self.slots.len() as u64) as usize;
-        let slot = &self.slots[idx];
-        let cur = slot.epoch.load(Ordering::Acquire);
-        if cur < epoch
-            && slot
-                .epoch
-                .compare_exchange(cur, epoch, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            slot.reset();
-        }
-        slot.count.fetch_add(1, Ordering::Relaxed);
-        slot.sum_us.fetch_add(value_us, Ordering::Relaxed);
-        slot.buckets[bucket_index(value_us)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Merges the slots inside `(now_us - window_us, now_us]` into an
-    /// owned snapshot.
-    pub fn snapshot_at(&self, now_us: u64, window_us: u64) -> HistogramSnapshot {
-        let cur_epoch = now_us / self.slot_us + 1;
-        let span_slots = window_us
-            .div_ceil(self.slot_us)
-            .min(self.slots.len() as u64)
-            .max(1);
-        let oldest = cur_epoch.saturating_sub(span_slots - 1);
-        let mut snap = HistogramSnapshot::empty();
-        for slot in &self.slots {
-            let e = slot.epoch.load(Ordering::Acquire);
-            if e >= oldest && e <= cur_epoch {
-                snap.count += slot.count.load(Ordering::Relaxed);
-                snap.sum_us += slot.sum_us.load(Ordering::Relaxed);
-                for (acc, b) in snap.buckets.iter_mut().zip(&slot.buckets) {
-                    *acc += b.load(Ordering::Relaxed);
-                }
-            }
-        }
-        snap
-    }
-}
-
-/// An owned, mergeable bucket view read out of one or more
-/// [`RollingHistogram`] shards.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Samples in the window.
-    pub count: u64,
-    /// Sum of sample values (exact, not bucketed), microseconds.
-    pub sum_us: u64,
-    /// Per-bucket sample counts (see [`bucket_index`]).
-    pub buckets: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// A snapshot with no samples.
-    pub fn empty() -> Self {
-        Self {
-            count: 0,
-            sum_us: 0,
-            buckets: vec![0; BUCKETS],
-        }
-    }
-
-    /// Adds another snapshot (e.g. a per-worker shard) into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-
-    /// Exact mean of the windowed samples (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate quantile `q` in `[0, 1]`: the upper edge of the
-    /// bucket where the cumulative count crosses `q * count` (0 when
-    /// empty). Bounded by the bucket width: at most ~12.5% above the
-    /// true quantile.
-    pub fn quantile_us(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        bucket_upper_us(bucket_of_rank(&self.buckets, rank - 1)) as f64
-    }
 }
 
 /// The bucket holding the `k`-th smallest sample (0-based) of
@@ -328,36 +184,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quantiles_track_the_samples() {
-        let h = RollingHistogram::new(1_000_000, 4);
-        for v in 1..=1000u64 {
-            h.record_at(10, v * 10); // 10us .. 10ms
-        }
-        let snap = h.snapshot_at(10, 1_000_000);
-        assert_eq!(snap.count, 1000);
-        let p50 = snap.quantile_us(0.50);
-        let p99 = snap.quantile_us(0.99);
-        assert!((4_000.0..=7_000.0).contains(&p50), "p50 = {p50}");
-        assert!((9_000.0..=13_000.0).contains(&p99), "p99 = {p99}");
-        assert!((snap.mean_us() - 5_005.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn window_rotation_forgets_old_samples() {
-        let h = RollingHistogram::new(1_000, 4);
-        h.record_at(500, 42);
-        assert_eq!(h.snapshot_at(500, 4_000).count, 1);
-        // 4 slots later the sample's slot has been recycled.
-        h.record_at(4_700, 7);
-        let snap = h.snapshot_at(4_700, 4_000);
-        assert_eq!(snap.count, 1);
-        assert_eq!(
-            snap.quantile_us(1.0),
-            bucket_upper_us(bucket_index(7)) as f64
-        );
-    }
-
     /// Bounds, pooling and the merge property over random samples are
     /// pinned by `tests/serving.rs`; this covers the edge cases.
     #[test]
@@ -382,17 +208,5 @@ mod tests {
             rev.record(v);
         }
         assert_eq!(rev, h);
-    }
-
-    #[test]
-    fn snapshot_merge_pools_shards() {
-        let a = RollingHistogram::new(1_000, 4);
-        let b = RollingHistogram::new(1_000, 4);
-        a.record_at(100, 10);
-        b.record_at(100, 1_000);
-        let mut snap = a.snapshot_at(100, 4_000);
-        snap.merge(&b.snapshot_at(100, 4_000));
-        assert_eq!(snap.count, 2);
-        assert_eq!(snap.sum_us, 1_010);
     }
 }

@@ -1,22 +1,20 @@
-//! The flight recorder: a fixed-size ring of recent structured events,
-//! dumped to a post-mortem JSON file when something dies.
+//! The serve events and the post-mortem they end up in.
 //!
-//! Every server keeps one. Recording is wait-free on the ring cursor
-//! (one `fetch_add`) plus one uncontended per-slot mutex — two writers
-//! only collide on a slot when the ring has lapped, in which case the
-//! older event was about to be overwritten anyway. When the supervisor
-//! reaps a panicked worker or the fleet kills a node, the ring is
-//! drained oldest-first into a [`PostMortem`] next to a final
+//! Every serve site emits one typed [`ObsEvent`]. A
+//! [`ServeRecord`](crate::ServeRecord) folds it into every view, and
+//! with live telemetry on keeps the recent structural events in a
+//! bounded ring (the flight recorder). When the supervisor reaps a
+//! panicked worker or the fleet kills a node, the ring is copied
+//! oldest-first into a [`PostMortem`] next to a final
 //! [`HealthSnapshot`](crate::HealthSnapshot), so chaos drills leave
 //! forensic evidence instead of a stack trace and a shrug.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::registry::HealthSnapshot;
+use crate::record::HealthSnapshot;
 use crate::slo::{AlertLevel, AlertState};
 
 /// Why a worker left the pool abnormally.
@@ -70,12 +68,11 @@ pub enum MigrationKind {
     Migrate,
 }
 
-/// One thing that happened on a server (or on a trainer's virtual
-/// clock), emitted once by the site where it happened. The serve
-/// report, the `serve.*` trace counters, the rolling windows, the SLO
-/// monitor and the flight recorder are all folds of the same stream of
-/// these ([`Telemetry::observe_at`](crate::Telemetry::observe_at) is
-/// the telemetry half).
+/// One thing that happened on a server, emitted once by the site where
+/// it happened. The serve report, the `serve.*` trace counters, the
+/// rolling windows, the SLO monitor and the flight recorder are all
+/// views of the same stream of these, updated together by one fold
+/// ([`ServeRecord::record_at`](crate::ServeRecord::record_at)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ObsEvent {
     /// A request was admitted; `queue_depth` counts it.
@@ -145,7 +142,8 @@ pub enum ObsEvent {
         /// The batch it was injected into.
         batch: u64,
     },
-    /// Schedule slots booted degraded (lenient artifact load).
+    /// Schedule slots booted degraded: their configs failed validation
+    /// and run the safe fallback.
     Downgrade {
         /// Downgraded slot count.
         slots: u64,
@@ -194,62 +192,14 @@ pub enum ObsEvent {
 }
 
 /// One flight-recorder entry: an event and its time, microseconds since
-/// the owning [`Telemetry`](crate::Telemetry)'s epoch (virtual time
-/// under simulation).
+/// the owning [`ServeRecord`](crate::ServeRecord) was created (or the
+/// caller's virtual time).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RecordedEvent {
     /// Event time, microseconds.
     pub at_us: u64,
     /// What happened.
     pub event: ObsEvent,
-}
-
-/// Fixed-size ring of the most recent [`RecordedEvent`]s.
-pub struct FlightRecorder {
-    slots: Vec<Mutex<Option<RecordedEvent>>>,
-    cursor: AtomicU64,
-}
-
-impl FlightRecorder {
-    /// A ring holding the last `capacity` events (clamped to >= 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-        }
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Events recorded over the recorder's lifetime (may exceed
-    /// capacity; only the last `capacity` are retained).
-    pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
-    }
-
-    /// Appends an event at `at_us`, overwriting the oldest once full.
-    pub fn record(&self, at_us: u64, event: ObsEvent) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let idx = (seq % self.slots.len() as u64) as usize;
-        *self.slots[idx].lock().expect("recorder slot lock") = Some(RecordedEvent { at_us, event });
-    }
-
-    /// Drains a copy of the retained events, oldest first.
-    pub fn dump(&self) -> Vec<RecordedEvent> {
-        let cap = self.slots.len() as u64;
-        let cursor = self.cursor.load(Ordering::Relaxed);
-        let mut out = Vec::with_capacity(self.slots.len());
-        for i in 0..cap {
-            let idx = ((cursor + i) % cap) as usize;
-            if let Some(ev) = *self.slots[idx].lock().expect("recorder slot lock") {
-                out.push(ev);
-            }
-        }
-        out
-    }
 }
 
 /// Process-unique post-mortem sequence so concurrent dumps (a fleet of
@@ -306,6 +256,10 @@ impl PostMortem {
 mod tests {
     use super::*;
 
+    fn idle_snapshot() -> HealthSnapshot {
+        crate::ServeRecord::new(true).health_at(0, 0).expect("live")
+    }
+
     fn ev(at_us: u64) -> RecordedEvent {
         RecordedEvent {
             at_us,
@@ -315,27 +269,6 @@ mod tests {
                 sim_us: 10.0,
             },
         }
-    }
-
-    #[test]
-    fn ring_keeps_the_most_recent_events_in_order() {
-        let r = FlightRecorder::new(4);
-        for t in 0..10u64 {
-            r.record(t, ev(t).event);
-        }
-        let dump = r.dump();
-        let times: Vec<u64> = dump.iter().map(|e| e.at_us).collect();
-        assert_eq!(times, vec![6, 7, 8, 9]);
-        assert_eq!(r.recorded(), 10);
-        assert_eq!(r.capacity(), 4);
-    }
-
-    #[test]
-    fn partial_ring_dumps_only_what_was_recorded() {
-        let r = FlightRecorder::new(8);
-        r.record(1, ev(1).event);
-        r.record(2, ev(2).event);
-        assert_eq!(r.dump().len(), 2);
     }
 
     #[test]
@@ -353,7 +286,7 @@ mod tests {
                     },
                 },
             ],
-            snapshot: HealthSnapshot::empty(0),
+            snapshot: idle_snapshot(),
         };
         let json = pm.to_json().expect("serializes");
         let back = PostMortem::from_json(&json).expect("parses");
@@ -367,7 +300,7 @@ mod tests {
             reason: "test".to_owned(),
             at_us: 0,
             events: vec![ev(1)],
-            snapshot: HealthSnapshot::empty(0),
+            snapshot: idle_snapshot(),
         };
         let a = pm.write_to(&dir).expect("writes");
         let b = pm.write_to(&dir).expect("writes");

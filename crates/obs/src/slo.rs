@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::window::WindowedCounter;
+use crate::window::Wheel;
 
 /// Alerting policy: the SLO target plus the two burn-rate windows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -130,8 +130,8 @@ struct WindowState {
 /// [`evaluate_at`]: SloMonitor::evaluate_at
 pub struct SloMonitor {
     policy: SloPolicy,
-    good: WindowedCounter,
-    bad: WindowedCounter,
+    /// `[good, missed]` completions per slot.
+    counts: Wheel<[u64; 2]>,
     windows: [WindowState; 2],
 }
 
@@ -143,8 +143,7 @@ impl SloMonitor {
         let slot_us = (policy.fast_window_us / 4).max(1);
         let slots = policy.slow_window_us.div_ceil(slot_us) as usize + 1;
         Self {
-            good: WindowedCounter::new(slot_us, slots),
-            bad: WindowedCounter::new(slot_us, slots),
+            counts: Wheel::new(slot_us, slots),
             windows: [
                 WindowState {
                     level: AlertLevel::PageWorthy,
@@ -163,23 +162,16 @@ impl SloMonitor {
         }
     }
 
-    /// The policy this monitor enforces.
-    pub fn policy(&self) -> &SloPolicy {
-        &self.policy
-    }
-
     /// Records one completion at `now_us`.
-    pub fn observe_at(&self, now_us: u64, missed: bool) {
-        if missed {
-            self.bad.add_at(now_us, 1);
-        } else {
-            self.good.add_at(now_us, 1);
-        }
+    pub fn observe_at(&mut self, now_us: u64, missed: bool) {
+        self.counts.at(now_us)[usize::from(missed)] += 1;
     }
 
     fn reading(&self, now_us: u64, window_us: u64, active: bool) -> BurnReading {
-        let bad = self.bad.sum_window_at(now_us, window_us);
-        let good = self.good.sum_window_at(now_us, window_us);
+        let [good, bad] = self
+            .counts
+            .window(now_us, window_us)
+            .fold([0, 0], |[g, b], [sg, sb]| [g + sg, b + sb]);
         let samples = bad + good;
         let miss_rate = if samples == 0 {
             0.0
@@ -246,12 +238,6 @@ impl SloMonitor {
         }
         out
     }
-
-    /// `(fast active, slow active)` — current alert states without
-    /// re-evaluating.
-    pub fn active(&self) -> (bool, bool) {
-        (self.windows[0].active, self.windows[1].active)
-    }
 }
 
 #[cfg(test)]
@@ -277,7 +263,7 @@ mod tests {
             m.observe_at(t * 50, false);
             assert!(m.evaluate_at(t * 50).is_empty());
         }
-        assert_eq!(m.active(), (false, false));
+        assert!(!m.fast_reading(0).active && !m.slow_reading(0).active);
     }
 
     #[test]
@@ -296,7 +282,7 @@ mod tests {
         assert!(alerts
             .iter()
             .any(|a| a.level == AlertLevel::PageWorthy && a.state == AlertState::Tripped));
-        assert!(m.active().0);
+        assert!(m.fast_reading(3_000).active);
         // Recovery: misses age out of the fast window.
         for t in 0..40u64 {
             m.observe_at(3_100 + t * 100, false);
@@ -305,7 +291,7 @@ mod tests {
         assert!(alerts
             .iter()
             .any(|a| a.level == AlertLevel::PageWorthy && a.state == AlertState::Cleared));
-        assert!(!m.active().0);
+        assert!(!m.fast_reading(7_100).active);
     }
 
     #[test]

@@ -1,100 +1,63 @@
-//! Windowed counters on a time wheel.
+//! The one time wheel behind every rolling window in the crate.
 //!
-//! A [`WindowedCounter`] answers "how many in the last W microseconds"
-//! without locks or allocation on the write path: the window is split
-//! into fixed slots arranged as a wheel, each slot tagged with the
-//! epoch (slot-aligned time) it currently represents. Writers bump the
-//! slot their timestamp lands in, resetting it first (one CAS) when the
-//! wheel has rotated past its old epoch; readers sum the slots whose
-//! epochs still fall inside the queried window.
+//! A [`Wheel`] splits a span into fixed slots arranged as a ring, each
+//! tagged with the epoch (slot-aligned time) it currently holds. A
+//! write lands in the slot its timestamp falls in, resetting the slot
+//! first when the wheel has rotated past its old epoch; a read visits
+//! the slots whose epochs fall inside the queried window. Timestamps
+//! are explicit (`now_us` parameters), so the same code runs on a live
+//! clock and on [`FleetSim`](../../fleet)'s virtual one. The wheel is
+//! plain data: its owner serialises access (a [`ServeRecord`] sits
+//! behind its server's one lock), so every read is exact.
 //!
-//! Timestamps are *explicit* (`now_us` parameters) so the same code is
-//! exact under [`FleetSim`](../../fleet)'s virtual clocks and
-//! approximate-but-cheap under live wall clocks. The one documented
-//! imprecision: a reader racing a slot reset can transiently observe a
-//! freshly-zeroed slot, undercounting by at most one slot's worth —
-//! telemetry-grade, never control-flow-grade.
+//! [`ServeRecord`]: crate::ServeRecord
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One wheel slot: the slot-aligned epoch it holds counts for
-/// (stored +1 so 0 means "never written") and the count itself.
-#[derive(Debug)]
-struct Slot {
-    epoch: AtomicU64,
-    count: AtomicU64,
-}
-
-/// A rolling event counter over a fixed time wheel. Write path is one
-/// atomic RMW (plus a CAS when the slot rotates); read path is a scan
-/// of the wheel. See the module docs for the precision contract.
-#[derive(Debug)]
-pub struct WindowedCounter {
+/// A ring of `T` slots over time; see the module docs.
+#[derive(Debug, Clone)]
+pub(crate) struct Wheel<T> {
     slot_us: u64,
-    slots: Vec<Slot>,
+    /// `(epoch + 1, value)` per slot; epoch 0 marks a slot never
+    /// written, so it never collides with the real epoch 0.
+    slots: Vec<(u64, T)>,
 }
 
-impl WindowedCounter {
+impl<T: Default> Wheel<T> {
     /// A wheel of `slots` slots of `slot_us` microseconds each; the
-    /// maximum answerable window is `slots * slot_us`. Both are clamped
+    /// widest answerable window is `slots * slot_us`. Both are clamped
     /// to at least 1.
-    pub fn new(slot_us: u64, slots: usize) -> Self {
-        let slots = slots.max(1);
+    pub(crate) fn new(slot_us: u64, slots: usize) -> Self {
         Self {
             slot_us: slot_us.max(1),
-            slots: (0..slots)
-                .map(|_| Slot {
-                    epoch: AtomicU64::new(0),
-                    count: AtomicU64::new(0),
-                })
-                .collect(),
+            slots: (0..slots.max(1)).map(|_| (0, T::default())).collect(),
         }
     }
 
-    /// Rotates the slot for `now_us` forward if stale and returns it.
-    fn rotate(&self, now_us: u64) -> &Slot {
-        // Stored epochs are offset by +1 so an untouched slot (0) never
-        // collides with the real epoch 0.
+    /// The slot `now_us` falls in, reset first if it still holds an
+    /// older epoch. Rotation only rolls forward: a write stamped before
+    /// the slot's current epoch lands in it instead of resurrecting the
+    /// old one.
+    pub(crate) fn at(&mut self, now_us: u64) -> &mut T {
         let epoch = now_us / self.slot_us + 1;
-        let idx = (epoch % self.slots.len() as u64) as usize;
-        let slot = &self.slots[idx];
-        let cur = slot.epoch.load(Ordering::Acquire);
-        // Only roll *forward*: a late write from before a rotation folds
-        // into the new slot rather than resurrecting the old one.
-        if cur < epoch
-            && slot
-                .epoch
-                .compare_exchange(cur, epoch, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            slot.count.store(0, Ordering::Release);
+        let n = self.slots.len() as u64;
+        let slot = &mut self.slots[(epoch % n) as usize];
+        if slot.0 < epoch {
+            *slot = (epoch, T::default());
         }
-        slot
+        &mut slot.1
     }
 
-    /// Adds `n` events at `now_us`.
-    pub fn add_at(&self, now_us: u64, n: u64) {
-        self.rotate(now_us).count.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Events in the window `(now_us - window_us, now_us]`, summed from
-    /// the slots whose epochs fall inside it. `window_us` is clamped to
-    /// the wheel's span.
-    pub fn sum_window_at(&self, now_us: u64, window_us: u64) -> u64 {
-        let cur_epoch = now_us / self.slot_us + 1;
-        let span_slots = window_us
+    /// The slots inside the window `(now_us - window_us, now_us]`, with
+    /// `window_us` clamped to the wheel's span.
+    pub(crate) fn window(&self, now_us: u64, window_us: u64) -> impl Iterator<Item = &T> {
+        let cur = now_us / self.slot_us + 1;
+        let span = window_us
             .div_ceil(self.slot_us)
-            .min(self.slots.len() as u64)
-            .max(1);
-        let oldest = cur_epoch.saturating_sub(span_slots - 1);
+            .clamp(1, self.slots.len() as u64);
+        let oldest = cur.saturating_sub(span - 1);
         self.slots
             .iter()
-            .filter(|s| {
-                let e = s.epoch.load(Ordering::Acquire);
-                e >= oldest && e <= cur_epoch
-            })
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .sum()
+            .filter(move |(epoch, _)| (oldest..=cur).contains(epoch))
+            .map(|(_, value)| value)
     }
 }
 
@@ -102,39 +65,46 @@ impl WindowedCounter {
 mod tests {
     use super::*;
 
+    fn sum(w: &Wheel<u64>, now_us: u64, window_us: u64) -> u64 {
+        w.window(now_us, window_us).sum()
+    }
+
     #[test]
     fn counts_inside_the_window_and_forgets_outside() {
-        let c = WindowedCounter::new(1_000, 8);
-        c.add_at(500, 3);
-        c.add_at(1_500, 2);
-        assert_eq!(c.sum_window_at(1_500, 2_000), 5);
+        let mut w = Wheel::<u64>::new(1_000, 8);
+        *w.at(500) += 3;
+        *w.at(1_500) += 2;
+        assert_eq!(sum(&w, 1_500, 2_000), 5);
         // 8 slots * 1ms = 8ms span; by t=10ms the first slots rotated.
-        c.add_at(10_500, 1);
-        assert_eq!(c.sum_window_at(10_500, 2_000), 1);
+        *w.at(10_500) += 1;
+        assert_eq!(sum(&w, 10_500, 2_000), 1);
     }
 
     #[test]
     fn window_narrower_than_wheel_excludes_old_slots() {
-        let c = WindowedCounter::new(1_000, 16);
-        c.add_at(1_100, 4); // slot of epoch 1ms
-        c.add_at(5_100, 6); // slot of epoch 5ms
-        assert_eq!(c.sum_window_at(5_200, 1_000), 6);
-        assert_eq!(c.sum_window_at(5_200, 16_000), 10);
+        let mut w = Wheel::<u64>::new(1_000, 16);
+        *w.at(1_100) += 4;
+        *w.at(5_100) += 6;
+        assert_eq!(sum(&w, 5_200, 1_000), 6);
+        assert_eq!(sum(&w, 5_200, 16_000), 10);
     }
 
     #[test]
-    fn stale_slot_resets_on_rotation() {
-        let c = WindowedCounter::new(100, 4);
-        c.add_at(50, 9);
-        // Same wheel index, 4 slots later: must not resurrect the 9.
-        c.add_at(450, 1);
-        assert_eq!(c.sum_window_at(450, 100), 1);
+    fn stale_slot_resets_on_rotation_and_late_writes_roll_forward() {
+        let mut w = Wheel::<u64>::new(100, 4);
+        *w.at(50) += 9;
+        // Same ring index, 4 slots later: must not resurrect the 9.
+        *w.at(450) += 1;
+        assert_eq!(sum(&w, 450, 100), 1);
+        // A write stamped before the rotation lands in the newer slot.
+        *w.at(60) += 2;
+        assert_eq!(sum(&w, 450, 100), 3);
     }
 
     #[test]
     fn zero_everything_is_fine() {
-        let c = WindowedCounter::new(0, 0);
-        c.add_at(0, 0);
-        assert_eq!(c.sum_window_at(0, 0), 0);
+        let mut w = Wheel::<u64>::new(0, 0);
+        *w.at(0) += 0;
+        assert_eq!(sum(&w, 0, 0), 0);
     }
 }

@@ -45,10 +45,8 @@ pub struct ServeConfig {
     /// worker is re-enqueued before it is shed with
     /// [`crate::Rejected::WorkerCrashed`].
     pub max_requeues: u32,
-    /// Deterministic fault schedule for chaos testing. Only consulted
-    /// when the crate is built with the `chaos` feature; in production
-    /// builds the injection sites compile to no-ops and this field is
-    /// inert.
+    /// Deterministic fault schedule for chaos testing; `None` (the
+    /// default) injects nothing.
     pub fault_plan: Option<FaultPlan>,
     /// Temporal kernel-map reuse: workers service each frame through
     /// [`ts_core::Engine::infer_stream`], patching the previous frame's
@@ -63,14 +61,13 @@ pub struct ServeConfig {
     /// Bound on cached per-stream map states; least recently used
     /// streams are evicted beyond it.
     pub map_cache_capacity: usize,
-    /// Live telemetry: when set, the server boots a
-    /// [`ts_obs::Telemetry`] registry fed every serve event —
-    /// rolling-window health snapshots ([`crate::Server::health_snapshot`]),
-    /// burn-rate SLO alerts ([`crate::Server::alerts`]) and a flight
-    /// recorder dumped to a post-mortem file when the supervisor reaps
-    /// a panicked or stalled worker or the node is halted. `None` (the
-    /// default) reduces the telemetry half of each record to a skipped
-    /// branch.
+    /// Live telemetry: when set, the server's [`ts_obs::ServeRecord`]
+    /// also keeps its live views — rolling-window health snapshots
+    /// ([`crate::Server::health_snapshot`]), burn-rate SLO alerts
+    /// ([`crate::Server::alerts`]) and a flight recorder dumped to a
+    /// post-mortem file when the supervisor reaps a panicked or stalled
+    /// worker or the node is halted. `None` (the default) leaves each
+    /// fold the report and the trace counters.
     pub obs: Option<ts_obs::ObsConfig>,
 }
 
@@ -151,9 +148,7 @@ impl ServeConfig {
         self
     }
 
-    /// Installs a deterministic fault schedule for chaos testing. Only
-    /// available (and only effective) with the `chaos` feature.
-    #[cfg(feature = "chaos")]
+    /// Installs a deterministic fault schedule for chaos testing.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -173,7 +168,7 @@ impl ServeConfig {
     }
 
     /// Enables live telemetry (health snapshots, SLO alerts, flight
-    /// recorder) with the given registry configuration.
+    /// recorder); `obs` names the post-mortem directory, if any.
     pub fn with_obs(mut self, obs: ts_obs::ObsConfig) -> Self {
         self.obs = Some(obs);
         self
@@ -264,7 +259,6 @@ mod tests {
         let c = c.with_obs(ts_obs::ObsConfig::default().with_postmortem_dir("target/pm"));
         let obs = c.obs.expect("configured");
         assert_eq!(obs.postmortem_dir.as_deref(), Some("target/pm"));
-        assert!(obs.slo.is_some(), "SLO monitoring on by default");
     }
 
     #[test]

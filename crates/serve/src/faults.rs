@@ -9,11 +9,9 @@
 //! corruption helper the chaos tests use against persisted schedules
 //! and the burst-sizing helper for queue-overload scenarios.
 //!
-//! The plan type and its decision logic always compile (they are plain
-//! arithmetic and are unit-tested in every build); the *injection
-//! hooks* inside the server's worker loop only exist when the crate is
-//! built with the `chaos` feature, so a production build carries no
-//! injection sites.
+//! A server consults its plan only when one was set
+//! ([`crate::ServeConfig::with_fault_plan`]); without one, the worker
+//! loop's injection site is one `None` check per batch.
 //!
 //! # Examples
 //!
@@ -161,8 +159,7 @@ impl FaultPlan {
 
 /// Injection hook called by the worker loop once per batch, before
 /// execution; records the injection (so a post-mortem names it) before
-/// acting on it. Compiled to a no-op unless the `chaos` feature is on.
-#[cfg(feature = "chaos")]
+/// acting on it.
 pub(crate) fn inject(plan: Option<&FaultPlan>, seq: u64, metrics: &crate::metrics::Metrics) {
     use ts_obs::{FaultKind, ObsEvent};
     let Some(fault) = plan.and_then(|p| p.decide(seq)) else {
@@ -178,10 +175,6 @@ pub(crate) fn inject(plan: Option<&FaultPlan>, seq: u64, metrics: &crate::metric
         Fault::SlowBatch(stall) => std::thread::sleep(stall),
     }
 }
-
-/// No-op twin of the chaos injection hook for production builds.
-#[cfg(not(feature = "chaos"))]
-pub(crate) fn inject(_plan: Option<&FaultPlan>, _seq: u64, _metrics: &crate::metrics::Metrics) {}
 
 #[cfg(test)]
 mod tests {

@@ -29,9 +29,10 @@
 //!   count, mean, min, max and std; p50/p90/p99 at log-bucket
 //!   resolution), batch size and queue-depth histograms, throughput,
 //!   and deadline-miss counters, exported as JSON via [`ServeReport`].
-//!   Every instrumentation site emits one typed [`ObsEvent`]; the
-//!   report, the `serve.*` trace counters and the live telemetry below
-//!   are folds of that one record.
+//!   Every instrumentation site emits one typed [`ObsEvent`]; one fold
+//!   ([`ts_obs::ServeRecord`]), under the server's one metrics lock,
+//!   updates the report, the `serve.*` trace counters and the live
+//!   telemetry below, so every view is a read of that one record.
 //! * **Robustness** — workers run under a supervisor that restarts
 //!   panicked or stuck workers from fresh engine clones and re-enqueues
 //!   or sheds their in-flight requests with typed outcomes
@@ -51,18 +52,18 @@
 //!   respawn, and never enabled on a degraded engine; reuse activity is
 //!   reported via the `map_*` counters of [`ServeReport`] and the
 //!   `serve.map_cache.*` trace counters.
-//! * **Deterministic chaos testing** — with the `chaos` feature, a
-//!   seeded [`FaultPlan`] injects worker panics and stalls as a pure
-//!   function of the batch sequence number, so a failing chaos run
-//!   replays bit-identically from its seed. Without the feature the
-//!   injection sites compile to no-ops.
-//! * **Live telemetry** — with [`ServeConfig::with_obs`], every event
-//!   also feeds a [`ts_obs::Telemetry`] registry: rolling-window
-//!   health snapshots ([`Server::health_snapshot`]), multi-window
-//!   burn-rate SLO alerts ([`Server::alerts`]), and a flight recorder
-//!   of recent structured events dumped to a post-mortem JSON file when
-//!   the supervisor reaps a panicked or stalled worker or the node is
-//!   halted. See `OPERATIONS.md` ("Alerting") for the runbook.
+//! * **Deterministic chaos testing** — a seeded [`FaultPlan`]
+//!   ([`ServeConfig::with_fault_plan`]) injects worker panics and stalls
+//!   as a pure function of the batch sequence number, so a failing chaos
+//!   run replays bit-identically from its seed. Without a plan the
+//!   injection site is one `None` check per batch.
+//! * **Live telemetry** — with [`ServeConfig::with_obs`], the record
+//!   also keeps rolling-window health snapshots
+//!   ([`Server::health_snapshot`]), multi-window burn-rate SLO alerts
+//!   ([`Server::alerts`]), and a flight recorder of recent structured
+//!   events ([`Server::recent_events`]) dumped to a post-mortem JSON
+//!   file when the supervisor reaps a panicked or stalled worker or the
+//!   node is halted. See `OPERATIONS.md` ("Alerting") for the runbook.
 //!
 //! See `examples/serve_lidar_stream.rs` for an end-to-end deployment
 //! loop, `examples/serve_resilience.rs` for degraded boot, and
@@ -84,12 +85,12 @@ mod supervisor;
 pub use batch::{merge_frames, sort_by_coord, split_output, validate_frame, FrameError};
 pub use config::ServeConfig;
 pub use faults::{Fault, FaultPlan};
-pub use metrics::{HistogramBucket, ServeReport, ServerLoad, StreamStats};
+pub use metrics::ServerLoad;
 pub use server::{Rejected, Response, ResponseHandle, Server};
-// Re-exported so serve users configure and read telemetry without a
-// direct ts-obs dependency.
+// Re-exported so serve users read the report and configure and read
+// telemetry without a direct ts-obs dependency.
 pub use ts_obs::{
-    Alert, AlertLevel, AlertState, FaultKind, HealthSnapshot, LatencyHistogram, MapUpdateKind,
-    MigrationKind, ObsConfig, ObsEvent, PostMortem, RecordedEvent, RejectReason, ShedReason,
-    SloPolicy, StreamHealth, Telemetry,
+    Alert, AlertLevel, AlertState, FaultKind, HealthSnapshot, HistogramBucket, LatencyHistogram,
+    MapUpdateKind, MigrationKind, ObsConfig, ObsEvent, PostMortem, RecordedEvent, RejectReason,
+    ServeRecord, ServeReport, ShedReason, SloPolicy, StreamHealth, StreamStats,
 };

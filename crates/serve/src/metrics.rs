@@ -1,38 +1,23 @@
-//! SLO accounting: the cumulative [`ServeReport`] and the cheap
-//! [`ServerLoad`] poll, both folds of the serve events every
-//! instrumentation site emits through [`Metrics::record`].
+//! SLO accounting: the one [`ServeRecord`] every instrumentation site
+//! records into through [`Metrics::record`], and the reads of it — the
+//! cumulative [`ServeReport`], the cheap [`ServerLoad`] poll and, when
+//! the server was configured with [`crate::ServeConfig::with_obs`],
+//! health snapshots, alerts, the flight-recorder ring and post-mortems.
 //!
-//! One call records an event everywhere it is counted: the report
-//! state, the `serve.*` counters of the server's tracer (from the one
-//! name table, [`trace_counters`]), and — when the server was configured
-//! with [`crate::ServeConfig::with_obs`] — the live
-//! [`ts_obs::Telemetry`] registry. The cumulative report, the trace and
-//! the rolling-window health snapshot therefore cannot disagree about
-//! what happened.
+//! One call folds an event into every view under one lock: the report
+//! state, the `serve.*` counters of the server's tracer and the live
+//! windows. The cumulative report, the trace and the rolling-window
+//! health snapshot therefore cannot disagree about what happened.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
-use ts_obs::{LatencyHistogram, ObsEvent, RejectReason, Telemetry};
-
-/// One bucket of a discrete histogram (`value` occurred `count` times).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramBucket {
-    /// Observed value (batch size, queue depth, ...).
-    pub value: u64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-/// Adds `count` observations of `value` to buckets kept sorted by value.
-fn bump(buckets: &mut Vec<HistogramBucket>, value: u64, count: u64) {
-    match buckets.binary_search_by_key(&value, |b| b.value) {
-        Ok(i) => buckets[i].count += count,
-        Err(i) => buckets.insert(i, HistogramBucket { value, count }),
-    }
-}
+use ts_obs::{
+    Alert, HealthSnapshot, ObsConfig, ObsEvent, RecordedEvent, RejectReason, ServeRecord,
+    ServeReport,
+};
 
 /// A point-in-time load snapshot of one server, cheap enough to poll on
 /// every routing decision ([`crate::Server::load`]). A fleet router uses
@@ -79,359 +64,41 @@ impl ServerLoad {
     }
 }
 
-/// Latency distribution of one stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StreamStats {
-    /// Stream identifier (caller-chosen).
-    pub stream: u64,
-    /// End-to-end (submit -> response) wall latency, microseconds.
-    pub latency: LatencyHistogram,
-}
-
-/// Snapshot of a server's SLO counters, exported as JSON.
-///
-/// Latency is kept as fixed-size log-bucketed histograms
-/// ([`LatencyHistogram`]), one per stream plus one overall: count,
-/// mean, min, max and standard deviation are exact, and p50/p90/p99
-/// ([`LatencyHistogram::quantile_us`]) are bucket-resolution values
-/// (never below the exact percentile, above it by less than one
-/// quarter-octave bucket) clamped to `[min, max]`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServeReport {
-    /// Requests answered with an output tensor.
-    pub completed: u64,
-    /// Requests refused at submission because the queue was full.
-    pub rejected_queue_full: u64,
-    /// Requests refused because their frame was malformed.
-    pub rejected_bad_frame: u64,
-    /// Requests shed unexecuted because their deadline had already
-    /// passed when the server got to them.
-    pub shed_deadline: u64,
-    /// Requests shed with [`crate::Rejected::WorkerCrashed`] after
-    /// exhausting their re-enqueue budget.
-    pub shed_crashed: u64,
-    /// Requests shed unexecuted because the node was halted
-    /// ([`crate::Server::halt`] — a fleet-level node kill). Absent in
-    /// reports written before halt existed, hence the serde default.
-    #[serde(default)]
-    pub shed_halt: u64,
-    /// Requests that completed, but after their deadline.
-    pub deadline_misses: u64,
-    /// Worker threads that died by panic and were reaped.
-    pub worker_panics: u64,
-    /// Workers declared stuck (busy on one batch past the stall
-    /// timeout) and retired.
-    pub worker_stalls: u64,
-    /// Replacement workers spawned by the supervisor.
-    pub worker_restarts: u64,
-    /// Requests recovered from a dead or stuck worker and re-enqueued.
-    pub requeued: u64,
-    /// Schedule slots the serving engine runs on the safe fallback
-    /// dataflow because their configs failed validation (see
-    /// [`ts_core::Engine::downgrades`]).
-    pub schedule_downgrades: u64,
-    /// Frames that found their stream's kernel map cached (temporal
-    /// reuse; see [`crate::ServeConfig::with_map_reuse`]).
-    pub map_cache_hits: u64,
-    /// Frames that found no cached map for their stream and built one
-    /// from scratch.
-    pub map_cache_misses: u64,
-    /// Cache hits resolved by patching the previous frame's map in
-    /// place (churn under the threshold).
-    pub map_patched: u64,
-    /// Cache hits that rebuilt the map anyway because churn exceeded
-    /// the [`ts_core::DeltaConfig::default`] threshold.
-    pub map_rebuilt: u64,
-    /// Stream states evicted from the bounded map cache (LRU).
-    pub map_evicted: u64,
-    /// Stream states dropped wholesale when the cache was invalidated
-    /// (worker respawn).
-    pub map_invalidated: u64,
-    /// Wall-clock seconds from server start to this snapshot.
-    pub wall_s: f64,
-    /// Completed frames per wall-clock second.
-    pub throughput_fps: f64,
-    /// Sum of simulated GPU time across all executed batches, in
-    /// microseconds (each batch counted once, not per frame).
-    pub sim_us_total: f64,
-    /// Distribution of executed batch sizes.
-    pub batch_sizes: Vec<HistogramBucket>,
-    /// Distribution of in-flight queue depth, sampled at each accepted
-    /// submission.
-    pub queue_depths: Vec<HistogramBucket>,
-    /// Per-stream latency distributions, sorted by stream id.
-    pub streams: Vec<StreamStats>,
-    /// Latency distribution over all completed requests (empty when
-    /// nothing completed).
-    pub overall: LatencyHistogram,
-    /// Path of the Chrome trace written at shutdown, when the server
-    /// was started with a tracer installed and
-    /// [`crate::ServeConfig::with_trace_path`].
-    pub trace_path: Option<String>,
-}
-
-impl ServeReport {
-    /// Whether the deployment saw any fault — a worker panic or stall,
-    /// a crashed-out request, or a schedule downgrade at boot.
-    pub fn saw_faults(&self) -> bool {
-        self.worker_panics > 0
-            || self.worker_stalls > 0
-            || self.shed_crashed > 0
-            || self.schedule_downgrades > 0
-    }
-
-    /// Fraction of map-cache lookups whose stream state was found and
-    /// patched in place — the temporal-reuse payoff metric. Zero when
-    /// reuse is off or nothing was looked up.
-    pub fn map_reuse_rate(&self) -> f64 {
-        let lookups = self.map_cache_hits + self.map_cache_misses;
-        if lookups == 0 {
-            return 0.0;
-        }
-        self.map_patched as f64 / lookups as f64
-    }
-
-    /// Fraction of finished requests (completed or shed) that violated
-    /// their deadline.
-    pub fn deadline_miss_rate(&self) -> f64 {
-        let finished = self.completed + self.shed_deadline;
-        if finished == 0 {
-            return 0.0;
-        }
-        (self.deadline_misses + self.shed_deadline) as f64 / finished as f64
-    }
-
-    /// Serializes to pretty JSON.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Parses a report back from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Aggregates this report with one from another server (or another
-    /// epoch of the same deployment).
-    ///
-    /// Counters and simulated time sum; histograms add bucket-wise, so
-    /// the pooled latency distributions equal those of the pooled
-    /// samples. `wall_s` takes the maximum (concurrent servers share
-    /// the wall clock) and throughput is recomputed from the merged
-    /// totals. `trace_path` keeps this report's path, falling back to
-    /// the other's.
-    pub fn merge(&self, other: &ServeReport) -> ServeReport {
-        let mut m = self.clone();
-        m.completed += other.completed;
-        m.rejected_queue_full += other.rejected_queue_full;
-        m.rejected_bad_frame += other.rejected_bad_frame;
-        m.shed_deadline += other.shed_deadline;
-        m.shed_crashed += other.shed_crashed;
-        m.shed_halt += other.shed_halt;
-        m.deadline_misses += other.deadline_misses;
-        m.worker_panics += other.worker_panics;
-        m.worker_stalls += other.worker_stalls;
-        m.worker_restarts += other.worker_restarts;
-        m.requeued += other.requeued;
-        m.schedule_downgrades += other.schedule_downgrades;
-        m.map_cache_hits += other.map_cache_hits;
-        m.map_cache_misses += other.map_cache_misses;
-        m.map_patched += other.map_patched;
-        m.map_rebuilt += other.map_rebuilt;
-        m.map_evicted += other.map_evicted;
-        m.map_invalidated += other.map_invalidated;
-        m.sim_us_total += other.sim_us_total;
-        for b in &other.batch_sizes {
-            bump(&mut m.batch_sizes, b.value, b.count);
-        }
-        for b in &other.queue_depths {
-            bump(&mut m.queue_depths, b.value, b.count);
-        }
-        for s in &other.streams {
-            m.stream_latency(s.stream).merge(&s.latency);
-        }
-        m.overall.merge(&other.overall);
-        m.set_wall_s(self.wall_s.max(other.wall_s));
-        m.trace_path = m.trace_path.or_else(|| other.trace_path.clone());
-        m
-    }
-
-    /// Sets the wall clock and the throughput derived from it.
-    fn set_wall_s(&mut self, wall_s: f64) {
-        self.wall_s = wall_s;
-        self.throughput_fps = if wall_s > 0.0 {
-            self.completed as f64 / wall_s
-        } else {
-            0.0
-        };
-    }
-
-    /// The latency histogram of `stream`, inserted (in stream order)
-    /// on first sight.
-    fn stream_latency(&mut self, stream: u64) -> &mut LatencyHistogram {
-        let i = match self.streams.binary_search_by_key(&stream, |s| s.stream) {
-            Ok(i) => i,
-            Err(i) => {
-                self.streams.insert(
-                    i,
-                    StreamStats {
-                        stream,
-                        latency: LatencyHistogram::default(),
-                    },
-                );
-                i
-            }
-        };
-        &mut self.streams[i].latency
-    }
-
-    /// Folds one event into the report. Events that carry nothing the
-    /// report counts (dispatches, injections, migrations, alerts) leave
-    /// it unchanged.
-    fn fold(&mut self, event: &ObsEvent) {
-        use ts_obs::{FaultKind::*, MapUpdateKind::*, RejectReason::*, ShedReason::*};
-        let (counter, delta) = match *event {
-            ObsEvent::Admitted { queue_depth } => {
-                return bump(&mut self.queue_depths, queue_depth, 1)
-            }
-            ObsEvent::Batch { jobs, sim_us, .. } => {
-                self.sim_us_total += sim_us;
-                return bump(&mut self.batch_sizes, jobs, 1);
-            }
-            ObsEvent::Completed {
-                stream,
-                latency_us,
-                missed,
-            } => {
-                self.deadline_misses += u64::from(missed);
-                self.stream_latency(stream).record(latency_us);
-                self.overall.record(latency_us);
-                (&mut self.completed, 1)
-            }
-            ObsEvent::Rejected { reason: QueueFull } => (&mut self.rejected_queue_full, 1),
-            ObsEvent::Rejected { reason: BadFrame } => (&mut self.rejected_bad_frame, 1),
-            ObsEvent::Shed { reason, .. } => match reason {
-                Deadline => (&mut self.shed_deadline, 1),
-                WorkerCrashed => (&mut self.shed_crashed, 1),
-                Halt => (&mut self.shed_halt, 1),
-            },
-            ObsEvent::Fault { kind, .. } => match kind {
-                WorkerPanic => (&mut self.worker_panics, 1),
-                WorkerStall => (&mut self.worker_stalls, 1),
-            },
-            ObsEvent::Restart => (&mut self.worker_restarts, 1),
-            ObsEvent::Requeue { jobs, .. } => (&mut self.requeued, jobs),
-            ObsEvent::Downgrade { slots } => (&mut self.schedule_downgrades, slots),
-            ObsEvent::MapLookup { hit: true } => (&mut self.map_cache_hits, 1),
-            ObsEvent::MapLookup { hit: false } => (&mut self.map_cache_misses, 1),
-            ObsEvent::MapUpdate { kind: Patched, .. } => (&mut self.map_patched, 1),
-            ObsEvent::MapUpdate { kind: Rebuilt, .. } => (&mut self.map_rebuilt, 1),
-            ObsEvent::MapEvicted => (&mut self.map_evicted, 1),
-            ObsEvent::MapInvalidated { streams } => (&mut self.map_invalidated, streams),
-            ObsEvent::Dispatch { .. }
-            | ObsEvent::Injected { .. }
-            | ObsEvent::MapReuseDisabled
-            | ObsEvent::MapUpdate { kind: Built, .. }
-            | ObsEvent::Migration { .. }
-            | ObsEvent::Alert { .. } => return,
-        };
-        *counter += delta;
-    }
-}
-
-/// The `serve.*` trace counters an event adds, as `(name, delta)` pairs
-/// passed to `add` — the one place a serve event is named for the
-/// trace.
-fn trace_counters(event: &ObsEvent, mut add: impl FnMut(&'static str, i64)) {
-    use ts_obs::{FaultKind::*, MapUpdateKind::*, RejectReason::*, ShedReason::*};
-    let (name, delta) = match *event {
-        ObsEvent::Dispatch { .. } => ("serve.batches.dispatched", 1),
-        ObsEvent::Batch { .. } => ("serve.batches.executed", 1),
-        ObsEvent::Completed { missed, .. } => {
-            if missed {
-                add("serve.deadline.missed", 1);
-            }
-            ("serve.requests.completed", 1)
-        }
-        ObsEvent::Rejected { reason: QueueFull } => ("serve.requests.rejected_queue_full", 1),
-        ObsEvent::Rejected { reason: BadFrame } => ("serve.frames.rejected", 1),
-        ObsEvent::Shed { reason, .. } => match reason {
-            Deadline => ("serve.requests.shed_deadline", 1),
-            WorkerCrashed => ("serve.requests.shed_crashed", 1),
-            Halt => ("serve.requests.shed_halt", 1),
-        },
-        ObsEvent::Fault { kind, .. } => match kind {
-            WorkerPanic => ("serve.workers.panicked", 1),
-            WorkerStall => ("serve.workers.stalled", 1),
-        },
-        ObsEvent::Restart => ("serve.workers.restarted", 1),
-        ObsEvent::Requeue { jobs, .. } => ("serve.requests.requeued", jobs as i64),
-        ObsEvent::Injected { kind, .. } => match kind {
-            WorkerPanic => ("serve.chaos.injected_panic", 1),
-            WorkerStall => ("serve.chaos.injected_stall", 1),
-        },
-        ObsEvent::Downgrade { slots } => ("serve.schedule.downgraded", slots as i64),
-        ObsEvent::MapReuseDisabled => ("serve.map_cache.disabled_degraded", 1),
-        ObsEvent::MapLookup { hit: true } => ("serve.map_cache.hit", 1),
-        ObsEvent::MapLookup { hit: false } => ("serve.map_cache.miss", 1),
-        ObsEvent::MapUpdate {
-            kind,
-            entered,
-            exited,
-        } => {
-            add("serve.map_cache.entered", entered as i64);
-            add("serve.map_cache.exited", exited as i64);
-            match kind {
-                Built => return,
-                Patched => ("serve.map_cache.patched", 1),
-                Rebuilt => ("serve.map_cache.rebuilt", 1),
-            }
-        }
-        ObsEvent::MapEvicted => ("serve.map_cache.evicted", 1),
-        ObsEvent::MapInvalidated { streams } => ("serve.map_cache.invalidated", streams as i64),
-        ObsEvent::Admitted { .. } | ObsEvent::Migration { .. } | ObsEvent::Alert { .. } => return,
-    };
-    add(name, delta);
-}
-
 /// Thread-safe metrics sink shared by the submission path, the batcher,
 /// the workers and the supervisor.
 pub(crate) struct Metrics {
-    started: Instant,
-    /// The report state, minus the wall clock filled in at read time.
-    report: Mutex<ServeReport>,
+    record: Mutex<ServeRecord>,
     depth: AtomicUsize,
     /// The tracer the server was built under; every event's `serve.*`
     /// counters land on it, whichever thread records the event.
     tracer: Option<ts_trace::Tracer>,
-    /// Live telemetry registry, when the server was configured with
-    /// [`crate::ServeConfig::with_obs`]; every event is handed to it.
-    telemetry: Option<Arc<Telemetry>>,
+    /// Where post-mortems are written, when obs is on and a directory
+    /// was configured.
+    postmortem_dir: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for Metrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Metrics")
             .field("depth", &self.depth)
-            .field("telemetry", &self.telemetry.is_some())
+            .field("postmortem_dir", &self.postmortem_dir)
             .finish_non_exhaustive()
     }
 }
 
 impl Metrics {
-    pub(crate) fn new(tracer: Option<ts_trace::Tracer>, telemetry: Option<Arc<Telemetry>>) -> Self {
+    /// A sink with the live views on when `obs` is set.
+    pub(crate) fn new(tracer: Option<ts_trace::Tracer>, obs: Option<&ObsConfig>) -> Self {
         Self {
-            started: Instant::now(),
-            report: Mutex::new(ServeReport::default()),
+            record: Mutex::new(ServeRecord::new(obs.is_some())),
             depth: AtomicUsize::new(0),
             tracer,
-            telemetry,
+            postmortem_dir: obs.and_then(|o| o.postmortem_dir.as_ref().map(PathBuf::from)),
         }
     }
 
-    /// The live telemetry registry, when one is attached.
-    pub(crate) fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+    fn lock(&self) -> MutexGuard<'_, ServeRecord> {
+        self.record.lock().expect("metrics lock")
     }
 
     /// Current number of in-flight requests (queued or executing).
@@ -466,10 +133,10 @@ impl Metrics {
         self.depth.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Records one event everywhere it is counted: the report state,
-    /// the server tracer's `serve.*` counters and, with obs on, the
-    /// telemetry registry. An event that answers an admitted request
-    /// (completion, shed, bad frame) also releases its queue slot.
+    /// Folds one event into the record under the lock: the report, the
+    /// server tracer's `serve.*` counters and, with obs on, the live
+    /// views. An event that answers an admitted request (completion,
+    /// shed, bad frame) also releases its queue slot.
     pub(crate) fn record(&self, event: ObsEvent) {
         if matches!(
             event,
@@ -481,22 +148,21 @@ impl Metrics {
         ) {
             self.release();
         }
-        self.report.lock().expect("metrics lock").fold(&event);
-        if ts_trace::ENABLED {
-            if let Some(t) = &self.tracer {
-                trace_counters(&event, |name, delta| t.counter_add(name, delta));
+        self.lock().record(event, |name, delta| {
+            if ts_trace::ENABLED {
+                if let Some(t) = &self.tracer {
+                    t.counter_add(name, delta);
+                }
             }
-        }
-        if let Some(t) = &self.telemetry {
-            t.observe(event);
-        }
+        });
     }
 
     /// Cheap load snapshot for a fleet router: the in-flight depth is a
     /// single atomic read, the SLO counters one short lock.
     pub(crate) fn load(&self) -> ServerLoad {
         let queue_depth = self.depth();
-        let r = self.report.lock().expect("metrics lock");
+        let record = self.lock();
+        let r = record.cumulative();
         ServerLoad {
             queue_depth,
             completed: r.completed,
@@ -507,16 +173,49 @@ impl Metrics {
     }
 
     pub(crate) fn report(&self) -> ServeReport {
-        let mut r = self.report.lock().expect("metrics lock").clone();
-        r.set_wall_s(self.started.elapsed().as_secs_f64());
-        r
+        self.lock().report()
+    }
+
+    /// The rolling-window health exposition; `None` with obs off.
+    pub(crate) fn health(&self) -> Option<HealthSnapshot> {
+        let queue_depth = self.depth() as u64;
+        self.lock().health(queue_depth)
+    }
+
+    /// Every alert transition so far; empty with obs off.
+    pub(crate) fn alerts(&self) -> Vec<Alert> {
+        self.lock().alerts().to_vec()
+    }
+
+    /// The flight-recorder ring, oldest first; empty with obs off.
+    pub(crate) fn recent_events(&self) -> Vec<RecordedEvent> {
+        self.lock().recent_events()
+    }
+
+    /// Assembles a post-mortem under the lock and, when a dump
+    /// directory is configured, writes it after releasing the lock. A
+    /// failed write logs to stderr: a dying server must not die twice
+    /// over a full disk.
+    pub(crate) fn dump_postmortem(&self, reason: &str) {
+        let queue_depth = self.depth() as u64;
+        let Some(pm) = self.lock().postmortem(reason, queue_depth) else {
+            return;
+        };
+        if let Some(dir) = &self.postmortem_dir {
+            if let Err(e) = pm.write_to(dir) {
+                eprintln!(
+                    "ts-serve: post-mortem dump to {} failed: {e}",
+                    dir.display()
+                );
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_obs::{FaultKind, MapUpdateKind, ShedReason};
+    use ts_obs::{FaultKind, HistogramBucket, LatencyHistogram, MapUpdateKind, ShedReason};
 
     fn metrics() -> Metrics {
         Metrics::new(None, None)
@@ -651,11 +350,12 @@ mod tests {
         let pooled = {
             let m = metrics();
             for (stream, latency_us) in [(1, 100.0), (2, 200.0), (1, 300.0)] {
-                m.report.lock().expect("lock").fold(&ObsEvent::Completed {
+                let event = ObsEvent::Completed {
                     stream,
                     latency_us,
                     missed: false,
-                });
+                };
+                m.lock().record(event, |_, _| {});
             }
             m.report()
         };

@@ -9,11 +9,14 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use ts_core::{CompileError, DeltaConfig, Engine, MapUpdate, SparseTensor};
-use ts_obs::{MapUpdateKind, ObsEvent, RejectReason, ShedReason};
+use ts_obs::{
+    Alert, HealthSnapshot, MapUpdateKind, MigrationKind, ObsEvent, RecordedEvent, RejectReason,
+    ServeReport, ShedReason,
+};
 
 use crate::batch::{merge_frames, sort_by_coord, split_output, validate_frame, FrameError};
 use crate::mapcache::MapCache;
-use crate::metrics::{Metrics, ServeReport, ServerLoad};
+use crate::metrics::{Metrics, ServerLoad};
 use crate::supervisor::{spawn_supervisor, SupervisorCtx};
 use crate::ServeConfig;
 
@@ -282,11 +285,7 @@ impl Server {
     pub fn new(engine: Engine, cfg: ServeConfig) -> Self {
         let cfg = cfg.normalized();
         let tracer = ts_trace::current();
-        let telemetry = cfg
-            .obs
-            .as_ref()
-            .map(|o| Arc::new(ts_obs::Telemetry::new(o.clone())));
-        let metrics = Arc::new(Metrics::new(tracer.clone(), telemetry));
+        let metrics = Arc::new(Metrics::new(tracer.clone(), cfg.obs.as_ref()));
         let stop = Arc::new(AtomicBool::new(false));
         let next_batch = Arc::new(AtomicU64::new(0));
         let (ingress_tx, ingress_rx) = unbounded::<Job>();
@@ -308,7 +307,7 @@ impl Server {
         let abort = Arc::new(AtomicBool::new(false));
         let supervisor = spawn_supervisor(SupervisorCtx {
             engine,
-            work_tx: work_tx.clone(),
+            work_tx: Some(work_tx.clone()),
             work_rx,
             metrics: Arc::clone(&metrics),
             tracer: tracer.clone(),
@@ -418,28 +417,34 @@ impl Server {
         self.metrics.report()
     }
 
-    /// Rolling-window health exposition ([`ts_obs::HealthSnapshot`]):
+    /// Rolling-window health exposition ([`HealthSnapshot`]):
     /// windowed completions, miss rate, per-stream p50/p99, reuse rate,
     /// burn rates and active alerts. `None` unless the server was
     /// configured with [`ServeConfig::with_obs`]. Unlike
     /// [`Server::report`] (cumulative since boot), this covers only the
-    /// configured rolling window — the "what is happening right now"
-    /// view.
-    pub fn health_snapshot(&self) -> Option<ts_obs::HealthSnapshot> {
-        self.telemetry()
-            .map(|t| t.health_snapshot(self.metrics.depth() as u64))
+    /// rolling window — the "what is happening right now" view.
+    pub fn health_snapshot(&self) -> Option<HealthSnapshot> {
+        self.metrics.health()
     }
 
     /// Every SLO alert transition (trip/clear) recorded so far, in
     /// order; empty without [`ServeConfig::with_obs`].
-    pub fn alerts(&self) -> Vec<ts_obs::Alert> {
-        self.telemetry().map(|t| t.alerts()).unwrap_or_default()
+    pub fn alerts(&self) -> Vec<Alert> {
+        self.metrics.alerts()
     }
 
-    /// The live telemetry registry, when the server was configured with
-    /// [`ServeConfig::with_obs`].
-    pub fn telemetry(&self) -> Option<&Arc<ts_obs::Telemetry>> {
-        self.metrics.telemetry()
+    /// The flight-recorder ring, oldest first — "what just happened
+    /// here"; empty without [`ServeConfig::with_obs`].
+    pub fn recent_events(&self) -> Vec<RecordedEvent> {
+        self.metrics.recent_events()
+    }
+
+    /// Records that `stream`'s fleet home moved to this server, node
+    /// `node` of its fleet, so the flight recorder shows where the map
+    /// rebuild cost of its next frame comes from.
+    pub fn record_migration(&self, stream: u64, node: u64, kind: MigrationKind) {
+        self.metrics
+            .record(ObsEvent::Migration { stream, node, kind });
     }
 
     /// Graceful drain: stops admitting, serves everything already
@@ -474,9 +479,7 @@ impl Server {
         self.abort.store(true, Ordering::SeqCst);
         // A halt is the fleet's node kill: dump the flight recorder
         // while the backlog is still visible in the queue depth.
-        if let Some(t) = self.telemetry() {
-            let _ = t.dump_postmortem("node_halt", self.metrics.depth() as u64);
-        }
+        self.metrics.dump_postmortem("node_halt");
         self.shutdown()
     }
 
@@ -900,6 +903,7 @@ mod tests {
     use ts_dataflow::{DataflowConfig, ExecCtx};
     use ts_gpusim::Device;
     use ts_kernelmap::Coord;
+    use ts_obs::{ObsConfig, PostMortem};
     use ts_tensor::{rng_from_seed, uniform_matrix, Matrix, Precision};
 
     fn engine() -> Engine {
@@ -1398,7 +1402,7 @@ mod tests {
 
     #[test]
     fn obs_health_snapshot_tracks_live_traffic() {
-        let server = Server::new(engine(), fast_cfg().with_obs(ts_obs::ObsConfig::default()));
+        let server = Server::new(engine(), fast_cfg().with_obs(ObsConfig::default()));
         for i in 0..5 {
             server
                 .submit(i % 2, frame(0, i))
@@ -1414,7 +1418,7 @@ mod tests {
         assert!(!snap.page_alert_active && !snap.warning_alert_active);
         assert!(server.alerts().is_empty(), "healthy run trips nothing");
         // The flight recorder saw the dispatches and batch completions.
-        let events = server.telemetry().expect("obs").recent_events();
+        let events = server.recent_events();
         assert!(events
             .iter()
             .any(|e| matches!(e.event, ObsEvent::Dispatch { .. })));
@@ -1437,7 +1441,7 @@ mod tests {
                 .with_max_batch(4)
                 .with_workers(1)
                 .with_map_reuse(true)
-                .with_obs(ts_obs::ObsConfig::default()),
+                .with_obs(ObsConfig::default()),
         );
         let frames: Vec<_> = (0..8).map(|k| drift_frame(k, 600 + k as u64)).collect();
         let handles: Vec<_> = frames
@@ -1448,7 +1452,7 @@ mod tests {
         for h in handles {
             h.wait().expect("served");
         }
-        let events = server.telemetry().expect("obs").recent_events();
+        let events = server.recent_events();
         server.shutdown();
 
         let issued: std::collections::HashSet<u64> = events
@@ -1486,7 +1490,7 @@ mod tests {
             .expect("served");
         assert!(server.health_snapshot().is_none());
         assert!(server.alerts().is_empty());
-        assert!(server.telemetry().is_none());
+        assert!(server.recent_events().is_empty());
         server.shutdown();
     }
 
@@ -1501,8 +1505,7 @@ mod tests {
                 .with_max_batch(16)
                 .with_workers(1)
                 .with_obs(
-                    ts_obs::ObsConfig::default()
-                        .with_postmortem_dir(dir.to_string_lossy().into_owned()),
+                    ObsConfig::default().with_postmortem_dir(dir.to_string_lossy().into_owned()),
                 ),
         );
         let handles: Vec<_> = (0..4)
@@ -1522,10 +1525,9 @@ mod tests {
             })
             .collect();
         assert_eq!(dumps.len(), 1, "halt writes exactly one post-mortem");
-        let pm = ts_obs::PostMortem::from_json(
-            &std::fs::read_to_string(dumps[0].path()).expect("readable"),
-        )
-        .expect("parses");
+        let pm =
+            PostMortem::from_json(&std::fs::read_to_string(dumps[0].path()).expect("readable"))
+                .expect("parses");
         assert_eq!(pm.reason, "node_halt");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -45,7 +45,9 @@ use crate::ServeConfig;
 /// Everything the supervisor thread needs, moved in at spawn.
 pub(crate) struct SupervisorCtx {
     pub engine: Engine,
-    pub work_tx: Sender<Batch>,
+    /// Dropped (set to `None`) during shutdown once the backlog is
+    /// done; the disconnect is what tells workers to exit.
+    pub work_tx: Option<Sender<Batch>>,
     pub work_rx: Receiver<Batch>,
     pub metrics: Arc<Metrics>,
     pub tracer: Option<ts_trace::Tracer>,
@@ -134,42 +136,77 @@ pub(crate) fn spawn_supervisor(ctx: SupervisorCtx) -> JoinHandle<()> {
         .expect("spawn supervisor thread")
 }
 
-fn spawn_slot(
-    id: usize,
-    engine: &Engine,
-    rx: &Receiver<Batch>,
-    metrics: &Arc<Metrics>,
-    tracer: &Option<ts_trace::Tracer>,
-    map_cache: &Arc<MapCache>,
-    cfg: &ServeConfig,
-) -> Slot {
-    let shared = Arc::new(WorkerShared::new(Instant::now()));
-    let handle = {
-        let shared = Arc::clone(&shared);
-        let engine = engine.clone();
-        let rx = rx.clone();
-        let metrics = Arc::clone(metrics);
-        let tracer = tracer.clone();
-        let map_cache = Arc::clone(map_cache);
-        let plan = cfg.fault_plan.clone();
-        let poll = cfg.supervisor_poll;
-        std::thread::Builder::new()
-            .name(format!("ts-serve-worker-{id}"))
-            .spawn(move || {
-                ts_trace::install_opt(tracer.as_ref());
-                worker_loop(
-                    &engine,
-                    &rx,
-                    &metrics,
-                    &shared,
-                    &map_cache,
-                    plan.as_ref(),
-                    poll,
-                )
-            })
-            .expect("spawn worker thread")
-    };
-    Slot { handle, shared }
+/// The worker pool and the context it grows from.
+struct Pool {
+    ctx: SupervisorCtx,
+    slots: Vec<Slot>,
+    next_id: usize,
+}
+
+impl Pool {
+    /// Spawns one worker from a fresh engine clone into the pool.
+    fn spawn(&mut self) {
+        let ctx = &self.ctx;
+        let shared = Arc::new(WorkerShared::new(Instant::now()));
+        let handle = {
+            let shared = Arc::clone(&shared);
+            let engine = ctx.engine.clone();
+            let rx = ctx.work_rx.clone();
+            let metrics = Arc::clone(&ctx.metrics);
+            let tracer = ctx.tracer.clone();
+            let map_cache = Arc::clone(&ctx.map_cache);
+            let plan = ctx.cfg.fault_plan.clone();
+            let poll = ctx.cfg.supervisor_poll;
+            std::thread::Builder::new()
+                .name(format!("ts-serve-worker-{}", self.next_id))
+                .spawn(move || {
+                    ts_trace::install_opt(tracer.as_ref());
+                    worker_loop(
+                        &engine,
+                        &rx,
+                        &metrics,
+                        &shared,
+                        &map_cache,
+                        plan.as_ref(),
+                        poll,
+                    )
+                })
+                .expect("spawn worker thread")
+        };
+        self.slots.push(Slot { handle, shared });
+        self.next_id += 1;
+    }
+
+    /// Replaces a worker that panicked or was retired as stuck, by the
+    /// same steps either way: steal its in-flight batch, record the
+    /// fault, dump the post-mortem, drop the map cache, spawn a
+    /// replacement while the work channel is open, and re-enqueue or
+    /// shed the stolen jobs.
+    fn replace(&mut self, worker: &WorkerShared, kind: FaultKind, reason: &str) {
+        let inflight = worker.steal();
+        let metrics = &self.ctx.metrics;
+        metrics.record(ObsEvent::Fault {
+            kind,
+            batch: inflight.as_ref().map(|b| b.seq),
+        });
+        // Post-mortem first, recovery second: the dump captures the
+        // ring as the worker died, including the crashing batch's
+        // dispatch and the fault just recorded.
+        metrics.dump_postmortem(reason);
+        // A panicked worker may have died with a stream state checked
+        // out, and a stuck one may wake later and put back states from
+        // before the recovery. Neither can be told apart from the sound
+        // states, so start from a clean cache; affected streams reseed
+        // on their next frame.
+        self.ctx.map_cache.invalidate_all(metrics);
+        if self.ctx.work_tx.is_some() {
+            // Respawn before re-enqueueing: the send below can block on
+            // a full channel and needs a consumer.
+            self.spawn();
+            self.ctx.metrics.record(ObsEvent::Restart);
+        }
+        self.ctx.recover(inflight);
+    }
 }
 
 fn worker_loop(
@@ -201,168 +238,111 @@ fn worker_loop(
 }
 
 fn run(ctx: SupervisorCtx) {
-    let SupervisorCtx {
-        engine,
-        work_tx,
-        work_rx,
-        metrics,
-        tracer,
-        stop,
-        next_batch,
-        map_cache,
-        cfg,
-    } = ctx;
-    // Dropped (set to None) during shutdown once the backlog is done;
-    // the disconnect is what tells workers to exit.
-    let mut work_tx = Some(work_tx);
-    let mut slots: Vec<Slot> = (0..cfg.workers)
-        .map(|id| spawn_slot(id, &engine, &work_rx, &metrics, &tracer, &map_cache, &cfg))
-        .collect();
-    let mut next_id = cfg.workers;
+    let mut pool = Pool {
+        ctx,
+        slots: Vec::new(),
+        next_id: 0,
+    };
+    for _ in 0..pool.ctx.cfg.workers {
+        pool.spawn();
+    }
     // Retired-but-possibly-still-running workers. Never joined: one may
     // be asleep inside a stalled batch well past shutdown, and its
     // duplicate completions are already latch-suppressed.
     let mut zombies: Vec<JoinHandle<()>> = Vec::new();
 
     loop {
-        // Reap finished workers; panics get recovery and a restart.
+        // Reap finished workers; panics get recovery and a restart. A
+        // clean exit is the normal end of the drain; no action.
         let mut i = 0;
-        while i < slots.len() {
-            if !slots[i].handle.is_finished() {
+        while i < pool.slots.len() {
+            if !pool.slots[i].handle.is_finished() {
                 i += 1;
                 continue;
             }
-            let slot = slots.remove(i);
+            let slot = pool.slots.remove(i);
             if slot.handle.join().is_err() {
-                let inflight = slot.shared.steal();
-                metrics.record(ObsEvent::Fault {
-                    kind: FaultKind::WorkerPanic,
-                    batch: inflight.as_ref().map(|b| b.seq),
-                });
-                // Post-mortem first, recovery second: the dump captures
-                // the ring as the worker died, including the crashing
-                // batch's dispatch and the fault just recorded.
-                if let Some(tel) = metrics.telemetry() {
-                    let _ = tel.dump_postmortem("worker_panic", metrics.depth() as u64);
-                }
-                // The dead worker may have panicked mid-update with a
-                // stream state checked out; every surviving cached
-                // state is still sound, but the checked-out one is
-                // lost and cannot be told apart, so drop them all.
-                map_cache.invalidate_all(&metrics);
-                if work_tx.is_some() {
-                    // Respawn before re-enqueueing: the send below can
-                    // block on a full channel and needs a consumer.
-                    slots.push(spawn_slot(
-                        next_id, &engine, &work_rx, &metrics, &tracer, &map_cache, &cfg,
-                    ));
-                    next_id += 1;
-                    metrics.record(ObsEvent::Restart);
-                }
-                recover(inflight, work_tx.as_ref(), &next_batch, &metrics, &cfg);
+                pool.replace(&slot.shared, FaultKind::WorkerPanic, "worker_panic");
             }
-            // A clean exit is the normal end of the drain; no action.
         }
 
-        // Stall detection: steal from stuck workers and replace them.
-        if let Some(timeout) = cfg.stall_timeout {
+        // Stall detection: retire stuck workers and replace them.
+        if let Some(timeout) = pool.ctx.cfg.stall_timeout {
             let mut i = 0;
-            while i < slots.len() {
-                if slots[i].shared.busy_for().is_none_or(|d| d <= timeout) {
+            while i < pool.slots.len() {
+                let busy = pool.slots[i].shared.busy_for();
+                if busy.is_none_or(|d| d <= timeout) {
                     i += 1;
                     continue;
                 }
-                let slot = slots.remove(i);
+                let slot = pool.slots.remove(i);
                 slot.shared.retired.store(true, Ordering::SeqCst);
-                let inflight = slot.shared.steal();
-                metrics.record(ObsEvent::Fault {
-                    kind: FaultKind::WorkerStall,
-                    batch: inflight.as_ref().map(|b| b.seq),
-                });
-                if let Some(tel) = metrics.telemetry() {
-                    let _ = tel.dump_postmortem("worker_stall", metrics.depth() as u64);
-                }
-                // A stuck worker is retired, not killed: it may wake
-                // later and put back stream states from before the
-                // recovery. Reset the cache to a known-clean slate;
-                // affected streams just reseed on their next frame.
-                map_cache.invalidate_all(&metrics);
                 zombies.push(slot.handle);
-                if work_tx.is_some() {
-                    slots.push(spawn_slot(
-                        next_id, &engine, &work_rx, &metrics, &tracer, &map_cache, &cfg,
-                    ));
-                    next_id += 1;
-                    metrics.record(ObsEvent::Restart);
-                }
-                recover(inflight, work_tx.as_ref(), &next_batch, &metrics, &cfg);
+                pool.replace(&slot.shared, FaultKind::WorkerStall, "worker_stall");
             }
         }
 
-        if stop.load(Ordering::SeqCst) {
-            match &work_tx {
+        if pool.ctx.stop.load(Ordering::SeqCst) {
+            match &pool.ctx.work_tx {
                 Some(tx) => {
                     // The batcher has exited, so the channel only
                     // shrinks. Empty channel + idle pool means every
                     // admitted request is answered (or its batch is
                     // held by a worker that just dequeued it and will
                     // still run it after the disconnect).
-                    let idle = slots.iter().all(|s| s.shared.busy_for().is_none());
+                    let idle = pool.slots.iter().all(|s| s.shared.busy_for().is_none());
                     if tx.is_empty() && idle {
-                        work_tx = None;
+                        pool.ctx.work_tx = None;
                     }
                 }
-                None if slots.is_empty() => break,
+                None if pool.slots.is_empty() => break,
                 None => {}
             }
         }
-        std::thread::sleep(cfg.supervisor_poll);
+        std::thread::sleep(pool.ctx.cfg.supervisor_poll);
     }
     drop(zombies);
 }
 
-/// Re-enqueues (or sheds) the jobs of a batch recovered from a dead or
-/// stuck worker. Every job still unanswered resolves to either a fresh
-/// dispatch or a typed [`Rejected::WorkerCrashed`].
-fn recover(
-    inflight: Option<Batch>,
-    work_tx: Option<&Sender<Batch>>,
-    next_batch: &AtomicU64,
-    metrics: &Metrics,
-    cfg: &ServeConfig,
-) {
-    let Some(batch) = inflight else { return };
-    let mut retry: Vec<_> = Vec::new();
-    for mut job in batch.jobs {
-        if job.done.load(Ordering::SeqCst) {
-            continue; // already answered (by the worker or a twin)
-        }
-        if job.attempts >= cfg.max_requeues || work_tx.is_none() {
-            shed_crashed(job, metrics);
-        } else {
-            job.attempts += 1;
-            retry.push(job);
-        }
-    }
-    if retry.is_empty() {
-        return;
-    }
-    // Deadlines may have passed while the batch sat on the dead worker.
-    shed_expired(&mut retry, metrics);
-    let batch = Batch {
-        // Fresh sequence number: an explicit fault plan that killed the
-        // original batch does not automatically kill the replay.
-        seq: next_batch.fetch_add(1, Ordering::SeqCst),
-        jobs: retry,
-    };
-    metrics.record(ObsEvent::Requeue {
-        batch: batch.seq,
-        jobs: batch.jobs.len() as u64,
-    });
-    if let Some(tx) = work_tx {
-        if let Err(e) = tx.send(batch) {
-            for job in e.into_inner().jobs {
+impl SupervisorCtx {
+    /// Re-enqueues (or sheds) the jobs of a batch recovered from a dead
+    /// or stuck worker. Every job still unanswered resolves to either a
+    /// fresh dispatch or a typed [`Rejected::WorkerCrashed`].
+    fn recover(&self, inflight: Option<Batch>) {
+        let Some(batch) = inflight else { return };
+        let metrics = &self.metrics;
+        let mut retry: Vec<_> = Vec::new();
+        for mut job in batch.jobs {
+            if job.done.load(Ordering::SeqCst) {
+                continue; // already answered (by the worker or a twin)
+            }
+            if job.attempts >= self.cfg.max_requeues || self.work_tx.is_none() {
                 shed_crashed(job, metrics);
+            } else {
+                job.attempts += 1;
+                retry.push(job);
+            }
+        }
+        if retry.is_empty() {
+            return;
+        }
+        // Deadlines may have passed while the batch sat on the dead worker.
+        shed_expired(&mut retry, metrics);
+        let batch = Batch {
+            // Fresh sequence number: an explicit fault plan that killed
+            // the original batch does not automatically kill the replay.
+            seq: self.next_batch.fetch_add(1, Ordering::SeqCst),
+            jobs: retry,
+        };
+        metrics.record(ObsEvent::Requeue {
+            batch: batch.seq,
+            jobs: batch.jobs.len() as u64,
+        });
+        if let Some(tx) = &self.work_tx {
+            if let Err(e) = tx.send(batch) {
+                for job in e.into_inner().jobs {
+                    shed_crashed(job, metrics);
+                }
             }
         }
     }

@@ -1,7 +1,6 @@
 //! Chaos tests for the supervised serving loop: seeded fault plans
 //! kill and stall workers mid-run; every request must still resolve to
 //! a typed outcome with zero escaped panics.
-#![cfg(feature = "chaos")]
 
 use std::time::Duration;
 

@@ -84,10 +84,11 @@
 //! | `train.plan.compiled` | Fused step plans compiled (tune + session build epochs) |
 //!
 //! The `serve.*` counters are not written at their call sites: each
-//! serve site emits one typed `ts_obs::ObsEvent`, and ts-serve adds the
-//! event's counters from one name table on the server's tracer, next to
-//! its report and live-telemetry folds of the same event. A counter is
-//! a plain tally; nothing observes or re-records `counter_add`.
+//! serve site emits one typed `ts_obs::ObsEvent`, and the one fold of
+//! that event (`ts_obs::ServeRecord::record_at`) names its counters,
+//! which ts-serve adds on the server's tracer, while the same match
+//! moves the report and the live windows. A counter is a plain tally;
+//! nothing observes or re-records `counter_add`.
 //!
 //! Gauges follow the same convention (e.g. `autotune.speedup`).
 #![warn(missing_docs)]

@@ -24,7 +24,6 @@ use ts_core::{
 };
 use ts_dataflow::{ConvWeights, ExecCtx};
 use ts_kernelmap::{Coord, DeltaConfig, MapUpdate};
-use ts_obs::{HealthSnapshot, HistogramSnapshot, ObsConfig, ObsEvent, Telemetry};
 use ts_tensor::Matrix;
 use ts_trace::Subsystem;
 use ts_workloads::{LidarScene, LidarStream};
@@ -189,8 +188,6 @@ pub struct Trainer {
     param_bytes: u64,
     steps: u64,
     skipped: u32,
-    telemetry: Option<Telemetry>,
-    now_us: u64,
 }
 
 impl Trainer {
@@ -241,8 +238,6 @@ impl Trainer {
             param_bytes,
             steps: 0,
             skipped: 0,
-            telemetry: None,
-            now_us: 0,
         }
     }
 
@@ -256,14 +251,6 @@ impl Trainer {
     pub fn with_cache_dir(mut self, dir: impl AsRef<Path>) -> io::Result<Self> {
         self.cache = TrainScheduleCache::open(dir)?;
         Ok(self)
-    }
-
-    /// Attaches live telemetry: each step feeds its simulated latency
-    /// into a [`Telemetry`] registry on a virtual clock advanced by the
-    /// simulated step time.
-    pub fn with_telemetry(mut self, cfg: ObsConfig) -> Self {
-        self.telemetry = Some(Telemetry::new(cfg));
-        self
     }
 
     /// The binding scheme steps tune under.
@@ -294,25 +281,6 @@ impl Trainer {
     /// Steps executed so far (including overflow-skipped ones).
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// Virtual simulated time consumed by all steps so far (µs).
-    pub fn now_us(&self) -> u64 {
-        self.now_us
-    }
-
-    /// Latency snapshot from the attached telemetry (if any) at the
-    /// current virtual time.
-    pub fn latency(&self) -> Option<HistogramSnapshot> {
-        self.telemetry.as_ref().map(|t| t.latency_at(self.now_us))
-    }
-
-    /// Health snapshot from the attached telemetry (if any) at the
-    /// current virtual time.
-    pub fn health(&self) -> Option<HealthSnapshot> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.health_snapshot_at(self.now_us, 0))
     }
 
     /// Summarises the run for golden-trajectory comparison.
@@ -423,26 +391,6 @@ impl Trainer {
             session.simulate_training(&TrainConfigs::bound(self.cfg.tuner.default), &self.ctx);
         let unbound_sim = StepSim::from_report(&unbound_report, passes, optim);
         self.steps += 1;
-        let step_us = sim.step_us();
-        self.now_us += step_us.max(0.0) as u64;
-        if let Some(t) = &self.telemetry {
-            t.observe_at(
-                self.now_us,
-                ObsEvent::Completed {
-                    stream: 0,
-                    latency_us: step_us.max(0.0),
-                    missed: false,
-                },
-            );
-            t.observe_at(
-                self.now_us,
-                ObsEvent::Batch {
-                    batch: self.steps,
-                    jobs: passes as u64,
-                    sim_us: step_us,
-                },
-            );
-        }
 
         Ok(StepReport {
             step: self.steps,
@@ -785,7 +733,6 @@ mod tests {
         assert_eq!(reports.len(), 3);
         assert_eq!(t.steps(), 3);
         assert!(reports.iter().all(|r| r.loss.is_finite() && r.loss > 0.0));
-        assert!(t.now_us() > 0, "virtual clock advances");
         let run = t.train_run(reports.iter().map(|r| r.loss).collect());
         assert_eq!(run.losses.len(), 3);
         assert_ne!(run.weights_digest, before, "training moved the weights");
@@ -823,18 +770,5 @@ mod tests {
         assert_eq!(r.micro_batches, 2);
         let s = &r.sim;
         assert_eq!(s.step_us(), s.map_us + 2.0 * s.compute_us() + s.optim_us);
-    }
-
-    #[test]
-    fn telemetry_records_step_latency() {
-        let ctx = ctx();
-        let mut t = Trainer::new(&net(), 7, &ctx, TrainerConfig::default())
-            .with_telemetry(ObsConfig::default());
-        t.step(&scene(17, 2)).unwrap();
-        t.step(&scene(17, 2)).unwrap();
-        let lat = t.latency().expect("telemetry attached");
-        assert_eq!(lat.count, 2, "both steps recorded");
-        let health = t.health().expect("telemetry attached");
-        assert!(health.completed >= 2);
     }
 }

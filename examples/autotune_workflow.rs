@@ -1,13 +1,15 @@
 //! The full Sparse Autotuner workflow: tune inference over several
 //! sample scenes, inspect per-group choices, tune training with every
-//! binding scheme, and persist the schedule as JSON (real deployments
-//! reuse one tuned schedule for millions of scenes).
+//! binding scheme, then persist the schedule as a schedule-store entry
+//! and boot an engine from it (real deployments reuse one tuned
+//! schedule for millions of scenes).
 //!
 //! ```sh
 //! cargo run --release --example autotune_workflow
 //! ```
 
 use torchsparse::autotune::{tune_inference, tune_training, BindingScheme, TunerOptions};
+use torchsparse::cache::{tune_cached, warm_boot, DriftPolicy, ScheduleCache};
 use torchsparse::core::Session;
 use torchsparse::dataflow::ExecCtx;
 use torchsparse::gpusim::Device;
@@ -20,8 +22,12 @@ fn main() {
 
     // The paper tunes on a random subset of scenes (e.g. 100 Waymo
     // frames); three samples suffice to show the workflow.
-    let sessions: Vec<Session> = (0..3)
-        .map(|i| Session::new(&net, workload.scene_scaled(100 + i, 0.2).coords()))
+    let scenes: Vec<_> = (0..3)
+        .map(|i| workload.scene_scaled(100 + i, 0.2))
+        .collect();
+    let sessions: Vec<Session> = scenes
+        .iter()
+        .map(|scene| Session::new(&net, scene.coords()))
         .collect();
     println!(
         "{}: tuning over {} sample scenes, {} layer groups",
@@ -82,11 +88,31 @@ fn main() {
         );
     }
 
-    // --- persist the tuned schedule -------------------------------------
-    let final_result = tune_inference(&sessions, &ctx, &TunerOptions::default());
-    let json =
-        serde_json::to_string_pretty(&final_result.per_group_choice).expect("schedule serializes");
-    let path = std::env::temp_dir().join("torchsparse_schedule.json");
-    std::fs::write(&path, &json).expect("schedule written");
-    println!("\ntuned schedule saved to {}", path.display());
+    // --- persist the tuned schedule and boot from it ------------------
+    // A tuned schedule persists as an entry of a content-addressed
+    // schedule store; a server boots its engine from the store.
+    let store_dir = std::env::temp_dir().join("torchsparse_autotune_store");
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let mut cache = ScheduleCache::open(&store_dir).expect("create schedule store");
+    let (opts, policy) = (TunerOptions::default(), DriftPolicy::default());
+    let tuned = tune_cached(&mut cache, &sessions, &ctx, &opts, &policy).expect("store write");
+    println!(
+        "\ntuned schedule stored as entry {} in {} ({:?})",
+        tuned.digest,
+        store_dir.display(),
+        tuned.origin
+    );
+    let (engine, boot) = warm_boot(
+        &mut cache,
+        net.clone(),
+        net.init_weights(0),
+        ctx.clone(),
+        scenes[0].coords(),
+        &policy,
+    );
+    println!(
+        "engine booted from the store: {:?} (degraded: {})",
+        boot.origin,
+        engine.is_degraded()
+    );
 }

@@ -208,7 +208,7 @@ fn report_trace_counters_and_health_agree_under_chaos() {
             .expect("recovered from every fault");
     }
     let health = server.health_snapshot().expect("obs configured");
-    let events = server.telemetry().expect("obs").recent_events();
+    let events = server.recent_events();
     let report = server.shutdown();
 
     assert_eq!(report.completed, 8);
