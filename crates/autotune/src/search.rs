@@ -203,6 +203,10 @@ pub(crate) fn greedy<C: Objective>(
         }
     };
 
+    // With nothing to sweep (a schedule-cache hit) the table stays the
+    // seed, and so does its price.
+    let sweeps = !sweep_groups.is_empty() && !family_sets.is_empty();
+
     // A warm run's baseline is the seeded (transferred) schedule, so
     // the speedup measures what re-tuning bought over the transfer.
     let mut configs = warm.map_or(cold, |w| w.seed.clone());
@@ -214,7 +218,7 @@ pub(crate) fn greedy<C: Objective>(
 
     // Incremental state: per-session residual plus per-(session, group)
     // contributions under the current `configs`.
-    let (residuals, mut contrib): (Vec<f64>, Vec<Vec<f64>>) = if incremental {
+    let (residuals, mut contrib): (Vec<f64>, Vec<Vec<f64>>) = if incremental && sweeps {
         sessions
             .iter()
             .map(|s| {
@@ -306,7 +310,11 @@ pub(crate) fn greedy<C: Objective>(
         }
     }
 
-    let tuned_latency_us = mean_us(&configs);
+    let tuned_latency_us = if sweeps {
+        mean_us(&configs)
+    } else {
+        default_latency_us
+    };
     let (hits1, misses1) = cache_stats(sessions);
     if span.active() {
         span.arg("evaluations", evaluations);

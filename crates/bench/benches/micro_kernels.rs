@@ -5,9 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use ts_dataflow::{forward, ConvWeights, DataflowConfig, ExecCtx};
 use ts_gpusim::Device;
-use ts_kernelmap::{
-    argsort_by_bitmask, build_submanifold_map, Coord, CoordHashMap, KernelOffsets, SplitPlan,
-};
+use ts_kernelmap::{build_submanifold_map, Coord, CoordHashMap, KernelOffsets, SplitPlan};
 use ts_tensor::{gemm, gemm_tn, gemm_tn_naive, rng_from_seed, uniform_matrix, Precision};
 use ts_workloads::{LidarConfig, LidarScene};
 
@@ -51,9 +49,6 @@ fn bench_map_build(c: &mut Criterion) {
 fn bench_sorting(c: &mut Criterion) {
     let coords = scene_coords(60);
     let map = build_submanifold_map(&coords, &KernelOffsets::cube(3));
-    c.bench_function("bitmask_argsort_10k", |b| {
-        b.iter(|| argsort_by_bitmask(black_box(map.bitmasks()), 0, 27))
-    });
     c.bench_function("split_plan_s3_10k", |b| {
         // Plan construction is lazy; unit_counts forces the per-range
         // key sort + MAC census the cost model actually pays.

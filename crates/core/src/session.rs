@@ -700,10 +700,9 @@ impl Session {
     }
 
     /// Checks every group's kernel map against its structural
-    /// invariants. Cheap relative to map construction but quadratic-ish
-    /// on the dense views, so debug builds only — release trusts map
-    /// construction. A transpose is checked when [`GroupInfo::map_t`]
-    /// builds it.
+    /// invariants: one pass over the pairs, debug builds only — release
+    /// trusts map construction. A transpose is checked when
+    /// [`GroupInfo::map_t`] builds it.
     pub(crate) fn debug_check_maps(&self) {
         #[cfg(debug_assertions)]
         for group in &self.groups {

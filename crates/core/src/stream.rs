@@ -15,7 +15,6 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use ts_dataflow::{DataflowConfig, DataflowKind};
 use ts_kernelmap::{
     Coord, CoordHashMap, DeltaConfig, IncrementalMap, KernelOffsets, MapStats, MapUpdate,
     UpdateOutcome,
@@ -43,9 +42,11 @@ pub struct StreamState {
 
 impl StreamState {
     /// Seeds a state from a frame; also returns the initial build's work.
-    fn new(coords: &[Coord], kernel_size: u32, split_count: u32) -> (Self, MapStats) {
+    fn new(coords: &[Coord], kernel_size: u32) -> (Self, MapStats) {
         let offsets = KernelOffsets::cube(kernel_size);
-        let (inc, stats) = IncrementalMap::with_stats(coords, offsets, split_count);
+        // Sessions prepare their own split plans; the state's is never
+        // read here, so any split count does.
+        let (inc, stats) = IncrementalMap::with_stats(coords, offsets, 1);
         let state = Self {
             inc,
             frames: 1,
@@ -131,11 +132,9 @@ fn stream_kernel_size(net: &Network) -> Option<u32> {
 /// of rebuilding it.
 ///
 /// Pass `&mut None` for the first frame; the call seeds `state` and
-/// every later call advances it. `default` is the schedule's fallback
-/// dataflow: when it is implicit GEMM, the state's split plan tracks its
-/// split count. Returns the session, the input in the session's
-/// canonical coordinate order (survivors first, entered coordinates
-/// appended; borrowed when no reordering happened), and the
+/// every later call advances it. Returns the session, the input in the
+/// session's canonical coordinate order (survivors first, entered
+/// coordinates appended; borrowed when no reordering happened), and the
 /// [`UpdateOutcome`]: an in-place patch or a full rebuild (churn above
 /// [`DeltaConfig::churn_threshold`], or a fresh/reset state), the delta
 /// shape, and the hash work spent — the stats the simulated mapping
@@ -153,7 +152,6 @@ pub fn compile_stream<'a>(
     state: &mut Option<StreamState>,
     input: &'a SparseTensor,
     delta: &DeltaConfig,
-    default: &DataflowConfig,
 ) -> Result<(Session, Cow<'a, SparseTensor>, UpdateOutcome), CompileError> {
     check_input(network, input)?;
     let Some(ks) = stream_kernel_size(network) else {
@@ -178,25 +176,10 @@ pub fn compile_stream<'a>(
             (st, outcome)
         }
         None => {
-            let split_count = match default.kind {
-                DataflowKind::ImplicitGemm { splits } => splits.max(1),
-                _ => 1,
-            };
-            let (st, stats) = StreamState::new(input.coords(), ks, split_count);
+            let (st, stats) = StreamState::new(input.coords(), ks);
             (seed.insert(st), full_outcome(input.num_points(), stats))
         }
     };
-
-    // The state's plan is re-derived after every update; in debug builds
-    // re-check it before trusting it for compilation.
-    #[cfg(debug_assertions)]
-    {
-        let plan_violations = ts_kernelmap::check_plan(st.inc.map(), st.inc.plan(), 128);
-        debug_assert!(
-            plan_violations.is_empty(),
-            "incremental split plan violates invariants: {plan_violations:?}"
-        );
-    }
 
     let reuse = SubmanifoldReuse {
         kernel_size: ks,
@@ -267,8 +250,7 @@ impl Engine {
         cfg: &DeltaConfig,
     ) -> Result<(SparseTensor, RunReport, UpdateOutcome), CompileError> {
         let mut span = ts_trace::span(ts_trace::Subsystem::Core, "engine.infer_stream");
-        let (session, frame, outcome) =
-            compile_stream(self.network(), state, input, cfg, &self.configs().default)?;
+        let (session, frame, outcome) = compile_stream(self.network(), state, input, cfg)?;
         let (out, report) =
             run_network_in_session(&session, self.weights(), &frame, self.configs(), self.ctx());
 
@@ -451,14 +433,8 @@ mod tests {
         let mut state = None;
         for t in 0..4 {
             let f = frame(t, 20 + t as u64);
-            let (session, canon, _) = compile_stream(
-                e.network(),
-                &mut state,
-                &f,
-                &DeltaConfig::default(),
-                &e.configs().default,
-            )
-            .unwrap();
+            let (session, canon, _) =
+                compile_stream(e.network(), &mut state, &f, &DeltaConfig::default()).unwrap();
             let st = state.as_ref().expect("seeded");
             let group = session
                 .groups()
@@ -491,14 +467,8 @@ mod tests {
         let d = b.conv("down_x4", c, 8, 3, 4);
         let _ = b.conv_transposed("up_to_2", d, 8, 2, 2);
         let net = b.build();
-        let err = compile_stream(
-            &net,
-            &mut state,
-            &frame(0, 9),
-            &DeltaConfig::default(),
-            &DataflowConfig::implicit_gemm(1),
-        )
-        .unwrap_err();
+        let err =
+            compile_stream(&net, &mut state, &frame(0, 9), &DeltaConfig::default()).unwrap_err();
         assert!(matches!(err, CompileError::TransposedWithoutEncoder { .. }));
         assert!(state.is_none());
     }

@@ -1,8 +1,8 @@
 //! Kernel-map builders for submanifold and strided sparse convolution.
 //!
-//! Every builder fills the output-stationary neighbor matrix and hands
-//! it to [`KernelMap::from_neighbors`], which derives the bitmasks and
-//! the per-offset pair lists in output order. Each builder asks the
+//! Every builder fills a temporary output-stationary neighbor matrix and
+//! hands it to [`KernelMap::from_neighbors`], which derives the bitmasks
+//! and the per-offset pair lists in output order. Each builder asks the
 //! coordinate table only what it cannot know otherwise:
 //!
 //! * a submanifold map over an odd kernel and duplicate-free coordinates
@@ -122,16 +122,18 @@ pub fn build_submanifold_map_with_stats(
     coords: &[Coord],
     offsets: &KernelOffsets,
 ) -> (KernelMap, MapStats) {
-    submanifold_with_table(coords, &CoordHashMap::build(coords), offsets)
+    let (map, stats, _) = submanifold_with_table(coords, &CoordHashMap::build(coords), offsets);
+    (map, stats)
 }
 
 /// The submanifold builder over `table`, which maps each key of
-/// `coords` to its first index there.
+/// `coords` to its first index there. Also returns the neighbor matrix
+/// it filled, which [`crate::IncrementalMap`] keeps to patch.
 pub(crate) fn submanifold_with_table(
     coords: &[Coord],
     table: &CoordHashMap,
     offsets: &KernelOffsets,
-) -> (KernelMap, MapStats) {
+) -> (KernelMap, MapStats, Vec<i32>) {
     let (n, kvol) = (coords.len(), offsets.volume());
     let deltas = offsets.deltas();
     let mut neighbors = vec![-1i32; n * kvol];
@@ -161,13 +163,13 @@ pub(crate) fn submanifold_with_table(
             }
         }
     }
-    let map = KernelMap::from_neighbors(n, kvol, neighbors);
+    let map = KernelMap::from_neighbors(n, kvol, &neighbors);
     let stats = MapStats {
         inserts: n as u64,
         queries: (n * kvol) as u64,
         pairs: map.total_pairs(),
     };
-    (map, stats)
+    (map, stats, neighbors)
 }
 
 /// Builds the kernel map of a *strided* convolution: outputs are the
@@ -237,7 +239,7 @@ pub fn build_strided_map_with_stats(
             }
         }
     }
-    let map = KernelMap::from_neighbors(coords.len(), kvol, neighbors);
+    let map = KernelMap::from_neighbors(coords.len(), kvol, &neighbors);
     let stats = MapStats {
         inserts: (coords.len() + coarse.len()) as u64,
         queries: (coarse.len() * kvol) as u64,

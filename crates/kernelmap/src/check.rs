@@ -40,7 +40,7 @@ pub enum MapViolation {
         /// Output index of the pair.
         output: u32,
     },
-    /// The output-stationary views disagree with the pair lists: bit
+    /// The output-stationary view disagrees with the pair lists: bit
     /// `offset` of output `output`'s bitmask does not match whether a
     /// pair exists there.
     BitmaskInconsistent {
@@ -53,16 +53,6 @@ pub enum MapViolation {
         /// Whether the pair lists record a neighbor.
         has_pair: bool,
     },
-    /// The neighbor matrix records a different input than the pair list
-    /// for the same `(output, offset)` slot.
-    NeighborInconsistent {
-        /// Output row of the slot.
-        output: usize,
-        /// Kernel offset of the slot.
-        offset: usize,
-        /// Input recorded in the neighbor matrix (`None` = no neighbor).
-        neighbor: Option<u32>,
-    },
     /// The plan's ranges do not partition `[0, kernel_volume)`: an
     /// offset is covered zero or multiple times.
     SplitNotPartition {
@@ -70,11 +60,6 @@ pub enum MapViolation {
         offset: usize,
         /// How many ranges covered it.
         covered: usize,
-    },
-    /// A range's row order is not a permutation of `0..n_out`.
-    SplitOrderNotPermutation {
-        /// Index of the offending range in the plan.
-        range: usize,
     },
     /// The padded row count for a range is not the minimal multiple of
     /// `cta_m` covering the map's rows.
@@ -115,19 +100,8 @@ impl fmt::Display for MapViolation {
                 f,
                 "output {output} offset {offset}: bitmask bit {mask_bit} but pair present = {has_pair}"
             ),
-            MapViolation::NeighborInconsistent {
-                output,
-                offset,
-                neighbor,
-            } => write!(
-                f,
-                "output {output} offset {offset}: neighbor matrix says {neighbor:?}, pair lists disagree"
-            ),
             MapViolation::SplitNotPartition { offset, covered } => {
                 write!(f, "offset {offset} covered by {covered} split ranges")
-            }
-            MapViolation::SplitOrderNotPermutation { range } => {
-                write!(f, "split range {range}: row order is not a permutation")
             }
             MapViolation::PaddingNotMinimal {
                 rows,
@@ -147,8 +121,8 @@ impl fmt::Display for MapViolation {
 /// Checked invariants:
 /// * every pair's indices are inside `n_in x n_out`;
 /// * no `(offset, input, output)` pair repeats;
-/// * when the output-stationary representation exists, the bitmasks
-///   and neighbor matrix agree slot-for-slot with the pair lists.
+/// * when the output-stationary view exists, the bitmasks agree
+///   slot-for-slot with the pair lists.
 pub fn check_map(map: &KernelMap) -> Vec<MapViolation> {
     let mut out = Vec::new();
     let (n_in, n_out, kvol) = (map.n_in(), map.n_out(), map.kernel_volume());
@@ -182,33 +156,28 @@ pub fn check_map(map: &KernelMap) -> Vec<MapViolation> {
             .iter()
             .any(|v| matches!(v, MapViolation::PairIndexOutOfRange { .. }));
         if indices_ok {
-            for o in 0..n_out {
+            // One pass over the pair lists: bit k of `present[o]` is set
+            // iff offset k has a pair into output o.
+            let mut present = vec![0u32; n_out];
+            for (k, list) in map.all_pairs().iter().enumerate() {
+                for &(_, o) in list {
+                    present[o as usize] |= 1 << k;
+                }
+            }
+            // Only the map's offsets are compared.
+            let offsets = ((1u64 << kvol) - 1) as u32;
+            for (o, &has) in present.iter().enumerate() {
                 let mask = map.bitmasks()[o];
-                for k in 0..kvol {
-                    let pair = map.all_pairs()[k]
-                        .iter()
-                        .rev()
-                        .find(|&&(_, q)| q as usize == o)
-                        .map(|&(i, _)| i);
-                    let mask_bit = mask & (1 << k) != 0;
-                    if mask_bit != pair.is_some() {
-                        out.push(MapViolation::BitmaskInconsistent {
-                            output: o,
-                            offset: k,
-                            mask_bit,
-                            has_pair: pair.is_some(),
-                        });
-                    }
-                    // `from_pairs` writes the *last* pair into a slot, so
-                    // cross-check against the last matching pair.
-                    let neighbor = map.neighbor(o, k);
-                    if neighbor != pair {
-                        out.push(MapViolation::NeighborInconsistent {
-                            output: o,
-                            offset: k,
-                            neighbor,
-                        });
-                    }
+                let mut diff = (mask ^ has) & offsets;
+                while diff != 0 {
+                    let k = diff.trailing_zeros() as usize;
+                    diff &= diff - 1;
+                    out.push(MapViolation::BitmaskInconsistent {
+                        output: o,
+                        offset: k,
+                        mask_bit: mask & (1 << k) != 0,
+                        has_pair: has & (1 << k) != 0,
+                    });
                 }
             }
         }
@@ -217,8 +186,7 @@ pub fn check_map(map: &KernelMap) -> Vec<MapViolation> {
 }
 
 /// Checks a [`SplitPlan`] against its map: ranges must partition the
-/// offset axis, every sorted range's row order must be a permutation of
-/// the output rows, and padding each range to `cta_m` rows must be the
+/// offset axis, and padding each range to `cta_m` rows must be the
 /// minimal covering multiple.
 pub fn check_plan(map: &KernelMap, plan: &SplitPlan, cta_m: usize) -> Vec<MapViolation> {
     let mut out = Vec::new();
@@ -235,23 +203,6 @@ pub fn check_plan(map: &KernelMap, plan: &SplitPlan, cta_m: usize) -> Vec<MapVio
                 offset,
                 covered: count,
             });
-        }
-    }
-    for (ri, r) in plan.ranges().iter().enumerate() {
-        let order = r.order(map);
-        let mut seen = vec![false; map.n_out()];
-        let mut ok = order.len() == map.n_out();
-        for &row in order {
-            match seen.get_mut(row as usize) {
-                Some(s) if !*s => *s = true,
-                _ => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            out.push(MapViolation::SplitOrderNotPermutation { range: ri });
         }
     }
     if cta_m > 0 {

@@ -76,8 +76,9 @@ pub struct UpdateOutcome {
 /// A submanifold kernel map maintained incrementally across frames.
 ///
 /// Owns the coordinate list (in canonical order), the coordinate hash
-/// table, the [`KernelMap`] and a [`SplitPlan`], all kept mutually
-/// consistent by [`Self::update`]. The map sits behind an [`Arc`]
+/// table, the neighbor matrix it patches, the [`KernelMap`] derived from
+/// that matrix and a [`SplitPlan`], all kept mutually consistent by
+/// [`Self::update`]. The map sits behind an [`Arc`]
 /// ([`Self::shared_map`]) so a session compiled around it can hold it
 /// without a copy.
 ///
@@ -99,6 +100,8 @@ pub struct IncrementalMap {
     coords: Vec<Coord>,
     table: CoordHashMap,
     offsets: KernelOffsets,
+    /// Row-major `N x K³` neighbor matrix of [`Self::map`] (`-1` = none).
+    neighbors: Vec<i32>,
     map: Arc<KernelMap>,
     plan: SplitPlan,
     split_count: u32,
@@ -135,12 +138,13 @@ impl IncrementalMap {
             offsets.kernel_size()
         );
         let (coords, table) = unique_with_table(frame);
-        let (map, stats) = submanifold_with_table(&coords, &table, &offsets);
+        let (map, stats, neighbors) = submanifold_with_table(&coords, &table, &offsets);
         let plan = SplitPlan::from_split_count(&map, split_count);
         let inc = Self {
             coords,
             table,
             offsets,
+            neighbors,
             map: Arc::new(map),
             plan,
             split_count,
@@ -159,9 +163,8 @@ impl IncrementalMap {
         &self.map
     }
 
-    /// The current kernel map, to share: while a clone of this `Arc` is
-    /// alive, the next [`Self::update`] that patches copies the map's
-    /// neighbor matrix instead of moving it.
+    /// The current kernel map, to share: an update replaces it and
+    /// leaves every clone of this `Arc` as it was.
     pub fn shared_map(&self) -> &Arc<KernelMap> {
         &self.map
     }
@@ -230,9 +233,11 @@ impl IncrementalMap {
 
         if churn > cfg.churn_threshold {
             let (coords, table) = unique_with_table(frame);
-            let (map, build_stats) = submanifold_with_table(&coords, &table, &self.offsets);
+            let (map, build_stats, neighbors) =
+                submanifold_with_table(&coords, &table, &self.offsets);
             self.plan = SplitPlan::from_split_count(&map, self.split_count);
             self.table = table;
+            self.neighbors = neighbors;
             self.map = Arc::new(map);
             self.coords = coords;
             return outcome(MapUpdate::Rebuilt, build_stats);
@@ -254,7 +259,7 @@ impl IncrementalMap {
     /// Applies an (entered, exited) delta to the map, hash table and
     /// coordinate list.
     ///
-    /// All structural edits happen on the *neighbor table* only —
+    /// All structural edits happen on the state's *neighbor table* only —
     /// `O((entered + exited) · K³)` work — in three phases:
     /// unlink every pair touching an exited coordinate (enumerated from
     /// its own neighbor row, no hash traffic), swap-fill the holes so
@@ -272,11 +277,7 @@ impl IncrementalMap {
     fn patch(&mut self, entered: &[Coord], exited_idx: &[usize], stats: &mut MapStats) {
         let kvol = self.offsets.volume();
         let n_old = self.coords.len();
-        let mut neighbors = match Arc::get_mut(&mut self.map) {
-            Some(map) => map.take_neighbors(),
-            // A session still holds the previous frame's map.
-            None => self.map.neighbors().to_vec(),
-        };
+        let mut neighbors = std::mem::take(&mut self.neighbors);
 
         let mut is_hole = vec![false; n_old];
         for &e in exited_idx {
@@ -371,7 +372,8 @@ impl IncrementalMap {
                 }
             }
         }
-        self.map = Arc::new(KernelMap::from_neighbors(n_final, kvol, neighbors));
+        self.map = Arc::new(KernelMap::from_neighbors(n_final, kvol, &neighbors));
+        self.neighbors = neighbors;
     }
 }
 
@@ -420,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn a_shared_map_is_copied_and_left_intact() {
+    fn a_shared_map_is_left_intact() {
         let mut f = grid(5);
         let mut inc = IncrementalMap::new(&f, KernelOffsets::cube(3), 1);
         let held = Arc::clone(inc.shared_map());

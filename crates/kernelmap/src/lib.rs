@@ -12,16 +12,16 @@
 //!   analog) used for neighbor queries;
 //! * [`KernelOffsets`] — the neighborhood Δ³(K) with a stable offset
 //!   ordering and mirror lookup;
-//! * [`KernelMap`] — both the *weight-stationary* representation (pair
-//!   lists per offset, used by gather-GEMM-scatter and fetch-on-demand)
-//!   and the *output-stationary* representation (neighbor matrix plus
-//!   per-output bitmask, used by implicit GEMM), with transposition for
-//!   backward data gradients;
+//! * [`KernelMap`] — the *weight-stationary* pair lists per offset, which
+//!   every host dataflow runs from, and the per-output bitmasks of the
+//!   *output-stationary* view, which implicit GEMM's split plans read
+//!   (builders fill the neighbor matrix only while building), with
+//!   transposition for backward data gradients;
 //! * [`build_submanifold_map`] / [`build_strided_map`] — map builders for
 //!   the two convolution kinds in MinkUNet/CenterPoint;
-//! * [`SplitPlan`] — bitmask argsorting and arbitrary *mask splits*
-//!   (Figure 10), plus exact redundant-computation accounting under warp
-//!   lockstep (Figures 5, 6, 11);
+//! * [`SplitPlan`] — arbitrary *mask splits* (Figure 10), with exact
+//!   redundant-computation accounting under warp lockstep for bitmask-
+//!   sorted and unsorted rows (Figures 5, 6, 11);
 //! * [`IncrementalMap`] — temporal delta-patching of submanifold maps
 //!   across streaming frames, with churn-thresholded fallback to a full
 //!   rebuild.
@@ -61,6 +61,5 @@ pub use hashmap::CoordHashMap;
 pub use map::KernelMap;
 pub use offsets::KernelOffsets;
 pub use split::{
-    argsort_by_bitmask, mac_counts, mac_counts_range, pad_to_multiple, MacCounts, SplitPlan,
-    SplitRange, LOCKSTEP_ROWS,
+    mac_counts, mac_counts_range, pad_to_multiple, MacCounts, SplitPlan, SplitRange, LOCKSTEP_ROWS,
 };

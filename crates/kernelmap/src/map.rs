@@ -1,11 +1,11 @@
-//! The kernel map: input/output pairs per kernel offset, in both
-//! weight-stationary and output-stationary representations.
+//! The kernel map: input/output pairs per kernel offset, with the
+//! per-output bitmasks of the output-stationary view.
 
 use serde::{Deserialize, Serialize};
 
 /// Kernel map of one sparse convolution layer.
 ///
-/// Holds the two representations the paper contrasts in Section 4.2:
+/// The paper (Section 4.2) contrasts two GPU layouts of the same map:
 ///
 /// * **weight-stationary** — per offset δ, the pair list
 ///   `M_δ = {(p_j, q_k) | p_j = s*q_k + δ}` used by gather-GEMM-scatter
@@ -14,17 +14,19 @@ use serde::{Deserialize, Serialize};
 ///   (`-1` = no neighbor) plus a per-output bitmask, used by implicit
 ///   GEMM.
 ///
-/// Both are built eagerly, one from the other; the *cost* of building
-/// each on the simulated GPU is charged separately by the layer runner,
-/// which is what makes intra-group heterogeneous dataflows expensive
-/// exactly as the paper describes.
+/// On the host every dataflow runs from the pair lists, and the split
+/// plan's MAC census reads the bitmasks, so a map holds those two. The
+/// neighbor matrix lives only while a map is built: builders fill it
+/// and hand it to [`KernelMap::from_neighbors`]. The *cost* of
+/// materialising each layout on the simulated GPU is charged separately
+/// by the layer runner, which is what makes intra-group heterogeneous
+/// dataflows expensive exactly as the paper describes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelMap {
     n_in: usize,
     n_out: usize,
     kvol: usize,
     pairs: Vec<Vec<(u32, u32)>>,
-    neighbors: Vec<i32>,
     bitmasks: Vec<u32>,
     multi_edges: bool,
     dense_repr: bool,
@@ -42,7 +44,6 @@ impl KernelMap {
     pub fn from_pairs(n_in: usize, n_out: usize, pairs: Vec<Vec<(u32, u32)>>) -> Self {
         let kvol = pairs.len();
         assert_bitmask_capacity(kvol);
-        let mut neighbors = vec![-1i32; n_out * kvol];
         let mut bitmasks = vec![0u32; n_out];
         let mut multi_edges = false;
         for (k, list) in pairs.iter().enumerate() {
@@ -52,12 +53,10 @@ impl KernelMap {
                     (o as usize) < n_out,
                     "output index {o} out of range {n_out}"
                 );
-                let slot = o as usize * kvol + k;
-                if neighbors[slot] != -1 {
-                    multi_edges = true;
-                }
-                neighbors[slot] = i as i32;
-                bitmasks[o as usize] |= 1 << k;
+                // A slot whose bit is already set received an input before.
+                let mask = &mut bitmasks[o as usize];
+                multi_edges |= *mask & (1 << k) != 0;
+                *mask |= 1 << k;
             }
         }
         Self {
@@ -65,7 +64,6 @@ impl KernelMap {
             n_out,
             kvol,
             pairs,
-            neighbors,
             bitmasks,
             multi_edges,
             dense_repr: true,
@@ -77,13 +75,13 @@ impl KernelMap {
     /// for "no neighbor". The bitmasks and the per-offset pair lists are
     /// derived from it, each list in ascending output order — the order
     /// every builder emits — so a builder that fills the matrix never
-    /// collects pair lists of its own.
+    /// collects pair lists of its own. The map does not keep the matrix.
     ///
     /// ```
     /// use ts_kernelmap::KernelMap;
     ///
     /// // Two outputs over two offsets; output 1 has no neighbor at offset 0.
-    /// let m = KernelMap::from_neighbors(3, 2, vec![0, 2, -1, 1]);
+    /// let m = KernelMap::from_neighbors(3, 2, &[0, 2, -1, 1]);
     /// assert_eq!(m.all_pairs(), &[vec![(0, 0)], vec![(2, 0), (1, 1)]]);
     /// assert_eq!(m, KernelMap::from_pairs(3, 2, m.all_pairs().to_vec()));
     /// ```
@@ -93,7 +91,7 @@ impl KernelMap {
     /// Panics if `kvol` is 0 or above 32, if the matrix length is not a
     /// multiple of `kvol`, or if an entry is below `-1` or not below
     /// `n_in`.
-    pub fn from_neighbors(n_in: usize, kvol: usize, neighbors: Vec<i32>) -> Self {
+    pub fn from_neighbors(n_in: usize, kvol: usize, neighbors: &[i32]) -> Self {
         assert!(kvol > 0, "kernel volume must be positive");
         assert_bitmask_capacity(kvol);
         assert_eq!(
@@ -135,7 +133,6 @@ impl KernelMap {
             n_out,
             kvol,
             pairs,
-            neighbors,
             bitmasks,
             multi_edges: false,
             dense_repr: true,
@@ -163,15 +160,14 @@ impl KernelMap {
             n_out,
             kvol,
             pairs,
-            neighbors: Vec::new(),
             bitmasks: Vec::new(),
             multi_edges: true,
             dense_repr: false,
         }
     }
 
-    /// True when the output-stationary (neighbor-matrix) representation
-    /// exists; implicit GEMM requires it.
+    /// True when the map has the output-stationary view (per-output
+    /// bitmasks); implicit GEMM requires it.
     pub fn has_dense_repr(&self) -> bool {
         self.dense_repr
     }
@@ -203,27 +199,6 @@ impl KernelMap {
     /// All weight-stationary pair lists.
     pub fn all_pairs(&self) -> &[Vec<(u32, u32)>] {
         &self.pairs
-    }
-
-    /// Output-stationary neighbor matrix, row-major `N_out x K³`;
-    /// entry `-1` means "no neighbor".
-    pub fn neighbors(&self) -> &[i32] {
-        &self.neighbors
-    }
-
-    /// Neighbor of output `o` at offset `k` (`None` when absent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map has no dense representation
-    /// (see [`KernelMap::has_dense_repr`]).
-    pub fn neighbor(&self, o: usize, k: usize) -> Option<u32> {
-        assert!(
-            self.dense_repr,
-            "map has no output-stationary representation"
-        );
-        let v = self.neighbors[o * self.kvol + k];
-        (v >= 0).then_some(v as u32)
     }
 
     /// Per-output neighbor-presence bitmasks (bit `k` set iff offset `k`
@@ -284,30 +259,18 @@ impl KernelMap {
         hist
     }
 
-    /// Approximate DRAM footprint of this map's structures in bytes:
-    /// weight-stationary pair lists (8 B/pair) plus the dense
-    /// output-stationary matrix and bitmasks when present.
+    /// Approximate DRAM footprint of this map's structures on the GPU in
+    /// bytes: weight-stationary pair lists (8 B/pair) plus, for maps
+    /// with the output-stationary view, the `N_out x K³` neighbor matrix
+    /// and the bitmasks (4 B per entry each).
     pub fn memory_bytes(&self) -> u64 {
         let pairs = self.total_pairs() * 8;
         let dense = if self.dense_repr {
-            (self.neighbors.len() * 4 + self.bitmasks.len() * 4) as u64
+            (self.n_out * self.kvol * 4 + self.bitmasks.len() * 4) as u64
         } else {
             0
         };
         pairs + dense
-    }
-
-    /// Takes the neighbor matrix out of the map, for the incremental
-    /// delta engine (`crate::delta`) only: it patches the matrix and
-    /// replaces the map with [`KernelMap::from_neighbors`] of the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map has no dense representation — relational maps
-    /// cannot be patched.
-    pub(crate) fn take_neighbors(&mut self) -> Vec<i32> {
-        assert!(self.dense_repr, "cannot patch a relational map in place");
-        std::mem::take(&mut self.neighbors)
     }
 
     /// The transposed map: every pair `(p, q)` becomes `(q, p)` under the
@@ -350,28 +313,24 @@ mod tests {
     }
 
     #[test]
-    fn pair_and_neighbor_views_agree() {
+    fn pair_and_bitmask_views_agree() {
         let m = sample_map();
         assert_eq!(m.total_pairs(), 3);
-        assert_eq!(m.neighbor(0, 0), Some(0));
-        assert_eq!(m.neighbor(0, 1), Some(2));
-        assert_eq!(m.neighbor(0, 2), None);
-        assert_eq!(m.neighbor(1, 0), Some(1));
         assert_eq!(m.bitmasks(), &[0b011, 0b001]);
     }
 
     #[test]
-    fn from_neighbors_rebuilds_the_pair_built_map() {
-        let m = sample_map();
-        let rebuilt =
-            KernelMap::from_neighbors(m.n_in(), m.kernel_volume(), m.neighbors().to_vec());
-        assert_eq!(rebuilt, m);
+    fn from_neighbors_builds_the_pair_built_map() {
+        // Rows of `sample_map`: output 0 reads 0, 2 and nothing; output 1
+        // reads 1 at offset 0 only.
+        let m = KernelMap::from_neighbors(3, 3, &[0, 2, -1, 1, -1, -1]);
+        assert_eq!(m, sample_map());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn from_neighbors_rejects_out_of_range_inputs() {
-        let _ = KernelMap::from_neighbors(2, 1, vec![0, 2]);
+        let _ = KernelMap::from_neighbors(2, 1, &[0, 2]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Bitmask sorting, mask splits and redundant-computation accounting.
+//! Mask splits and redundant-computation accounting.
 //!
 //! Implicit GEMM executes warps in lockstep: whenever *any* row in a warp
 //! has a neighbor at offset k, all rows spend the cycles (Figure 5 of the
@@ -7,6 +7,11 @@
 //! splits* (Figure 10): the offset axis is partitioned into `s` ranges,
 //! each range is sorted independently and computed as its own (more
 //! parallel) GEMM whose partial sums are reduced at the end.
+//!
+//! The host computes every range from the pair lists, whose sums do not
+//! depend on row order, so a plan holds its offset ranges and the MAC
+//! census of each range in sorted order, never the row orders
+//! themselves.
 
 use std::sync::OnceLock;
 
@@ -32,53 +37,14 @@ pub fn pad_to_multiple(n: usize, m: usize) -> usize {
     n.div_ceil(m) * m
 }
 
-/// Argsorts row indices `0..bitmasks.len()` by the bitmask bits within
-/// offset range `[k_begin, k_end)`, using the paper's convention: the
-/// sub-bitmask is read as a number with the *first* offset as the most
-/// significant bit, and rows are sorted ascending (Figure 6: the row with
-/// bitmask value 17 computes first). The sort is stable so equal masks
-/// keep their spatial locality.
-pub fn argsort_by_bitmask(bitmasks: &[u32], k_begin: usize, k_end: usize) -> Vec<u32> {
-    let n = bitmasks.len();
-    let width = k_end - k_begin;
-    if width == 0 {
-        return (0..n as u32).collect();
-    }
-    // Stable LSD radix sort on the keys with the row index carried
-    // along: each counting pass is stable, so equal masks keep their
-    // original (spatially local) order, matching a stable comparison
-    // sort. ceil(width / 11) linear passes beat O(n log n) comparisons
-    // on the map sizes the tuner prepares.
-    let mut cur: Vec<(u32, u32)> = bitmasks
-        .iter()
-        .enumerate()
-        .map(|(r, &m)| (sort_key(m, k_begin, width), r as u32))
-        .collect();
-    let mut next = vec![(0u32, 0u32); n];
-    let mut shift = 0;
-    while shift < width {
-        let mut counts = [0u32; RADIX];
-        for &(k, _) in &cur {
-            counts[(k >> shift) as usize & (RADIX - 1)] += 1;
-        }
-        prefix_sum(&mut counts);
-        for &(k, r) in &cur {
-            let d = (k >> shift) as usize & (RADIX - 1);
-            next[counts[d] as usize] = (k, r);
-            counts[d] += 1;
-        }
-        std::mem::swap(&mut cur, &mut next);
-        shift += DIGIT_BITS;
-    }
-    cur.into_iter().map(|(_, r)| r).collect()
-}
-
 const DIGIT_BITS: usize = 11;
 const RADIX: usize = 1 << DIGIT_BITS;
 
-/// MSB-first sort key of the paper's convention ("first offset in the
-/// range = most significant bit"): the masked sub-word bit-reversed,
-/// computed in O(1) per row. `width` must be in `1..=32`.
+/// Sort key of the paper's convention (Figure 6): the range's
+/// sub-bitmask read with the *first* offset as the most significant bit,
+/// rows ascending (the row with bitmask value 17 computes first). The
+/// masked sub-word bit-reversed, computed in O(1) per row. `width` must
+/// be in `1..=32`.
 #[inline]
 fn sort_key(mask: u32, k_begin: usize, width: usize) -> u32 {
     let field: u32 = if width >= 32 { !0 } else { (1u32 << width) - 1 };
@@ -95,9 +61,10 @@ fn prefix_sum(counts: &mut [u32; RADIX]) {
     }
 }
 
-/// Sorts bare keys ascending with the same LSD radix passes as
-/// [`argsort_by_bitmask`] (half the memory traffic when row identities
-/// are not needed, e.g. for MAC accounting).
+/// Sorts bitmask keys ascending with LSD radix passes: ceil(width / 11)
+/// linear passes beat O(n log n) comparisons on the map sizes the tuner
+/// prepares. Equal keys are indistinguishable, so the census of the
+/// sorted keys is that of the paper's stable row argsort.
 fn radix_sort_keys(keys: &mut Vec<u32>, width: usize) {
     let mut next = vec![0u32; keys.len()];
     let mut shift = 0;
@@ -117,31 +84,14 @@ fn radix_sort_keys(keys: &mut Vec<u32>, width: usize) {
     }
 }
 
-/// One contiguous offset range of a split plan, with its row ordering.
-///
-/// The row order is materialised lazily: the cost model only needs MAC
-/// counts (computable from the sorted key multiset alone), so the tuner
-/// can price thousands of candidate plans without ever scattering row
-/// indices; functional executors force the order on first use.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One contiguous offset range of a split plan.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SplitRange {
     /// First offset index (inclusive).
     pub k_begin: usize,
     /// Last offset index (exclusive).
     pub k_end: usize,
     sorted: bool,
-    n_rows: usize,
-    #[serde(skip)]
-    order: OnceLock<Vec<u32>>,
-}
-
-impl PartialEq for SplitRange {
-    fn eq(&self, other: &Self) -> bool {
-        self.k_begin == other.k_begin
-            && self.k_end == other.k_end
-            && self.sorted == other.sorted
-            && self.n_rows == other.n_rows
-    }
 }
 
 impl SplitRange {
@@ -153,24 +103,6 @@ impl SplitRange {
     /// True when rows of this range are bitmask-sorted.
     pub fn is_sorted(&self) -> bool {
         self.sorted
-    }
-
-    /// Row computation order (indices into the output dimension),
-    /// computed on first access and cached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` disagrees with the plan's shape, or if a sorted
-    /// range is forced on a map without a dense representation.
-    pub fn order<'a>(&'a self, map: &KernelMap) -> &'a [u32] {
-        self.order.get_or_init(|| {
-            assert_eq!(map.n_out(), self.n_rows, "map does not match this plan");
-            if self.sorted {
-                argsort_by_bitmask(map.bitmasks(), self.k_begin, self.k_end)
-            } else {
-                (0..self.n_rows as u32).collect()
-            }
-        })
     }
 }
 
@@ -213,22 +145,19 @@ impl SplitPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `s >= 1` and the map has no output-stationary
-    /// representation (relational maps cannot be bitmask-sorted).
+    /// Panics if the map has no output-stationary view: the MAC census
+    /// reads bitmasks, which relational maps do not have.
     pub fn from_split_count(map: &KernelMap, s: u32) -> Self {
         assert!(
-            s == 0 || map.has_dense_repr(),
-            "sorted implicit GEMM needs an output-stationary map"
+            map.has_dense_repr(),
+            "implicit GEMM needs an output-stationary map"
         );
         let kvol = map.kernel_volume();
-        let n_rows = map.n_out();
         if s == 0 {
             let range = SplitRange {
                 k_begin: 0,
                 k_end: kvol,
                 sorted: false,
-                n_rows,
-                order: OnceLock::new(),
             };
             return Self {
                 split_count: 0,
@@ -250,8 +179,6 @@ impl SplitPlan {
                 k_begin,
                 k_end,
                 sorted: true,
-                n_rows,
-                order: OnceLock::new(),
             });
         }
         Self {
@@ -265,10 +192,7 @@ impl SplitPlan {
     /// Per-range MAC counts at unit channel size (`c_in = c_out = 1`),
     /// computed once and cached (counts scale linearly with
     /// `c_in * c_out`, so executors multiply instead of recounting).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `map` disagrees with the plan's shape.
+    /// `map` must be the map the plan was built for.
     pub fn unit_counts<'a>(&'a self, map: &KernelMap) -> &'a [MacCounts] {
         self.unit_counts.get_or_init(|| {
             self.ranges
@@ -288,7 +212,7 @@ impl SplitPlan {
         self.sorted
     }
 
-    /// The offset ranges with their row orders.
+    /// The offset ranges.
     pub fn ranges(&self) -> &[SplitRange] {
         &self.ranges
     }
@@ -348,6 +272,10 @@ pub fn mac_counts(
 }
 
 /// [`mac_counts`] restricted to one [`SplitRange`] (one compute kernel).
+///
+/// # Panics
+///
+/// Panics if `lockstep_rows` is 0 or the map has no bitmasks.
 pub fn mac_counts_range(
     map: &KernelMap,
     range: &SplitRange,
@@ -356,6 +284,7 @@ pub fn mac_counts_range(
     c_out: usize,
 ) -> MacCounts {
     assert!(lockstep_rows > 0, "lockstep group must be non-empty");
+    assert!(map.has_dense_repr(), "the MAC census reads bitmasks");
     let per_slot = (c_in * c_out) as u64;
     let width = range.width();
     if width == 0 {
@@ -364,48 +293,32 @@ pub fn mac_counts_range(
             total: 0,
         };
     }
+    // Bit k of a row's bitmask is set iff the row has a neighbor at
+    // offset k, so the per-group active-lane census reduces to popcounts:
+    // effective slots are set bits per row, and the group executes offset
+    // k (all lanes) iff any row has bit k set. The census only needs the
+    // *sequence* of keys in execution order — popcount and OR commute
+    // with the key's bit reversal — so a keys-only radix sort reproduces
+    // the sorted order's counts without ever materialising row indices.
+    let mut keys: Vec<u32> = map
+        .bitmasks()
+        .iter()
+        .map(|&m| sort_key(m, range.k_begin, width))
+        .collect();
+    if range.is_sorted() {
+        radix_sort_keys(&mut keys, width);
+    }
     let mut effective = 0u64;
     let mut total = 0u64;
-    if map.has_dense_repr() {
-        // Bit k of a row's bitmask is set iff the row has a neighbor at
-        // offset k, so the per-group active-lane census reduces to
-        // popcounts: effective slots are set bits per row, and the group
-        // executes offset k (all lanes) iff any row has bit k set. The
-        // census only needs the *multiset* of masks in execution order —
-        // popcount and OR commute with the key's bit reversal — so a
-        // keys-only radix sort reproduces the sorted order's counts
-        // without ever materialising row indices.
-        let mut keys: Vec<u32> = map
-            .bitmasks()
-            .iter()
-            .map(|&m| sort_key(m, range.k_begin, width))
-            .collect();
-        if range.is_sorted() {
-            radix_sort_keys(&mut keys, width);
+    for group in keys.chunks(lockstep_rows) {
+        let mut or_mask = 0u32;
+        for &k in group {
+            effective += u64::from(k.count_ones());
+            or_mask |= k;
         }
-        for group in keys.chunks(lockstep_rows) {
-            let mut or_mask = 0u32;
-            for &k in group {
-                effective += u64::from(k.count_ones());
-                or_mask |= k;
-            }
-            // All lockstep lanes spend the cycles on every executed
-            // offset, including the padding lanes of a ragged final group.
-            total += u64::from(or_mask.count_ones()) * lockstep_rows as u64;
-        }
-    } else {
-        for group in range.order(map).chunks(lockstep_rows) {
-            for k in range.k_begin..range.k_end {
-                let active = group
-                    .iter()
-                    .filter(|&&r| map.neighbor(r as usize, k).is_some())
-                    .count() as u64;
-                if active > 0 {
-                    effective += active;
-                    total += lockstep_rows as u64;
-                }
-            }
-        }
+        // All lockstep lanes spend the cycles on every executed offset,
+        // including the padding lanes of a ragged final group.
+        total += u64::from(or_mask.count_ones()) * lockstep_rows as u64;
     }
     MacCounts {
         effective: effective * per_slot,
@@ -431,16 +344,83 @@ mod tests {
             [1, 0, 0, 0, 1, 0, 0, 0, 0],
             [0, 0, 1, 0, 1, 0, 0, 0, 0],
         ];
-        let mut pairs = vec![Vec::new(); 9];
-        for (o, row) in rows.iter().enumerate() {
-            for (k, &bit) in row.iter().enumerate() {
-                if bit == 1 {
+        let masks: Vec<u32> = rows
+            .iter()
+            .map(|row| (0..9).map(|k| u32::from(row[k]) << k).sum())
+            .collect();
+        map_of_masks(&masks, 9)
+    }
+
+    /// A map whose output `o` has a neighbor at offset `k` iff bit `k` of
+    /// `masks[o]` is set.
+    fn map_of_masks(masks: &[u32], kvol: usize) -> KernelMap {
+        let mut pairs = vec![Vec::new(); kvol];
+        for (o, &m) in masks.iter().enumerate() {
+            for (k, list) in pairs.iter_mut().enumerate() {
+                if m >> k & 1 == 1 {
                     // Input index is irrelevant for MAC counting; use o.
-                    pairs[k].push((o as u32, o as u32));
+                    list.push((o as u32, o as u32));
                 }
             }
         }
-        KernelMap::from_pairs(8, 8, pairs)
+        KernelMap::from_pairs(masks.len(), masks.len(), pairs)
+    }
+
+    /// Deterministic pseudo-random masks over the full 32-bit width.
+    fn pseudo_random_masks(n: usize) -> Vec<u32> {
+        let mut state = 0x2545_f491u32;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                state
+            })
+            .collect()
+    }
+
+    /// Per offset, each output's neighbor presence, from the pair lists.
+    fn presence(map: &KernelMap) -> Vec<Vec<bool>> {
+        let mut present = vec![vec![false; map.n_out()]; map.kernel_volume()];
+        for (offset, list) in present.iter_mut().zip(map.all_pairs()) {
+            for &(_, o) in list {
+                offset[o as usize] = true;
+            }
+        }
+        present
+    }
+
+    /// Rows in the paper's execution order: a sorted range orders them by
+    /// its sub-bitmask read with its first offset as the most significant
+    /// bit, ascending, with a stable comparison sort (Figure 6).
+    fn row_order(present: &[Vec<bool>], range: &SplitRange) -> Vec<usize> {
+        let offsets = &present[range.k_begin..range.k_end];
+        let mut order: Vec<usize> = (0..present[0].len()).collect();
+        if range.is_sorted() {
+            order.sort_by_key(|&r| {
+                offsets
+                    .iter()
+                    .fold(0u64, |key, offset| key << 1 | u64::from(offset[r]))
+            });
+        }
+        order
+    }
+
+    /// The census by its definition: a lockstep group executes offset k
+    /// iff any of its rows has a neighbor there.
+    fn reference_census(map: &KernelMap, range: &SplitRange, lockstep: usize) -> MacCounts {
+        let present = presence(map);
+        let (mut effective, mut total) = (0, 0);
+        for group in row_order(&present, range).chunks(lockstep) {
+            for offset in &present[range.k_begin..range.k_end] {
+                let active = group.iter().filter(|&&r| offset[r]).count() as u64;
+                if active > 0 {
+                    effective += active;
+                    total += lockstep as u64;
+                }
+            }
+        }
+        MacCounts { effective, total }
     }
 
     #[test]
@@ -487,30 +467,12 @@ mod tests {
     }
 
     #[test]
-    fn argsort_is_ascending_msb_first() {
-        let masks = vec![0b001, 0b111, 0b010, 0b110];
-        // Keys (offset 0 = MSB over range 0..3): 4, 7, 2, 3.
-        let order = argsort_by_bitmask(&masks, 0, 3);
-        assert_eq!(order, vec![2, 3, 0, 1]);
-    }
-
-    #[test]
-    fn argsort_respects_range() {
-        let masks = vec![0b100, 0b011];
-        // Only bit 2 considered: row 1 (bit clear) sorts first.
-        let order = argsort_by_bitmask(&masks, 2, 3);
-        assert_eq!(order[0], 1);
-        // Only bits 0..2: row 0 (no bits set) sorts first.
-        let order = argsort_by_bitmask(&masks, 0, 2);
-        assert_eq!(order[0], 0);
-    }
-
-    #[test]
-    fn argsort_matches_paper_figure6_order() {
+    fn paper_order_matches_figure6() {
         let map = paper_example();
-        let order = argsort_by_bitmask(map.bitmasks(), 0, 9);
+        let plan = SplitPlan::from_split_count(&map, 1);
         // Paper Figure 6a ranks: x4 1st, x5 2nd, x0 3rd, x2 4th, x1 5th,
         // x7 6th, x6 7th, x3 8th.
+        let order = row_order(&presence(&map), &plan.ranges()[0]);
         assert_eq!(order, vec![4, 5, 0, 2, 1, 7, 6, 3]);
     }
 
@@ -525,75 +487,55 @@ mod tests {
                     assert!(!*slot, "offset {k} covered twice");
                     *slot = true;
                 }
-                assert_eq!(r.order(&map).len(), map.n_out());
             }
             assert!(covered.iter().all(|&c| c));
         }
     }
 
     #[test]
-    fn split_zero_is_identity_order() {
+    fn split_zero_is_one_unsorted_range() {
         let map = paper_example();
         let plan = SplitPlan::from_split_count(&map, 0);
         assert!(!plan.is_sorted());
-        assert_eq!(plan.ranges()[0].order(&map), (0..8u32).collect::<Vec<_>>());
+        assert_eq!(plan.ranges().len(), 1);
+        assert_eq!((plan.ranges()[0].k_begin, plan.ranges()[0].k_end), (0, 9));
+        assert!(!plan.ranges()[0].is_sorted());
     }
 
     #[test]
-    fn radix_argsort_matches_stable_comparison_sort() {
-        // Deterministic pseudo-random masks over the full 32-bit width.
-        let mut state = 0x2545_f491u32;
-        let masks: Vec<u32> = (0..1000)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 17;
-                state ^= state << 5;
-                state
-            })
-            .collect();
-        for (k_begin, k_end) in [(0, 32), (0, 27), (5, 14), (9, 9), (31, 32), (0, 1)] {
-            let fast = argsort_by_bitmask(&masks, k_begin, k_end);
-            let mut reference: Vec<u32> = (0..masks.len() as u32).collect();
-            reference.sort_by_key(|&r| {
-                let mut v = 0u64;
-                for k in k_begin..k_end {
-                    v = (v << 1) | u64::from((masks[r as usize] >> k) & 1);
-                }
-                v
-            });
-            assert_eq!(fast, reference, "range [{k_begin}, {k_end})");
+    fn radix_key_sort_matches_comparison_sort() {
+        let masks = pseudo_random_masks(1000);
+        for (k_begin, k_end) in [(0, 32), (0, 27), (5, 14), (31, 32), (0, 1)] {
+            let width = k_end - k_begin;
+            let mut keys: Vec<u32> = masks.iter().map(|&m| sort_key(m, k_begin, width)).collect();
+            let mut reference = keys.clone();
+            reference.sort_unstable();
+            radix_sort_keys(&mut keys, width);
+            assert_eq!(keys, reference, "range [{k_begin}, {k_end})");
         }
     }
 
     #[test]
-    fn bitmask_census_matches_neighbor_lookup_reference() {
-        let map = paper_example();
-        for s in 0..=4u32 {
-            let plan = SplitPlan::from_split_count(&map, s);
-            for lockstep in [1, 3, 4, 16] {
-                for range in plan.ranges() {
-                    let fast = mac_counts_range(&map, range, lockstep, 2, 3);
-                    let mut effective = 0u64;
-                    let mut total = 0u64;
-                    for group in range.order(&map).chunks(lockstep) {
-                        for k in range.k_begin..range.k_end {
-                            let active = group
-                                .iter()
-                                .filter(|&&r| map.neighbor(r as usize, k).is_some())
-                                .count() as u64;
-                            if active > 0 {
-                                effective += active;
-                                total += lockstep as u64;
-                            }
-                        }
+    fn census_matches_the_reference_census() {
+        let masks: Vec<u32> = pseudo_random_masks(300)
+            .iter()
+            .map(|m| m & 0x7ff_ffff)
+            .collect();
+        for map in [paper_example(), map_of_masks(&masks, 27)] {
+            for s in 0..=5u32 {
+                let plan = SplitPlan::from_split_count(&map, s);
+                for lockstep in [1, 3, 4, 16] {
+                    for range in plan.ranges() {
+                        let want = reference_census(&map, range, lockstep);
+                        assert_eq!(
+                            mac_counts_range(&map, range, lockstep, 2, 3),
+                            MacCounts {
+                                effective: want.effective * 6,
+                                total: want.total * 6
+                            },
+                            "s = {s}, lockstep = {lockstep}, range {range:?}"
+                        );
                     }
-                    assert_eq!(
-                        fast,
-                        MacCounts {
-                            effective: effective * 6,
-                            total: total * 6
-                        }
-                    );
                 }
             }
         }

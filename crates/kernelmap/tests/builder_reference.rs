@@ -1,10 +1,10 @@
 //! The kernel-map builders against the reference loops they replaced:
 //! every output asks the coordinate table for every offset, and the pair
 //! lists are collected per offset and handed to `KernelMap::from_pairs`.
-//! The builders must give the same map (pairs and their order, neighbor
-//! matrix, bitmasks, multi-edge flag), the same coarse coordinates and
-//! the same `MapStats`, on duplicated coordinates and at the edges of
-//! the 16-bit coordinate range too.
+//! The builders must give the same map (pairs and their order, bitmasks,
+//! multi-edge flag), the same coarse coordinates and the same
+//! `MapStats`, on duplicated coordinates and at the edges of the 16-bit
+//! coordinate range too.
 
 use std::collections::HashSet;
 
@@ -109,13 +109,6 @@ fn cloud() -> impl Strategy<Value = Vec<Coord>> {
         })
 }
 
-fn assert_rebuilds_from_neighbors(map: &KernelMap) -> Result<(), TestCaseError> {
-    let rebuilt =
-        KernelMap::from_neighbors(map.n_in(), map.kernel_volume(), map.neighbors().to_vec());
-    prop_assert_eq!(&rebuilt, map);
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -127,7 +120,6 @@ proptest! {
             let (want, want_stats) = reference_submanifold(&coords, &offsets);
             prop_assert_eq!(&map, &want, "submanifold k={}", k);
             prop_assert_eq!(stats, want_stats);
-            assert_rebuilds_from_neighbors(&map)?;
 
             for s in 1..=3i32 {
                 let (map, out, stats) = build_strided_map_with_stats(&coords, &offsets, s);
@@ -136,7 +128,6 @@ proptest! {
                 prop_assert_eq!(&out, &want_out);
                 prop_assert_eq!(&downsample_coords(&coords, s), &want_out);
                 prop_assert_eq!(stats, want_stats);
-                assert_rebuilds_from_neighbors(&map)?;
             }
         }
     }

@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 
 use ts_kernelmap::{
-    argsort_by_bitmask, build_strided_map, build_submanifold_map, check_map, check_plan,
-    mac_counts, pad_to_multiple, unique_coords, Coord, CoordHashMap, DeltaConfig, IncrementalMap,
-    KernelMap, KernelOffsets, MapUpdate, SplitPlan,
+    build_strided_map, build_submanifold_map, check_map, check_plan, mac_counts, pad_to_multiple,
+    unique_coords, Coord, CoordHashMap, DeltaConfig, IncrementalMap, KernelMap, KernelOffsets,
+    MapUpdate, SplitPlan,
 };
 
 fn coord_strategy() -> impl Strategy<Value = Coord> {
@@ -104,11 +104,6 @@ proptest! {
         let plan = SplitPlan::from_split_count(&map, s);
         let mut covered = vec![0u8; map.kernel_volume()];
         for r in plan.ranges() {
-            prop_assert_eq!(r.order(&map).len(), map.n_out());
-            // Order is a permutation.
-            let mut sorted: Vec<u32> = r.order(&map).to_vec();
-            sorted.sort_unstable();
-            prop_assert_eq!(sorted, (0..map.n_out() as u32).collect::<Vec<_>>());
             for slot in covered.iter_mut().take(r.k_end).skip(r.k_begin) {
                 *slot += 1;
             }
@@ -145,25 +140,6 @@ proptest! {
     }
 
     #[test]
-    fn argsort_is_permutation_and_ordered(masks in prop::collection::vec(0u32..(1 << 27), 1..200)) {
-        let order = argsort_by_bitmask(&masks, 0, 27);
-        let mut sorted: Vec<u32> = order.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..masks.len() as u32).collect::<Vec<_>>());
-        // Keys (MSB-first read) are non-decreasing along the order.
-        let key = |m: u32| -> u32 {
-            let mut v = 0;
-            for k in 0..27 {
-                v = (v << 1) | ((m >> k) & 1);
-            }
-            v
-        };
-        for w in order.windows(2) {
-            prop_assert!(key(masks[w[0] as usize]) <= key(masks[w[1] as usize]));
-        }
-    }
-
-    #[test]
     fn padding_properties(n in 0usize..100_000, m in 1usize..512) {
         let p = pad_to_multiple(n, m);
         prop_assert!(p >= n);
@@ -182,9 +158,8 @@ proptest! {
 }
 
 /// Full-state equivalence of an [`IncrementalMap`] against the
-/// from-scratch reference: pairs, neighbor table and bitmasks (all via
-/// [`KernelMap`]'s structural equality), plus map and split-plan
-/// invariants.
+/// from-scratch reference: pairs and bitmasks (via [`KernelMap`]'s
+/// structural equality), plus map and split-plan invariants.
 fn assert_state_matches_fresh(inc: &IncrementalMap) -> Result<(), TestCaseError> {
     let fresh = build_submanifold_map(inc.coords(), inc.offsets());
     prop_assert_eq!(inc.map(), &fresh);

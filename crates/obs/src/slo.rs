@@ -221,11 +221,13 @@ impl SloMonitor {
             };
             let Some(state) = edge else { continue };
             w.active = state == AlertState::Tripped;
-            let verb = match state {
-                AlertState::Tripped => "tripped",
-                AlertState::Cleared => "cleared",
+            let counter = match (w.level, state) {
+                (AlertLevel::PageWorthy, AlertState::Tripped) => "obs.alerts.page_tripped",
+                (AlertLevel::PageWorthy, AlertState::Cleared) => "obs.alerts.page_cleared",
+                (AlertLevel::Warning, AlertState::Tripped) => "obs.alerts.warn_tripped",
+                (AlertLevel::Warning, AlertState::Cleared) => "obs.alerts.warn_cleared",
             };
-            ts_trace::counter_add(&format!("obs.alerts.{}_{verb}", w.level.label()), 1);
+            ts_trace::counter_add(counter, 1);
             out.push(Alert {
                 level: w.level,
                 state,

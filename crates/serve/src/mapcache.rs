@@ -75,14 +75,6 @@ impl MapCache {
         self.enabled
     }
 
-    /// Whether the cache currently holds a state for `stream` (a router
-    /// hint: the entry may be taken by a worker or evicted at any time,
-    /// so this is advisory, never a correctness guarantee).
-    pub(crate) fn contains(&self, stream: u64) -> bool {
-        let inner = self.inner.lock().expect("map cache lock");
-        inner.entries.contains_key(&stream)
-    }
-
     /// Removes and returns the stream's state; the caller owns it for
     /// the duration of one frame and puts it back via [`Self::put`].
     pub(crate) fn take(&self, stream: u64) -> Option<StreamState> {

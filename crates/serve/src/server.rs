@@ -250,9 +250,6 @@ pub struct Server {
     /// Set by [`Server::halt`]: the batcher sheds its backlog with
     /// typed rejections instead of dispatching it.
     abort: Arc<AtomicBool>,
-    /// Kept for [`Server::has_cached_stream`] — workers hold their own
-    /// clones through the supervisor.
-    map_cache: Arc<MapCache>,
     /// Tracer captured from the constructing thread; propagated into
     /// the batcher and worker threads so per-request spans from all of
     /// them land in one trace.
@@ -313,7 +310,7 @@ impl Server {
             tracer: tracer.clone(),
             stop: Arc::clone(&stop),
             next_batch: Arc::clone(&next_batch),
-            map_cache: Arc::clone(&map_cache),
+            map_cache,
             cfg: cfg.clone(),
         });
 
@@ -340,7 +337,6 @@ impl Server {
             supervisor: Some(supervisor),
             stop,
             abort,
-            map_cache,
             tracer,
             trace_path: cfg.trace_path,
             next_req: AtomicU64::new(0),
@@ -401,15 +397,6 @@ impl Server {
     /// deadline SLO counters, without assembling a full report.
     pub fn load(&self) -> ServerLoad {
         self.metrics.load()
-    }
-
-    /// Whether this server's map cache currently holds `stream`'s
-    /// kernel maps. Advisory only — the entry may be taken by a worker
-    /// or evicted at any moment — but it is exactly the signal a
-    /// stream-affinity router wants: sending the frame here skips the
-    /// from-scratch map build.
-    pub fn has_cached_stream(&self, stream: u64) -> bool {
-        self.map_cache.contains(stream)
     }
 
     /// Live snapshot of the SLO counters.

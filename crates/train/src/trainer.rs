@@ -316,13 +316,8 @@ impl Trainer {
         // `train.map.*` counts maintenance of an existing map; the
         // seeding step builds it.
         let advanced = self.state.is_some();
-        let (session, canon, outcome) = compile_stream(
-            &self.network,
-            &mut self.state,
-            input,
-            &self.cfg.delta,
-            &self.cfg.tuner.default,
-        )?;
+        let (session, canon, outcome) =
+            compile_stream(&self.network, &mut self.state, input, &self.cfg.delta)?;
         if advanced {
             match outcome.kind {
                 MapUpdate::Patched => ts_trace::counter_add("train.map.patched", 1),

@@ -6,8 +6,8 @@
 //! replays the sequence through an incremental map at the scenario's
 //! churn threshold and, after *every* frame, compares the patched
 //! state structurally against `build_submanifold_map` over the same
-//! coordinates — pair lists, neighbor table, bitmasks, the split-plan
-//! partition, and the coordinate set itself. Any divergence is a
+//! coordinates — pair lists, bitmasks, the split-plan partition, and
+//! the coordinate set itself. Any divergence is a
 //! [`StreamMismatch`]; the fuzzer shrinks failing scenarios to a
 //! minimal frame sequence (fewest frames, then fewest points and ops)
 //! before serializing them for `tests/repros/`.
