@@ -1,9 +1,10 @@
 //! Functional network execution: the one DAG feature walk.
 //!
-//! [`forward`] computes every node's activation; [`backward`] runs the
-//! reverse sweep over them. Inference ([`run_network_in_session`]) is the
-//! forward half and training ([`crate::forward_backward`]) runs both, so
-//! the two can never disagree on what a layer computes.
+//! [`forward`] computes each node's activation and keeps those its
+//! caller reads; [`backward`] runs the reverse sweep over them. Inference
+//! ([`run_network_in_session`]) is the forward half and training
+//! ([`crate::forward_backward`]) runs both, so the two can never disagree
+//! on what a layer computes.
 
 use ts_dataflow::{forward_prepared, wgrad, ConvWeights, ExecCtx};
 use ts_kernelmap::KernelMap;
@@ -101,30 +102,72 @@ pub fn run_network_in_session(
         );
     }
 
-    let mut feats = forward(session, weights, input.feats(), cfgs, ctx);
+    let mut walk = forward(session, weights, input.feats(), cfgs, ctx, Keep::Output);
     let out = SparseTensor::with_stride(
         session.coords(out_node).to_vec(),
-        feats[out_node].take().expect("output computed"),
+        walk.feats[out_node].take().expect("output computed"),
         network.stride(out_node),
     );
     (out, report)
 }
 
-/// The forward half of the walk: every node's activation, in node
-/// order, with the per-group dataflows in `cfgs`. Conv outputs are
-/// rounded to the context precision when it asks for storage
-/// quantization. `ctx` must be functional.
+/// What a forward walk leaves: the activations its [`Keep`] set holds
+/// (`None` for every other node), and the most activation bytes it held
+/// at once.
+pub(crate) struct Walk {
+    pub(crate) feats: Vec<Option<Matrix>>,
+    /// Read by the tests that pin the walk's live set.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) peak_bytes: usize,
+}
+
+/// The activations a forward walk keeps to its end.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Keep {
+    /// The output alone: inference.
+    Output,
+    /// The output and what [`backward`] reads: each conv's and each
+    /// ReLU's input.
+    Backward,
+}
+
+/// The forward half of the walk, in node order, with the per-group
+/// dataflows in `cfgs`. Conv outputs are rounded to the context
+/// precision when it asks for storage quantization. Each activation
+/// outside `keep` is dropped once its last reader has run, and
+/// BatchNorm, ReLU and Add work in their input's buffer when they are
+/// that reader. `ctx` must be functional.
 pub(crate) fn forward(
     session: &Session,
     weights: &NetworkWeights,
     input: &Matrix,
     cfgs: &GroupConfigs,
     ctx: &ExecCtx,
-) -> Vec<Option<Matrix>> {
+    keep: Keep,
+) -> Walk {
     let network = session.network();
-    let mut feats: Vec<Option<Matrix>> = vec![None; network.nodes().len()];
+    let nodes = network.nodes();
+    // last[j]: the last node that reads node j, or j when none does.
+    let mut last: Vec<usize> = (0..nodes.len()).collect();
+    let mut kept = vec![false; nodes.len()];
+    kept[network.output()] = true;
+    for (i, node) in nodes.iter().enumerate().skip(1) {
+        last[node.input] = i;
+        if let Op::Add { other } | Op::Concat { other } = node.op {
+            last[other] = i;
+        }
+        kept[node.input] |= keep == Keep::Backward && matches!(node.op, Op::Conv(_) | Op::ReLU);
+    }
+    let bytes = |m: &Matrix| std::mem::size_of_val(m.as_slice());
+    let mut feats: Vec<Option<Matrix>> = vec![None; nodes.len()];
     feats[0] = Some(input.clone());
-    for (i, node) in network.nodes().iter().enumerate().skip(1) {
+    let (mut live, mut peak_bytes) = (bytes(input), bytes(input));
+    for (i, node) in nodes.iter().enumerate().skip(1) {
+        let other = match node.op {
+            Op::Add { other } | Op::Concat { other } => other,
+            _ => i,
+        };
+        let dies = |j: usize| last[j] == i && !kept[j];
         let x = feats[node.input]
             .as_ref()
             .expect("producer already executed");
@@ -143,20 +186,23 @@ pub(crate) fn forward(
                 }
                 y
             }
-            Op::BatchNorm => {
-                let mut y = x.clone();
-                let params = weights.bns[i].as_ref().expect("bn params initialised");
-                batch_norm(&mut y, params);
-                y
-            }
-            Op::ReLU => {
-                let mut y = x.clone();
-                relu(&mut y);
-                y
-            }
-            Op::Add { other } => {
-                let mut y = x.clone();
-                y.add_assign(feats[other].as_ref().expect("operand executed"));
+            Op::BatchNorm | Op::ReLU | Op::Add { .. } => {
+                // An add of a node to itself reads its input twice.
+                let mut y = if dies(node.input) && other != node.input {
+                    let y = feats[node.input].take().expect("producer already executed");
+                    live -= bytes(&y);
+                    y
+                } else {
+                    x.clone()
+                };
+                match node.op {
+                    Op::BatchNorm => {
+                        let params = weights.bns[i].as_ref().expect("bn params initialised");
+                        batch_norm(&mut y, params);
+                    }
+                    Op::ReLU => relu(&mut y),
+                    _ => y.add_assign(feats[other].as_ref().expect("operand executed")),
+                }
                 y
             }
             Op::Concat { other } => {
@@ -171,9 +217,16 @@ pub(crate) fn forward(
                 y
             }
         };
+        live += bytes(&y);
+        peak_bytes = peak_bytes.max(live);
         feats[i] = Some(y);
+        for j in [node.input, other, i] {
+            if let Some(m) = feats[j].take_if(|_| dies(j)) {
+                live -= bytes(&m);
+            }
+        }
     }
-    feats
+    Walk { feats, peak_bytes }
 }
 
 /// The weights of one weight update: the network's own, and every
@@ -567,6 +620,66 @@ mod tests {
                 "training: forward and dgrad plans"
             );
         }
+    }
+
+    /// Serve's network (MinkUNet 0.5×) and a seeded frame of its
+    /// sensor at `scale` (serve runs 0.02). ts-workloads builds the
+    /// network against its own copy of this crate, so the network
+    /// crosses over in its serde form.
+    fn serve_frame(scale: f32) -> (Network, SparseTensor) {
+        let workload = ts_workloads::Workload::SemanticKittiMinkUNet05;
+        let json = serde_json::to_string(&workload.network()).expect("serializes");
+        let net: Network = serde_json::from_str(&json).expect("parses");
+        let scene = workload.stream_scaled(31, scale).next_frame();
+        (net, SparseTensor::new(scene.coords, scene.feats))
+    }
+
+    /// The nodes whose activations a walk ended holding.
+    fn held(walk: &Walk) -> Vec<usize> {
+        (0..walk.feats.len())
+            .filter(|&i| walk.feats[i].is_some())
+            .collect()
+    }
+
+    /// An inference walk of a served frame holds at most an eighth of
+    /// the frame's activations at once, and ends holding the output
+    /// alone.
+    #[test]
+    fn an_inference_walk_holds_an_eighth_of_a_served_frame() {
+        let (net, x) = serve_frame(0.02);
+        let w = net.init_weights(31);
+        let session = Session::new(&net, x.coords());
+        let ctx = ExecCtx::functional(Device::rtx3090(), Precision::Fp16);
+        let cfgs = GroupConfigs::uniform(DataflowConfig::implicit_gemm(1));
+        let all: usize = (0..net.nodes().len())
+            .map(|i| session.coords(i).len() * net.out_channels(i) * 4)
+            .sum();
+        let walk = forward(&session, &w, x.feats(), &cfgs, &ctx, Keep::Output);
+        let peak = walk.peak_bytes;
+        assert!(peak * 8 <= all, "peak {peak} of {all} activation bytes");
+        assert_eq!(held(&walk), [net.output()]);
+    }
+
+    /// A training walk ends holding exactly what `backward` reads: the
+    /// output and each conv's and each ReLU's input.
+    #[test]
+    fn a_training_walk_keeps_what_backward_reads() {
+        let (net, x) = serve_frame(0.005);
+        let w = net.init_weights(31);
+        let session = Session::new(&net, x.coords());
+        let ctx = ExecCtx::functional(Device::a100(), Precision::Fp32);
+        let cfgs = GroupConfigs::uniform(DataflowConfig::implicit_gemm(1));
+        let mut read: Vec<usize> = net
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n.op, Op::Conv(_) | Op::ReLU))
+            .map(|n| n.input)
+            .chain([net.output()])
+            .collect();
+        read.sort_unstable();
+        read.dedup();
+        let walk = forward(&session, &w, x.feats(), &cfgs, &ctx, Keep::Backward);
+        assert_eq!(held(&walk), read);
     }
 
     #[test]

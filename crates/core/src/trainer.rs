@@ -7,7 +7,7 @@
 use ts_dataflow::{ConvWeights, ExecCtx};
 use ts_tensor::Matrix;
 
-use crate::run::{backward, forward, PassWeights};
+use crate::run::{backward, forward, Keep, PassWeights};
 use crate::{NetworkWeights, Session, SparseTensor, TrainConfigs};
 
 /// Dynamic loss scaling for mixed-precision training: gradients flow in
@@ -89,10 +89,11 @@ pub struct BackwardOutput {
 /// ts-verify training conformance harness.
 ///
 /// The forward pass is the same walk as inference
-/// ([`crate::run_network_in_session`]) and stores every activation; the
-/// loss is `0.5 * ||output||^2`; the backward sweep walks nodes in
-/// reverse, routing dgrad through the transposed maps and wgrad through
-/// the forward maps with the per-pass dataflow configs in `cfgs`. With
+/// ([`crate::run_network_in_session`]) and keeps the activations the
+/// backward sweep reads; the loss is `0.5 * ||output||^2`; the backward
+/// sweep walks nodes in reverse, routing dgrad through the transposed
+/// maps and wgrad through the forward maps with the per-pass dataflow
+/// configs in `cfgs`. With
 /// `fp16_grads`, every stored gradient is rounded to the FP16 grid, the
 /// seed gradient is multiplied by `loss_scale`, and weight gradients are
 /// overflow-checked *before* being un-scaled — exactly the
@@ -138,7 +139,8 @@ fn pass(
         functional: true,
         ..ctx.clone()
     };
-    let feats = forward(session, weights.weights, input, &cfgs.fwd, &fctx);
+    let keep = Keep::Backward;
+    let feats = forward(session, weights.weights, input, &cfgs.fwd, &fctx, keep).feats;
     backward(
         session, weights, &feats, cfgs, &fctx, loss_scale, fp16_grads,
     )

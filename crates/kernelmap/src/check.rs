@@ -53,6 +53,14 @@ pub enum MapViolation {
         /// Whether the pair lists record a neighbor.
         has_pair: bool,
     },
+    /// The map claims the output-stationary view but carries a bitmask
+    /// count other than its output count (a deserialized map can).
+    BitmaskCountMismatch {
+        /// Bitmasks the map carries.
+        bitmasks: usize,
+        /// Output points the map declares.
+        n_out: usize,
+    },
     /// The plan's ranges do not partition `[0, kernel_volume)`: an
     /// offset is covered zero or multiple times.
     SplitNotPartition {
@@ -100,6 +108,9 @@ impl fmt::Display for MapViolation {
                 f,
                 "output {output} offset {offset}: bitmask bit {mask_bit} but pair present = {has_pair}"
             ),
+            MapViolation::BitmaskCountMismatch { bitmasks, n_out } => {
+                write!(f, "{bitmasks} bitmasks for {n_out} outputs")
+            }
             MapViolation::SplitNotPartition { offset, covered } => {
                 write!(f, "offset {offset} covered by {covered} split ranges")
             }
@@ -121,8 +132,8 @@ impl fmt::Display for MapViolation {
 /// Checked invariants:
 /// * every pair's indices are inside `n_in x n_out`;
 /// * no `(offset, input, output)` pair repeats;
-/// * when the output-stationary view exists, the bitmasks agree
-///   slot-for-slot with the pair lists.
+/// * when the output-stationary view exists, it holds one bitmask per
+///   output, and the bitmasks agree slot-for-slot with the pair lists.
 pub fn check_map(map: &KernelMap) -> Vec<MapViolation> {
     let mut out = Vec::new();
     let (n_in, n_out, kvol) = (map.n_in(), map.n_out(), map.kernel_volume());
@@ -149,13 +160,17 @@ pub fn check_map(map: &KernelMap) -> Vec<MapViolation> {
         }
     }
     if map.has_dense_repr() {
-        // The dense views are only well-defined once pair indices are in
-        // range; cross-checking them against corrupt indices would just
-        // duplicate the reports above.
+        // The bitmasks are compared slot for slot only when there is one
+        // per output and the pair indices are in range; cross-checking
+        // them against corrupt indices would just duplicate the reports
+        // above.
         let indices_ok = !out
             .iter()
             .any(|v| matches!(v, MapViolation::PairIndexOutOfRange { .. }));
-        if indices_ok {
+        let bitmasks = map.bitmasks().len();
+        if bitmasks != n_out {
+            out.push(MapViolation::BitmaskCountMismatch { bitmasks, n_out });
+        } else if indices_ok {
             // One pass over the pair lists: bit k of `present[o]` is set
             // iff offset k has a pair into output o.
             let mut present = vec![0u32; n_out];
@@ -242,6 +257,24 @@ mod tests {
         assert!(v
             .iter()
             .any(|x| matches!(x, MapViolation::DuplicatePair { offset: 0, .. })));
+    }
+
+    /// A deserialized map that claims the output-stationary view with
+    /// fewer bitmasks than outputs is reported, not indexed past its end.
+    #[test]
+    fn a_short_bitmask_list_is_reported() {
+        let m = KernelMap::from_pairs(2, 2, vec![vec![(0, 0)], vec![(1, 1)]]);
+        let json = serde_json::to_string(&m).expect("serializes");
+        let cut = json.replace("\"bitmasks\":[1,2]", "\"bitmasks\":[1]");
+        assert_ne!(cut, json, "the map serializes its bitmasks as [1,2]");
+        let m: KernelMap = serde_json::from_str(&cut).expect("deserializes");
+        assert_eq!(
+            check_map(&m),
+            [MapViolation::BitmaskCountMismatch {
+                bitmasks: 1,
+                n_out: 2
+            }]
+        );
     }
 
     #[test]

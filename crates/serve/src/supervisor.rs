@@ -22,6 +22,10 @@
 //!   [`Rejected::WorkerCrashed`]; either way the caller's handle
 //!   resolves to a typed outcome, never a hang.
 //!
+//! Workers block on the work channel, so an idle pool costs no CPU: a
+//! worker wakes for a batch or for the channel's disconnect. Only a busy
+//! worker is retired, and it reads the flag when its batch ends.
+//!
 //! Shutdown: once the server sets the stop flag (after the batcher has
 //! flushed its backlog into the work channel), the supervisor waits for
 //! the channel to empty and the pool to go idle, drops the last work
@@ -32,7 +36,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use ts_core::Engine;
 use ts_obs::{FaultKind, ObsEvent, ShedReason};
 
@@ -96,8 +100,24 @@ impl WorkerShared {
     }
 
     fn finish(&self) {
-        *self.lock() = None;
+        // Held across both stores: `retire_if_stalled` decides under it.
+        let mut inflight = self.lock();
+        *inflight = None;
         self.busy_since_us.store(0, Ordering::SeqCst);
+    }
+
+    /// Retires the worker if it has been on one batch longer than
+    /// `timeout`. Decided under the in-flight lock, which [`Self::finish`]
+    /// also takes, so a worker either finishes first and is not retired,
+    /// or finishes after and finds its flag set before it waits for the
+    /// next batch.
+    fn retire_if_stalled(&self, timeout: Duration) -> bool {
+        let _inflight = self.lock();
+        let stalled = self.busy_for().is_some_and(|d| d > timeout);
+        if stalled {
+            self.retired.store(true, Ordering::SeqCst);
+        }
+        stalled
     }
 
     /// How long the worker has been on its current batch; `None` while
@@ -156,20 +176,11 @@ impl Pool {
             let tracer = ctx.tracer.clone();
             let map_cache = Arc::clone(&ctx.map_cache);
             let plan = ctx.cfg.fault_plan.clone();
-            let poll = ctx.cfg.supervisor_poll;
             std::thread::Builder::new()
                 .name(format!("ts-serve-worker-{}", self.next_id))
                 .spawn(move || {
                     ts_trace::install_opt(tracer.as_ref());
-                    worker_loop(
-                        &engine,
-                        &rx,
-                        &metrics,
-                        &shared,
-                        &map_cache,
-                        plan.as_ref(),
-                        poll,
-                    )
+                    worker_loop(&engine, &rx, &metrics, &shared, &map_cache, plan.as_ref())
                 })
                 .expect("spawn worker thread")
         };
@@ -216,24 +227,17 @@ fn worker_loop(
     shared: &WorkerShared,
     map_cache: &MapCache,
     plan: Option<&FaultPlan>,
-    poll: Duration,
 ) {
-    loop {
-        if shared.retired.load(Ordering::SeqCst) {
-            break; // declared stuck; a replacement already owns our work
-        }
-        match rx.recv_timeout(poll) {
-            Ok(batch) => {
-                // Park a clone where the supervisor can recover it,
-                // *before* any injection site or engine call can die.
-                shared.begin(&batch);
-                faults::inject(plan, batch.seq, metrics);
-                process_batch(engine, batch.seq, batch.jobs, metrics, map_cache);
-                shared.finish();
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
+    // A retired worker was declared stuck; a replacement already owns
+    // its work. A disconnect is the end of the drain.
+    while !shared.retired.load(Ordering::SeqCst) {
+        let Ok(batch) = rx.recv() else { break };
+        // Park a clone where the supervisor can recover it, *before*
+        // any injection site or engine call can die.
+        shared.begin(&batch);
+        faults::inject(plan, batch.seq, metrics);
+        process_batch(engine, batch.seq, batch.jobs, metrics, map_cache);
+        shared.finish();
     }
 }
 
@@ -270,13 +274,11 @@ fn run(ctx: SupervisorCtx) {
         if let Some(timeout) = pool.ctx.cfg.stall_timeout {
             let mut i = 0;
             while i < pool.slots.len() {
-                let busy = pool.slots[i].shared.busy_for();
-                if busy.is_none_or(|d| d <= timeout) {
+                if !pool.slots[i].shared.retire_if_stalled(timeout) {
                     i += 1;
                     continue;
                 }
                 let slot = pool.slots.remove(i);
-                slot.shared.retired.store(true, Ordering::SeqCst);
                 zombies.push(slot.handle);
                 pool.replace(&slot.shared, FaultKind::WorkerStall, "worker_stall");
             }
